@@ -29,6 +29,7 @@ from .errors import (
     CoefficientOverflowError,
     ConfigSyntaxError,
     MissingMomentError,
+    NumericDomainError,
     ResourceLimitError,
     ScenarioValidationError,
     SchemaError,
@@ -43,7 +44,13 @@ from .scenario import (
 )
 from .simulate import evaluate_cost, propagate_mean, run_ensemble
 from .svgplot import line_plot
-from .verify import DeviationGrid, inject_gain_scaling, run_verification
+from .verify import (
+    BELLMAN_TOL,
+    STATIONARITY_TOL,
+    DeviationGrid,
+    inject_gain_scaling,
+    run_verification,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -285,6 +292,9 @@ def _parse_grid(spec: str | None, paths: int | None, seed: int | None) -> Deviat
             grid = DeviationGrid(points=int(points_str), span=float(span_str))
         except ValueError:
             raise SchemaError(f"--grid expects POINTSxSPAN, e.g. 101x0.2, got {spec!r}")
+        if grid.points < 1 or not 0.0 < grid.span < float("inf"):
+            raise SchemaError(f"--grid needs at least one point and a positive finite "
+                              f"span, got {spec!r}")
     updates = {}
     if paths is not None:
         updates["paths"] = paths
@@ -336,14 +346,15 @@ def cmd_verify(args) -> int:
         rows.append(["deviation", "margin", dev.agent + 1, "", _fmt(dev.margin),
                      _fmt(dev.tolerance), "pass" if dev.passed else "fail"])
     rows.append(["stationarity", "max_residual", "", "", _fmt(report.stationarity_max),
-                 "1e-09", "pass" if report.stationarity_max <= 1e-9 else "fail"])
+                 f"{STATIONARITY_TOL:g}",
+                 "pass" if report.stationarity_max <= STATIONARITY_TOL else "fail"])
     rows.append(["positivity", "tables_positive", "", "", str(report.positivity_ok).lower(),
                  "true", "pass" if report.positivity_ok else "fail"])
     rows.append(["convexity", "sampled_min", "", "", _fmt(report.convexity_min),
                  "> 0", "pass" if report.convexity_min > 0 else "fail"])
     for k, value in enumerate(report.bellman_max_per_step):
-        rows.append(["bellman", "residual", "", k, _fmt(value), "1e-10",
-                     "pass" if value <= 1e-10 else "fail"])
+        rows.append(["bellman", "residual", "", k, _fmt(value), f"{BELLMAN_TOL:g}",
+                     "pass" if value <= BELLMAN_TOL else "fail"])
     report_csv = out / "report.csv"
     _write_csv(report_csv, ["section", "metric", "agent", "step", "value",
                             "tolerance", "status"], rows)
@@ -454,7 +465,7 @@ def cmd_sweep(args) -> int:
 def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, (ConfigSyntaxError, SchemaError)):
         return EXIT_PARSE
-    if isinstance(exc, (ScenarioValidationError, MissingMomentError)):
+    if isinstance(exc, (ScenarioValidationError, MissingMomentError, NumericDomainError)):
         return EXIT_VALIDATION
     if isinstance(exc, (SingularityError, CoefficientOverflowError)):
         return EXIT_SINGULAR
@@ -489,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=_seed_type, default=None, help="master seed")
     p_sim.add_argument("--threads", type=int, default=1, help="worker threads")
     p_sim.add_argument("--plot", action="store_true", help="write SVG plots")
-    p_sim.add_argument("--format", choices=["csv"], default="csv")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="equilibrium and identity checks")
@@ -533,6 +543,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except MissingMomentError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except NumericDomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SingularityError, CoefficientOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Elementary numerical kernels shared by the solvers.
 
-Signed odd roots, small pivoted linear solves, even noise moments, and the
-second-derivative sampler backing the convexity argument that makes every
-per-agent best response well posed.
+Signed odd roots, small pivoted linear solves, integer array powers, even
+noise moments, and the second-derivative sampler backing the convexity
+argument that makes every per-agent best response well posed.
 """
 
 from __future__ import annotations
@@ -101,6 +101,30 @@ def _odd_double_factorial(n: int) -> float:
     out = 1.0
     for k in range(n, 0, -2):
         out *= k
+    return out
+
+
+def even_power(x, m: int) -> np.ndarray:
+    """Elementwise x**m for an integer m >= 1, by repeated squaring.
+
+    ``x ** m`` with m other than 2 goes through libm ``pow``, which is far
+    slower than a few multiplications; every step here works in place on a
+    single output array.  m = 1 and m = 2 match ``**`` bit for bit; higher
+    orders agree to within a few ulps.
+    """
+    if m < 1:
+        raise ValueError(f"power must be a positive integer, got {m}")
+    x = np.asarray(x, dtype=float)
+    bits = bin(m)[3:]  # exponent bits below the leading one
+    if not bits:
+        return x.copy()
+    out = np.multiply(x, x)
+    if bits[0] == "1":
+        out *= x
+    for bit in bits[1:]:
+        np.multiply(out, out, out=out)
+        if bit == "1":
+            out *= x
     return out
 
 

@@ -53,14 +53,14 @@ class Family(str, enum.Enum):
     def uses_dev_dynamics(self) -> bool:
         return self is Family.GENERAL_MOMENT
 
-    @property
-    def tracks_gamma(self) -> bool:
-        return self is Family.ADDITIVE
-
 
 NOISE_KINDS = ("gaussian", "rademacher", "uniform", "explicit_moments")
 INITIAL_KINDS = ("deterministic", "gaussian_around_mean", "empirical_samples")
-STREAM_SCHEME = "per-path substream"
+# Monte Carlo stream layout (see simulate._draw_paths): one substream per
+# fixed block of paths, keyed by (seed, block).  A new layout gets a new name,
+# so a scenario written for another layout is rejected instead of silently
+# giving different numbers.
+STREAM_SCHEME = "block substream"
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,6 @@ class NoiseSpec:
     kind: str
     sigma: tuple[float, ...]
     moments: dict[int, tuple[float, ...]] | None = None
-
-    def max_sigma(self) -> float:
-        return max(self.sigma) if self.sigma else 0.0
 
 
 @dataclass(frozen=True)
@@ -301,7 +298,9 @@ def _build_mc(doc) -> MonteCarloConfig:
     _reject_unknown(doc, {"paths", "seed", "stream_scheme"}, "monte_carlo")
     scheme = doc.get("stream_scheme", STREAM_SCHEME)
     if scheme != STREAM_SCHEME:
-        raise SchemaError(f"monte_carlo.stream_scheme must be {STREAM_SCHEME!r}")
+        raise SchemaError(
+            f"monte_carlo.stream_scheme must be {STREAM_SCHEME!r}, got {scheme!r}"
+        )
     return MonteCarloConfig(
         paths=_as_int(doc.get("paths", 0), "monte_carlo.paths"),
         seed=_as_int(doc.get("seed", 0), "monte_carlo.seed"),

@@ -3,10 +3,10 @@
 The mean path is exact: zero-mean disturbances never enter the mean
 recursion, so it is propagated deterministically and the feedback laws
 consume this model mean, never an ensemble average (using empirical means
-would couple paths).  Monte Carlo paths draw their noise from per-path
-substreams derived from (seed, path index), which makes ensembles
-reproducible bit for bit regardless of how paths are scheduled over chunks
-or worker threads.
+would couple paths).  Monte Carlo paths are drawn in fixed blocks of
+CHUNK_SIZE paths, each from its own substream derived from (seed, block
+index), which makes ensembles reproducible bit for bit regardless of how
+blocks are scheduled over worker threads.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDomainError, ResourceLimitError
-from .numerics import _odd_double_factorial
+from .numerics import _odd_double_factorial, even_power
 from .recursion import CoefficientTable, GainSchedule
 from .scenario import Family, InitialLaw, Scenario
 
 DEFAULT_STORE_CAP = 100_000
+# Paths per random-stream block; chunks are whole blocks (the last may be partial).
 CHUNK_SIZE = 4096
 # Ceiling on floats held at once (path-cost matrix plus one chunk).
 MAX_PATH_FLOATS = 400_000_000
@@ -106,52 +107,43 @@ def initial_central_moment(law: InitialLaw, order: int) -> float:
     return float(np.mean((samples - law.mean) ** order))
 
 
-def _path_rng(seed: int, path: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), int(path)]))
-
-
 def _draw_paths(sc: Scenario, seed: int, lo: int, hi: int):
-    """Initial states and scaled noise rows for paths lo..hi-1.
+    """Initial states and scaled noise rows for paths lo..hi-1 of one block.
 
-    Per path, the substream draws the initial state first (when the law is
-    random) and then the horizon's noise row, so stream layout is independent
-    of chunking.
+    lo must start a block.  The block's substream first draws a full block
+    of initial states (when the law is random), then one noise row per
+    path as a single draw, so a partial last block yields the first rows of
+    a full one and the first n paths of any ensemble are the same.
     """
-    n = sc.horizon
+    rows, n = hi - lo, sc.horizon
     law = sc.x0
-    sigma = np.asarray(sc.noise.sigma)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), lo // CHUNK_SIZE]))
+    if law.kind == "deterministic":
+        x0 = np.full(rows, law.start_value())
+    elif law.kind == "gaussian_around_mean":
+        x0 = law.mean + np.sqrt(law.variance) * rng.standard_normal(CHUNK_SIZE)[:rows]
+    else:
+        x0 = np.asarray(law.samples)[rng.integers(0, len(law.samples), CHUNK_SIZE)[:rows]]
     kind = sc.noise.kind
-    x0 = np.empty(hi - lo)
-    eps = np.empty((hi - lo, n))
-    sqrt3 = np.sqrt(3.0)
-    for idx, m in enumerate(range(lo, hi)):
-        rng = _path_rng(seed, m)
-        if law.kind == "deterministic":
-            x0[idx] = law.start_value()
-        elif law.kind == "gaussian_around_mean":
-            x0[idx] = law.mean + np.sqrt(law.variance) * rng.standard_normal()
-        else:
-            x0[idx] = law.samples[rng.integers(0, len(law.samples))]
-        if kind == "gaussian":
-            raw = rng.standard_normal(n)
-        elif kind == "rademacher":
-            raw = 2.0 * rng.integers(0, 2, n) - 1.0
-        else:
-            raw = rng.uniform(-sqrt3, sqrt3, n)
-        eps[idx] = raw * sigma
+    if kind == "gaussian":
+        eps = rng.standard_normal((rows, n))
+    elif kind == "rademacher":
+        eps = 2.0 * rng.integers(0, 2, (rows, n)) - 1.0
+    else:
+        eps = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (rows, n))
+    eps *= np.asarray(sc.noise.sigma)
     return x0, eps
 
 
 def _simulate_chunk(sc: Scenario, gains: GainSchedule, mean: MeanPath,
-                    seed: int, lo: int, hi: int):
-    n, agents = sc.horizon, sc.agents
+                    seed: int, lo: int, x: np.ndarray, u: np.ndarray) -> None:
+    """Fill x (B, N+1) and u (I, B, N) with the closed-loop paths lo..lo+B-1
+    of one block; they may be views into the ensemble's path store."""
+    n = sc.horizon
     a_bar = np.asarray(sc.a_bar)
     b_bar = np.asarray(sc.b_bar)
     family = sc.family
-    x0, eps = _draw_paths(sc, seed, lo, hi)
-
-    x = np.empty((hi - lo, n + 1))
-    u = np.empty((agents, hi - lo, n))
+    x0, eps = _draw_paths(sc, seed, lo, lo + x.shape[0])
     x[:, 0] = x0
     g_dev = gains.dev_gain
     dev_scale = gains.dev_scale
@@ -160,31 +152,33 @@ def _simulate_chunk(sc: Scenario, gains: GainSchedule, mean: MeanPath,
         b_dev = np.asarray(sc.b_dev)
     # The dynamics split exactly into the mean recursion plus a deviation
     # channel; propagating the deviation and re-adding the exact mean keeps
-    # zero-noise paths bit-identical to the mean path.
+    # zero-noise paths bit-identical to the mean path.  The controls' push
+    # b.v is applied as a scalar times d rather than a matrix product, so
+    # each path's arithmetic does not depend on how many paths share its
+    # chunk (a matrix product may round differently for a one-row chunk).
     for k in range(n):
+        gain = g_dev[:, k] * dev_scale[k]
         d = x[:, k] - mean.x_bar[k]
-        v = -(g_dev[:, k] * dev_scale[k])[:, None] * d[None, :]
-        u[:, :, k] = v + mean.u_bar[:, k][:, None]
+        u[:, :, k] = mean.u_bar[:, k][:, None] - gain[:, None] * d[None, :]
         if family is Family.ADDITIVE:
-            dev_next = a_bar[k] * d + b_bar[:, k] @ v + eps[:, k]
+            dev_next = a_bar[k] * d - (b_bar[:, k] @ gain) * d + eps[:, k]
         elif family is Family.MULTIPLICATIVE:
-            dev_next = a_bar[k] * d + b_bar[:, k] @ v + d * eps[:, k]
+            dev_next = a_bar[k] * d - (b_bar[:, k] @ gain) * d + d * eps[:, k]
         else:
-            dev_next = (a_dev[k] * d + b_dev[:, k] @ v) * eps[:, k]
+            dev_next = (a_dev[k] * d - (b_dev[:, k] @ gain) * d) * eps[:, k]
         x[:, k + 1] = mean.x_bar[k + 1] + dev_next
-    return x, u
 
 
 def _dev_cost_per_path(sc: Scenario, mean: MeanPath, x: np.ndarray, u: np.ndarray):
     """Deviation-cost contribution of each path, per agent: (I, B)."""
-    n, agents = sc.horizon, sc.agents
+    n = sc.horizon
     mo = sc.moment_order
     q_dev = np.asarray(sc.q_dev)
     r_dev = np.asarray(sc.r_dev)
-    d_pow = (x - mean.x_bar[None, :]) ** mo
+    d_pow = even_power(x - mean.x_bar[None, :], mo)
     out = d_pow[:, :n] @ q_dev[:, :n].T
     out += np.outer(d_pow[:, n], q_dev[:, n])
-    v_pow = (u - mean.u_bar[:, None, :]) ** mo
+    v_pow = even_power(u - mean.u_bar[:, None, :], mo)
     out += np.einsum("ibk,ik->bi", v_pow, r_dev)
     return out.T
 
@@ -200,9 +194,9 @@ def run_ensemble(
 ) -> Ensemble:
     """Simulate a seeded closed-loop ensemble and collect its statistics.
 
-    Paths are processed in fixed-size chunks; worker threads only decide
-    which chunk runs when, never how statistics are reduced, so results are
-    identical for any thread count.
+    Paths are processed in the fixed blocks their random streams are keyed
+    by; worker threads only decide which block runs when, never how
+    statistics are reduced, so results are identical for any thread count.
     """
     if not sc.family.stochastic:
         raise ValueError("deterministic scenarios have no ensemble; use propagate_mean")
@@ -232,21 +226,22 @@ def run_ensemble(
 
     def work(ci: int) -> None:
         lo, hi = chunks[ci]
-        x, u = _simulate_chunk(sc, gains, mean, seed, lo, hi)
-        path_cost_dev[:, lo:hi] = _dev_cost_per_path(sc, mean, x, u)
         if store:
-            x_store[lo:hi] = x
-            u_store[:, lo:hi, :] = u
+            x, u = x_store[lo:hi], u_store[:, lo:hi]
         else:
+            x, u = np.empty((hi - lo, n + 1)), np.empty((agents, hi - lo, n))
+        _simulate_chunk(sc, gains, mean, seed, lo, x, u)
+        path_cost_dev[:, lo:hi] = _dev_cost_per_path(sc, mean, x, u)
+        if not store:
             d = x - mean.x_bar[None, :]
             v = u - mean.u_bar[:, None, :]
             partials[ci] = (
                 x.sum(axis=0),
                 (d ** 2).sum(axis=0),
-                (d ** mo).sum(axis=0),
+                even_power(d, mo).sum(axis=0),
                 u.sum(axis=1),
                 (v ** 2).sum(axis=1),
-                (v ** mo).sum(axis=1),
+                even_power(v, mo).sum(axis=1),
             )
 
     if threads <= 1 or len(chunks) == 1:
@@ -261,10 +256,10 @@ def run_ensemble(
         v = u_store - mean.u_bar[:, None, :]
         emp_mean = x_store.sum(axis=0) / n_paths
         dev_m2 = (d ** 2).sum(axis=0) / n_paths
-        dev_m2o = (d ** mo).sum(axis=0) / n_paths
+        dev_m2o = even_power(d, mo).sum(axis=0) / n_paths
         u_mean = u_store.sum(axis=1) / n_paths
         u_dev_m2 = (v ** 2).sum(axis=1) / n_paths
-        u_dev_m2o = (v ** mo).sum(axis=1) / n_paths
+        u_dev_m2o = even_power(v, mo).sum(axis=1) / n_paths
     else:
         sums = [np.zeros_like(p) for p in partials[0]]
         for part in partials:

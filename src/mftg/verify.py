@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numerics import noise_even_moment
+from .numerics import even_power, noise_even_moment
 from .recursion import CoefficientTable, GainSchedule, solve, stationarity_residual
 from .scenario import Family, Scenario
 from .simulate import propagate_mean
@@ -142,14 +142,15 @@ def _dev_costs(sc: Scenario, gains: GainSchedule, agent: int, factors: np.ndarra
             v = -(gains.dev_gain[:, k] * gains.dev_scale[k])[:, None] * d[None, :]
             if step is None or step == k:
                 v[agent] *= f
-            cost += q_dev[agent, k] * d ** mo + r_dev[agent, k] * v[agent] ** mo
+            cost += (q_dev[agent, k] * even_power(d, mo)
+                     + r_dev[agent, k] * even_power(v[agent], mo))
             if sc.family is Family.ADDITIVE:
                 d = a_bar[k] * d + b_bar[:, k] @ v + eps[:, k]
             elif sc.family is Family.MULTIPLICATIVE:
                 d = a_bar[k] * d + b_bar[:, k] @ v + d * eps[:, k]
             else:
                 d = (a_dev[k] * d + b_dev[:, k] @ v) * eps[:, k]
-        cost += q_dev[agent, n] * d ** mo
+        cost += q_dev[agent, n] * even_power(d, mo)
         out[fi] = cost
     return out
 

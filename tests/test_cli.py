@@ -116,6 +116,22 @@ class TestSimulate:
         rows = read_csv(out / "trajectories.csv")
         assert len(rows) == 50 * 11
 
+    def test_explicit_moment_noise_exit_3(self, tmp_path, capsys):
+        doc = scenario_doc(family="additive_variance_2p", horizon=3,
+                           noise={"kind": "explicit_moments", "moments": {2: 1.0}},
+                           mc={"paths": 8, "seed": 0})
+        code = main(["simulate", write_doc(tmp_path, doc), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_old_stream_scheme_exit_2(self, tmp_path, capsys):
+        doc = scenario_doc(family="additive_variance_2p", horizon=3,
+                           mc={"paths": 8, "seed": 0, "stream_scheme": "per-path substream"})
+        code = main(["simulate", write_doc(tmp_path, doc), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "stream_scheme" in capsys.readouterr().err
+
     def test_resource_error_exit_5(self, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", ADD, "--out", str(out),
@@ -152,6 +168,11 @@ class TestVerify:
     def test_bad_grid_spec_exit_2(self, tmp_path):
         assert main(["verify", DET, "--out", str(tmp_path / "o"),
                      "--grid", "banana"]) == 2
+
+    @pytest.mark.parametrize("spec", ["0x0.2", "-3x0.2", "11x0", "11x-0.1", "11xnan", "11xinf"])
+    def test_empty_or_degenerate_grid_exit_2(self, tmp_path, spec):
+        assert main(["verify", DET, "--out", str(tmp_path / "o"),
+                     f"--grid={spec}"]) == 2
 
     def test_bad_injection_spec_exit_2(self, tmp_path):
         assert main(["verify", DET, "--out", str(tmp_path / "o"),

@@ -12,6 +12,7 @@ from mftg import (
     signed_root,
     solve_linear,
 )
+from mftg.numerics import even_power
 from mftg.scenario import NoiseSpec
 
 
@@ -78,6 +79,42 @@ class TestSolveLinear:
             g = solve_linear(e, c)
             residual = np.max(np.abs(e @ g - c))
             assert residual <= 1e-10 * (1.0 + np.max(np.abs(c)))
+
+
+class TestEvenPower:
+    @staticmethod
+    def _samples():
+        rng = np.random.default_rng(17)
+        x = rng.uniform(0.5, 2.0, 4000) * 10.0 ** rng.uniform(-40, 40, 4000)
+        x *= rng.choice([-1.0, 1.0], x.size)
+        return np.concatenate([x, [0.0, -0.0, 1.0, -1.0, 3.0, -0.5]])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_bit_identical_to_power_operator(self, m):
+        x = self._samples()
+        np.testing.assert_array_equal(even_power(x, m), x ** m)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_close_to_power_operator_where_normal(self, m):
+        x = self._samples()
+        with np.errstate(over="ignore", under="ignore"):
+            want = x ** m
+            got = even_power(x, m)
+        normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
+        assert np.all(np.abs(got[normal] - want[normal]) <= 4e-16 * m * np.abs(want[normal]))
+        zero = x == 0.0
+        np.testing.assert_array_equal(got[zero], want[zero])
+        assert np.array_equal(np.signbit(got[normal]), np.signbit(want[normal]))
+
+    def test_leaves_input_untouched_and_accepts_lists(self):
+        x = np.array([-2.0, 3.0])
+        np.testing.assert_array_equal(even_power(x, 4), [16.0, 81.0])
+        np.testing.assert_array_equal(x, [-2.0, 3.0])
+        np.testing.assert_array_equal(even_power([-2.0, 0.5], 3), [-8.0, 0.125])
+
+    def test_rejects_nonpositive_power(self):
+        with pytest.raises(ValueError):
+            even_power(np.ones(3), 0)
 
 
 def _spec(kind, sigma, moments=None, n=1):
