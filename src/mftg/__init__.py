@@ -12,9 +12,8 @@ from .errors import (
     ResourceLimitError,
     ScenarioValidationError,
     SchemaError,
-    SingularityError,
 )
-from .numerics import convexity_scan, noise_even_moment, signed_root, solve_linear
+from .numerics import convexity_scan, noise_even_moment, signed_root
 from .recursion import (
     CoefficientTable,
     GainSchedule,

@@ -28,11 +28,6 @@ class NumericDomainError(MftgError, ValueError):
     zero lemma coefficient, unsampleable noise kind)."""
 
 
-class SingularityError(MftgError):
-    """A coupling matrix is singular or an agent's best-response denominator
-    vanishes, so the simultaneous equilibrium gains are undefined."""
-
-
 class CoefficientOverflowError(MftgError):
     """A backward coefficient exceeded 1e300; the closed loop is too unstable
     for the requested cost order and horizon."""

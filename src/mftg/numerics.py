@@ -1,99 +1,39 @@
 """Elementary numerical kernels shared by the solvers.
 
-Signed odd roots, small pivoted linear solves, integer array powers, even
-noise moments, and the second-derivative sampler backing the convexity
-argument that makes every per-agent best response well posed.
+Signed odd roots, integer array powers, even noise moments, and the
+second-derivative sampler backing the convexity argument that makes every
+per-agent best response well posed.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import MissingMomentError, NumericDomainError, SingularityError
-
-# Relative pivot threshold below which a coupling matrix is reported singular.
-PIVOT_RTOL = 1e-12
-# Direct-solve residual contract: ||E g - c||_inf <= RESIDUAL_RTOL * (1 + ||c||_inf).
-RESIDUAL_RTOL = 1e-10
+from .errors import MissingMomentError, NumericDomainError
 
 
-def signed_root(y: float, m: int) -> float:
-    """Real m-th root of y for odd m, preserving sign.
+def signed_root(y, m: int):
+    """Real m-th root of y for odd m, preserving sign, elementwise.
 
     Inverts t -> t**m over the reals, so negative arguments get negative
     roots.  A couple of Newton polish steps keep integer cases such as
-    (8, 3) -> 2 exact.
+    (8, 3) -> 2 exact.  A scalar argument gives a scalar, an array an array
+    of the same shape.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError(f"root order must be an odd positive integer, got {m}")
-    y = float(y)
-    if not math.isfinite(y):
-        raise NumericDomainError(f"signed_root requires a finite argument, got {y}")
-    if m == 1 or y == 0.0:
-        return y
-    ay = abs(y)
+    y = np.array(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise NumericDomainError(f"signed_root requires finite arguments, got {y}")
+    if m == 1:
+        return y[()]
+    ay = np.abs(y)
     t = ay ** (1.0 / m)
     for _ in range(2):
         tm1 = t ** (m - 1)
         err = tm1 * t - ay
-        if err == 0.0:
-            break
-        t -= err / (m * tm1)
-    return math.copysign(t, y)
-
-
-def solve_linear(e, c) -> np.ndarray:
-    """Solve the small dense system E g = c by scaled partial pivoting.
-
-    Raises SingularityError when a pivot falls below PIVOT_RTOL times its
-    row scale, or when the solution fails the residual contract.  Matrices
-    here are agent-coupling matrices, at most a few dozen rows.
-    """
-    a = np.array(e, dtype=float, copy=True)
-    b = np.array(c, dtype=float, copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side shape {b.shape} does not match n={n}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NumericDomainError("solve_linear requires finite entries")
-
-    a0 = a.copy()
-    b0 = b.copy()
-    scale = np.max(np.abs(a), axis=1)
-    if np.any(scale == 0.0):
-        raise SingularityError("coupling matrix has an all-zero row")
-
-    for col in range(n):
-        ratios = np.abs(a[col:, col]) / scale[col:]
-        piv = col + int(np.argmax(ratios))
-        if np.abs(a[piv, col]) <= PIVOT_RTOL * scale[piv]:
-            raise SingularityError(
-                f"pivot {a[piv, col]:.3e} below {PIVOT_RTOL:g} of row scale "
-                f"{scale[piv]:.3e} at column {col}"
-            )
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-            scale[[col, piv]] = scale[[piv, col]]
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col:] -= np.outer(factors, a[col, col:])
-        b[col + 1:] -= factors * b[col]
-
-    g = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        g[row] = (b[row] - a[row, row + 1:] @ g[row + 1:]) / a[row, row]
-
-    residual = np.max(np.abs(a0 @ g - b0))
-    if residual > RESIDUAL_RTOL * (1.0 + np.max(np.abs(b0))):
-        raise SingularityError(
-            f"direct solve residual {residual:.3e} exceeds the accuracy contract; "
-            "coupling matrix is numerically singular"
-        )
-    return g
+        t -= np.divide(err, m * tm1, out=np.zeros_like(t), where=err != 0.0)
+    return np.copysign(t, y)[()]
 
 
 def _odd_double_factorial(n: int) -> float:

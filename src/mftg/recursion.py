@@ -1,25 +1,29 @@
 """Backward-in-time coefficient tables and feedback-gain schedules.
 
-Each family shares the same mean-channel machinery: the per-agent best
+Every family runs the same backward channel once for the mean and, when
+stochastic, once more for the deviation.  Per step, each agent's best
 response reduces, via a signed odd root, to a linear relation between the
-agents' controls, and the coupling matrix (unit diagonal, off-diagonal
-c_i * b_j) ties them together.  Solving it yields the simultaneous gains and
-the closed-loop factor that drives the coefficient recursion one step back.
+agents' controls; the coupling matrix that ties those relations together is
+a diagonal plus a rank-one term, so the simultaneous gains have the closed
+form g = eta / (1 + b^T eta) and need no linear solve.  The gains give the
+closed-loop factor that drives the coefficient recursion one step back.
 
-Deviation channels differ by family: a quadratic recursion for the additive
-and multiplicative noise models (the latter folds the noise variance into the
-coefficient, the former accumulates it in a constant), and a 2o-order
-recursion with its own deviation dynamics for the general-moment model.
+The channels differ only in their moment order (2p for the mean, 2 for the
+additive and multiplicative deviation, 2o for the general-moment deviation),
+their dynamics and weight rows, and where the per-step noise moment enters:
+the general-moment family puts it on the best-response argument and on the
+closed-loop term, the multiplicative family folds it into alpha, and the
+additive family accumulates it in the constant gamma_bar.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CoefficientOverflowError, SingularityError
-from .numerics import noise_even_moment, signed_root, solve_linear
+from .errors import CoefficientOverflowError
+from .numerics import noise_even_moment, signed_root
 from .scenario import Family, Scenario
 
 OVERFLOW_LIMIT = 1e300
@@ -49,18 +53,16 @@ class GainSchedule:
                - mean_gain[i,k] * a_bar[k] * xbar_k,
     where dev_scale is the deviation-dynamics coefficient the gain multiplies
     (a_bar for the variance families, a_dev for the general-moment family).
-    c_bar / c are the per-agent best-response vectors and e_bar / e_dev the
-    coupling matrices they induce; closed_loop_* are the one-step multipliers
-    of the mean and of the deviation (before any noise scaling).
+    c_bar / c are the per-agent best-response vectors; closed_loop_* are the
+    one-step multipliers of the mean and of the deviation (before any noise
+    scaling).
     """
 
     mean_gain: np.ndarray
     c_bar: np.ndarray
-    e_bar: np.ndarray
     closed_loop_mean: np.ndarray
     dev_gain: np.ndarray | None = None
     c: np.ndarray | None = None
-    e_dev: np.ndarray | None = None
     closed_loop_dev: np.ndarray | None = None
     dev_scale: np.ndarray | None = None
 
@@ -79,162 +81,111 @@ def _check_overflow(values: np.ndarray, k: int, name: str) -> None:
         )
 
 
-def coupled_gains(alpha_next, b, r, root_order: int, factor: float = 1.0):
-    """One step of the simultaneous best-response solve.
+def _channel(name: str, order: int, a, b, q, r, moment=None, noise_on=()):
+    """One backward channel of even moment order ``order``.
 
-    Per agent, eta_i is the signed (root_order)-th root of
-    alpha_next_i * b_i * factor / r_i; the best-response vector is
-    c_i = eta_i / (1 + eta_i b_i), and the coupling matrix E (unit diagonal,
-    e_ij = c_i b_j) yields the gains g = E^{-1} c.
+    ``a`` (N) and ``b`` (I x N) are the channel's dynamics, ``q`` (I x N+1)
+    and ``r`` (I x N) its weights.  ``moment`` (N) is the per-step noise
+    moment E[eps_{k+1}^order]; ``noise_on`` names where it enters:
+    "gain" scales each best-response argument, "closed_loop" scales the
+    closed-loop term of alpha, "alpha" adds alpha_{k+1} * moment to alpha,
+    and "gamma" accumulates the same product in a separate constant.
 
-    Returns (c, E, g).  Raises SingularityError when a best-response
-    denominator vanishes or E is singular.
+    Per step, eta_i is the signed (order-1)-th root of
+    alpha_{k+1,i} b_i / r_i (times the moment on "gain"); agent i's best
+    response is c_i = eta_i / (1 + eta_i b_i).  The coupling matrix
+    diag(1 / (1 + eta_i b_i)) + c b^T has the Sherman-Morrison solution
+    g = eta / (1 + b^T eta).  With alpha, r and the moment non-negative,
+    eta_i b_i >= 0, so both denominators are at least 1.
+
+    Returns (alpha, gamma or None, gains, c, closed-loop factors).  The
+    additive and multiplicative channels share every term, so they agree
+    bit for bit when the moment vanishes.
     """
-    alpha_next = np.asarray(alpha_next, dtype=float)
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    q = np.asarray(q, dtype=float)
     r = np.asarray(r, dtype=float)
-    eta = np.array([
-        signed_root(alpha_next[i] * b[i] * factor / r[i], root_order)
-        for i in range(alpha_next.size)
-    ])
-    denom = 1.0 + eta * b
-    if np.any(np.abs(denom) < 1e-12 * np.maximum(1.0, np.abs(eta * b))):
-        raise SingularityError(
-            "best-response denominator 1 + eta*b vanishes; the equilibrium "
-            "gain is undefined for this step"
-        )
-    c = eta / denom
-    e = np.outer(c, b)
-    np.fill_diagonal(e, 1.0)
-    g = solve_linear(e, c)
-    return c, e, g
-
-
-def _mean_channel(sc: Scenario):
-    """Shared 2p mean recursion: alpha_bar, gains, and audit arrays."""
-    n, agents, p = sc.horizon, sc.agents, sc.p
-    a_bar = np.asarray(sc.a_bar)
-    b_bar = np.asarray(sc.b_bar)
-    q_bar = np.asarray(sc.q_bar)
-    r_bar = np.asarray(sc.r_bar)
-
-    alpha_bar = np.empty((agents, n + 1))
-    alpha_bar[:, n] = q_bar[:, n]
-    mean_gain = np.empty((agents, n))
-    c_bar = np.empty((agents, n))
-    e_bar = np.empty((n, agents, agents))
-    clf = np.empty(n)
-
-    with np.errstate(over="ignore"):
-        for k in range(n - 1, -1, -1):
-            c, e, g = coupled_gains(alpha_bar[:, k + 1], b_bar[:, k], r_bar[:, k], 2 * p - 1)
-            mean_gain[:, k] = g
-            c_bar[:, k] = c
-            e_bar[k] = e
-            clf[k] = a_bar[k] * (1.0 - g @ b_bar[:, k])
-            alpha_bar[:, k] = (
-                q_bar[:, k]
-                + r_bar[:, k] * (g * a_bar[k]) ** (2 * p)
-                + alpha_bar[:, k + 1] * clf[k] ** (2 * p)
-            )
-            _check_overflow(alpha_bar[:, k], k, "alpha_bar")
-    return alpha_bar, mean_gain, c_bar, e_bar, clf
-
-
-def _dev_channel_quadratic(sc: Scenario, noise_in_alpha: bool):
-    """Quadratic deviation recursion shared by the additive and multiplicative
-    noise families.
-
-    Both use the mean dynamics coefficients for the deviation; they differ
-    only in where the noise second moment lands: folded into alpha when it
-    scales the deviation (multiplicative), accumulated into gamma_bar when it
-    is additive.  The term grouping is shared so that the two families agree
-    bitwise whenever the noise vanishes.
-    """
-    n, agents = sc.horizon, sc.agents
-    a_bar = np.asarray(sc.a_bar)
-    b_bar = np.asarray(sc.b_bar)
-    q_dev = np.asarray(sc.q_dev)
-    r_dev = np.asarray(sc.r_dev)
-    e2 = np.array([noise_even_moment(sc.noise, k + 1, 2) for k in range(n)])
+    agents, n = r.shape
 
     alpha = np.empty((agents, n + 1))
-    alpha[:, n] = q_dev[:, n]
-    gamma = np.zeros((agents, n + 1)) if not noise_in_alpha else None
-    dev_gain = np.empty((agents, n))
-    c_vec = np.empty((agents, n))
-    e_dev = np.empty((n, agents, agents))
+    alpha[:, n] = q[:, n]
+    gamma = np.zeros((agents, n + 1)) if "gamma" in noise_on else None
+    gain = np.empty((agents, n))
+    c = np.empty((agents, n))
     clf = np.empty(n)
 
     with np.errstate(over="ignore"):
         for k in range(n - 1, -1, -1):
-            c, e, g = coupled_gains(alpha[:, k + 1], b_bar[:, k], r_dev[:, k], 1)
-            dev_gain[:, k] = g
-            c_vec[:, k] = c
-            e_dev[k] = e
-            clf[k] = a_bar[k] * (1.0 - g @ b_bar[:, k])
-            base = (
-                q_dev[:, k]
-                + r_dev[:, k] * (g * a_bar[k]) ** 2
-                + alpha[:, k + 1] * clf[k] ** 2
-            )
-            if noise_in_alpha:
-                alpha[:, k] = base + alpha[:, k + 1] * e2[k]
-            else:
-                alpha[:, k] = base
-                gamma[:, k] = gamma[:, k + 1] + alpha[:, k + 1] * e2[k]
-            _check_overflow(alpha[:, k], k, "alpha")
-    return alpha, gamma, dev_gain, c_vec, e_dev, clf
+            nxt = alpha[:, k + 1]
+            arg = nxt * b[:, k]
+            if "gain" in noise_on:
+                arg = arg * moment[k]
+            eta = signed_root(arg / r[:, k], order - 1)
+            c[:, k] = eta / (1.0 + eta * b[:, k])
+            g = eta / (1.0 + b[:, k] @ eta)
+            gain[:, k] = g
+            clf[k] = a[k] * (1.0 - g @ b[:, k])
+            term = nxt * clf[k] ** order
+            if "closed_loop" in noise_on:
+                term = term * moment[k]
+            alpha[:, k] = q[:, k] + r[:, k] * (g * a[k]) ** order + term
+            if "alpha" in noise_on:
+                alpha[:, k] += nxt * moment[k]
+            if gamma is not None:
+                gamma[:, k] = gamma[:, k + 1] + nxt * moment[k]
+            _check_overflow(alpha[:, k], k, name)
+    return alpha, gamma, gain, c, clf
 
 
-def solve_deterministic(sc: Scenario) -> tuple[CoefficientTable, GainSchedule]:
-    """Mean-only 2p game: alpha_bar table and mean-field gains."""
-    if sc.family is not Family.DETERMINISTIC:
-        raise ValueError(f"expected deterministic_2p scenario, got {sc.family.value}")
-    alpha_bar, mean_gain, c_bar, e_bar, clf = _mean_channel(sc)
+def _solve(sc: Scenario, family: Family, noise_on=()) -> tuple[CoefficientTable, GainSchedule]:
+    """Mean channel, then (stochastic families) the deviation channel with
+    the noise moment placed as ``noise_on`` says."""
+    if sc.family is not family:
+        raise ValueError(f"expected {family.value} scenario, got {sc.family.value}")
+    alpha_bar, _, mean_gain, c_bar, clf_mean = _channel(
+        "alpha_bar", 2 * sc.p, sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar
+    )
     table = CoefficientTable(alpha_bar=_freeze(alpha_bar))
     gains = GainSchedule(
         mean_gain=_freeze(mean_gain),
         c_bar=_freeze(c_bar),
-        e_bar=_freeze(e_bar),
-        closed_loop_mean=_freeze(clf),
-    )
-    return table, gains
-
-
-def _solve_variance_family(sc: Scenario, family: Family, noise_in_alpha: bool):
-    if sc.family is not family:
-        raise ValueError(f"expected {family.value} scenario, got {sc.family.value}")
-    alpha_bar, mean_gain, c_bar, e_bar, clf_mean = _mean_channel(sc)
-    alpha, gamma, dev_gain, c_vec, e_dev, clf_dev = _dev_channel_quadratic(sc, noise_in_alpha)
-    table = CoefficientTable(
-        alpha_bar=_freeze(alpha_bar),
-        alpha=_freeze(alpha),
-        gamma_bar=_freeze(gamma),
-    )
-    gains = GainSchedule(
-        mean_gain=_freeze(mean_gain),
-        c_bar=_freeze(c_bar),
-        e_bar=_freeze(e_bar),
         closed_loop_mean=_freeze(clf_mean),
+    )
+    if not family.stochastic:
+        return table, gains
+
+    a, b = (sc.a_dev, sc.b_dev) if family.uses_dev_dynamics else (sc.a_bar, sc.b_bar)
+    order = sc.moment_order
+    moment = np.array([noise_even_moment(sc.noise, k + 1, order) for k in range(sc.horizon)])
+    alpha, gamma, dev_gain, c, clf_dev = _channel(
+        "alpha", order, a, b, sc.q_dev, sc.r_dev, moment, noise_on
+    )
+    table = replace(table, alpha=_freeze(alpha), gamma_bar=_freeze(gamma))
+    gains = replace(
+        gains,
         dev_gain=_freeze(dev_gain),
-        c=_freeze(c_vec),
-        e_dev=_freeze(e_dev),
+        c=_freeze(c),
         closed_loop_dev=_freeze(clf_dev),
-        dev_scale=_freeze(np.asarray(sc.a_bar, dtype=float).copy()),
+        dev_scale=_freeze(np.array(a, dtype=float)),
     )
     return table, gains
+
+
+def solve_deterministic(sc: Scenario) -> tuple[CoefficientTable, GainSchedule]:
+    """Mean-only 2p game: alpha_bar table and mean-field gains."""
+    return _solve(sc, Family.DETERMINISTIC)
 
 
 def solve_additive(sc: Scenario) -> tuple[CoefficientTable, GainSchedule]:
     """Additive-noise variance-aware 2p game: alpha_bar, alpha, gamma_bar."""
-    return _solve_variance_family(sc, Family.ADDITIVE, noise_in_alpha=False)
+    return _solve(sc, Family.ADDITIVE, noise_on=("gamma",))
 
 
 def solve_multiplicative(sc: Scenario) -> tuple[CoefficientTable, GainSchedule]:
     """Deviation-scaling-noise variance-aware 2p game: alpha_bar and alpha,
     with the noise variance folded into the alpha recursion."""
-    return _solve_variance_family(sc, Family.MULTIPLICATIVE, noise_in_alpha=True)
+    return _solve(sc, Family.MULTIPLICATIVE, noise_on=("alpha",))
 
 
 def solve_general_moment(
@@ -250,52 +201,8 @@ def solve_general_moment(
     factor; the one-step value identity only holds with it on, which is why
     True is the default (the verification oracles pin this down).
     """
-    if sc.family is not Family.GENERAL_MOMENT:
-        raise ValueError(f"expected general_moment_2o2p scenario, got {sc.family.value}")
-    n, agents, o = sc.horizon, sc.agents, sc.o
-    alpha_bar, mean_gain, c_bar, e_bar, clf_mean = _mean_channel(sc)
-
-    a_dev = np.asarray(sc.a_dev)
-    b_dev = np.asarray(sc.b_dev)
-    q_dev = np.asarray(sc.q_dev)
-    r_dev = np.asarray(sc.r_dev)
-    m2o = np.array([noise_even_moment(sc.noise, k + 1, 2 * o) for k in range(n)])
-
-    alpha = np.empty((agents, n + 1))
-    alpha[:, n] = q_dev[:, n]
-    dev_gain = np.empty((agents, n))
-    c_vec = np.empty((agents, n))
-    e_dev = np.empty((n, agents, agents))
-    clf_dev = np.empty(n)
-
-    with np.errstate(over="ignore"):
-        for k in range(n - 1, -1, -1):
-            c, e, g = coupled_gains(
-                alpha[:, k + 1], b_dev[:, k], r_dev[:, k], 2 * o - 1, factor=m2o[k]
-            )
-            dev_gain[:, k] = g
-            c_vec[:, k] = c
-            e_dev[k] = e
-            clf_dev[k] = a_dev[k] * (1.0 - g @ b_dev[:, k])
-            term = alpha[:, k + 1] * clf_dev[k] ** (2 * o)
-            if noise_factor_on_closed_loop:
-                term = term * m2o[k]
-            alpha[:, k] = q_dev[:, k] + r_dev[:, k] * (g * a_dev[k]) ** (2 * o) + term
-            _check_overflow(alpha[:, k], k, "alpha")
-
-    table = CoefficientTable(alpha_bar=_freeze(alpha_bar), alpha=_freeze(alpha))
-    gains = GainSchedule(
-        mean_gain=_freeze(mean_gain),
-        c_bar=_freeze(c_bar),
-        e_bar=_freeze(e_bar),
-        closed_loop_mean=_freeze(clf_mean),
-        dev_gain=_freeze(dev_gain),
-        c=_freeze(c_vec),
-        e_dev=_freeze(e_dev),
-        closed_loop_dev=_freeze(clf_dev),
-        dev_scale=_freeze(a_dev.astype(float).copy()),
-    )
-    return table, gains
+    noise_on = ("gain", "closed_loop") if noise_factor_on_closed_loop else ("gain",)
+    return _solve(sc, Family.GENERAL_MOMENT, noise_on=noise_on)
 
 
 _SOLVERS = {

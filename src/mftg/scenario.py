@@ -520,6 +520,10 @@ def validate(sc: Scenario) -> list[Diagnostic]:
             _lengths(sc.b_dev, n, "b_dev", out)
             _finite(sc.a_dev, "a_dev", out)
             _finite(sc.b_dev, "b_dev", out)
+    elif sc.o is not None:
+        out.append(Diagnostic(
+            "shape", f"o is only valid for general_moment_2o2p, not {sc.family.value}"
+        ))
 
     if sc.noise is not None:
         if len(sc.noise.sigma) != n:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import SchemaError
 from .numerics import even_power, noise_even_moment
 from .recursion import CoefficientTable, GainSchedule, solve, stationarity_residual
 from .scenario import Family, Scenario
@@ -41,6 +42,10 @@ class DeviationGrid:
     step at once, the per-step mode (when enabled) perturbs one step at a
     time.  Stochastic families replay ``paths`` common-noise Monte Carlo
     paths per policy so cost differences are tightly paired.
+
+    ``points`` must be odd and at least 3, so the grid holds the equilibrium
+    factor 1 exactly at its middle index; ``paths`` must be at least 2, so
+    the paired cost difference has a standard error.
     """
 
     points: int = 101
@@ -48,6 +53,14 @@ class DeviationGrid:
     per_step: bool = True
     paths: int = 2000
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.points < 3 or self.points % 2 == 0:
+            raise SchemaError(f"deviation grid needs an odd point count >= 3, got {self.points}")
+        if not 0.0 < self.span < float("inf"):
+            raise SchemaError(f"deviation grid span must be positive and finite, got {self.span}")
+        if self.paths < 2:
+            raise SchemaError(f"deviation replay needs at least 2 paths, got {self.paths}")
 
     def factors(self) -> np.ndarray:
         return np.linspace(1.0 - self.span, 1.0 + self.span, self.points)
@@ -166,7 +179,7 @@ def unilateral_deviation_test(
     """
     grid = grid or DeviationGrid()
     factors = grid.factors()
-    eq_idx = int(np.argmin(np.abs(factors - 1.0)))
+    eq_idx = grid.points // 2
     stochastic = sc.family.stochastic and sc.noise.kind != "explicit_moments"
     if stochastic:
         d0, eps = _common_noise(sc, grid)
@@ -221,9 +234,10 @@ def inject_gain_scaling(
 ) -> GainSchedule:
     """Test hook: return a copy with one agent's mean gain scaled.
 
-    ``step=None`` corrupts the whole schedule.  Closed-loop audit factors
-    are recomputed from the corrupted gains so downstream consumers stay
-    consistent.
+    ``step=None`` corrupts the whole schedule.  Only ``mean_gain`` changes:
+    ``closed_loop_mean`` and the other audit fields are left as solved, so
+    they no longer match the corrupted gains.  Nothing reads them after an
+    injection; ``verify`` recomputes the closed loop from the gains.
     """
     mean_gain = np.array(gains.mean_gain)
     if step is None:

@@ -45,6 +45,12 @@ class TestSolve:
         path.write_text("")
         assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_coefficient_overflow_exit_4(self, tmp_path, capsys):
+        doc = scenario_doc(agents=1, horizon=4, p=4, a_bar=1e30, b_bar=[0.0])
+        assert main(["solve", write_doc(tmp_path, doc), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_zero_weight_exit_3(self, tmp_path, capsys):
         doc = scenario_doc(q_bar=[0.0, 1.0])
         assert main(["solve", write_doc(tmp_path, doc), "--out", str(tmp_path / "o")]) == 3
@@ -169,10 +175,17 @@ class TestVerify:
         assert main(["verify", DET, "--out", str(tmp_path / "o"),
                      "--grid", "banana"]) == 2
 
-    @pytest.mark.parametrize("spec", ["0x0.2", "-3x0.2", "11x0", "11x-0.1", "11xnan", "11xinf"])
+    @pytest.mark.parametrize("spec", ["0x0.2", "-3x0.2", "11x0", "11x-0.1", "11xnan", "11xinf",
+                                      "1x0.2", "2x0.2", "40x0.2"])
     def test_empty_or_degenerate_grid_exit_2(self, tmp_path, spec):
         assert main(["verify", DET, "--out", str(tmp_path / "o"),
                      f"--grid={spec}"]) == 2
+
+    @pytest.mark.parametrize("paths", ["0", "1", "-5"])
+    def test_too_few_replay_paths_exit_2(self, tmp_path, capsys, paths):
+        assert main(["verify", ADD, "--out", str(tmp_path / "o"), "--grid", "11x0.2",
+                     f"--paths={paths}"]) == 2
+        assert "at least 2 paths" in capsys.readouterr().err
 
     def test_bad_injection_spec_exit_2(self, tmp_path):
         assert main(["verify", DET, "--out", str(tmp_path / "o"),
@@ -200,6 +213,12 @@ class TestSweep:
         for row in rows:
             by_p.setdefault(row["value"], []).append((row["alpha"], row["gamma_bar"]))
         assert by_p["2"] == by_p["3"] == by_p["4"]
+
+    def test_o_sweep_on_non_general_family_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", ADD, "--out", str(out), "--sweep", "o=2,3"]) == 3
+        assert "o is only valid" in capsys.readouterr().err
+        assert not (out / "o=2" / "costs.csv").exists()
 
     def test_empty_sweep_exit_1(self, tmp_path):
         assert main(["sweep", DET, "--out", str(tmp_path / "o"), "--sweep", "p="]) == 1

@@ -6,14 +6,24 @@ import pytest
 from mftg import (
     MissingMomentError,
     NumericDomainError,
-    SingularityError,
     convexity_scan,
     noise_even_moment,
     signed_root,
-    solve_linear,
 )
 from mftg.numerics import even_power
 from mftg.scenario import NoiseSpec
+
+
+def _roots(ys, m):
+    """signed_root of all values as one array, checked against each value
+    alone.  Vectorised pow may round differently from scalar pow, so the two
+    forms agree to within two ulps rather than bit for bit."""
+    ys = np.asarray(ys, dtype=float)
+    together = signed_root(ys, m)
+    assert together.shape == ys.shape
+    singles = np.array([signed_root(float(y), m) for y in ys])
+    np.testing.assert_allclose(together, singles, rtol=4.5e-16, atol=0)
+    return together
 
 
 class TestSignedRoot:
@@ -21,64 +31,50 @@ class TestSignedRoot:
         assert signed_root(8.0, 3) == 2.0
         assert signed_root(-8.0, 3) == -2.0
         assert signed_root(0.0, 5) == 0.0
+        np.testing.assert_array_equal(_roots([8.0, -8.0, 0.0, 27.0], 3), [2.0, -2.0, 0.0, 3.0])
 
     def test_identity_order_one(self):
         assert signed_root(-3.7, 1) == -3.7
+        np.testing.assert_array_equal(_roots([-3.7, 0.0, 2.5], 1), [-3.7, 0.0, 2.5])
 
     def test_round_trip_relative_accuracy(self):
         rng = np.random.default_rng(7)
+        cases = {m: [] for m in (1, 3, 5, 7, 9)}
         for _ in range(500):
             y = float(10.0 ** rng.uniform(-6, 6)) * float(rng.choice([-1.0, 1.0]))
             m = int(rng.choice([1, 3, 5, 7, 9]))
             t = signed_root(y, m)
             assert abs(t ** m - y) <= 1e-12 * abs(y)
+            cases[m].append(y)
+        for m, ys in cases.items():
+            ys = np.array(ys)
+            assert np.all(np.abs(_roots(ys, m) ** m - ys) <= 1e-12 * np.abs(ys))
 
     def test_odd_symmetry_exact(self):
         rng = np.random.default_rng(8)
+        cases = {m: [] for m in (3, 5, 7)}
         for _ in range(200):
             y = float(rng.normal()) * 10.0 ** int(rng.integers(-4, 5))
             m = int(rng.choice([3, 5, 7]))
             assert signed_root(-y, m) == -signed_root(y, m)
+            cases[m].append(y)
+        for m, ys in cases.items():
+            ys = np.array(ys)
+            np.testing.assert_array_equal(_roots(-ys, m), -_roots(ys, m))
 
     def test_rejects_even_or_nonpositive_order(self):
-        with pytest.raises(ValueError):
-            signed_root(1.0, 2)
-        with pytest.raises(ValueError):
-            signed_root(1.0, -3)
+        for y in (1.0, np.array([1.0, 8.0])):
+            with pytest.raises(ValueError):
+                signed_root(y, 2)
+            with pytest.raises(ValueError):
+                signed_root(y, -3)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(NumericDomainError):
-            signed_root(float("nan"), 3)
-        with pytest.raises(NumericDomainError):
-            signed_root(float("inf"), 3)
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        g = solve_linear(np.eye(2), [0.4, 0.7])
-        np.testing.assert_allclose(g, [0.4, 0.7], rtol=0, atol=0)
-
-    def test_hand_eliminated_system(self):
-        g = solve_linear([[1.0, 0.5], [0.5, 1.0]], [0.5, 0.5])
-        np.testing.assert_allclose(g, [1 / 3, 1 / 3], rtol=1e-14)
-
-    def test_rank_one_matrix_raises(self):
-        with pytest.raises(SingularityError):
-            solve_linear([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0])
-
-    def test_zero_row_raises(self):
-        with pytest.raises(SingularityError):
-            solve_linear([[0.0, 0.0], [1.0, 2.0]], [1.0, 1.0])
-
-    def test_residual_bound_random_instances(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            n = int(rng.integers(1, 9))
-            e = rng.normal(size=(n, n)) + n * np.eye(n)
-            c = rng.normal(size=n)
-            g = solve_linear(e, c)
-            residual = np.max(np.abs(e @ g - c))
-            assert residual <= 1e-10 * (1.0 + np.max(np.abs(c)))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(NumericDomainError):
+                signed_root(bad, 3)
+            with pytest.raises(NumericDomainError):
+                signed_root(np.array([1.0, bad]), 3)
 
 
 class TestEvenPower:

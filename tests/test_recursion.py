@@ -46,7 +46,7 @@ class TestDeterministic:
             assert np.all(np.abs(gains.closed_loop_mean) < 1.0)
 
     def test_symmetric_agents_get_identical_schedules(self):
-        # identical up to the roundoff of the pivoted coupling solve
+        # identical agents must get identical schedules, up to roundoff
         sc = make_scenario(agents=3, horizon=6, p=2, b_bar=[1.5, 1.5, 1.5],
                            q_bar=[2.0, 2.0, 2.0], r_bar=[3.0, 3.0, 3.0])
         table, gains = solve_deterministic(sc)
@@ -228,6 +228,34 @@ class TestSharedStructure:
                 nxt = table.alpha_bar[:, k + 1]
                 quad = nxt * b[:, k] / (r[:, k] + nxt * b[:, k] ** 2)
                 np.testing.assert_allclose(gains.c_bar[:, k], quad, rtol=1e-12)
+
+    def test_closed_form_gains_match_dense_solve(self):
+        # The coupling matrix E has a unit diagonal and e_ij = c_i b_j; the
+        # solver's closed form must agree with a dense solve of E g = c.
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            agents = int(rng.integers(1, 30))
+            p = int(rng.choice([1, 2, 3]))
+            sign = rng.choice([-1.0, 1.0], agents)
+            sc = make_scenario(
+                agents=agents, horizon=int(rng.integers(1, 4)), p=p,
+                a_bar=float(rng.uniform(0.5, 1.3)),
+                b_bar=(rng.uniform(0.1, 3.0, agents) * sign).tolist(),
+                q_bar=rng.uniform(0.1, 5.0, agents).tolist(),
+                r_bar=rng.uniform(0.1, 5.0, agents).tolist(),
+            )
+            table, gains = solve_deterministic(sc)
+            b = np.asarray(sc.b_bar)
+            r = np.asarray(sc.r_bar)
+            for k in range(sc.horizon):
+                y = table.alpha_bar[:, k + 1] * b[:, k] / r[:, k]
+                eta = np.sign(y) * np.abs(y) ** (1.0 / (2 * p - 1))
+                c = eta / (1.0 + eta * b[:, k])
+                e = np.outer(c, b[:, k])
+                np.fill_diagonal(e, 1.0)
+                np.testing.assert_allclose(gains.c_bar[:, k], c, rtol=1e-12)
+                np.testing.assert_allclose(gains.mean_gain[:, k], np.linalg.solve(e, c),
+                                           rtol=1e-12)
 
     def test_p1_deterministic_gain_equals_additive_dev_gain(self):
         sc = make_scenario(
