@@ -283,23 +283,14 @@ def _write_plots(out: Path, sc: Scenario, table, mean, ensemble) -> list[Path]:
     return written
 
 
-def _parse_grid(spec: str | None, paths: int | None, seed: int | None) -> DeviationGrid:
-    grid = DeviationGrid()
-    if spec:
-        try:
-            points_str, span_str = spec.lower().split("x")
-            grid = DeviationGrid(points=int(points_str), span=float(span_str))
-        except ValueError:
-            raise SchemaError(f"--grid expects POINTSxSPAN, e.g. 101x0.2, got {spec!r}")
-    updates = {}
-    if paths is not None:
-        updates["paths"] = paths
-    if seed is not None:
-        updates["seed"] = seed
-    if updates:
-        from dataclasses import replace
-        grid = replace(grid, **updates)
-    return grid
+def _parse_grid(spec: str | None) -> DeviationGrid:
+    if not spec:
+        return DeviationGrid()
+    try:
+        points_str, span_str = spec.lower().split("x")
+        return DeviationGrid(points=int(points_str), span=float(span_str))
+    except ValueError:
+        raise SchemaError(f"--grid expects POINTSxSPAN, e.g. 101x0.2, got {spec!r}")
 
 
 def _parse_injection(spec: str, sc: Scenario):
@@ -326,7 +317,7 @@ def cmd_verify(args) -> int:
         agent, step, factor = _parse_injection(args.inject_gain, sc)
         gains = inject_gain_scaling(gains, agent, step, factor)
         injected = args.inject_gain
-    grid = _parse_grid(args.grid, args.paths, args.seed)
+    grid = _parse_grid(args.grid)
     probes = None
     if args.probes:
         rng = np.random.default_rng(12345)
@@ -503,10 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--grid", default=None, help="deviation grid POINTSxSPAN")
     p_ver.add_argument("--probes", type=int, default=None,
                        help="random probe states for the cost-to-go identity")
-    p_ver.add_argument("--paths", type=int, default=None,
-                       help="common-noise paths for stochastic deviation tests")
-    p_ver.add_argument("--seed", type=_seed_type, default=None,
-                       help="seed for the deviation-test noise")
     p_ver.add_argument("--inject-gain", default=None, metavar="AGENT:STEP:FACTOR",
                        help="test hook: scale one agent's mean gain (STEP '*' = all)")
     p_ver.set_defaults(func=cmd_verify)

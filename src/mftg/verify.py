@@ -1,11 +1,12 @@
 """Independent correctness oracles for solved scenarios.
 
-Nothing here reuses the backward-recursion formulas: deviation tests replay
-costs under perturbed policies, the one-step solver minimizes each agent's
-objective numerically from the raw problem data, the quadratic reduction is
-checked against a separately coded scalar Riccati recursion, and the
-one-step value identity is evaluated with exact moment pushforwards
-recomputed from the gains.  These oracles are what certify the solver.
+Nothing here reuses the backward-recursion formulas: deviation tests price
+perturbed policies by propagating the mean and the deviation moment forward
+exactly, the one-step solver minimizes each agent's objective numerically
+from the raw problem data, the quadratic reduction is checked against a
+separately coded scalar Riccati recursion, and the one-step value identity
+is evaluated with the same exact moment pushforward, recomputed from the
+gains.  These oracles are what certify the solver.
 
 Scope: the deviation tests perturb within the linear-feedback class the
 equilibrium lives in (plus an open-loop jitter smoke test); they certify no
@@ -19,10 +20,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import SchemaError
-from .numerics import even_power, noise_even_moment
+from .numerics import noise_even_moment
 from .recursion import CoefficientTable, GainSchedule, solve, stationarity_residual
 from .scenario import Family, Scenario
-from .simulate import propagate_mean
+from .simulate import initial_central_moment, propagate_mean
 
 STATIONARITY_TOL = 1e-9
 BELLMAN_TOL = 1e-10
@@ -38,32 +39,28 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 class DeviationGrid:
     """Multiplicative perturbation grid for one agent's gain schedule.
 
-    ``points`` factors span 1 +- ``span``; the uniform mode scales every
-    step at once, the per-step mode (when enabled) perturbs one step at a
-    time.  Stochastic families replay ``paths`` common-noise Monte Carlo
-    paths per policy so cost differences are tightly paired.
-
-    ``points`` must be odd and at least 3, so the grid holds the equilibrium
-    factor 1 exactly at its middle index; ``paths`` must be at least 2, so
-    the paired cost difference has a standard error.
+    ``points`` factors span 1 +- ``span``; the mean gain and (stochastic
+    families) the deviation gain are each scaled by them, one channel at a
+    time.  The uniform mode scales every step at once, the per-step mode
+    (when enabled) perturbs one step at a time.  ``points`` must be odd and
+    at least 3, so the grid holds the equilibrium factor 1 exactly at its
+    middle index.
     """
 
     points: int = 101
     span: float = 0.2
     per_step: bool = True
-    paths: int = 2000
-    seed: int | None = None
 
     def __post_init__(self):
         if self.points < 3 or self.points % 2 == 0:
             raise SchemaError(f"deviation grid needs an odd point count >= 3, got {self.points}")
         if not 0.0 < self.span < float("inf"):
             raise SchemaError(f"deviation grid span must be positive and finite, got {self.span}")
-        if self.paths < 2:
-            raise SchemaError(f"deviation replay needs at least 2 paths, got {self.paths}")
 
     def factors(self) -> np.ndarray:
-        return np.linspace(1.0 - self.span, 1.0 + self.span, self.points)
+        factors = np.linspace(1.0 - self.span, 1.0 + self.span, self.points)
+        factors[self.points // 2] = 1.0  # linspace may round the middle point
+        return factors
 
 
 @dataclass(frozen=True)
@@ -72,15 +69,15 @@ class DeviationReport:
 
     ``margin`` is equilibrium cost minus the best perturbed cost (positive
     means some deviation improved on the equilibrium), taken over the worst
-    mode.  ``tolerance`` is what the margin was allowed to reach: a relative
-    slack for exact (deterministic) costs, three standard errors of the
-    paired cost difference for Monte Carlo ones.
+    channel and mode, which ``worst_mode`` names (``mean step 3``,
+    ``deviation uniform``).  ``tolerance`` is the relative slack
+    DEVIATION_TOL times the agent's equilibrium cost; the costs are exact,
+    so it only absorbs roundoff.  ``uniform_argmin_factor`` is the best
+    uniform factor of the channel holding the worst margin.
     """
 
     agent: int
     margin: float
-    normalized_margin: float
-    std_error: float
     tolerance: float
     passed: bool
     uniform_argmin_factor: float
@@ -88,84 +85,70 @@ class DeviationReport:
     equilibrium_cost: float
 
 
-def _mean_costs(sc: Scenario, gains: GainSchedule, agent: int,
-                factors: np.ndarray, step: int | None) -> np.ndarray:
-    """Exact mean-channel cost of ``agent`` for each perturbation factor."""
+def _push_dev_moment(sc: Scenario, k: int, clf, m):
+    """E[d_{k+1}^mo] from m = E[d_k^mo] under the deviation closed-loop
+    factor clf, with the step-(k+1) noise entering through its exact moment."""
+    mo = sc.moment_order
+    if sc.family is Family.ADDITIVE:
+        return clf ** 2 * m + noise_even_moment(sc.noise, k + 1, 2)
+    if sc.family is Family.MULTIPLICATIVE:
+        return (clf ** 2 + noise_even_moment(sc.noise, k + 1, 2)) * m
+    return clf ** mo * m * noise_even_moment(sc.noise, k + 1, mo)
+
+
+def _channel_costs(sc: Scenario, gains: GainSchedule, agent: int,
+                   factors: np.ndarray, per_step: bool) -> list[tuple[str, np.ndarray]]:
+    """Exact cost of ``agent`` in each channel, per mode and factor.
+
+    Every perturbed policy stays linear in the state, so the mean follows
+    its exact recursion and the deviation channel is carried by its moment
+    m_k = E[d_k^mo].  Costs are (modes, factors) arrays: row 0 scales the
+    agent's gain at every step, row 1 + k at step k only.  The deviation
+    channel (stochastic families) is scanned with its own gain, because the
+    two channels' costs are separable.
+    """
     n = sc.horizon
+    shape = (1 + n if per_step else 1, factors.size)
     p2 = 2 * sc.p
+    mo = sc.moment_order
     a_bar = np.asarray(sc.a_bar)
     b_bar = np.asarray(sc.b_bar)
     q_bar = np.asarray(sc.q_bar)
     r_bar = np.asarray(sc.r_bar)
-    xb = np.full(factors.shape, float(sc.x0.mean))
-    cost = np.zeros(factors.shape)
+    stochastic = sc.family.stochastic
+    if stochastic:
+        general = sc.family is Family.GENERAL_MOMENT
+        a_d = np.asarray(sc.a_dev if general else sc.a_bar)
+        b_d = np.asarray(sc.b_dev if general else sc.b_bar)
+        q_dev = np.asarray(sc.q_dev)
+        r_dev = np.asarray(sc.r_dev)
+        m = np.full(shape, initial_central_moment(sc.x0, mo))
+        dev = np.zeros(shape)
+    xb = np.full(shape, float(sc.x0.mean))
+    mean = np.zeros(shape)
+
+    def closed_loop(a, s, b, g, f):
+        # a - s * sum_j b_j g_j with the agent's gain scaled by f; written
+        # around f - 1 so the factor-1 column is the equilibrium loop exactly
+        return a - s * (b @ g + b[agent] * g[agent] * (f - 1.0))
+
     for k in range(n):
-        u = -gains.mean_gain[:, k][:, None] * (a_bar[k] * xb)[None, :]
-        if step is None or step == k:
-            u[agent] *= factors
-        cost += q_bar[agent, k] * xb ** p2 + r_bar[agent, k] * u[agent] ** p2
-        xb = a_bar[k] * xb + b_bar[:, k] @ u
-    cost += q_bar[agent, n] * xb ** p2
-    return cost
-
-
-def _common_noise(sc: Scenario, grid: DeviationGrid):
-    """Shared initial deviations and noise rows for paired policy replays."""
-    seed = sc.mc.seed if grid.seed is None else grid.seed
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), 0x0DD5]))
-    n, paths = sc.horizon, grid.paths
-    law = sc.x0
-    if law.kind == "deterministic":
-        d0 = np.full(paths, law.start_value() - law.mean)
-    elif law.kind == "gaussian_around_mean":
-        d0 = np.sqrt(law.variance) * rng.standard_normal(paths)
-    else:
-        samples = np.asarray(law.samples)
-        d0 = samples[rng.integers(0, samples.size, paths)] - law.mean
-    sigma = np.asarray(sc.noise.sigma)
-    if sc.noise.kind == "gaussian":
-        raw = rng.standard_normal((paths, n))
-    elif sc.noise.kind == "rademacher":
-        raw = 2.0 * rng.integers(0, 2, (paths, n)) - 1.0
-    elif sc.noise.kind == "uniform":
-        raw = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (paths, n))
-    else:
-        raise ValueError(f"noise kind {sc.noise.kind!r} cannot be sampled")
-    return d0, raw * sigma[None, :]
-
-
-def _dev_costs(sc: Scenario, gains: GainSchedule, agent: int, factors: np.ndarray,
-               d0: np.ndarray, eps: np.ndarray, step: int | None) -> np.ndarray:
-    """Per-path deviation-channel cost of ``agent`` for each factor: (F, B)."""
-    n = sc.horizon
-    mo = sc.moment_order
-    q_dev = np.asarray(sc.q_dev)
-    r_dev = np.asarray(sc.r_dev)
-    a_bar = np.asarray(sc.a_bar)
-    b_bar = np.asarray(sc.b_bar)
-    general = sc.family is Family.GENERAL_MOMENT
-    if general:
-        a_dev = np.asarray(sc.a_dev)
-        b_dev = np.asarray(sc.b_dev)
-    out = np.empty((factors.size, d0.size))
-    for fi, f in enumerate(factors):
-        d = d0.copy()
-        cost = np.zeros(d0.size)
-        for k in range(n):
-            v = -(gains.dev_gain[:, k] * gains.dev_scale[k])[:, None] * d[None, :]
-            if step is None or step == k:
-                v[agent] *= f
-            cost += (q_dev[agent, k] * even_power(d, mo)
-                     + r_dev[agent, k] * even_power(v[agent], mo))
-            if sc.family is Family.ADDITIVE:
-                d = a_bar[k] * d + b_bar[:, k] @ v + eps[:, k]
-            elif sc.family is Family.MULTIPLICATIVE:
-                d = a_bar[k] * d + b_bar[:, k] @ v + d * eps[:, k]
-            else:
-                d = (a_dev[k] * d + b_dev[:, k] @ v) * eps[:, k]
-        cost += q_dev[agent, n] * even_power(d, mo)
-        out[fi] = cost
-    return out
+        f = np.ones(shape)
+        f[0] = factors
+        if per_step:
+            f[1 + k] = factors
+        g, s = gains.mean_gain[:, k], a_bar[k]
+        mean += q_bar[agent, k] * xb ** p2 + r_bar[agent, k] * (f * g[agent] * s * xb) ** p2
+        xb = closed_loop(a_bar[k], s, b_bar[:, k], g, f) * xb
+        if stochastic:
+            g, s = gains.dev_gain[:, k], gains.dev_scale[k]
+            dev += (q_dev[agent, k] + r_dev[agent, k] * (f * g[agent] * s) ** mo) * m
+            m = _push_dev_moment(sc, k, closed_loop(a_d[k], s, b_d[:, k], g, f), m)
+    mean += q_bar[agent, n] * xb ** p2
+    if not stochastic:
+        return [("mean", mean)]
+    dev += q_dev[agent, n] * m
+    return [("mean", mean), ("deviation", dev)]
 
 
 def unilateral_deviation_test(
@@ -174,56 +157,30 @@ def unilateral_deviation_test(
     """Scan multiplicative perturbations of one agent's gains, all other
     agents held at equilibrium, and report the best cost improvement found.
 
-    Moments-only noise cannot be replayed path by path, so for
-    explicit-moment specs the scan covers the exact mean channel only.
+    Each channel's gain is scanned on its own, so the mean channel's
+    curvature cannot hide an error in the deviation gain.
     """
     grid = grid or DeviationGrid()
     factors = grid.factors()
-    eq_idx = grid.points // 2
-    stochastic = sc.family.stochastic and sc.noise.kind != "explicit_moments"
-    if stochastic:
-        d0, eps = _common_noise(sc, grid)
-
-    modes: list[int | None] = [None]
-    if grid.per_step:
-        modes.extend(range(sc.horizon))
-
+    eq = grid.points // 2
+    channels = _channel_costs(sc, gains, agent, factors, grid.per_step)
+    eq_cost = sum(float(cost[0, eq]) for _, cost in channels)
+    tol = DEVIATION_TOL * max(abs(eq_cost), 1e-12)
     worst = None
-    uniform_argmin = 1.0
-    for step in modes:
-        total = _mean_costs(sc, gains, agent, factors, step)
-        dev = None
-        if stochastic:
-            dev = _dev_costs(sc, gains, agent, factors, d0, eps, step)
-            total = total + dev.mean(axis=1)
-        best = int(np.argmin(total))
-        margin = float(total[eq_idx] - total[best])
-        eq_cost = float(total[eq_idx])
-        if stochastic and best != eq_idx:
-            diff = dev[eq_idx] - dev[best]
-            se = float(np.std(diff, ddof=1) / np.sqrt(diff.size))
-        else:
-            se = 0.0
-        if stochastic:
-            tol = 3.0 * se
-        else:
-            tol = DEVIATION_TOL * max(abs(eq_cost), 1e-12)
-        if step is None:
-            uniform_argmin = float(factors[best])
-        record = (margin, se, tol, eq_cost,
-                  "uniform" if step is None else f"step {step}")
-        if worst is None or margin - tol > worst[0] - worst[2]:
-            worst = record
-
-    margin, se, tol, eq_cost, mode = worst
+    for name, cost in channels:
+        margins = cost[:, eq] - cost.min(axis=1)
+        row = int(np.argmax(margins))
+        if worst is None or margins[row] > worst[0]:
+            mode = "uniform" if row == 0 else f"step {row - 1}"
+            argmin = float(factors[np.argmin(cost[0])])
+            worst = (float(margins[row]), f"{name} {mode}", argmin)
+    margin, mode, argmin = worst
     return DeviationReport(
         agent=agent,
         margin=margin,
-        normalized_margin=margin / max(abs(eq_cost), 1e-12),
-        std_error=se,
         tolerance=tol,
         passed=margin <= tol,
-        uniform_argmin_factor=uniform_argmin,
+        uniform_argmin_factor=argmin,
         worst_mode=mode,
         equilibrium_cost=eq_cost,
     )
@@ -586,13 +543,7 @@ def bellman_identity_check(
                     sc.q_dev[i][k] * moment
                     + sc.r_dev[i][k] * (gains.dev_gain[i, k] * dev_scale) ** mo * moment
                 )
-                if sc.family is Family.ADDITIVE:
-                    pushed = clf_d ** 2 * moment + noise_even_moment(sc.noise, k + 1, 2)
-                elif sc.family is Family.MULTIPLICATIVE:
-                    pushed = (clf_d ** 2 + noise_even_moment(sc.noise, k + 1, 2)) * moment
-                else:
-                    pushed = clf_d ** mo * moment * noise_even_moment(sc.noise, k + 1, mo)
-                nxt += table.alpha[i, k + 1] * pushed
+                nxt += table.alpha[i, k + 1] * _push_dev_moment(sc, k, clf_d, moment)
             if table.gamma_bar is not None:
                 value += table.gamma_bar[i, k]
                 nxt += table.gamma_bar[i, k + 1]
@@ -605,56 +556,53 @@ def bellman_identity_check(
 # convexity sampling and the aggregate report
 
 
-def sample_convexity(sc: Scenario, table: CoefficientTable, gains: GainSchedule) -> float:
-    """Minimum sampled second derivative of the per-agent best-response
-    objectives, probed around the equilibrium controls and at the points
-    where either curvature term vanishes."""
-    p2 = 2 * sc.p
-    a_bar = np.asarray(sc.a_bar)
-    b_bar = np.asarray(sc.b_bar)
-    r_bar = np.asarray(sc.r_bar)
+def _min_curvature(order: int, a, b, r, weight, gain) -> float:
+    """Minimum sampled second derivative, over agents and steps, of the
+    one-step objectives r*w**order + weight*(rest + b*w)**order of one
+    channel at unit state, where ``weight`` is alpha_{k+1} times any noise
+    moment the channel carries.  Samples lie around the equilibrium control
+    and at the points where either curvature term vanishes.
+
+    When rest or weight is zero the objective is a single even power
+    centred at 0: strictly convex, although its curvature vanishes at the
+    centre, so the centre is not sampled.
+    """
     worst = np.inf
-    for k in range(sc.horizon):
-        u_eq = -gains.mean_gain[:, k] * a_bar[k]  # at unit mean state
-        for i in range(sc.agents):
-            rest = a_bar[k] + b_bar[:, k] @ u_eq - b_bar[i, k] * u_eq[i]
-            if b_bar[i, k] == 0.0:
+    for k in range(len(a)):
+        w_eq = -gain[:, k] * a[k]
+        for i in range(len(w_eq)):
+            if b[i, k] == 0.0:
                 continue
-            width = 2.0 * max(1.0, abs(u_eq[i]))
+            rest = a[k] + b[:, k] @ w_eq - b[i, k] * w_eq[i]
+            width = 2.0 * max(1.0, abs(w_eq[i]))
             grid = np.concatenate([
-                np.linspace(u_eq[i] - width, u_eq[i] + width, 9),
-                [0.0, -rest / b_bar[i, k]],
+                np.linspace(w_eq[i] - width, w_eq[i] + width, 9),
+                [0.0, -rest / b[i, k]],
             ])
-            curvature = p2 * (p2 - 1) * (
-                r_bar[i, k] * grid ** (p2 - 2)
-                + table.alpha_bar[i, k + 1] * b_bar[i, k] ** 2
-                * (rest + b_bar[i, k] * grid) ** (p2 - 2)
+            if rest == 0.0 or weight[i, k] == 0.0:
+                grid = grid[grid != 0.0]
+            curvature = order * (order - 1) * (
+                r[i, k] * grid ** (order - 2)
+                + weight[i, k] * b[i, k] ** 2 * (rest + b[i, k] * grid) ** (order - 2)
             )
             worst = min(worst, float(np.min(curvature)))
+    return worst
+
+
+def sample_convexity(sc: Scenario, table: CoefficientTable, gains: GainSchedule) -> float:
+    """Minimum sampled second derivative of the per-agent best-response
+    objectives of every channel."""
+    worst = _min_curvature(2 * sc.p, sc.a_bar, np.asarray(sc.b_bar), np.asarray(sc.r_bar),
+                           table.alpha_bar[:, 1:], gains.mean_gain)
     if sc.family.stochastic:
-        mo = sc.moment_order
-        r_dev = np.asarray(sc.r_dev)
-        b_d = np.asarray(sc.b_dev if sc.family is Family.GENERAL_MOMENT else sc.b_bar)
-        a_d = np.asarray(sc.a_dev if sc.family is Family.GENERAL_MOMENT else sc.a_bar)
-        for k in range(sc.horizon):
-            noise = (noise_even_moment(sc.noise, k + 1, mo)
-                     if sc.family is Family.GENERAL_MOMENT else 1.0)
-            w_eq = -gains.dev_gain[:, k] * a_d[k]
-            for i in range(sc.agents):
-                rest = a_d[k] + b_d[:, k] @ w_eq - b_d[i, k] * w_eq[i]
-                if b_d[i, k] == 0.0:
-                    continue
-                width = 2.0 * max(1.0, abs(w_eq[i]))
-                grid = np.concatenate([
-                    np.linspace(w_eq[i] - width, w_eq[i] + width, 9),
-                    [0.0, -rest / b_d[i, k]],
-                ])
-                curvature = mo * (mo - 1) * (
-                    r_dev[i, k] * grid ** (mo - 2)
-                    + table.alpha[i, k + 1] * noise * b_d[i, k] ** 2
-                    * (rest + b_d[i, k] * grid) ** (mo - 2)
-                )
-                worst = min(worst, float(np.min(curvature)))
+        general = sc.family is Family.GENERAL_MOMENT
+        noise = [noise_even_moment(sc.noise, k + 1, sc.moment_order) if general else 1.0
+                 for k in range(sc.horizon)]
+        worst = min(worst, _min_curvature(
+            sc.moment_order, sc.a_dev if general else sc.a_bar,
+            np.asarray(sc.b_dev if general else sc.b_bar), np.asarray(sc.r_dev),
+            table.alpha[:, 1:] * np.asarray(noise), gains.dev_gain,
+        ))
     return worst
 
 

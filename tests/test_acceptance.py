@@ -36,7 +36,7 @@ ADD = SCENARIOS / "additive_two_agent.yaml"
 MULT = SCENARIOS / "multiplicative_two_agent.yaml"
 GEN = SCENARIOS / "general_moment_two_agent.yaml"
 
-ACCEPTANCE_GRID = DeviationGrid(points=101, span=0.2, per_step=True, paths=2000)
+ACCEPTANCE_GRID = DeviationGrid(points=101, span=0.2, per_step=True)
 
 
 def _criterion(number: int, description: str, passed: bool) -> None:

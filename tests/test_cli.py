@@ -163,8 +163,7 @@ class TestVerify:
 
     def test_multiplicative_example_passes(self, tmp_path):
         out = tmp_path / "out"
-        code = main(["verify", MULT, "--out", str(out), "--grid", "41x0.2",
-                     "--paths", "600"])
+        code = main(["verify", MULT, "--out", str(out), "--grid", "41x0.2"])
         assert code == 0
         rows = read_csv(out / "report.csv")
         sections = {row["section"] for row in rows}
@@ -181,11 +180,9 @@ class TestVerify:
         assert main(["verify", DET, "--out", str(tmp_path / "o"),
                      f"--grid={spec}"]) == 2
 
-    @pytest.mark.parametrize("paths", ["0", "1", "-5"])
-    def test_too_few_replay_paths_exit_2(self, tmp_path, capsys, paths):
-        assert main(["verify", ADD, "--out", str(tmp_path / "o"), "--grid", "11x0.2",
-                     f"--paths={paths}"]) == 2
-        assert "at least 2 paths" in capsys.readouterr().err
+    @pytest.mark.parametrize("option", ["--paths=5", "--seed=3"])
+    def test_retired_replay_options_exit_1(self, tmp_path, option):
+        assert main(["verify", ADD, "--out", str(tmp_path / "o"), option]) == 1
 
     def test_bad_injection_spec_exit_2(self, tmp_path):
         assert main(["verify", DET, "--out", str(tmp_path / "o"),

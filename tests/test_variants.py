@@ -1,5 +1,7 @@
 """Cross-cutting coverage: noise kinds, per-step schedules, single agents."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from mftg import (
 )
 from conftest import make_scenario
 
-VARIANT_GRID = DeviationGrid(points=41, span=0.2, per_step=True, paths=800)
+VARIANT_GRID = DeviationGrid(points=41, span=0.2, per_step=True)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
@@ -58,27 +60,52 @@ def test_rademacher_multiplicative_moment_recursion():
     np.testing.assert_allclose(ens.dev_m2, expected, rtol=0.05)
 
 
+EXPLICIT_GENERAL = dict(
+    family="general_moment_2o2p", agents=2, horizon=4, p=2, o=2,
+    b_bar=[1.0, -0.8], a_dev=0.9, b_dev=[0.7, 0.5],
+    q_bar=[2.0, 2.0], r_bar=[3.0, 3.0],
+    q_dev=[1.0, 1.5], r_dev=[1.0, 1.0],
+    noise={"kind": "explicit_moments",
+           "moments": {2: [0.5, 1.0, 1.5, 2.0], 4: [1.0, 3.5, 6.0, 9.0]}},
+)
+
+
 def test_explicit_moments_solve_and_verify_general_family():
-    sc = make_scenario(
-        family="general_moment_2o2p", agents=2, horizon=4, p=2, o=2,
-        b_bar=[1.0, -0.8], a_dev=0.9, b_dev=[0.7, 0.5],
-        q_bar=[2.0, 2.0], r_bar=[3.0, 3.0],
-        q_dev=[1.0, 1.5], r_dev=[1.0, 1.0],
-        noise={"kind": "explicit_moments",
-               "moments": {2: [0.5, 1.0, 1.5, 2.0], 4: [1.0, 3.5, 6.0, 9.0]}},
-        initial={"mean": 3.0},
-    )
+    sc = make_scenario(**EXPLICIT_GENERAL, initial={"mean": 3.0})
     table, gains = solve(sc)
     assert np.all(table.alpha > 0.0)
     worst = max(bellman_identity_check(sc, table, gains, k)
                 for k in range(sc.horizon))
     assert worst <= 1e-10
     for agent in range(sc.agents):
-        # the deviation scan degrades to the exact mean channel for
-        # moments-only noise
+        # moments-only noise is scanned exactly; with the initial atom at the
+        # mean the deviation moment stays 0, so the equilibrium cost is the
+        # mean cost-to-go alone
         report = unilateral_deviation_test(sc, gains, agent, VARIANT_GRID)
-        assert report.std_error == 0.0
+        assert report.equilibrium_cost == pytest.approx(
+            table.alpha_bar[agent, 0] * 3.0 ** 4, rel=1e-12)
         assert report.passed
+
+
+@pytest.mark.parametrize("name", ["additive", "multiplicative", "general_moment",
+                                  "explicit_moments"])
+def test_deviation_gain_corruption_detected(name, request):
+    # Scaling only the deviation gain leaves the mean channel at its
+    # equilibrium; the scan must still find the profitable deviation.
+    if name == "explicit_moments":
+        sc = make_scenario(**EXPLICIT_GENERAL, initial={
+            "mean": 3.0, "kind": "gaussian_around_mean", "variance": 1.0})
+    else:
+        fixture = "general_two_agent" if name == "general_moment" else f"{name}_two_agent"
+        sc = request.getfixturevalue(fixture)
+    _, gains = solve(sc)
+    for agent in range(sc.agents):
+        dev_gain = np.array(gains.dev_gain)
+        dev_gain[agent] *= 1.3
+        corrupted = replace(gains, dev_gain=dev_gain)
+        report = unilateral_deviation_test(sc, corrupted, agent, VARIANT_GRID)
+        assert not report.passed, (name, agent, report)
+        assert report.worst_mode.startswith("deviation"), report
 
 
 def test_per_step_schedules_all_families():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import yaml
@@ -6,10 +8,13 @@ from mftg import (
     DeviationGrid,
     bellman_identity_check,
     brute_force_one_step,
+    evaluate_cost,
     inject_gain_scaling,
     load_scenario,
     lq_reduction_check,
     open_loop_jitter_test,
+    propagate_mean,
+    run_ensemble,
     run_verification,
     sample_convexity,
     solve,
@@ -19,7 +24,7 @@ from mftg import (
 from conftest import make_scenario, random_deterministic, scenario_doc
 
 
-SMALL_GRID = DeviationGrid(points=41, span=0.2, per_step=True, paths=800)
+SMALL_GRID = DeviationGrid(points=41, span=0.2, per_step=True)
 
 
 class TestUnilateralDeviation:
@@ -36,6 +41,10 @@ class TestUnilateralDeviation:
         report = unilateral_deviation_test(one_step_unit, corrupted, 0)
         assert report.margin > report.tolerance
         assert not report.passed
+
+    def test_grid_middle_is_exactly_one(self):
+        for span in (0.2, 1.3):
+            assert DeviationGrid(points=3, span=span).factors()[1] == 1.0
 
     def test_zero_control_channel_margin_zero(self):
         sc = make_scenario(agents=2, horizon=3, p=2, b_bar=[0.0, 0.0])
@@ -56,6 +65,37 @@ class TestUnilateralDeviation:
         corrupted = inject_gain_scaling(gains, 1, None, 1.2)
         report = unilateral_deviation_test(additive_two_agent, corrupted, 1, SMALL_GRID)
         assert not report.passed
+
+    def test_equilibrium_cost_is_cost_to_go(
+            self, det_two_agent, additive_two_agent, multiplicative_two_agent,
+            general_two_agent):
+        for sc in (det_two_agent, additive_two_agent, multiplicative_two_agent,
+                   general_two_agent):
+            table, gains = solve(sc)
+            if sc.family.stochastic:
+                data = run_ensemble(sc, gains, paths=2)
+            else:
+                data = propagate_mean(sc, gains)
+            for b in evaluate_cost(sc, data, table):
+                report = unilateral_deviation_test(sc, gains, b.agent, SMALL_GRID)
+                assert report.equilibrium_cost == pytest.approx(b.predicted, rel=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["additive_two_agent", "multiplicative_two_agent",
+                                         "general_two_agent"])
+    def test_exact_scan_matches_sampled_dynamics(self, fixture, request):
+        # Agent 1's gains are scaled off equilibrium, so the forward model is
+        # checked against simulated paths rather than the backward tables.
+        sc = request.getfixturevalue(fixture)
+        table, gains = solve(sc)
+        scaled = replace(
+            gains,
+            mean_gain=gains.mean_gain * np.array([[0.9], [1.0]]),
+            dev_gain=gains.dev_gain * np.array([[0.9], [1.0]]),
+        )
+        ensemble = run_ensemble(sc, scaled, paths=10_000)
+        for b in evaluate_cost(sc, ensemble, table):
+            report = unilateral_deviation_test(sc, scaled, b.agent, SMALL_GRID)
+            assert abs(report.equilibrium_cost - b.total) <= 3.0 * b.std_error, (b, report)
 
     def test_open_loop_jitter_smoke(self, det_two_agent):
         _, gains = solve(det_two_agent)
@@ -224,6 +264,21 @@ class TestAggregateReport:
         report = run_verification(det_two_agent, table, corrupted, grid=SMALL_GRID)
         assert not report.passed
         assert any("deviation margin" in msg for msg in report.failures())
+
+    def test_single_power_objectives_verify(self):
+        # a_bar = 0 (p = 2) and zero general-moment noise (o = 2) leave
+        # single even powers centred at 0: strictly convex, with zero
+        # curvature only at the centre
+        for sc in (
+            make_scenario(agents=2, horizon=3, p=2, a_bar=0.0, b_bar=[1.0, -0.5]),
+            make_scenario(family="general_moment_2o2p", agents=2, horizon=3, p=1, o=2,
+                          noise={"kind": "gaussian", "sigma": 0.0},
+                          initial={"mean": 1.0, "kind": "gaussian_around_mean",
+                                   "variance": 1.0}),
+        ):
+            table, gains = solve(sc)
+            report = run_verification(sc, table, gains, grid=SMALL_GRID)
+            assert report.passed, report.failures()
 
     def test_convexity_sampler_positive_across_families(
             self, multiplicative_two_agent, general_two_agent):
