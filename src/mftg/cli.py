@@ -13,9 +13,7 @@ runs never see partial files.  Exit codes partition the failure classes:
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import os
 import sys
 import tempfile
@@ -71,38 +69,70 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     return f"{float(value):.17g}"
 
 
-def _atomic_write(path: Path, data: str) -> None:
+def _atomic_write(path: Path, chunks) -> str:
+    """Write text chunks to a temp file that then replaces `path`.
+
+    Returns the SHA-256 of the bytes written, hashed as they are written.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    digest = hashlib.sha256()
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(data)
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return digest.hexdigest()
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buffer.getvalue())
+CSV_BLOCK_ROWS = 4096
+_CSV_CONVERSIONS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _csv_chunks(header: list[str], blocks, short):
+    yield ",".join(header) + "\n"
+    period, keep = short or (1, 0)
+    step = max(1, CSV_BLOCK_ROWS // period) * period
+    for columns in blocks:
+        present = [c for c in columns if c is not None]
+        fields = ["" if c is None else _CSV_CONVERSIONS[c.dtype.kind] for c in columns]
+        row_format = ",".join(fields) + "\n"
+        short_format = ",".join(fields[:keep]) + "," * (len(fields) - keep) + "\n"
+        short_values = sum(c is not None for c in columns[:keep])
+        for lo in range(0, len(present[0]), step):
+            rows = list(zip(*(c[lo:lo + step].tolist() for c in present)))
+            lines = [row_format % row for row in rows]
+            if short:
+                lines[period - 1::period] = [short_format % row[:short_values]
+                                             for row in rows[period - 1::period]]
+            yield "".join(lines)
+
+
+def _write_csv(path: Path, header: list[str], blocks, short=None) -> str:
+    """Write a CSV file from blocks of columns; return its SHA-256.
+
+    Each block is a list with one entry per CSV column: a 1-D array holding a
+    value per row, or None for a column left empty.  Integer arrays are
+    written with %d, float arrays with %.17g and text arrays as they are (they
+    hold fixed tokens that need no quoting).  With ``short=(period, keep)``
+    the last of every `period` rows of a block (the terminal step, which has
+    no controls) keeps its first `keep` columns and leaves the rest empty;
+    its values there are never written.
+    """
+    return _atomic_write(path, _csv_chunks(header, blocks, short))
 
 
 def _write_manifest(out: Path, command: str, sc: Scenario, source: Path,
-                    files: list[Path], extras: dict | None = None) -> None:
+                    files: dict[str, str], extras: dict | None = None) -> None:
     digest = hashlib.sha256(serialize_scenario(sc).encode("utf-8")).hexdigest()
     lines = [
         f"tool = mftg {__version__}",
@@ -114,72 +144,80 @@ def _write_manifest(out: Path, command: str, sc: Scenario, source: Path,
     ]
     for key, value in (extras or {}).items():
         lines.append(f"{key} = {value}")
-    for path in files:
-        lines.append(f"file {path.name} = sha256:{_sha256(path)}")
-    _atomic_write(out / "manifest.txt", "\n".join(lines) + "\n")
+    for name, file_digest in files.items():
+        lines.append(f"file {name} = sha256:{file_digest}")
+    _atomic_write(out / "manifest.txt", ["\n".join(lines) + "\n"])
 
 
-def _coefficient_rows(sc: Scenario, table):
-    for k in range(sc.horizon + 1):
-        for i in range(sc.agents):
-            yield [
-                k,
-                i + 1,
-                _fmt(table.alpha_bar[i, k]),
-                _fmt(table.alpha[i, k]) if table.alpha is not None else "",
-                _fmt(table.gamma_bar[i, k]) if table.gamma_bar is not None else "",
-            ]
+def _by_step(values):
+    """Rows ordered by step, then agent, from an (agents, steps) table."""
+    return None if values is None else np.asarray(values).T.ravel()
 
 
-def _gain_rows(sc: Scenario, gains):
-    dev = gains.dev_gain is not None
-    for k in range(sc.horizon):
-        for i in range(sc.agents):
-            yield [
-                k,
-                i + 1,
-                _fmt(gains.mean_gain[i, k]),
-                _fmt(gains.dev_gain[i, k]) if dev else "",
-                _fmt(gains.c_bar[i, k]),
-                _fmt(gains.c[i, k]) if dev else "",
-                _fmt(gains.closed_loop_mean[k]),
-                _fmt(gains.closed_loop_dev[k]) if dev else "",
-            ]
+def _with_terminal(values):
+    """Append a terminal column to per-step controls; it is never written."""
+    return np.concatenate([values, np.zeros(values.shape[:-1] + (1,))], axis=-1)
 
 
-def _write_solve_outputs(out: Path, sc: Scenario, table, gains) -> list[Path]:
-    coeff = out / "coefficients.csv"
-    _write_csv(coeff, ["k", "agent", "alpha_bar", "alpha", "gamma_bar"],
-               _coefficient_rows(sc, table))
-    gain = out / "gains.csv"
-    _write_csv(
-        gain,
-        ["k", "agent", "mean_gain", "dev_gain", "c_bar", "c",
-         "closed_loop_mean", "closed_loop_dev"],
-        _gain_rows(sc, gains),
-    )
-    return [coeff, gain]
-
-
-def _meanpath_rows(sc: Scenario, mean):
-    for k in range(sc.horizon + 1):
-        row = [k, _fmt(mean.x_bar[k])]
-        for i in range(sc.agents):
-            row.append(_fmt(mean.u_bar[i, k]) if k < sc.horizon else "")
-        yield row
-
-
+COEFFICIENT_HEADER = ["k", "agent", "alpha_bar", "alpha", "gamma_bar"]
+GAIN_HEADER = ["k", "agent", "mean_gain", "dev_gain", "c_bar", "c",
+               "closed_loop_mean", "closed_loop_dev"]
 COST_HEADER = ["agent", "run_state_mean", "run_state_dev", "run_control_mean",
                "run_control_dev", "terminal_mean", "terminal_dev", "total",
                "predicted", "std_error"]
 
 
-def _cost_rows(breakdown):
-    for b in breakdown:
-        yield [b.agent + 1, _fmt(b.run_state_mean), _fmt(b.run_state_dev),
-               _fmt(b.run_control_mean), _fmt(b.run_control_dev),
-               _fmt(b.terminal_mean), _fmt(b.terminal_dev), _fmt(b.total),
-               _fmt(b.predicted), _fmt(b.std_error)]
+def _coefficient_columns(sc: Scenario, table) -> list:
+    steps = np.repeat(np.arange(sc.horizon + 1), sc.agents)
+    agents = np.tile(np.arange(1, sc.agents + 1), sc.horizon + 1)
+    return [steps, agents, _by_step(table.alpha_bar), _by_step(table.alpha),
+            _by_step(table.gamma_bar)]
+
+
+def _gain_columns(sc: Scenario, gains) -> list:
+    dev = gains.dev_gain is not None
+    steps = np.repeat(np.arange(sc.horizon), sc.agents)
+    agents = np.tile(np.arange(1, sc.agents + 1), sc.horizon)
+    return [steps, agents, _by_step(gains.mean_gain), _by_step(gains.dev_gain),
+            _by_step(gains.c_bar), _by_step(gains.c) if dev else None,
+            np.repeat(gains.closed_loop_mean, sc.agents),
+            np.repeat(gains.closed_loop_dev, sc.agents) if dev else None]
+
+
+def _meanpath_header(agents: int) -> list[str]:
+    return ["k", "x_bar"] + [f"u_bar_{i + 1}" for i in range(agents)]
+
+
+def _meanpath_columns(sc: Scenario, mean) -> list:
+    return [np.arange(sc.horizon + 1), mean.x_bar, *_with_terminal(mean.u_bar)]
+
+
+def _cost_columns(breakdown) -> list:
+    columns = [np.array([b.agent + 1 for b in breakdown])]
+    for name in COST_HEADER[1:]:
+        values = [getattr(b, name) for b in breakdown]
+        # std_error is None for every agent of a mean-path cost.
+        columns.append(None if values[0] is None else np.array(values))
+    return columns
+
+
+def _trajectory_blocks(sc: Scenario, ensemble):
+    """Columns of trajectories.csv, a few thousand rows at a time."""
+    rows = sc.horizon + 1
+    per_block = max(1, CSV_BLOCK_ROWS // rows)
+    for lo in range(0, ensemble.n_paths, per_block):
+        hi = min(lo + per_block, ensemble.n_paths)
+        yield [np.repeat(np.arange(lo, hi), rows), np.tile(np.arange(rows), hi - lo),
+               ensemble.x[lo:hi].ravel(),
+               *(u.ravel() for u in _with_terminal(ensemble.u[:, lo:hi]))]
+
+
+def _write_solve_outputs(out: Path, sc: Scenario, table, gains) -> dict[str, str]:
+    return {
+        "coefficients.csv": _write_csv(out / "coefficients.csv", COEFFICIENT_HEADER,
+                                       [_coefficient_columns(sc, table)]),
+        "gains.csv": _write_csv(out / "gains.csv", GAIN_HEADER, [_gain_columns(sc, gains)]),
+    }
 
 
 def cmd_solve(args) -> int:
@@ -196,10 +234,9 @@ def cmd_simulate(args) -> int:
     table, gains = solve(sc)
     out = Path(args.out)
     mean = propagate_mean(sc, gains)
-    header = ["k", "x_bar"] + [f"u_bar_{i + 1}" for i in range(sc.agents)]
-    meanpath = out / "meanpath.csv"
-    _write_csv(meanpath, header, _meanpath_rows(sc, mean))
-    files = [meanpath]
+    terminal = (sc.horizon + 1, 2)
+    files = {"meanpath.csv": _write_csv(out / "meanpath.csv", _meanpath_header(sc.agents),
+                                        [_meanpath_columns(sc, mean)], terminal)}
     extras = {"paths": 0, "threads": args.threads}
 
     paths = args.paths if args.paths is not None else sc.mc.paths
@@ -219,45 +256,27 @@ def cmd_simulate(args) -> int:
             breakdown = evaluate_cost(sc, ensemble, table)
             extras["paths"] = ensemble.n_paths
             extras["ensemble_seed"] = ensemble.seed
-            stats = out / "ensemble_stats.csv"
-            _write_csv(
-                stats,
-                ["k", "emp_mean", "emp_var", "emp_moment_2o"],
-                (
-                    [k, _fmt(ensemble.emp_mean[k]), _fmt(ensemble.dev_m2[k]),
-                     _fmt(ensemble.dev_m2o[k])]
-                    for k in range(sc.horizon + 1)
-                ),
+            files["ensemble_stats.csv"] = _write_csv(
+                out / "ensemble_stats.csv", ["k", "emp_mean", "emp_var", "emp_moment_2o"],
+                [[np.arange(sc.horizon + 1), ensemble.emp_mean, ensemble.dev_m2,
+                  ensemble.dev_m2o]],
             )
-            files.append(stats)
             if ensemble.x is not None and ensemble.n_paths * (sc.horizon + 1) <= TRAJECTORY_ROW_LIMIT:
-                traj = out / "trajectories.csv"
-                _write_csv(
-                    traj,
+                files["trajectories.csv"] = _write_csv(
+                    out / "trajectories.csv",
                     ["path", "k", "x"] + [f"u_{i + 1}" for i in range(sc.agents)],
-                    (
-                        [m, k, _fmt(ensemble.x[m, k])]
-                        + [
-                            _fmt(ensemble.u[i, m, k]) if k < sc.horizon else ""
-                            for i in range(sc.agents)
-                        ]
-                        for m in range(ensemble.n_paths)
-                        for k in range(sc.horizon + 1)
-                    ),
+                    _trajectory_blocks(sc, ensemble), (sc.horizon + 1, 3),
                 )
-                files.append(traj)
 
-    costs = out / "costs.csv"
-    _write_csv(costs, COST_HEADER, _cost_rows(breakdown))
-    files.append(costs)
+    files["costs.csv"] = _write_csv(out / "costs.csv", COST_HEADER, [_cost_columns(breakdown)])
 
     if args.plot:
-        files.extend(_write_plots(out, sc, table, mean, ensemble))
+        files.update(_write_plots(out, sc, table, mean, ensemble))
     _write_manifest(out, "simulate", sc, Path(args.scenario), files, extras)
     return EXIT_OK
 
 
-def _write_plots(out: Path, sc: Scenario, table, mean, ensemble) -> list[Path]:
+def _write_plots(out: Path, sc: Scenario, table, mean, ensemble) -> dict[str, str]:
     steps = list(range(sc.horizon + 1))
     state_series = [("mean state", mean.x_bar)]
     if ensemble is not None:
@@ -275,12 +294,7 @@ def _write_plots(out: Path, sc: Scenario, table, mean, ensemble) -> list[Path]:
         coeff_series += [(f"alpha {i + 1}", table.alpha[i]) for i in range(sc.agents)]
     plots.append(("coefficients.svg", line_plot(
         steps, coeff_series, "Backward coefficients", "step", "coefficient")))
-    written = []
-    for name, svg in plots:
-        path = out / name
-        _atomic_write(path, svg)
-        written.append(path)
-    return written
+    return {name: _atomic_write(out / name, [svg]) for name, svg in plots}
 
 
 def _parse_grid(spec: str | None) -> DeviationGrid:
@@ -319,7 +333,9 @@ def cmd_verify(args) -> int:
         injected = args.inject_gain
     grid = _parse_grid(args.grid)
     probes = None
-    if args.probes:
+    if args.probes is not None:
+        if args.probes < 1:
+            raise SchemaError(f"--probes must be at least 1, got {args.probes}")
         rng = np.random.default_rng(12345)
         probes = tuple(
             (float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, 4.0)))
@@ -342,10 +358,10 @@ def cmd_verify(args) -> int:
     for k, value in enumerate(report.bellman_max_per_step):
         rows.append(["bellman", "residual", "", k, _fmt(value), f"{BELLMAN_TOL:g}",
                      "pass" if value <= BELLMAN_TOL else "fail"])
-    report_csv = out / "report.csv"
-    _write_csv(report_csv, ["section", "metric", "agent", "step", "value",
-                            "tolerance", "status"], rows)
-
+    # A handful of mixed rows, written as text columns.
+    report_csv = _write_csv(out / "report.csv", ["section", "metric", "agent", "step", "value",
+                                                 "tolerance", "status"],
+                            [[np.array(column, dtype=str) for column in zip(*rows)]])
     lines = [f"verification {'PASSED' if report.passed else 'FAILED'}"]
     if injected:
         lines.append(f"gain corruption injected: {injected}")
@@ -360,9 +376,9 @@ def cmd_verify(args) -> int:
     lines.append(f"positivity: {'ok' if report.positivity_ok else 'FAIL'}")
     lines.append(f"convexity sampled min: {report.convexity_min:.6g}")
     lines.append(f"cost-to-go identity max residual: {float(np.max(report.bellman_max_per_step)):.3e}")
-    summary = out / "summary.txt"
-    _atomic_write(summary, "\n".join(lines) + "\n")
-    _write_manifest(out, "verify", sc, Path(args.scenario), [report_csv, summary],
+    files = {"report.csv": report_csv,
+             "summary.txt": _atomic_write(out / "summary.txt", ["\n".join(lines) + "\n"])}
+    _write_manifest(out, "verify", sc, Path(args.scenario), files,
                     {"injected": injected or "none"})
 
     if not report.passed:
@@ -396,8 +412,9 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)
-    coeff_rows, gain_rows, mean_rows, cost_rows = [], [], [], []
+    tables = {"coefficients": [], "gains": [], "meanpath": [], "costs": []}
     failures = []
+    terminal = (sc.horizon + 1, 2)
     for value in values:
         run_dir = out / f"{name}={value}"
         try:
@@ -405,45 +422,36 @@ def cmd_sweep(args) -> int:
             table, gains = solve(variant)
             files = _write_solve_outputs(run_dir, variant, table, gains)
             mean = propagate_mean(variant, gains)
-            header = ["k", "x_bar"] + [f"u_bar_{i + 1}" for i in range(variant.agents)]
-            meanpath = run_dir / "meanpath.csv"
-            _write_csv(meanpath, header, _meanpath_rows(variant, mean))
-            files.append(meanpath)
+            meanpath = _meanpath_columns(variant, mean)
+            files["meanpath.csv"] = _write_csv(run_dir / "meanpath.csv",
+                                               _meanpath_header(variant.agents),
+                                               [meanpath], terminal)
             if variant.family.stochastic and variant.mc.paths > 0:
                 ensemble = run_ensemble(variant, gains)
                 breakdown = evaluate_cost(variant, ensemble, table)
             else:
                 breakdown = evaluate_cost(variant, mean, table)
-            costs = run_dir / "costs.csv"
-            _write_csv(costs, COST_HEADER, _cost_rows(breakdown))
-            files.append(costs)
+            costs = _cost_columns(breakdown)
+            files["costs.csv"] = _write_csv(run_dir / "costs.csv", COST_HEADER, [costs])
             _write_manifest(run_dir, "sweep", variant, Path(args.scenario), files,
                             {"sweep": f"{name}={value}"})
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             failures.append((value, exc))
             print(f"sweep {name}={value} failed: {exc}", file=sys.stderr)
             continue
-        for row in _coefficient_rows(variant, table):
-            coeff_rows.append([name, value] + row)
-        for row in _gain_rows(variant, gains):
-            gain_rows.append([name, value] + row)
-        for row in _meanpath_rows(variant, mean):
-            mean_rows.append([name, value] + row)
-        for row in _cost_rows(breakdown):
-            cost_rows.append([name, value] + row)
+        for key, columns in (("coefficients", _coefficient_columns(variant, table)),
+                             ("gains", _gain_columns(variant, gains)),
+                             ("meanpath", meanpath), ("costs", costs)):
+            rows = len(columns[0])
+            tables[key].append([np.full(rows, name), np.full(rows, value), *columns])
 
-    _write_csv(out / "sweep_coefficients.csv",
-               ["param", "value", "k", "agent", "alpha_bar", "alpha", "gamma_bar"],
-               coeff_rows)
-    _write_csv(out / "sweep_gains.csv",
-               ["param", "value", "k", "agent", "mean_gain", "dev_gain", "c_bar", "c",
-                "closed_loop_mean", "closed_loop_dev"],
-               gain_rows)
-    _write_csv(out / "sweep_meanpath.csv",
-               ["param", "value", "k", "x_bar"]
-               + [f"u_bar_{i + 1}" for i in range(sc.agents)],
-               mean_rows)
-    _write_csv(out / "sweep_costs.csv", ["param", "value"] + COST_HEADER, cost_rows)
+    prefix = ["param", "value"]
+    _write_csv(out / "sweep_coefficients.csv", prefix + COEFFICIENT_HEADER,
+               tables["coefficients"])
+    _write_csv(out / "sweep_gains.csv", prefix + GAIN_HEADER, tables["gains"])
+    _write_csv(out / "sweep_meanpath.csv", prefix + _meanpath_header(sc.agents),
+               tables["meanpath"], (sc.horizon + 1, 4))
+    _write_csv(out / "sweep_costs.csv", prefix + COST_HEADER, tables["costs"])
     if failures:
         return _exit_code_for(failures[0][1])
     return EXIT_OK
@@ -459,6 +467,20 @@ def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, ResourceLimitError):
         return EXIT_RESOURCE
     raise exc
+
+
+def _nonnegative_type(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _positive_type(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _seed_type(text: str) -> int:
@@ -483,9 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="mean path, ensembles, realized costs")
     common(p_sim)
-    p_sim.add_argument("--paths", type=int, default=None, help="Monte Carlo paths")
+    p_sim.add_argument("--paths", type=_nonnegative_type, default=None,
+                       help="Monte Carlo paths")
     p_sim.add_argument("--seed", type=_seed_type, default=None, help="master seed")
-    p_sim.add_argument("--threads", type=int, default=1, help="worker threads")
+    p_sim.add_argument("--threads", type=_positive_type, default=1, help="worker threads")
     p_sim.add_argument("--plot", action="store_true", help="write SVG plots")
     p_sim.set_defaults(func=cmd_simulate)
 

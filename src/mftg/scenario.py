@@ -633,9 +633,61 @@ def scenario_to_doc(sc: Scenario) -> dict:
     return doc
 
 
+def _yaml_scalar(value) -> str:
+    """A scalar as PyYAML's safe representer writes it.
+
+    Floats follow its rule: ``repr`` (lower-case already), with ``.0``
+    inserted before an exponent that has no decimal point, and ``.inf``,
+    ``-.inf`` and ``.nan``.  Every string in a scenario document is a schema
+    identifier (family, kind, stream scheme), which YAML writes plain.
+    """
+    if isinstance(value, float):
+        text = repr(value)
+        if text[-1] in "fn":  # "inf", "-inf" or "nan"
+            return ".nan" if value != value else ".inf" if value > 0 else "-.inf"
+        if "e" in text and "." not in text:
+            text = text.replace("e", ".0e", 1)
+        return text
+    if isinstance(value, (list, dict)):
+        return "[]" if isinstance(value, list) else "{}"
+    return str(value)
+
+
+def _yaml_lines(node, indent: str, out: list[str]) -> None:
+    """Append the block-style YAML lines of a non-empty list or dict."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            value = node[key]
+            if isinstance(value, (list, dict)) and value:
+                out.append(f"{indent}{key}:")
+                # A sequence under a key is not indented; a mapping is.
+                _yaml_lines(value, indent if isinstance(value, list) else indent + "  ", out)
+            else:
+                out.append(f"{indent}{key}: {_yaml_scalar(value)}")
+        return
+    previous, text = object(), ""
+    for item in node:
+        if isinstance(item, (list, dict)) and item:
+            first = len(out)
+            _yaml_lines(item, indent + "  ", out)
+            out[first] = f"{indent}- {out[first][len(indent) + 2:]}"
+            continue
+        # A scalar entry broadcast by the loader repeats one float object.
+        if item is not previous:
+            previous, text = item, _yaml_scalar(item)
+        out.append(f"{indent}- {text}")
+
+
 def serialize_scenario(sc: Scenario) -> str:
-    """Loss-free canonical YAML for a materialized scenario."""
-    return yaml.safe_dump(scenario_to_doc(sc), sort_keys=True, default_flow_style=False)
+    """Loss-free canonical YAML for a materialized scenario.
+
+    The text of ``scenario_to_doc(sc)`` in block style with sorted keys,
+    byte-identical to what PyYAML's safe dumper writes for that document
+    (the tests keep PyYAML as the reference), but written directly.
+    """
+    lines: list[str] = []
+    _yaml_lines(scenario_to_doc(sc), "", lines)
+    return "\n".join(lines) + "\n"
 
 
 def with_params(sc: Scenario, **updates) -> Scenario:

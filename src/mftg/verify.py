@@ -521,6 +521,8 @@ def bellman_identity_check(
     """
     if probes is None:
         probes = DEFAULT_PROBES
+    if len(probes) == 0:
+        raise SchemaError("the cost-to-go identity needs at least one probe state")
     p2 = 2 * sc.p
     mo = sc.moment_order
     clf_m = _clf_mean(sc, gains, k)

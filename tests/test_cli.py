@@ -138,6 +138,20 @@ class TestSimulate:
         assert code == 2
         assert "stream_scheme" in capsys.readouterr().err
 
+    def test_negative_paths_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", ADD, "--out", str(out), "--paths", "-5"]) == 1
+        assert "--paths" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_threads_exit_1(self, tmp_path, capsys, threads):
+        out = tmp_path / "out"
+        assert main(["simulate", ADD, "--out", str(out), "--paths", "50",
+                     f"--threads={threads}"]) == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resource_error_exit_5(self, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", ADD, "--out", str(out),
@@ -183,6 +197,14 @@ class TestVerify:
     @pytest.mark.parametrize("option", ["--paths=5", "--seed=3"])
     def test_retired_replay_options_exit_1(self, tmp_path, option):
         assert main(["verify", ADD, "--out", str(tmp_path / "o"), option]) == 1
+
+    @pytest.mark.parametrize("probes", ["0", "-1"])
+    def test_nonpositive_probes_exit_2(self, tmp_path, capsys, probes):
+        out = tmp_path / "out"
+        assert main(["verify", MULT, "--out", str(out), f"--probes={probes}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--probes" in err[0]
+        assert not (out / "report.csv").exists()
 
     def test_bad_injection_spec_exit_2(self, tmp_path):
         assert main(["verify", DET, "--out", str(tmp_path / "o"),

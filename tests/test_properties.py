@@ -1,9 +1,13 @@
 """Property-based checks over random valid scenarios of every family.
 
-Each drawn scenario must survive serialization unchanged, and a scenario that
+Each drawn scenario must survive serialization unchanged, its canonical text
+must equal PyYAML's safe_dump of the same document, and a scenario that
 solves must pass every verification oracle.
 """
 
+import math
+
+import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,7 @@ from mftg import (
     serialize_scenario,
     solve,
 )
+from mftg.scenario import _yaml_scalar, scenario_to_doc
 
 FAMILIES = ("deterministic_2p", "additive_variance_2p",
             "multiplicative_variance_2p", "general_moment_2o2p")
@@ -91,10 +96,49 @@ def scenario_docs(draw):
     return doc
 
 
+def pyyaml_text(sc):
+    """The reference canonical form: PyYAML's emitter on the same document."""
+    return yaml.safe_dump(scenario_to_doc(sc), sort_keys=True, default_flow_style=False)
+
+
+# Values at the edges of float formatting: signed zero, the smallest
+# subnormal, exponents without a decimal point, an infinite weight, the
+# largest seed and an explicit moment table of orders 2 and 10.
+EDGE_DOC = {
+    "family": "general_moment_2o2p",
+    "agents": 2,
+    "horizon": 3,
+    "p": 2,
+    "o": 5,
+    "dynamics": {"a_bar": [-0.0, 5e-324, 1e16], "b_bar": [[1e300, -0.0, 0.5], 2.5e-7],
+                 "a_dev": 1e-5, "b_dev": [-1e16, 0.1]},
+    "weights": {"q_bar": [[1.0, math.inf, 1e300, 2.0], 1.0], "r_bar": [5e-324, 1e16],
+                "q_dev": 1.0, "r_dev": [0.1, 1e-300]},
+    "noise": {"kind": "explicit_moments", "moments": {2: [0.0, 1e16, -0.0], 10: 945.0}},
+    "initial": {"mean": -0.0, "kind": "gaussian_around_mean", "variance": 1e300},
+    "monte_carlo": {"paths": 0, "seed": 2 ** 64 - 1},
+}
+
+
+def test_edge_values_serialize_like_pyyaml():
+    sc = load_scenario(yaml.safe_dump(EDGE_DOC))
+    text = serialize_scenario(sc)
+    assert text == pyyaml_text(sc)
+    assert "- -0.0\n" in text and "5.0e-324" in text and ".inf" in text
+    assert load_scenario(text) == sc
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                                   1e16, -1e300, 1.5e-7, 123.0, 0.1, 2 ** 64 - 1, 7])
+def test_scalars_match_pyyaml(value):
+    assert _yaml_scalar(value) == yaml.safe_dump([value]).strip()[2:]
+
+
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
 @given(scenario_docs())
 def test_valid_scenarios_round_trip_and_verify(doc):
     sc = load_scenario(yaml.safe_dump(doc))
+    assert serialize_scenario(sc) == pyyaml_text(sc)
     assert load_scenario(serialize_scenario(sc)) == sc
     try:
         table, gains = solve(sc)

@@ -21,6 +21,7 @@ from mftg import (
     solve_general_moment,
     unilateral_deviation_test,
 )
+from mftg.errors import SchemaError
 from conftest import make_scenario, random_deterministic, scenario_doc
 
 
@@ -226,6 +227,12 @@ class TestBellmanIdentity:
             residual = bellman_identity_check(sc, table, gains, k,
                                               probes=[(0.0, 0.0)])
             assert residual <= 1e-12
+
+    def test_no_probe_states_rejected(self, multiplicative_two_agent):
+        # An empty probe set would report residual 0 and pass vacuously.
+        table, gains = solve(multiplicative_two_agent)
+        with pytest.raises(SchemaError):
+            bellman_identity_check(multiplicative_two_agent, table, gains, 0, probes=())
 
     def test_all_families_below_tolerance(self, additive_two_agent,
                                           multiplicative_two_agent,
