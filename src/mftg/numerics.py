@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import MissingMomentError, NumericDomainError
 
+_TINY = np.nextafter(0.0, 1.0)
+
 
 def signed_root(y, m: int):
     """Real m-th root of y for odd m, preserving sign, elementwise.
@@ -18,22 +20,33 @@ def signed_root(y, m: int):
     Inverts t -> t**m over the reals, so negative arguments get negative
     roots.  A couple of Newton polish steps keep integer cases such as
     (8, 3) -> 2 exact.  A scalar argument gives a scalar, an array an array
-    of the same shape.
+    of the same shape.  Non-finite arguments raise NumericDomainError.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError(f"root order must be an odd positive integer, got {m}")
     y = np.array(y, dtype=float)
     if not np.all(np.isfinite(y)):
-        raise NumericDomainError(f"signed_root requires finite arguments, got {y}")
+        bad = np.count_nonzero(~np.isfinite(y))
+        raise NumericDomainError(
+            f"signed_root requires finite arguments, got {bad} non-finite of {y.size}"
+        )
+    return _odd_root(y, m)[()]
+
+
+def _odd_root(y: np.ndarray, m: int) -> np.ndarray:
+    """signed_root without the argument checks: non-finite arguments give
+    NaN or infinite roots, with NumPy's invalid-value warning unless the
+    caller's errstate silences it.  m = 1 returns y itself."""
     if m == 1:
-        return y[()]
+        return y
     ay = np.abs(y)
     t = ay ** (1.0 / m)
     for _ in range(2):
         tm1 = t ** (m - 1)
-        err = tm1 * t - ay
-        t -= np.divide(err, m * tm1, out=np.zeros_like(t), where=err != 0.0)
-    return np.copysign(t, y)[()]
+        # tm1 is 0 only where y is 0, and there the error is 0 as well: the
+        # floor turns that 0 / 0 into a zero step and changes no other step.
+        t -= (tm1 * t - ay) / np.maximum(m * tm1, _TINY)
+    return np.copysign(t, y)
 
 
 def _odd_double_factorial(n: int) -> float:

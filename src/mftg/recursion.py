@@ -1,7 +1,8 @@
 """Backward-in-time coefficient tables and feedback-gain schedules.
 
-Every family runs the same backward channel once for the mean and, when
-stochastic, once more for the deviation.  Per step, each agent's best
+Every family runs the same backward channel for the mean and, when
+stochastic, for the deviation; both channels run in one backward loop, as
+stacked rows of per-step (rows, I) arrays.  Per step, each agent's best
 response reduces, via a signed odd root, to a linear relation between the
 agents' controls; the coupling matrix that ties those relations together is
 a diagonal plus a rank-one term, so the simultaneous gains have the closed
@@ -18,12 +19,13 @@ additive family accumulates it in the constant gamma_bar.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CoefficientOverflowError
-from .numerics import noise_even_moment, signed_root
+from .numerics import _odd_root, noise_even_moment
 from .scenario import Family, Scenario
 
 OVERFLOW_LIMIT = 1e300
@@ -73,79 +75,156 @@ def _freeze(arr: np.ndarray | None) -> np.ndarray | None:
     return arr
 
 
-def _check_overflow(values: np.ndarray, k: int, name: str) -> None:
-    if not np.all(np.isfinite(values)) or np.max(np.abs(values)) > OVERFLOW_LIMIT:
-        raise CoefficientOverflowError(
-            f"{name} coefficient exceeded {OVERFLOW_LIMIT:g} at step {k}; "
-            "closed loop too unstable for this cost order and horizon"
-        )
+def _check_overflow(names, k: int, alpha_k: np.ndarray, arg=None) -> None:
+    """Raise CoefficientOverflowError when a step-k coefficient is non-finite
+    or above OVERFLOW_LIMIT, naming the channel, the agent and the step.
+
+    A non-finite best-response argument ``arg`` always leaves a NaN in its
+    row of alpha_k, so one reduction per step catches it too; the argument
+    is read only to name the cause.  The terminal step has no argument.
+    """
+    # alpha is a sum of non-negative terms; the comparison is False on NaN
+    if alpha_k.max() <= OVERFLOW_LIMIT:
+        return
+    for row, name in enumerate(names):
+        if arg is not None and not np.all(np.isfinite(arg[row])):
+            agent = np.flatnonzero(~np.isfinite(arg[row]))[0] + 1
+            raise CoefficientOverflowError(
+                f"{name} best-response argument alpha_{{k+1}} b / r (times the noise "
+                f"moment, if any) is not finite for agent {agent} at step {k}"
+            )
+        if not np.all(alpha_k[row] <= OVERFLOW_LIMIT):
+            agent = np.flatnonzero(~(alpha_k[row] <= OVERFLOW_LIMIT))[0] + 1
+            cause = ("terminal weight too large" if arg is None else
+                     "closed loop too unstable for this cost order and horizon")
+            raise CoefficientOverflowError(
+                f"{name} coefficient exceeded {OVERFLOW_LIMIT:g} for agent {agent} "
+                f"at step {k}; {cause}"
+            )
 
 
-def _channel(name: str, order: int, a, b, q, r, moment=None, noise_on=()):
-    """One backward channel of even moment order ``order``.
+def _per_row(kernel, x: np.ndarray, orders) -> np.ndarray:
+    """kernel(row, order) for each row of x with its own order: one call over
+    all rows when they share the order, one call per row otherwise.  Either
+    way each row gets exactly what a lone row would."""
+    if len(set(orders)) == 1:
+        return kernel(x, orders[0])
+    out = np.empty_like(x)
+    for row, order in enumerate(orders):
+        out[row] = kernel(x[row], order)
+    return out
 
-    ``a`` (N) and ``b`` (I x N) are the channel's dynamics, ``q`` (I x N+1)
-    and ``r`` (I x N) its weights.  ``moment`` (N) is the per-step noise
-    moment E[eps_{k+1}^order]; ``noise_on`` names where it enters:
-    "gain" scales each best-response argument, "closed_loop" scales the
-    closed-loop term of alpha, "alpha" adds alpha_{k+1} * moment to alpha,
-    and "gamma" accumulates the same product in a separate constant.
+
+def _channel(names, orders, a, b, q, r, factor=None, noise_on=()):
+    """The backward channels ``names``, stacked one row each, in one loop
+    over k.
+
+    Row j has even moment order ``orders[j]``, dynamics ``a[j]`` (N) and
+    ``b[j]`` (I x N), and weights ``q[j]`` (I x N+1) and ``r[j]`` (I x N).
+    ``factor[j]`` (N) is row j's per-step noise moment E[eps_{k+1}^order];
+    ``noise_on`` names where it enters: "gain" scales each best-response
+    argument, "closed_loop" scales the closed-loop term of alpha, "alpha"
+    adds alpha_{k+1} * factor to alpha, and "gamma" accumulates the same
+    product in a separate constant.  A row without noise carries one neutral
+    factor for every placement: 1 when the placements scale ("gain",
+    "closed_loop"), 0 when they add ("alpha", "gamma"), which leaves its
+    arithmetic that of a noise-free channel bit for bit.  That needs the
+    placements to be all of one kind, as they are in every family.
 
     Per step, eta_i is the signed (order-1)-th root of
-    alpha_{k+1,i} b_i / r_i (times the moment on "gain"); agent i's best
+    alpha_{k+1,i} b_i / r_i (times the factor on "gain"); agent i's best
     response is c_i = eta_i / (1 + eta_i b_i).  The coupling matrix
     diag(1 / (1 + eta_i b_i)) + c b^T has the Sherman-Morrison solution
     g = eta / (1 + b^T eta).  With alpha, r and the moment non-negative,
     eta_i b_i >= 0, so both denominators are at least 1.
 
-    Returns (alpha, gamma or None, gains, c, closed-loop factors).  The
-    additive and multiplicative channels share every term, so they agree
-    bit for bit when the moment vanishes.
+    Each row follows the operation order of a lone channel, element for
+    element, and the sums b^T eta and b^T g run over the same (I x N) layout,
+    so a row's results do not depend on the rows stacked with it.  Step k of
+    every input and output table is a (rows, I) view, so the loop copies no
+    table.  The alpha table starts as q: column k holds q_k until step k
+    reads it and writes alpha_k over it.  Returns one (alpha, gamma or None,
+    gains, c, closed-loop factors) tuple per row.  The additive and
+    multiplicative channels share every term, so they agree bit for bit when
+    the moment vanishes.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float)
-    agents, n = r.shape
+    a, b, r = (np.asarray(v, dtype=float) for v in (a, b, r))
+    alpha = np.array(q, dtype=float)
+    rows, agents, n = b.shape
+    gamma = np.zeros_like(alpha) if "gamma" in noise_on else None
+    gain = np.empty((rows, agents, n))
+    c = np.empty((rows, agents, n))
+    clf = np.empty((rows, n))
+    # (N, rows, I) views: step k of each table is one (rows, I) block
+    steps_b, steps_r, steps_alpha, steps_gain, steps_c = (
+        v.transpose(2, 0, 1) for v in (b, r, alpha, gain, c))
+    sum_b = steps_b[:, :, None, :]
+    steps_a = a.T[:, :, None]
+    if factor is not None:
+        steps_f = np.asarray(factor, dtype=float).T[:, :, None]
+    roots = [order - 1 for order in orders]
 
-    alpha = np.empty((agents, n + 1))
-    alpha[:, n] = q[:, n]
-    gamma = np.zeros((agents, n + 1)) if "gamma" in noise_on else None
-    gain = np.empty((agents, n))
-    c = np.empty((agents, n))
-    clf = np.empty(n)
-
-    with np.errstate(over="ignore"):
+    nxt = steps_alpha[n]
+    _check_overflow(names, n, nxt)
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, -1, -1):
-            nxt = alpha[:, k + 1]
-            arg = nxt * b[:, k]
+            b_k = steps_b[k]
+            arg = nxt * b_k
             if "gain" in noise_on:
-                arg = arg * moment[k]
-            eta = signed_root(arg / r[:, k], order - 1)
-            c[:, k] = eta / (1.0 + eta * b[:, k])
-            g = eta / (1.0 + b[:, k] @ eta)
-            gain[:, k] = g
-            clf[k] = a[k] * (1.0 - g @ b[:, k])
-            term = nxt * clf[k] ** order
+                arg *= steps_f[k]
+            arg /= steps_r[k]
+            eta = _per_row(_odd_root, arg, roots)
+            np.divide(eta, 1.0 + eta * b_k, out=steps_c[k])
+            g = eta / (1.0 + np.matmul(sum_b[k], eta[:, :, None])[:, 0])
+            steps_gain[k] = g
+            clf_k = steps_a[k][:, 0] * (1.0 - np.matmul(sum_b[k], g[:, :, None])[:, 0, 0])
+            clf[:, k] = clf_k
+            # scalar powers, as a lone channel takes them: an array power
+            # rounds differently in the last bit
+            term = nxt * np.array([[v ** order] for v, order in zip(clf_k.tolist(), orders)])
             if "closed_loop" in noise_on:
-                term = term * moment[k]
-            alpha[:, k] = q[:, k] + r[:, k] * (g * a[k]) ** order + term
+                term *= steps_f[k]
+            # column k of alpha still holds q_k here
+            alpha_k = steps_alpha[k] + steps_r[k] * _per_row(operator.pow, g * steps_a[k], orders)
+            alpha_k += term
             if "alpha" in noise_on:
-                alpha[:, k] += nxt * moment[k]
+                alpha_k += nxt * steps_f[k]
             if gamma is not None:
-                gamma[:, k] = gamma[:, k + 1] + nxt * moment[k]
-            _check_overflow(alpha[:, k], k, name)
-    return alpha, gamma, gain, c, clf
+                gamma[:, :, k] = gamma[:, :, k + 1] + nxt * steps_f[k]
+            _check_overflow(names, k, alpha_k, arg)
+            steps_alpha[k] = alpha_k
+            nxt = alpha_k
+
+    return [(alpha[j], None if gamma is None else gamma[j], gain[j], c[j], clf[j])
+            for j in range(rows)]
 
 
 def _solve(sc: Scenario, family: Family, noise_on=()) -> tuple[CoefficientTable, GainSchedule]:
-    """Mean channel, then (stochastic families) the deviation channel with
-    the noise moment placed as ``noise_on`` says."""
+    """The mean channel and (stochastic families) the deviation channel, in
+    one stacked backward loop, with the noise moment placed as ``noise_on``
+    says."""
     if sc.family is not family:
         raise ValueError(f"expected {family.value} scenario, got {sc.family.value}")
-    alpha_bar, _, mean_gain, c_bar, clf_mean = _channel(
-        "alpha_bar", 2 * sc.p, sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar
-    )
+    names, orders = ["alpha_bar"], [2 * sc.p]
+    a, b, q, r = [sc.a_bar], [sc.b_bar], [sc.q_bar], [sc.r_bar]
+    factor = None
+    if family.stochastic:
+        dev_a, dev_b = (sc.a_dev, sc.b_dev) if family.uses_dev_dynamics else (sc.a_bar, sc.b_bar)
+        order = sc.moment_order
+        names.append("alpha")
+        orders.append(order)
+        a.append(dev_a)
+        b.append(dev_b)
+        q.append(sc.q_dev)
+        r.append(sc.r_dev)
+        scales = {"gain", "closed_loop"} & set(noise_on)
+        assert not (scales and {"alpha", "gamma"} & set(noise_on)), noise_on
+        neutral = 1.0 if scales else 0.0
+        factor = [[neutral] * sc.horizon,
+                  [noise_even_moment(sc.noise, k + 1, order) for k in range(sc.horizon)]]
+    channels = _channel(names, orders, a, b, q, r, factor, noise_on)
+
+    alpha_bar, _, mean_gain, c_bar, clf_mean = channels[0]
     table = CoefficientTable(alpha_bar=_freeze(alpha_bar))
     gains = GainSchedule(
         mean_gain=_freeze(mean_gain),
@@ -155,19 +234,14 @@ def _solve(sc: Scenario, family: Family, noise_on=()) -> tuple[CoefficientTable,
     if not family.stochastic:
         return table, gains
 
-    a, b = (sc.a_dev, sc.b_dev) if family.uses_dev_dynamics else (sc.a_bar, sc.b_bar)
-    order = sc.moment_order
-    moment = np.array([noise_even_moment(sc.noise, k + 1, order) for k in range(sc.horizon)])
-    alpha, gamma, dev_gain, c, clf_dev = _channel(
-        "alpha", order, a, b, sc.q_dev, sc.r_dev, moment, noise_on
-    )
+    alpha, gamma, dev_gain, c, clf_dev = channels[1]
     table = replace(table, alpha=_freeze(alpha), gamma_bar=_freeze(gamma))
     gains = replace(
         gains,
         dev_gain=_freeze(dev_gain),
         c=_freeze(c),
         closed_loop_dev=_freeze(clf_dev),
-        dev_scale=_freeze(np.array(a, dtype=float)),
+        dev_scale=_freeze(np.array(a[1], dtype=float)),
     )
     return table, gains
 

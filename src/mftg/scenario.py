@@ -6,7 +6,10 @@ initial-state law, and Monte Carlo settings.  The loader broadcasts scalar
 entries to fully materialized per-step sequences once; after that a Scenario
 is immutable and safe to share across threads.
 
-Configuration documents are YAML (see the schema reference in README.md).
+Configuration documents are YAML (see the schema reference in README.md),
+parsed by libyaml through PyYAML's ``CSafeLoader`` when PyYAML was built with
+it and by the pure-Python ``SafeLoader`` otherwise; both build the same
+documents, and only the wording of a syntax error differs.
 Key shapes:
 
 * ``a_bar`` is a scalar or a list with one entry per step (``horizon`` many).
@@ -61,6 +64,9 @@ INITIAL_KINDS = ("deterministic", "gaussian_around_mean", "empirical_samples")
 # so a scenario written for another layout is rejected instead of silently
 # giving different numbers.
 STREAM_SCHEME = "block substream"
+# Safe YAML loader: libyaml when available, several times faster on large
+# scenarios than the pure-Python fallback.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -404,7 +410,7 @@ def build_scenario(doc: dict) -> Scenario:
 def load_scenario(text: str) -> Scenario:
     """Parse a YAML configuration document into a validated Scenario."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

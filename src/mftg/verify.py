@@ -28,7 +28,6 @@ from .simulate import initial_central_moment, propagate_mean
 STATIONARITY_TOL = 1e-9
 BELLMAN_TOL = 1e-10
 DEVIATION_TOL = 1e-9
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -258,43 +257,49 @@ class OneStepSolution:
     rounds: int = 0
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    # Bounded iteration count and a scale-aware floor: an absolute tolerance
-    # below the float spacing of a wide bracket would never be reached.
-    for _ in range(220):
-        if abs(b - a) <= max(tol, 1e-14 * (abs(a) + abs(b))):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _minimize_convex(f, rough: float) -> float:
-    """Dense grid scan with bracket expansion, then golden-section refine.
+    """Minimizer of a smooth strictly convex scalar objective, to within a
+    few ulps.
 
-    Refinement runs past the 1e-10 accuracy target so that repeated calls
-    inside the best-response loop do not jitter at the loop's own tolerance.
+    Minima located from function values alone stall near sqrt(eps), because
+    f is flat there.  The sign of the slope stays right much closer in, so
+    the slope is taken instead, as the complex-step derivative
+    Im f(t + ih) / h of the same objective: exact to roundoff for these
+    polynomial objectives, with no difference of nearby values.  The bracket
+    starts at +-max(1, |rough|) and grows fourfold until the slope changes
+    sign; bisection on the slope's sign then halves it to the float spacing
+    (or to eps times the starting radius around a minimizer at zero).
     """
+    def slope(t: float) -> float:
+        return f(complex(t, 1e-20 * max(1.0, abs(t)))).imag
+
     radius = max(1.0, abs(rough))
+    lo, hi = -radius, radius
     for _ in range(60):
-        grid = np.linspace(-radius, radius, 801)
-        values = f(grid)
-        best = int(np.argmin(values))
-        if 0 < best < grid.size - 1:
-            return _golden_min(lambda t: float(f(np.asarray([t]))[0]),
-                               grid[best - 1], grid[best + 1], tol=1e-13)
-        radius *= 4.0
-    raise RuntimeError("minimizer bracket expansion failed")
+        if slope(lo) <= 0.0:
+            break
+        lo, hi = 4.0 * lo, lo
+    else:
+        raise RuntimeError("minimizer bracket expansion failed")
+    for _ in range(60):
+        if slope(hi) >= 0.0:
+            break
+        lo, hi = hi, 4.0 * hi
+    else:
+        raise RuntimeError("minimizer bracket expansion failed")
+    floor = np.finfo(float).eps * radius
+    while hi - lo > floor:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        s = slope(mid)
+        if s == 0.0:
+            return mid
+        if s > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def _iterate_best_responses(br, agents: int, max_rounds: int, damping: float,
@@ -348,10 +353,11 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
     """Solve a one-step instance by per-agent numeric best responses.
 
     Each agent's objective is assembled from the raw dynamics and cost
-    definitions (never from the recursion formulas) and minimized by grid
-    search plus golden-section refinement; best responses are iterated with
-    damping until the controls stop moving.  Gains are recovered by dividing
-    out the probe states, so the mean probe must be nonzero.
+    definitions (never from the recursion formulas) and minimized by
+    bisection on the sign of its complex-step slope; best responses are
+    iterated with damping until the controls stop moving.  Gains are
+    recovered by dividing out the probe states, so the mean probe must be
+    nonzero.
     """
     if sc.horizon != 1:
         raise ValueError("brute_force_one_step requires a one-step instance")

@@ -1,13 +1,24 @@
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 
+import mftg.scenario
 from mftg import load_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
+
+# The pure-Python loader always; libyaml's when PyYAML was built with it.
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+def load_with(loader, text):
+    """load_scenario with its YAML loader class replaced by ``loader``."""
+    with mock.patch.object(mftg.scenario, "_LOADER", loader):
+        return load_scenario(text)
 
 
 def scenario_doc(family="deterministic_2p", agents=2, horizon=1, p=2, o=None,

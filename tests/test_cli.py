@@ -49,7 +49,17 @@ class TestSolve:
         doc = scenario_doc(agents=1, horizon=4, p=4, a_bar=1e30, b_bar=[0.0])
         assert main(["solve", write_doc(tmp_path, doc), "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        assert len(err) == 1 and err[0].startswith(
+            "error: alpha_bar coefficient exceeded 1e+300 for agent 1 at step 2;")
+
+    def test_nonfinite_best_response_argument_exit_4(self, tmp_path, capsys):
+        doc = scenario_doc(agents=1, horizon=2, p=2, a_bar=1.0, b_bar=[1e10],
+                           q_bar=[1e300], r_bar=[1e-10])
+        assert main(["solve", write_doc(tmp_path, doc), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: alpha_bar best-response argument alpha_{k+1} b / r (times the noise "
+            "moment, if any) is not finite for agent 1 at step 1")
 
     def test_zero_weight_exit_3(self, tmp_path, capsys):
         doc = scenario_doc(q_bar=[0.0, 1.0])

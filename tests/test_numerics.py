@@ -73,7 +73,7 @@ class TestSignedRoot:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(NumericDomainError):
                 signed_root(bad, 3)
-            with pytest.raises(NumericDomainError):
+            with pytest.raises(NumericDomainError, match="1 non-finite of 2"):
                 signed_root(np.array([1.0, bad]), 3)
 
 

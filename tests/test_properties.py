@@ -1,8 +1,9 @@
 """Property-based checks over random valid scenarios of every family.
 
-Each drawn scenario must survive serialization unchanged, its canonical text
-must equal PyYAML's safe_dump of the same document, and a scenario that
-solves must pass every verification oracle.
+Each drawn scenario must survive serialization unchanged and load alike
+under libyaml and the pure-Python loader, its canonical text must equal
+PyYAML's safe_dump of the same document, and a scenario that solves must
+pass every verification oracle.
 """
 
 import math
@@ -20,6 +21,7 @@ from mftg import (
     solve,
 )
 from mftg.scenario import _yaml_scalar, scenario_to_doc
+from conftest import LOADERS, load_with
 
 FAMILIES = ("deterministic_2p", "additive_variance_2p",
             "multiplicative_variance_2p", "general_moment_2o2p")
@@ -146,3 +148,11 @@ def test_valid_scenarios_round_trip_and_verify(doc):
         return
     report = run_verification(sc, table, gains)
     assert report.passed, (report.failures(), doc)
+
+
+@pytest.mark.skipif(len(LOADERS) < 2, reason="PyYAML built without libyaml")
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(scenario_docs())
+def test_loaders_build_equal_scenarios(doc):
+    text = yaml.safe_dump(doc)
+    assert load_with(yaml.CSafeLoader, text) == load_with(yaml.SafeLoader, text)

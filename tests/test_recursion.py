@@ -10,6 +10,7 @@ from mftg import (
     solve_multiplicative,
     stationarity_residual,
 )
+from mftg.numerics import noise_even_moment, signed_root
 from mftg.verify import inject_gain_scaling
 from conftest import make_scenario, random_deterministic
 
@@ -57,6 +58,22 @@ class TestDeterministic:
     def test_overflow_guard(self):
         sc = make_scenario(agents=1, horizon=4, p=4, a_bar=1e30, b_bar=[0.0])
         with pytest.raises(CoefficientOverflowError):
+            solve_deterministic(sc)
+
+    def test_overflow_names_agent_and_step(self):
+        # only agent 2's terminal weight is large enough to overflow
+        sc = make_scenario(agents=2, horizon=3, p=2, a_bar=20.0, b_bar=[0.0, 0.0],
+                           q_bar=[[1.0] * 4, [1.0, 1.0, 1.0, 1e299]])
+        with pytest.raises(CoefficientOverflowError,
+                           match=r"alpha_bar coefficient exceeded .* agent 2 at step 2;"):
+            solve_deterministic(sc)
+
+    def test_terminal_weight_above_limit_overflows(self):
+        # a terminal weight is the coefficient alpha_N itself
+        sc = make_scenario(agents=1, horizon=2, p=1, a_bar=1e-3, b_bar=[1.0],
+                           q_bar=[[1.0, 1.0, 1e305]])
+        with pytest.raises(CoefficientOverflowError,
+                           match=r"alpha_bar coefficient exceeded .* agent 1 at step 2;"):
             solve_deterministic(sc)
 
     def test_tables_are_read_only(self, det_two_agent):
@@ -157,6 +174,15 @@ class TestMultiplicative:
             table, _ = solve_multiplicative(sc)
             assert np.all(table.alpha_bar > 0.0)
             assert np.all(table.alpha > 0.0)
+
+
+    def test_deviation_overflow_names_its_channel(self):
+        # the mean channel is stable; the noise moment blows up alpha alone
+        sc = make_scenario(family="multiplicative_variance_2p", agents=2, horizon=3,
+                           p=2, a_bar=0.5, noise={"kind": "gaussian", "sigma": 1e100})
+        with pytest.raises(CoefficientOverflowError,
+                           match=r"^alpha coefficient exceeded .* agent 1 at step 1;"):
+            solve_multiplicative(sc)
 
 
 class TestGeneralMoment:
@@ -266,6 +292,82 @@ class TestSharedStructure:
         )
         table, gains = solve_additive(sc)
         np.testing.assert_allclose(gains.mean_gain, gains.dev_gain, rtol=1e-12)
+
+
+def _lone_channel(order, a, b, q, r, moment=None, noise_on=()):
+    """Reference: one backward channel on its own, one loop per channel."""
+    a, b, q, r = (np.asarray(v, dtype=float) for v in (a, b, q, r))
+    agents, n = r.shape
+    alpha = np.empty((agents, n + 1))
+    alpha[:, n] = q[:, n]
+    gamma = np.zeros((agents, n + 1)) if "gamma" in noise_on else None
+    gain, c, clf = np.empty((agents, n)), np.empty((agents, n)), np.empty(n)
+    for k in range(n - 1, -1, -1):
+        nxt = alpha[:, k + 1]
+        arg = nxt * b[:, k]
+        if "gain" in noise_on:
+            arg = arg * moment[k]
+        eta = signed_root(arg / r[:, k], order - 1)
+        c[:, k] = eta / (1.0 + eta * b[:, k])
+        g = eta / (1.0 + b[:, k] @ eta)
+        gain[:, k] = g
+        clf[k] = a[k] * (1.0 - g @ b[:, k])
+        term = nxt * clf[k] ** order
+        if "closed_loop" in noise_on:
+            term = term * moment[k]
+        alpha[:, k] = q[:, k] + r[:, k] * (g * a[k]) ** order + term
+        if "alpha" in noise_on:
+            alpha[:, k] += nxt * moment[k]
+        if gamma is not None:
+            gamma[:, k] = gamma[:, k + 1] + nxt * moment[k]
+    return alpha, gamma, gain, c, clf
+
+
+NOISE_ON = {"additive_variance_2p": ("gamma",), "multiplicative_variance_2p": ("alpha",),
+            "general_moment_2o2p": ("gain", "closed_loop")}
+
+
+class TestStackedLoop:
+    @pytest.mark.parametrize("family", ["deterministic_2p", *NOISE_ON])
+    def test_bit_identical_to_lone_channels(self, family):
+        # Up to 20 agents, so the b^T eta sums are long enough for BLAS to
+        # pick a blocked kernel when given contiguous rows.
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            agents = int(rng.integers(1, 21))
+            horizon = int(rng.integers(1, 15))
+            coef = lambda size: (rng.uniform(0.3, 1.4, size)
+                                 * rng.choice([-1.0, 1.0], size)).tolist()
+            weight = lambda: rng.uniform(0.5, 5.0, (agents, horizon + 1)).tolist()
+            kwargs = dict(family=family, agents=agents, horizon=horizon,
+                          p=int(rng.integers(1, 5)), a_bar=coef(horizon),
+                          b_bar=[coef(horizon) for _ in range(agents)],
+                          q_bar=weight(), r_bar=[w[:-1] for w in weight()],
+                          q_dev=weight(), r_dev=[w[:-1] for w in weight()],
+                          noise={"kind": "gaussian",
+                                 "sigma": rng.uniform(0.0, 1.2, horizon).tolist()})
+            if family == "general_moment_2o2p":
+                kwargs.update(o=int(rng.integers(1, 5)), a_dev=coef(horizon),
+                              b_dev=[coef(horizon) for _ in range(agents)])
+            sc = make_scenario(**kwargs)
+            table, gains = solve(sc)
+            mean = _lone_channel(2 * sc.p, sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar)
+            got = (table.alpha_bar, None, gains.mean_gain, gains.c_bar,
+                   gains.closed_loop_mean)
+            for want, have in zip(mean, got):
+                np.testing.assert_array_equal(have, want)
+            if family == "deterministic_2p":
+                continue
+            a, b = ((sc.a_dev, sc.b_dev) if family == "general_moment_2o2p"
+                    else (sc.a_bar, sc.b_bar))
+            moment = [noise_even_moment(sc.noise, k + 1, sc.moment_order)
+                      for k in range(horizon)]
+            dev = _lone_channel(sc.moment_order, a, b, sc.q_dev, sc.r_dev, moment,
+                                NOISE_ON[family])
+            got = (table.alpha, table.gamma_bar, gains.dev_gain, gains.c,
+                   gains.closed_loop_dev)
+            for want, have in zip(dev, got):
+                np.testing.assert_array_equal(have, want)
 
 
 class TestStationarity:

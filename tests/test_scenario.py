@@ -1,8 +1,10 @@
 import dataclasses
+import importlib.util
 
 import pytest
 import yaml
 
+import mftg.scenario as mftg_scenario
 from mftg import (
     ConfigSyntaxError,
     Family,
@@ -12,7 +14,41 @@ from mftg import (
     serialize_scenario,
     validate,
 )
-from conftest import make_scenario, scenario_doc
+from conftest import LOADERS, REPO, SCENARIOS, load_with, make_scenario, scenario_doc
+
+
+def _wide_yaml(seed):
+    spec = importlib.util.spec_from_file_location("wide", REPO / "bench" / "wide.py")
+    wide = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wide)
+    return wide.scenario_yaml(seed)
+
+
+needs_libyaml = pytest.mark.skipif(len(LOADERS) < 2, reason="PyYAML built without libyaml")
+
+
+@needs_libyaml
+class TestLoaders:
+    def test_default_is_libyaml(self):
+        assert mftg_scenario._LOADER is yaml.CSafeLoader
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.yaml")))
+    def test_shipped_scenarios_load_alike(self, name):
+        text = (SCENARIOS / name).read_text()
+        assert load_with(yaml.CSafeLoader, text) == load_with(yaml.SafeLoader, text)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_wide_scenarios_load_alike(self, seed):
+        text = _wide_yaml(seed)
+        assert load_with(yaml.CSafeLoader, text) == load_with(yaml.SafeLoader, text)
+
+    def test_syntax_error_position_agrees(self):
+        where = []
+        for loader in LOADERS:
+            with pytest.raises(ConfigSyntaxError) as err:
+                load_with(loader, "family: [unclosed\nagents: 2")
+            where.append(str(err.value).split(":")[0])
+        assert where == ["invalid scenario document at line 2, column 7"] * 2
 
 
 class TestLoading:

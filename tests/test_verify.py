@@ -1,3 +1,4 @@
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -136,7 +137,8 @@ class TestBruteForceOneStep:
         "multiplicative_variance_2p", "general_moment_2o2p",
     ])
     def test_oracle_agreement_on_random_instances(self, family):
-        rng = np.random.default_rng(hash(family) % 2 ** 32)
+        # crc32, unlike hash(), does not change with PYTHONHASHSEED
+        rng = np.random.default_rng(zlib.crc32(family.encode()))
         for _ in range(50):
             p = int(rng.integers(1, 4))
             coef = lambda: float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]))
@@ -159,9 +161,29 @@ class TestBruteForceOneStep:
             sc = make_scenario(**kwargs)
             _, gains = solve(sc)
             sol = brute_force_one_step(sc)
+            assert sol.converged
             np.testing.assert_allclose(sol.mean_gain, gains.mean_gain[:, 0], atol=1e-6)
             if gains.dev_gain is not None:
                 np.testing.assert_allclose(sol.dev_gain, gains.dev_gain[:, 0], atol=1e-6)
+
+    def test_slow_additive_instance_converges(self):
+        # A draw on which a minimizer working from function values alone
+        # stalled near sqrt(eps): 100 unconverged rounds, dev_gain 1.3e-6 off.
+        sc = make_scenario(
+            family="additive_variance_2p", agents=2, horizon=1, p=3,
+            a_bar=0.9224757677062101, b_bar=[-0.7325336854422237, 0.9878093161953807],
+            q_bar=[2.6808649731049097, 1.051708032214096],
+            r_bar=[2.842019090856849, 1.185818452973289],
+            q_dev=[4.744335683773478, 1.840588339662054],
+            r_dev=[0.5446130351281463, 4.328310067217451],
+            noise={"kind": "gaussian", "sigma": 1.2425642816681992},
+            initial={"mean": 1.0},
+        )
+        _, gains = solve(sc)
+        sol = brute_force_one_step(sc)
+        assert sol.converged
+        np.testing.assert_allclose(sol.mean_gain, gains.mean_gain[:, 0], atol=1e-6)
+        np.testing.assert_allclose(sol.dev_gain, gains.dev_gain[:, 0], atol=1e-6)
 
     def test_weight_scaling_leaves_gains_unchanged(self):
         rng = np.random.default_rng(77)
