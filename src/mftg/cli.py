@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .csvformat import csv_rows
 from .errors import (
     CoefficientOverflowError,
     ConfigSyntaxError,
@@ -73,7 +74,7 @@ def _fmt(value) -> str:
 
 
 def _atomic_write(path: Path, chunks) -> str:
-    """Write text chunks to a temp file that then replaces `path`.
+    """Write byte chunks to a temp file that then replaces `path`.
 
     Returns the SHA-256 of the bytes written, hashed as they are written.
     """
@@ -83,9 +84,8 @@ def _atomic_write(path: Path, chunks) -> str:
     try:
         with os.fdopen(fd, "wb") as handle:
             for chunk in chunks:
-                data = chunk.encode("utf-8")
-                digest.update(data)
-                handle.write(data)
+                digest.update(chunk)
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -94,27 +94,21 @@ def _atomic_write(path: Path, chunks) -> str:
     return digest.hexdigest()
 
 
+def _write_text(path: Path, text: str) -> str:
+    return _atomic_write(path, [text.encode("utf-8")])
+
+
 CSV_BLOCK_ROWS = 4096
-_CSV_CONVERSIONS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 
 
 def _csv_chunks(header: list[str], blocks, short):
-    yield ",".join(header) + "\n"
-    period, keep = short or (1, 0)
+    yield (",".join(header) + "\n").encode("utf-8")
+    period = short[0] if short else 1
     step = max(1, CSV_BLOCK_ROWS // period) * period
     for columns in blocks:
-        present = [c for c in columns if c is not None]
-        fields = ["" if c is None else _CSV_CONVERSIONS[c.dtype.kind] for c in columns]
-        row_format = ",".join(fields) + "\n"
-        short_format = ",".join(fields[:keep]) + "," * (len(fields) - keep) + "\n"
-        short_values = sum(c is not None for c in columns[:keep])
-        for lo in range(0, len(present[0]), step):
-            rows = list(zip(*(c[lo:lo + step].tolist() for c in present)))
-            lines = [row_format % row for row in rows]
-            if short:
-                lines[period - 1::period] = [short_format % row[:short_values]
-                                             for row in rows[period - 1::period]]
-            yield "".join(lines)
+        rows = len(next(c for c in columns if c is not None))
+        for lo in range(0, rows, step):
+            yield csv_rows([None if c is None else c[lo:lo + step] for c in columns], short)
 
 
 def _write_csv(path: Path, header: list[str], blocks, short=None) -> str:
@@ -123,10 +117,11 @@ def _write_csv(path: Path, header: list[str], blocks, short=None) -> str:
     Each block is a list with one entry per CSV column: a 1-D array holding a
     value per row, or None for a column left empty.  Integer arrays are
     written with %d, float arrays with %.17g and text arrays as they are (they
-    hold fixed tokens that need no quoting).  With ``short=(period, keep)``
-    the last of every `period` rows of a block (the terminal step, which has
-    no controls) keeps its first `keep` columns and leaves the rest empty;
-    its values there are never written.
+    hold fixed tokens that need no quoting), byte for byte; see
+    ``mftg.csvformat``.  With ``short=(period, keep)`` the last of every
+    `period` rows of a block (the terminal step, which has no controls) keeps
+    its first `keep` columns and leaves the rest empty; its values there are
+    never written.  Blocks are written a few thousand rows at a time.
     """
     return _atomic_write(path, _csv_chunks(header, blocks, short))
 
@@ -146,7 +141,7 @@ def _write_manifest(out: Path, command: str, sc: Scenario, source: Path,
         lines.append(f"{key} = {value}")
     for name, file_digest in files.items():
         lines.append(f"file {name} = sha256:{file_digest}")
-    _atomic_write(out / "manifest.txt", ["\n".join(lines) + "\n"])
+    _write_text(out / "manifest.txt", "\n".join(lines) + "\n")
 
 
 def _by_step(values):
@@ -294,7 +289,7 @@ def _write_plots(out: Path, sc: Scenario, table, mean, ensemble) -> dict[str, st
         coeff_series += [(f"alpha {i + 1}", table.alpha[i]) for i in range(sc.agents)]
     plots.append(("coefficients.svg", line_plot(
         steps, coeff_series, "Backward coefficients", "step", "coefficient")))
-    return {name: _atomic_write(out / name, [svg]) for name, svg in plots}
+    return {name: _write_text(out / name, svg) for name, svg in plots}
 
 
 def _parse_grid(spec: str | None) -> DeviationGrid:
@@ -377,7 +372,7 @@ def cmd_verify(args) -> int:
     lines.append(f"convexity sampled min: {report.convexity_min:.6g}")
     lines.append(f"cost-to-go identity max residual: {float(np.max(report.bellman_max_per_step)):.3e}")
     files = {"report.csv": report_csv,
-             "summary.txt": _atomic_write(out / "summary.txt", ["\n".join(lines) + "\n"])}
+             "summary.txt": _write_text(out / "summary.txt", "\n".join(lines) + "\n")}
     _write_manifest(out, "verify", sc, Path(args.scenario), files,
                     {"injected": injected or "none"})
 

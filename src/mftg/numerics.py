@@ -7,9 +7,11 @@ per-agent best response well posed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import MissingMomentError, NumericDomainError
+from .errors import CoefficientOverflowError, MissingMomentError, NumericDomainError
 
 _TINY = np.nextafter(0.0, 1.0)
 
@@ -88,7 +90,8 @@ def noise_even_moment(spec, k: int, order: int) -> float:
     k >= 1 the per-step scale is spec.sigma[k - 1].  Closed forms:
     gaussian sigma**2j (2j-1)!!, rademacher(+-sigma) sigma**2j, uniform on
     [-w, w] with w = sigma*sqrt(3) gives w**2j / (2j+1); explicit tables are
-    looked up directly.
+    looked up directly.  A moment beyond the float range raises
+    CoefficientOverflowError.
     """
     if order < 2 or order % 2 != 0:
         raise ValueError(f"moment order must be even and >= 2, got {order}")
@@ -104,14 +107,22 @@ def noise_even_moment(spec, k: int, order: int) -> float:
             )
         return float(table[order][k - 1])
     sigma = float(spec.sigma[k - 1])
-    half = order // 2
-    if spec.kind == "gaussian":
-        return sigma ** order * _odd_double_factorial(order - 1)
-    if spec.kind == "rademacher":
-        return sigma ** order
-    if spec.kind == "uniform":
-        return sigma ** order * (3.0 ** half / (order + 1))
-    raise ValueError(f"unknown noise kind {spec.kind!r}")
+    try:
+        if spec.kind == "gaussian":
+            moment = sigma ** order * _odd_double_factorial(order - 1)
+        elif spec.kind == "rademacher":
+            moment = sigma ** order
+        elif spec.kind == "uniform":
+            moment = sigma ** order * (3.0 ** (order // 2) / (order + 1))
+        else:
+            raise ValueError(f"unknown noise kind {spec.kind!r}")
+    except OverflowError:
+        moment = math.inf
+    if not math.isfinite(moment):
+        raise CoefficientOverflowError(
+            f"noise moment E[eps^{order}] at step {k} overflows for sigma {sigma:g}"
+        )
+    return moment
 
 
 def convexity_scan(p: int, a: float, b: float, grid) -> float:

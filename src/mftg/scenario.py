@@ -442,6 +442,12 @@ def _positive(rows, name: str, out: list[Diagnostic]) -> None:
                     "every cost weight is strictly positive)"
                 ),
             ))
+        elif math.inf in row:
+            out.append(Diagnostic(
+                code="coefficient-bounded",
+                message=f"boundedness violated: {name} for agent {i + 1} has an "
+                        "infinite entry (cost weights must be finite)",
+            ))
 
 
 def _lengths(rows, n: int, name: str, out: list[Diagnostic]) -> None:
@@ -539,6 +545,7 @@ def validate(sc: Scenario) -> list[Diagnostic]:
             ))
         if any(s < 0.0 for s in sc.noise.sigma):
             out.append(Diagnostic("noise-spec", "noise.sigma entries must be >= 0"))
+        _finite(sc.noise.sigma, "noise.sigma", out)
         if sc.noise.kind == "explicit_moments":
             table = sc.noise.moments or {}
             for order, row in table.items():
@@ -552,6 +559,7 @@ def validate(sc: Scenario) -> list[Diagnostic]:
                     out.append(Diagnostic(
                         "missing-moment", f"noise.moments[{order}] entries must be >= 0"
                     ))
+                _finite(row, f"noise.moments[{order}]", out)
             required = sc.moment_order
             if required not in table:
                 out.append(Diagnostic(

@@ -1,4 +1,5 @@
 import csv
+import math
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import SCENARIOS, scenario_doc
 DET = str(SCENARIOS / "deterministic_two_agent.yaml")
 ADD = str(SCENARIOS / "additive_two_agent.yaml")
 MULT = str(SCENARIOS / "multiplicative_two_agent.yaml")
+GEN = str(SCENARIOS / "general_moment_two_agent.yaml")
 
 
 def read_csv(path):
@@ -65,6 +67,33 @@ class TestSolve:
         doc = scenario_doc(q_bar=[0.0, 1.0])
         assert main(["solve", write_doc(tmp_path, doc), "--out", str(tmp_path / "o")]) == 3
         assert "positivity" in capsys.readouterr().err
+
+    def test_infinite_weight_exit_3(self, tmp_path, capsys):
+        doc = yaml.safe_load(Path(ADD).read_text())
+        doc["weights"]["q_bar"] = [math.inf, 5.0]
+        assert main(["solve", write_doc(tmp_path, doc), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["validation error [coefficient-bounded]: boundedness violated: q_bar "
+                       "for agent 1 has an infinite entry (cost weights must be finite)"]
+
+    @pytest.mark.parametrize("noise", [
+        {"kind": "gaussian", "sigma": math.inf},
+        {"kind": "uniform", "sigma": math.nan},
+        {"kind": "explicit_moments", "sigma": 1.0, "moments": {4: math.inf}},
+    ])
+    def test_nonfinite_noise_exit_3(self, tmp_path, capsys, noise):
+        doc = yaml.safe_load(Path(GEN).read_text())
+        doc["noise"] = noise
+        assert main(["solve", write_doc(tmp_path, doc), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "boundedness violated: noise." in err and "non-finite" in err
+
+    def test_noise_moment_overflow_exit_4(self, tmp_path, capsys):
+        doc = yaml.safe_load(Path(GEN).read_text())
+        doc["noise"]["sigma"] = 1.0e100
+        assert main(["solve", write_doc(tmp_path, doc), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: noise moment E[eps^4] at step 1 overflows for sigma 1e+100"]
 
     def test_solve_manifest_hashes_reproduce(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -104,8 +104,9 @@ def pyyaml_text(sc):
 
 
 # Values at the edges of float formatting: signed zero, the smallest
-# subnormal, exponents without a decimal point, an infinite weight, the
-# largest seed and an explicit moment table of orders 2 and 10.
+# subnormal, exponents without a decimal point, the largest finite weight,
+# the largest seed and an explicit moment table of orders 2 and 10.
+# Infinities are invalid in a scenario; test_scalars_match_pyyaml covers them.
 EDGE_DOC = {
     "family": "general_moment_2o2p",
     "agents": 2,
@@ -114,8 +115,8 @@ EDGE_DOC = {
     "o": 5,
     "dynamics": {"a_bar": [-0.0, 5e-324, 1e16], "b_bar": [[1e300, -0.0, 0.5], 2.5e-7],
                  "a_dev": 1e-5, "b_dev": [-1e16, 0.1]},
-    "weights": {"q_bar": [[1.0, math.inf, 1e300, 2.0], 1.0], "r_bar": [5e-324, 1e16],
-                "q_dev": 1.0, "r_dev": [0.1, 1e-300]},
+    "weights": {"q_bar": [[1.0, 1.7976931348623157e308, 1e300, 2.0], 1.0],
+                "r_bar": [5e-324, 1e16], "q_dev": 1.0, "r_dev": [0.1, 1e-300]},
     "noise": {"kind": "explicit_moments", "moments": {2: [0.0, 1e16, -0.0], 10: 945.0}},
     "initial": {"mean": -0.0, "kind": "gaussian_around_mean", "variance": 1e300},
     "monte_carlo": {"paths": 0, "seed": 2 ** 64 - 1},
@@ -126,7 +127,7 @@ def test_edge_values_serialize_like_pyyaml():
     sc = load_scenario(yaml.safe_dump(EDGE_DOC))
     text = serialize_scenario(sc)
     assert text == pyyaml_text(sc)
-    assert "- -0.0\n" in text and "5.0e-324" in text and ".inf" in text
+    assert "- -0.0\n" in text and "5.0e-324" in text and "1.7976931348623157e+308" in text
     assert load_scenario(text) == sc
 
 
