@@ -311,6 +311,8 @@ def _parse_injection(spec: str, sc: Scenario):
     except ValueError:
         raise SchemaError(f"--inject-gain expects AGENT:STEP:FACTOR with STEP an "
                           f"integer or '*', got {spec!r}")
+    if not np.isfinite(factor):
+        raise SchemaError(f"--inject-gain factor must be finite, got {factor_str!r}")
     if not 1 <= agent <= sc.agents:
         raise SchemaError(f"--inject-gain agent must be 1..{sc.agents}, got {agent}")
     if step is not None and not 0 <= step < sc.horizon:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CoefficientOverflowError
 from .numerics import _odd_root, noise_even_moment
-from .scenario import Family, Scenario
+from .scenario import Family, Scenario, _freeze
 
 OVERFLOW_LIMIT = 1e300
 
@@ -51,13 +51,13 @@ class GainSchedule:
     """Feedback gains and their audit trail, columns k = 0..N-1.
 
     The equilibrium control of agent i is
-        u_ik = -dev_gain[i,k] * dev_scale[k] * (x_k - xbar_k)
+        u_ik = -dev_gain[i,k] * a[k] * (x_k - xbar_k)
                - mean_gain[i,k] * a_bar[k] * xbar_k,
-    where dev_scale is the deviation-dynamics coefficient the gain multiplies
-    (a_bar for the variance families, a_dev for the general-moment family).
-    c_bar / c are the per-agent best-response vectors; closed_loop_* are the
-    one-step multipliers of the mean and of the deviation (before any noise
-    scaling).
+    where a is the state coefficient of the scenario's
+    ``deviation_dynamics`` (a_bar for the variance families, a_dev for the
+    general-moment family).  c_bar / c are the per-agent best-response
+    vectors; closed_loop_* are the one-step multipliers of the mean and of
+    the deviation (before any noise scaling).
     """
 
     mean_gain: np.ndarray
@@ -66,13 +66,6 @@ class GainSchedule:
     dev_gain: np.ndarray | None = None
     c: np.ndarray | None = None
     closed_loop_dev: np.ndarray | None = None
-    dev_scale: np.ndarray | None = None
-
-
-def _freeze(arr: np.ndarray | None) -> np.ndarray | None:
-    if arr is not None:
-        arr.setflags(write=False)
-    return arr
 
 
 def _check_overflow(names, k: int, alpha_k: np.ndarray, arg=None) -> None:
@@ -209,7 +202,7 @@ def _solve(sc: Scenario, family: Family, noise_on=()) -> tuple[CoefficientTable,
     a, b, q, r = [sc.a_bar], [sc.b_bar], [sc.q_bar], [sc.r_bar]
     factor = None
     if family.stochastic:
-        dev_a, dev_b = (sc.a_dev, sc.b_dev) if family.uses_dev_dynamics else (sc.a_bar, sc.b_bar)
+        dev_a, dev_b = sc.deviation_dynamics
         order = sc.moment_order
         names.append("alpha")
         orders.append(order)
@@ -241,7 +234,6 @@ def _solve(sc: Scenario, family: Family, noise_on=()) -> tuple[CoefficientTable,
         dev_gain=_freeze(dev_gain),
         c=_freeze(c),
         closed_loop_dev=_freeze(clf_dev),
-        dev_scale=_freeze(np.array(a[1], dtype=float)),
     )
     return table, gains
 
@@ -308,30 +300,27 @@ def stationarity_residual(
     (when present) at unit deviation.  Zero at the computed gains up to
     roundoff; grows quickly when a gain is perturbed.
     """
-    p = sc.p
+    root = 2 * sc.p - 1
     a = sc.a_bar[k]
-    b = np.asarray(sc.b_bar)[:, k]
+    b = sc.b_bar[:, k]
     u = -gains.mean_gain[:, k] * a
     inner = a + b @ u
-    t1 = sc.r_bar[i][k] * u[i] ** (2 * p - 1)
-    t2 = table.alpha_bar[i, k + 1] * b[i] * inner ** (2 * p - 1)
+    t1 = sc.r_bar[i, k] * u[i] ** root
+    t2 = table.alpha_bar[i, k + 1] * b[i] * inner ** root
     residual = _normalized(t1, t2)
 
     if gains.dev_gain is None:
         return residual
 
-    if sc.family is Family.GENERAL_MOMENT:
-        o = sc.o
-        a_d = sc.a_dev[k]
-        b_d = np.asarray(sc.b_dev)[:, k]
-        v = -gains.dev_gain[:, k] * a_d
-        inner_d = a_d + b_d @ v
-        m = noise_even_moment(sc.noise, k + 1, 2 * o)
-        t1 = sc.r_dev[i][k] * v[i] ** (2 * o - 1)
-        t2 = table.alpha[i, k + 1] * m * b_d[i] * inner_d ** (2 * o - 1)
-    else:
-        v = -gains.dev_gain[:, k] * a
-        inner_d = a + b @ v
-        t1 = sc.r_dev[i][k] * v[i]
-        t2 = table.alpha[i, k + 1] * b[i] * inner_d
+    # Only the general-moment family carries the noise moment on the argument
+    # of the best response.  The variance families have m = 1 and root = 1,
+    # which round nothing: x * 1.0 and x ** 1 are x.
+    root = sc.moment_order - 1
+    m = noise_even_moment(sc.noise, k + 1, root + 1) if sc.family is Family.GENERAL_MOMENT else 1.0
+    a_dev, b_dev = sc.deviation_dynamics
+    a, b = a_dev[k], b_dev[:, k]
+    v = -gains.dev_gain[:, k] * a
+    inner = a + b @ v
+    t1 = sc.r_dev[i, k] * v[i] ** root
+    t2 = table.alpha[i, k + 1] * m * b[i] * inner ** root
     return max(residual, _normalized(t1, t2))

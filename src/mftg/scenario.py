@@ -3,8 +3,9 @@
 A scenario bundles everything one game instance needs: the family tag, agent
 count and horizon, dynamics coefficients, cost weights, the noise spec, the
 initial-state law, and Monte Carlo settings.  The loader broadcasts scalar
-entries to fully materialized per-step sequences once; after that a Scenario
-is immutable and safe to share across threads.
+entries to fully materialized per-step tables once, as owned, C-contiguous,
+read-only float64 arrays; after that a Scenario is immutable and safe to
+share across threads.  Python lists exist only at the YAML boundary.
 
 Configuration documents are YAML (see the schema reference in README.md),
 parsed by libyaml through PyYAML's ``CSafeLoader`` when PyYAML was built with
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
 import yaml
 
 from .errors import ConfigSyntaxError, SchemaError, ScenarioValidationError
@@ -69,23 +71,46 @@ STREAM_SCHEME = "block substream"
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+def _same(x, y) -> bool:
+    """Field equality that arrays and dicts of arrays can take part in:
+    arrays are equal when their shapes and elements are (NaN never equals,
+    0.0 equals -0.0, as for floats)."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        return x.keys() == y.keys() and all(_same(x[key], y[key]) for key in x)
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return type(x) is type(y) and np.array_equal(x, y)
+    return x == y
+
+
+class _FieldEquality:
+    """Field-for-field ``==`` for a frozen dataclass holding arrays.  Such an
+    instance is unhashable."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class NoiseSpec(_FieldEquality):
     """Zero-mean disturbance schedule.
 
-    sigma[j] is the standard deviation of the disturbance entering the
-    transition from step j to j+1 (the step-(j+1) noise variable; no
-    disturbance acts at step 0).  For kind ``explicit_moments``, ``moments``
-    maps an even order to its per-step values with the same indexing.
+    sigma[j] (shape (N,)) is the standard deviation of the disturbance
+    entering the transition from step j to j+1 (the step-(j+1) noise
+    variable; no disturbance acts at step 0).  For kind ``explicit_moments``,
+    ``moments`` maps an even order to its (N,) row with the same indexing.
     """
 
     kind: str
-    sigma: tuple[float, ...]
-    moments: dict[int, tuple[float, ...]] | None = None
+    sigma: np.ndarray
+    moments: dict[int, np.ndarray] | None = None
 
 
-@dataclass(frozen=True)
-class InitialLaw:
+@dataclass(frozen=True, eq=False)
+class InitialLaw(_FieldEquality):
     """Law of the initial state.
 
     ``mean`` is the model mean the controllers and recursions consume.  A
@@ -99,7 +124,7 @@ class InitialLaw:
     kind: str = "deterministic"
     variance: float = 0.0
     atom: float | None = None
-    samples: tuple[float, ...] | None = None
+    samples: np.ndarray | None = None
     sample_offset: float = 0.0
 
     def start_value(self) -> float:
@@ -113,21 +138,25 @@ class MonteCarloConfig:
     stream_scheme: str = STREAM_SCHEME
 
 
-@dataclass(frozen=True)
-class Scenario:
+@dataclass(frozen=True, eq=False)
+class Scenario(_FieldEquality):
+    """One game instance.  Every coefficient table is a read-only float64
+    array: a_bar and a_dev have shape (N,), b_bar, r_bar, b_dev and r_dev
+    (I, N), and the running-plus-terminal weights q_bar and q_dev (I, N+1)."""
+
     family: Family
     agents: int
     horizon: int
     p: int
     o: int | None
-    a_bar: tuple[float, ...]
-    b_bar: tuple[tuple[float, ...], ...]
-    q_bar: tuple[tuple[float, ...], ...]
-    r_bar: tuple[tuple[float, ...], ...]
-    a_dev: tuple[float, ...] | None = None
-    b_dev: tuple[tuple[float, ...], ...] | None = None
-    q_dev: tuple[tuple[float, ...], ...] | None = None
-    r_dev: tuple[tuple[float, ...], ...] | None = None
+    a_bar: np.ndarray
+    b_bar: np.ndarray
+    q_bar: np.ndarray
+    r_bar: np.ndarray
+    a_dev: np.ndarray | None = None
+    b_dev: np.ndarray | None = None
+    q_dev: np.ndarray | None = None
+    r_dev: np.ndarray | None = None
     noise: NoiseSpec | None = None
     x0: InitialLaw = field(default_factory=lambda: InitialLaw(mean=0.0))
     mc: MonteCarloConfig = field(default_factory=MonteCarloConfig)
@@ -136,6 +165,14 @@ class Scenario:
     def moment_order(self) -> int:
         """Even order of the deviation-cost moment (2 unless general family)."""
         return 2 * self.o if self.family is Family.GENERAL_MOMENT else 2
+
+    @property
+    def deviation_dynamics(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (a, b) tables that drive the deviation channel: a_dev and
+        b_dev for the general-moment family, a_bar and b_bar otherwise."""
+        if self.family.uses_dev_dynamics:
+            return self.a_dev, self.b_dev
+        return self.a_bar, self.b_bar
 
 
 @dataclass(frozen=True)
@@ -168,51 +205,45 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _steps(value, n: int, where: str) -> tuple[float, ...]:
-    """Broadcast a scalar to n steps, or check a per-step list."""
+def _freeze(arr: np.ndarray | None) -> np.ndarray | None:
+    if arr is not None:
+        arr.setflags(write=False)
+    return arr
+
+
+def _steps(value, n: int, where: str) -> np.ndarray:
+    """Broadcast a scalar to n steps, or check a per-step list: an (n,) array."""
     if isinstance(value, (list, tuple)):
         if len(value) != n:
             raise SchemaError(f"{where} must have exactly {n} entries, got {len(value)}")
-        return tuple(_as_number(v, f"{where}[{i}]") for i, v in enumerate(value))
-    return (_as_number(value, where),) * n
+        return _freeze(np.array([_as_number(v, f"{where}[{i}]") for i, v in enumerate(value)]))
+    return _freeze(np.full(n, _as_number(value, where)))
 
 
-def _per_agent(value, agents: int, n: int, where: str) -> tuple[tuple[float, ...], ...]:
-    """Broadcast agent-indexed fields: scalar, or list of one entry per agent."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != agents:
-            raise SchemaError(
-                f"{where} must list one entry per agent ({agents}), got {len(value)}"
-            )
-        return tuple(_steps(v, n, f"{where}[{i}]") for i, v in enumerate(value))
-    row = _steps(value, n, where)
-    return (row,) * agents
-
-
-def _run_plus_terminal(value, agents: int, n: int, where: str):
-    """Weights with a terminal entry: materialize to n+1 steps per agent.
+def _with_terminal(value, n: int, where: str) -> np.ndarray:
+    """A weight row with a terminal entry: an (n+1,) array.
 
     Scalars cover the terminal index too; explicit lists may give either n+1
     entries or n entries (terminal then defaults to the last running value).
     """
-    def one(v, w):
-        if isinstance(v, (list, tuple)):
-            if len(v) == n + 1:
-                return tuple(_as_number(x, f"{w}[{i}]") for i, x in enumerate(v))
-            if len(v) == n:
-                run = tuple(_as_number(x, f"{w}[{i}]") for i, x in enumerate(v))
-                return run + (run[-1],)
-            raise SchemaError(f"{w} must have {n} or {n + 1} entries, got {len(v)}")
-        return (_as_number(v, w),) * (n + 1)
+    if isinstance(value, (list, tuple)) and len(value) == n:
+        run = _steps(value, n, where)
+        return _freeze(np.append(run, run[-1]))
+    if isinstance(value, (list, tuple)) and len(value) != n + 1:
+        raise SchemaError(f"{where} must have {n} or {n + 1} entries, got {len(value)}")
+    return _steps(value, n + 1, where)
 
+
+def _per_agent(value, agents: int, n: int, where: str, row=_steps) -> np.ndarray:
+    """Broadcast agent-indexed fields: scalar, or list of one entry per agent,
+    each entry a ``row`` of n steps.  An (agents, row length) array."""
     if isinstance(value, (list, tuple)):
         if len(value) != agents:
             raise SchemaError(
                 f"{where} must list one entry per agent ({agents}), got {len(value)}"
             )
-        return tuple(one(v, f"{where}[{i}]") for i, v in enumerate(value))
-    row = one(value, where)
-    return (row,) * agents
+        return _freeze(np.array([row(v, n, f"{where}[{i}]") for i, v in enumerate(value)]))
+    return _freeze(np.repeat(row(value, n, where)[None, :], agents, axis=0))
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
@@ -241,7 +272,7 @@ def _build_noise(doc, n: int) -> NoiseSpec:
         if "sigma" in doc:
             sigma = _steps(doc["sigma"], n, "noise.sigma")
         elif 2 in moments:
-            sigma = tuple(math.sqrt(max(v, 0.0)) for v in moments[2])
+            sigma = _freeze(np.sqrt(np.maximum(moments[2], 0.0)))
         else:
             raise SchemaError(
                 "explicit_moments noise needs either sigma or an order-2 row"
@@ -255,6 +286,16 @@ def _build_noise(doc, n: int) -> NoiseSpec:
     return NoiseSpec(kind=kind, sigma=sigma, moments=moments)
 
 
+def _average(samples: np.ndarray) -> float:
+    """Mean of the samples from their correctly rounded sum."""
+    try:
+        return math.fsum(samples) / len(samples)
+    except OverflowError:  # the sum leaves the float range, the mean does not
+        return math.fsum(samples / len(samples))
+    except ValueError:  # both infinities among the samples; validation reports them
+        return math.nan
+
+
 def _build_initial(doc) -> InitialLaw:
     doc = _require_map(doc, "initial")
     _reject_unknown(doc, {"mean", "kind", "variance", "atom", "samples", "sample_offset"}, "initial")
@@ -266,7 +307,7 @@ def _build_initial(doc) -> InitialLaw:
         raw = doc.get("samples")
         if not isinstance(raw, (list, tuple)) or not raw:
             raise SchemaError("empirical_samples initial law requires a non-empty samples list")
-        samples = [_as_number(v, f"initial.samples[{i}]") for i, v in enumerate(raw)]
+        samples = _steps(raw, len(raw), "initial.samples")
         if "variance" in doc or "atom" in doc:
             raise SchemaError("variance/atom are not valid for empirical_samples")
         if "sample_offset" in doc:
@@ -275,11 +316,12 @@ def _build_initial(doc) -> InitialLaw:
                 raise SchemaError("initial.mean is required alongside sample_offset")
             mean = _as_number(doc["mean"], "initial.mean")
             offset = _as_number(doc["sample_offset"], "initial.sample_offset")
-            return InitialLaw(mean=mean, kind=kind, samples=tuple(samples), sample_offset=offset)
-        average = math.fsum(samples) / len(samples)
+            return InitialLaw(mean=mean, kind=kind, samples=samples, sample_offset=offset)
+        average = _average(samples)
         mean = _as_number(doc["mean"], "initial.mean") if "mean" in doc else average
         offset = mean - average
-        recentred = tuple(s + offset for s in samples)
+        with np.errstate(invalid="ignore"):  # validation reports non-finite samples
+            recentred = _freeze(samples + offset)
         return InitialLaw(mean=mean, kind=kind, samples=recentred, sample_offset=offset)
 
     if "mean" not in doc:
@@ -361,6 +403,8 @@ def build_scenario(doc: dict) -> Scenario:
         if key not in wts:
             raise SchemaError(f"weights.{key} is required for family {family.value}")
 
+    if agents < 1 or horizon < 1:
+        raise ScenarioValidationError(_sizes(agents, horizon, p))
     a_bar = _steps(dyn["a_bar"], horizon, "dynamics.a_bar")
     b_bar = _per_agent(dyn["b_bar"], agents, horizon, "dynamics.b_bar")
     a_dev = b_dev = None
@@ -368,11 +412,11 @@ def build_scenario(doc: dict) -> Scenario:
         a_dev = _steps(dyn["a_dev"], horizon, "dynamics.a_dev")
         b_dev = _per_agent(dyn["b_dev"], agents, horizon, "dynamics.b_dev")
 
-    q_bar = _run_plus_terminal(wts["q_bar"], agents, horizon, "weights.q_bar")
+    q_bar = _per_agent(wts["q_bar"], agents, horizon, "weights.q_bar", _with_terminal)
     r_bar = _per_agent(wts["r_bar"], agents, horizon, "weights.r_bar")
     q_dev = r_dev = None
     if family.stochastic:
-        q_dev = _run_plus_terminal(wts["q_dev"], agents, horizon, "weights.q_dev")
+        q_dev = _per_agent(wts["q_dev"], agents, horizon, "weights.q_dev", _with_terminal)
         r_dev = _per_agent(wts["r_dev"], agents, horizon, "weights.r_dev")
 
     noise = None
@@ -431,9 +475,9 @@ def load_scenario_file(path) -> Scenario:
 # validation
 
 
-def _positive(rows, name: str, out: list[Diagnostic]) -> None:
-    for i, row in enumerate(rows):
-        if any(not (v > 0.0) for v in row):
+def _positive(table: np.ndarray, name: str, out: list[Diagnostic]) -> None:
+    for i, row in enumerate(table):
+        if not (row > 0.0).all():
             out.append(Diagnostic(
                 code="weight-positivity",
                 message=(
@@ -442,7 +486,7 @@ def _positive(rows, name: str, out: list[Diagnostic]) -> None:
                     "every cost weight is strictly positive)"
                 ),
             ))
-        elif math.inf in row:
+        elif (row == math.inf).any():
             out.append(Diagnostic(
                 code="coefficient-bounded",
                 message=f"boundedness violated: {name} for agent {i + 1} has an "
@@ -450,25 +494,23 @@ def _positive(rows, name: str, out: list[Diagnostic]) -> None:
             ))
 
 
-def _lengths(rows, n: int, name: str, out: list[Diagnostic]) -> None:
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            out.append(Diagnostic(
-                code="length-mismatch",
-                message=f"length mismatch: {name} for agent {i + 1} has {len(row)} "
-                        f"entries, expected {n}",
-            ))
-
-
-def _finite(values, name: str, out: list[Diagnostic]) -> None:
-    flat = []
-    for v in values:
-        flat.extend(v) if isinstance(v, tuple) else flat.append(v)
-    if any(not math.isfinite(v) for v in flat):
+def _finite(values: np.ndarray, name: str, out: list[Diagnostic]) -> None:
+    if not np.isfinite(values).all():
         out.append(Diagnostic(
             code="coefficient-bounded",
             message=f"boundedness violated: {name} contains a non-finite entry",
         ))
+
+
+def _sizes(agents: int, n: int, p: int) -> list[Diagnostic]:
+    out = []
+    if agents < 1:
+        out.append(Diagnostic("shape", f"agent count must be >= 1, got {agents}"))
+    if n < 1:
+        out.append(Diagnostic("shape", f"horizon must be >= 1, got {n}"))
+    if p < 1:
+        out.append(Diagnostic("shape", f"mean-cost half-order p must be >= 1, got {p}"))
+    return out
 
 
 def validate(sc: Scenario) -> list[Diagnostic]:
@@ -478,29 +520,15 @@ def validate(sc: Scenario) -> list[Diagnostic]:
     remarks; otherwise one diagnostic per violated condition.  Never mutates
     the scenario.
     """
-    out: list[Diagnostic] = []
     n, agents = sc.horizon, sc.agents
-
-    if agents < 1:
-        out.append(Diagnostic("shape", f"agent count must be >= 1, got {agents}"))
-    if n < 1:
-        out.append(Diagnostic("shape", f"horizon must be >= 1, got {n}"))
-    if sc.p < 1:
-        out.append(Diagnostic("shape", f"mean-cost half-order p must be >= 1, got {sc.p}"))
+    out = _sizes(agents, n, sc.p)
     if agents < 1 or n < 1:
         return out
 
-    if len(sc.a_bar) != n:
-        out.append(Diagnostic(
-            "length-mismatch", f"length mismatch: a_bar has {len(sc.a_bar)} entries, expected {n}"
-        ))
-    _lengths(sc.b_bar, n, "b_bar", out)
-    _lengths(sc.q_bar, n + 1, "q_bar", out)
-    _lengths(sc.r_bar, n, "r_bar", out)
-    _positive(sc.q_bar, "q_bar", out)
-    _positive(sc.r_bar, "r_bar", out)
-    _finite(sc.a_bar, "a_bar", out)
-    _finite(sc.b_bar, "b_bar", out)
+    # (name, table, expected shape, check of its values)
+    tables = [("a_bar", sc.a_bar, (n,), _finite), ("b_bar", sc.b_bar, (agents, n), _finite),
+              ("q_bar", sc.q_bar, (agents, n + 1), _positive),
+              ("r_bar", sc.r_bar, (agents, n), _positive)]
 
     if sc.family.stochastic:
         if sc.noise is None:
@@ -508,10 +536,8 @@ def validate(sc: Scenario) -> list[Diagnostic]:
         if sc.q_dev is None or sc.r_dev is None:
             out.append(Diagnostic("noise-spec", "stochastic families require q_dev and r_dev"))
         else:
-            _lengths(sc.q_dev, n + 1, "q_dev", out)
-            _lengths(sc.r_dev, n, "r_dev", out)
-            _positive(sc.q_dev, "q_dev", out)
-            _positive(sc.r_dev, "r_dev", out)
+            tables += [("q_dev", sc.q_dev, (agents, n + 1), _positive),
+                       ("r_dev", sc.r_dev, (agents, n), _positive)]
     else:
         if sc.noise is not None:
             out.append(Diagnostic("noise-spec", "deterministic_2p forbids a noise spec"))
@@ -524,42 +550,25 @@ def validate(sc: Scenario) -> list[Diagnostic]:
                 "noise-spec", "general_moment_2o2p requires deviation dynamics a_dev and b_dev"
             ))
         else:
-            if len(sc.a_dev) != n:
-                out.append(Diagnostic(
-                    "length-mismatch",
-                    f"length mismatch: a_dev has {len(sc.a_dev)} entries, expected {n}",
-                ))
-            _lengths(sc.b_dev, n, "b_dev", out)
-            _finite(sc.a_dev, "a_dev", out)
-            _finite(sc.b_dev, "b_dev", out)
+            tables += [("a_dev", sc.a_dev, (n,), _finite),
+                       ("b_dev", sc.b_dev, (agents, n), _finite)]
     elif sc.o is not None:
         out.append(Diagnostic(
             "shape", f"o is only valid for general_moment_2o2p, not {sc.family.value}"
         ))
 
     if sc.noise is not None:
-        if len(sc.noise.sigma) != n:
-            out.append(Diagnostic(
-                "length-mismatch",
-                f"length mismatch: noise.sigma has {len(sc.noise.sigma)} entries, expected {n}",
-            ))
-        if any(s < 0.0 for s in sc.noise.sigma):
+        if (sc.noise.sigma < 0.0).any():
             out.append(Diagnostic("noise-spec", "noise.sigma entries must be >= 0"))
-        _finite(sc.noise.sigma, "noise.sigma", out)
+        tables.append(("noise.sigma", sc.noise.sigma, (n,), _finite))
         if sc.noise.kind == "explicit_moments":
             table = sc.noise.moments or {}
             for order, row in table.items():
-                if len(row) != n:
-                    out.append(Diagnostic(
-                        "length-mismatch",
-                        f"length mismatch: noise.moments[{order}] has {len(row)} entries, "
-                        f"expected {n}",
-                    ))
-                if any(v < 0.0 for v in row):
+                if (row < 0.0).any():
                     out.append(Diagnostic(
                         "missing-moment", f"noise.moments[{order}] entries must be >= 0"
                     ))
-                _finite(row, f"noise.moments[{order}]", out)
+                tables.append((f"noise.moments[{order}]", row, (n,), _finite))
             required = sc.moment_order
             if required not in table:
                 out.append(Diagnostic(
@@ -567,23 +576,34 @@ def validate(sc: Scenario) -> list[Diagnostic]:
                     f"missing moment order: explicit table lacks order {required}",
                 ))
 
+    for name, values, shape, check in tables:
+        if values.shape != shape:
+            out.append(Diagnostic(
+                "length-mismatch",
+                f"length mismatch: {name} has shape {values.shape}, expected {shape}",
+            ))
+        else:
+            check(values, name, out)
+
     law = sc.x0
     if law.kind not in INITIAL_KINDS:
         out.append(Diagnostic("initial-law", f"unknown initial-law kind {law.kind!r}"))
+    for name in ("mean", "variance", "atom", "samples", "sample_offset"):
+        value = getattr(law, name)
+        if value is not None and not np.isfinite(value).all():
+            out.append(Diagnostic("initial-law", f"initial.{name} must be finite"))
     if law.kind == "deterministic" and law.variance != 0.0:
         out.append(Diagnostic("initial-law", "deterministic initial law must have variance 0"))
     if law.kind == "gaussian_around_mean" and law.variance < 0.0:
         out.append(Diagnostic("initial-law", "initial variance must be >= 0"))
     if law.kind == "empirical_samples":
-        if not law.samples:
+        if law.samples is None or law.samples.size == 0:
             out.append(Diagnostic("initial-law", "empirical_samples initial law has no samples"))
-        else:
-            average = math.fsum(law.samples) / len(law.samples)
-            if abs(average - law.mean) > 1e-12 * max(1.0, abs(law.mean)):
-                out.append(Diagnostic(
-                    "initial-law",
-                    "empirical samples do not average to the declared mean after recentring",
-                ))
+        elif abs(_average(law.samples) - law.mean) > 1e-12 * max(1.0, abs(law.mean)):
+            out.append(Diagnostic(
+                "initial-law",
+                "empirical samples do not average to the declared mean after recentring",
+            ))
 
     if sc.mc.paths < 0:
         out.append(Diagnostic("monte-carlo", "monte_carlo.paths must be >= 0"))
@@ -596,10 +616,6 @@ def validate(sc: Scenario) -> list[Diagnostic]:
 # serialization
 
 
-def _seq(values):
-    return [float(v) for v in values]
-
-
 def scenario_to_doc(sc: Scenario) -> dict:
     """Plain-dict form of a materialized scenario (loss-free)."""
     doc: dict = {
@@ -608,12 +624,12 @@ def scenario_to_doc(sc: Scenario) -> dict:
         "horizon": sc.horizon,
         "p": sc.p,
         "dynamics": {
-            "a_bar": _seq(sc.a_bar),
-            "b_bar": [_seq(row) for row in sc.b_bar],
+            "a_bar": sc.a_bar.tolist(),
+            "b_bar": sc.b_bar.tolist(),
         },
         "weights": {
-            "q_bar": [_seq(row) for row in sc.q_bar],
-            "r_bar": [_seq(row) for row in sc.r_bar],
+            "q_bar": sc.q_bar.tolist(),
+            "r_bar": sc.r_bar.tolist(),
         },
         "monte_carlo": {
             "paths": sc.mc.paths,
@@ -624,14 +640,14 @@ def scenario_to_doc(sc: Scenario) -> dict:
     if sc.o is not None:
         doc["o"] = sc.o
     if sc.family.uses_dev_dynamics:
-        doc["dynamics"]["a_dev"] = _seq(sc.a_dev)
-        doc["dynamics"]["b_dev"] = [_seq(row) for row in sc.b_dev]
+        doc["dynamics"]["a_dev"] = sc.a_dev.tolist()
+        doc["dynamics"]["b_dev"] = sc.b_dev.tolist()
     if sc.family.stochastic:
-        doc["weights"]["q_dev"] = [_seq(row) for row in sc.q_dev]
-        doc["weights"]["r_dev"] = [_seq(row) for row in sc.r_dev]
-        noise = {"kind": sc.noise.kind, "sigma": _seq(sc.noise.sigma)}
+        doc["weights"]["q_dev"] = sc.q_dev.tolist()
+        doc["weights"]["r_dev"] = sc.r_dev.tolist()
+        noise = {"kind": sc.noise.kind, "sigma": sc.noise.sigma.tolist()}
         if sc.noise.moments is not None:
-            noise["moments"] = {order: _seq(row) for order, row in sc.noise.moments.items()}
+            noise["moments"] = {order: row.tolist() for order, row in sc.noise.moments.items()}
         doc["noise"] = noise
 
     law = sc.x0
@@ -641,7 +657,7 @@ def scenario_to_doc(sc: Scenario) -> dict:
     if law.kind == "gaussian_around_mean":
         initial["variance"] = float(law.variance)
     if law.kind == "empirical_samples":
-        initial["samples"] = _seq(law.samples)
+        initial["samples"] = law.samples.tolist()
         initial["sample_offset"] = float(law.sample_offset)
     doc["initial"] = initial
     return doc
@@ -679,17 +695,20 @@ def _yaml_lines(node, indent: str, out: list[str]) -> None:
             else:
                 out.append(f"{indent}{key}: {_yaml_scalar(value)}")
         return
-    previous, text = object(), ""
+    previous, line = object(), ""
     for item in node:
         if isinstance(item, (list, dict)) and item:
             first = len(out)
             _yaml_lines(item, indent + "  ", out)
             out[first] = f"{indent}- {out[first][len(indent) + 2:]}"
             continue
-        # A scalar entry broadcast by the loader repeats one float object.
-        if item is not previous:
-            previous, text = item, _yaml_scalar(item)
-        out.append(f"{indent}- {text}")
+        # Every scalar in a scenario sequence is a float, and a row broadcast
+        # by the loader repeats one value, so the line of an equal previous
+        # value is reused; 0.0 and -0.0 are equal but written differently,
+        # so a zero is always formatted afresh.
+        if not (item == previous and item != 0):
+            previous, line = item, f"{indent}- {_yaml_scalar(item)}"
+        out.append(line)
 
 
 def serialize_scenario(sc: Scenario) -> str:

@@ -82,8 +82,7 @@ class CostBreakdown:
 def propagate_mean(sc: Scenario, gains: GainSchedule) -> MeanPath:
     """Exact closed-loop mean propagation through the dynamics."""
     n, agents = sc.horizon, sc.agents
-    a_bar = np.asarray(sc.a_bar)
-    b_bar = np.asarray(sc.b_bar)
+    a_bar, b_bar = sc.a_bar, sc.b_bar
     x_bar = np.empty(n + 1)
     u_bar = np.empty((agents, n))
     x_bar[0] = sc.x0.mean
@@ -103,8 +102,7 @@ def initial_central_moment(law: InitialLaw, order: int) -> float:
         return (law.start_value() - law.mean) ** order
     if law.kind == "gaussian_around_mean":
         return law.variance ** (order // 2) * _odd_double_factorial(order - 1)
-    samples = np.asarray(law.samples)
-    return float(np.mean((samples - law.mean) ** order))
+    return float(np.mean((law.samples - law.mean) ** order))
 
 
 def _draw_paths(sc: Scenario, seed: int, lo: int, hi: int):
@@ -123,7 +121,7 @@ def _draw_paths(sc: Scenario, seed: int, lo: int, hi: int):
     elif law.kind == "gaussian_around_mean":
         x0 = law.mean + np.sqrt(law.variance) * rng.standard_normal(CHUNK_SIZE)[:rows]
     else:
-        x0 = np.asarray(law.samples)[rng.integers(0, len(law.samples), CHUNK_SIZE)[:rows]]
+        x0 = law.samples[rng.integers(0, len(law.samples), CHUNK_SIZE)[:rows]]
     kind = sc.noise.kind
     if kind == "gaussian":
         eps = rng.standard_normal((rows, n))
@@ -131,7 +129,7 @@ def _draw_paths(sc: Scenario, seed: int, lo: int, hi: int):
         eps = 2.0 * rng.integers(0, 2, (rows, n)) - 1.0
     else:
         eps = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (rows, n))
-    eps *= np.asarray(sc.noise.sigma)
+    eps *= sc.noise.sigma
     return x0, eps
 
 
@@ -139,33 +137,28 @@ def _simulate_chunk(sc: Scenario, gains: GainSchedule, mean: MeanPath,
                     seed: int, lo: int, x: np.ndarray, u: np.ndarray) -> None:
     """Fill x (B, N+1) and u (I, B, N) with the closed-loop paths lo..lo+B-1
     of one block; they may be views into the ensemble's path store."""
-    n = sc.horizon
-    a_bar = np.asarray(sc.a_bar)
-    b_bar = np.asarray(sc.b_bar)
     family = sc.family
     x0, eps = _draw_paths(sc, seed, lo, lo + x.shape[0])
     x[:, 0] = x0
     g_dev = gains.dev_gain
-    dev_scale = gains.dev_scale
-    if family is Family.GENERAL_MOMENT:
-        a_dev = np.asarray(sc.a_dev)
-        b_dev = np.asarray(sc.b_dev)
+    a, b = sc.deviation_dynamics
     # The dynamics split exactly into the mean recursion plus a deviation
     # channel; propagating the deviation and re-adding the exact mean keeps
     # zero-noise paths bit-identical to the mean path.  The controls' push
     # b.v is applied as a scalar times d rather than a matrix product, so
     # each path's arithmetic does not depend on how many paths share its
     # chunk (a matrix product may round differently for a one-row chunk).
-    for k in range(n):
-        gain = g_dev[:, k] * dev_scale[k]
+    for k in range(sc.horizon):
+        gain = g_dev[:, k] * a[k]
         d = x[:, k] - mean.x_bar[k]
         u[:, :, k] = mean.u_bar[:, k][:, None] - gain[:, None] * d[None, :]
+        dev_next = a[k] * d - (b[:, k] @ gain) * d
         if family is Family.ADDITIVE:
-            dev_next = a_bar[k] * d - (b_bar[:, k] @ gain) * d + eps[:, k]
+            dev_next += eps[:, k]
         elif family is Family.MULTIPLICATIVE:
-            dev_next = a_bar[k] * d - (b_bar[:, k] @ gain) * d + d * eps[:, k]
+            dev_next += d * eps[:, k]
         else:
-            dev_next = (a_dev[k] * d - (b_dev[:, k] @ gain) * d) * eps[:, k]
+            dev_next *= eps[:, k]
         x[:, k + 1] = mean.x_bar[k + 1] + dev_next
 
 
@@ -173,8 +166,7 @@ def _dev_cost_per_path(sc: Scenario, mean: MeanPath, x: np.ndarray, u: np.ndarra
     """Deviation-cost contribution of each path, per agent: (I, B)."""
     n = sc.horizon
     mo = sc.moment_order
-    q_dev = np.asarray(sc.q_dev)
-    r_dev = np.asarray(sc.r_dev)
+    q_dev, r_dev = sc.q_dev, sc.r_dev
     d_pow = even_power(x - mean.x_bar[None, :], mo)
     out = d_pow[:, :n] @ q_dev[:, :n].T
     out += np.outer(d_pow[:, n], q_dev[:, n])
@@ -272,8 +264,7 @@ def run_ensemble(
     # Mean cost terms are path-independent constants; add them so that the
     # per-path costs average to the full realized cost.
     p2 = 2 * sc.p
-    q_bar = np.asarray(sc.q_bar)
-    r_bar = np.asarray(sc.r_bar)
+    q_bar, r_bar = sc.q_bar, sc.r_bar
     mean_const = (
         q_bar[:, :n] @ mean.x_bar[:n] ** p2
         + (r_bar * mean.u_bar ** p2).sum(axis=1)
@@ -318,8 +309,7 @@ def evaluate_cost(
     """
     n, agents, p2 = sc.horizon, sc.agents, 2 * sc.p
     mean = data.mean if isinstance(data, Ensemble) else data
-    q_bar = np.asarray(sc.q_bar)
-    r_bar = np.asarray(sc.r_bar)
+    q_bar, r_bar, q_dev, r_dev = sc.q_bar, sc.r_bar, sc.q_dev, sc.r_dev
     xpow = mean.x_bar ** p2
 
     out = []
@@ -334,8 +324,6 @@ def evaluate_cost(
             mo = data.moment_order
             dev = data.dev_m2 if mo == 2 else data.dev_m2o
             u_dev = data.u_dev_m2 if mo == 2 else data.u_dev_m2o
-            q_dev = np.asarray(sc.q_dev)
-            r_dev = np.asarray(sc.r_dev)
             run_state_dev = float(q_dev[i, :n] @ dev[:n])
             run_control_dev = float(r_dev[i] @ u_dev[i])
             terminal_dev = float(q_dev[i, n] * dev[n])

@@ -110,17 +110,11 @@ def _channel_costs(sc: Scenario, gains: GainSchedule, agent: int,
     shape = (1 + n if per_step else 1, factors.size)
     p2 = 2 * sc.p
     mo = sc.moment_order
-    a_bar = np.asarray(sc.a_bar)
-    b_bar = np.asarray(sc.b_bar)
-    q_bar = np.asarray(sc.q_bar)
-    r_bar = np.asarray(sc.r_bar)
+    a_bar, b_bar, q_bar, r_bar = sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar
     stochastic = sc.family.stochastic
     if stochastic:
-        general = sc.family is Family.GENERAL_MOMENT
-        a_d = np.asarray(sc.a_dev if general else sc.a_bar)
-        b_d = np.asarray(sc.b_dev if general else sc.b_bar)
-        q_dev = np.asarray(sc.q_dev)
-        r_dev = np.asarray(sc.r_dev)
+        a_d, b_d = sc.deviation_dynamics
+        q_dev, r_dev = sc.q_dev, sc.r_dev
         m = np.full(shape, initial_central_moment(sc.x0, mo))
         dev = np.zeros(shape)
     xb = np.full(shape, float(sc.x0.mean))
@@ -140,7 +134,7 @@ def _channel_costs(sc: Scenario, gains: GainSchedule, agent: int,
         mean += q_bar[agent, k] * xb ** p2 + r_bar[agent, k] * (f * g[agent] * s * xb) ** p2
         xb = closed_loop(a_bar[k], s, b_bar[:, k], g, f) * xb
         if stochastic:
-            g, s = gains.dev_gain[:, k], gains.dev_scale[k]
+            g, s = gains.dev_gain[:, k], a_d[k]
             dev += (q_dev[agent, k] + r_dev[agent, k] * (f * g[agent] * s) ** mo) * m
             m = _push_dev_moment(sc, k, closed_loop(a_d[k], s, b_d[:, k], g, f), m)
     mean += q_bar[agent, n] * xb ** p2
@@ -215,10 +209,7 @@ def open_loop_jitter_test(
         raise ValueError("open-loop jitter smoke test covers the deterministic family")
     n = sc.horizon
     p2 = 2 * sc.p
-    a_bar = np.asarray(sc.a_bar)
-    b_bar = np.asarray(sc.b_bar)
-    q_bar = np.asarray(sc.q_bar)
-    r_bar = np.asarray(sc.r_bar)
+    a_bar, b_bar, q_bar, r_bar = sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar
     mean = propagate_mean(sc, gains)
     if scale is None:
         scale = 0.1 * max(1.0, float(np.max(np.abs(mean.u_bar[agent]))))
@@ -364,9 +355,9 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
     agents = sc.agents
     p2 = 2 * sc.p
     a0 = sc.a_bar[0]
-    b0 = np.asarray(sc.b_bar)[:, 0]
-    r_bar0 = np.asarray(sc.r_bar)[:, 0]
-    q_bar = np.asarray(sc.q_bar)
+    b0 = sc.b_bar[:, 0]
+    r_bar0 = sc.r_bar[:, 0]
+    q_bar = sc.q_bar
     xb = sc.x0.mean if sc.x0.mean != 0.0 else 1.0
     if a0 == 0.0:
         raise ValueError("mean-gain recovery needs a nonzero dynamics coefficient")
@@ -393,24 +384,20 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
                                probe_mean=xb, converged=converged, rounds=rounds)
 
     mo = sc.moment_order
-    q_dev = np.asarray(sc.q_dev)
-    r_dev0 = np.asarray(sc.r_dev)[:, 0]
-    e2 = noise_even_moment(sc.noise, 1, 2)
-    if sc.family is Family.GENERAL_MOMENT:
-        a_d = sc.a_dev[0]
-        b_d = np.asarray(sc.b_dev)[:, 0]
-        m2o = noise_even_moment(sc.noise, 1, mo)
-    else:
-        a_d, b_d = a0, b0
+    q_dev = sc.q_dev
+    r_dev0 = sc.r_dev[:, 0]
+    a_dev, b_dev = sc.deviation_dynamics
+    a_d, b_d = a_dev[0], b_dev[:, 0]
+    # E[eps^2] for the variance families (mo = 2), E[eps^2o] for the general one
+    noise = noise_even_moment(sc.noise, 1, mo)
+    general = sc.family is Family.GENERAL_MOMENT
 
     def dev_objective(i, w_i, w_other):
         # One-step deviation cost with E[(x0 - xbar0)^mo] normalized to 1.
         inner = a_d + b_d @ w_other + b_d[i] * w_i
-        if sc.family is Family.ADDITIVE:
-            return r_dev0[i] * w_i ** 2 + q_dev[i, 1] * (inner ** 2 + e2)
-        if sc.family is Family.MULTIPLICATIVE:
-            return r_dev0[i] * w_i ** 2 + q_dev[i, 1] * (inner ** 2 + e2)
-        return r_dev0[i] * w_i ** mo + q_dev[i, 1] * inner ** mo * m2o
+        if general:
+            return r_dev0[i] * w_i ** mo + q_dev[i, 1] * inner ** mo * noise
+        return r_dev0[i] * w_i ** 2 + q_dev[i, 1] * (inner ** 2 + noise)
 
     if a_d == 0.0:
         raise ValueError("deviation-gain recovery needs a nonzero deviation coefficient")
@@ -426,10 +413,10 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
     )
     dev_gain = -w / a_d
     inner = a_d + b_d @ w
-    if sc.family is Family.GENERAL_MOMENT:
-        tail = q_dev[:, 1] * inner ** mo * m2o
+    if general:
+        tail = q_dev[:, 1] * inner ** mo * noise
     else:
-        tail = q_dev[:, 1] * (inner ** 2 + e2)
+        tail = q_dev[:, 1] * (inner ** 2 + noise)
     dev_value = q_dev[:, 0] + r_dev0 * w ** mo + tail
 
     return OneStepSolution(
@@ -473,8 +460,7 @@ def lq_reduction_check(sc: Scenario) -> LqReduction:
         raise ValueError("lq_reduction_check requires p = 1")
     table, gains = solve(sc)
     n = sc.horizon
-    b_bar = np.asarray(sc.b_bar)
-    r_bar = np.asarray(sc.r_bar)
+    b_bar, r_bar = sc.b_bar, sc.r_bar
     worst = 0.0
     for k in range(n):
         nxt = table.alpha_bar[:, k + 1]
@@ -482,10 +468,7 @@ def lq_reduction_check(sc: Scenario) -> LqReduction:
         gap = np.max(np.abs(quad - gains.c_bar[:, k]) / np.maximum(1.0, np.abs(quad)))
         worst = max(worst, float(gap))
     if sc.agents == 1:
-        riccati = _scalar_riccati(
-            np.asarray(sc.a_bar), b_bar[0],
-            np.asarray(sc.q_bar)[0, :n], sc.q_bar[0][n], r_bar[0],
-        )
+        riccati = _scalar_riccati(sc.a_bar, b_bar[0], sc.q_bar[0, :n], sc.q_bar[0, n], r_bar[0])
         gap = np.max(np.abs(riccati - table.alpha_bar[0]) / np.maximum(1.0, np.abs(riccati)))
         worst = max(worst, float(gap))
     return LqReduction(passed=worst <= 1e-12, max_discrepancy=worst)
@@ -496,16 +479,12 @@ def lq_reduction_check(sc: Scenario) -> LqReduction:
 
 
 def _clf_mean(sc: Scenario, gains: GainSchedule, k: int) -> float:
-    b = np.asarray(sc.b_bar)[:, k]
-    return sc.a_bar[k] * (1.0 - gains.mean_gain[:, k] @ b)
+    return sc.a_bar[k] * (1.0 - gains.mean_gain[:, k] @ sc.b_bar[:, k])
 
 
 def _clf_dev(sc: Scenario, gains: GainSchedule, k: int) -> float:
-    if sc.family is Family.GENERAL_MOMENT:
-        b = np.asarray(sc.b_dev)[:, k]
-        return sc.a_dev[k] * (1.0 - gains.dev_gain[:, k] @ b)
-    b = np.asarray(sc.b_bar)[:, k]
-    return sc.a_bar[k] * (1.0 - gains.dev_gain[:, k] @ b)
+    a, b = sc.deviation_dynamics
+    return a[k] * (1.0 - gains.dev_gain[:, k] @ b[:, k])
 
 
 DEFAULT_PROBES = tuple(
@@ -532,24 +511,23 @@ def bellman_identity_check(
     p2 = 2 * sc.p
     mo = sc.moment_order
     clf_m = _clf_mean(sc, gains, k)
-    dev_scale = None
     if sc.family.stochastic:
         clf_d = _clf_dev(sc, gains, k)
-        dev_scale = sc.a_dev[k] if sc.family is Family.GENERAL_MOMENT else sc.a_bar[k]
+        a_d = sc.deviation_dynamics[0][k]
     worst = 0.0
     for i in range(sc.agents):
         for x_bar, moment in probes:
             value = table.alpha_bar[i, k] * x_bar ** p2
             stage = (
-                sc.q_bar[i][k] * x_bar ** p2
-                + sc.r_bar[i][k] * (gains.mean_gain[i, k] * sc.a_bar[k] * x_bar) ** p2
+                sc.q_bar[i, k] * x_bar ** p2
+                + sc.r_bar[i, k] * (gains.mean_gain[i, k] * sc.a_bar[k] * x_bar) ** p2
             )
             nxt = table.alpha_bar[i, k + 1] * (clf_m * x_bar) ** p2
             if sc.family.stochastic:
                 value += table.alpha[i, k] * moment
                 stage += (
-                    sc.q_dev[i][k] * moment
-                    + sc.r_dev[i][k] * (gains.dev_gain[i, k] * dev_scale) ** mo * moment
+                    sc.q_dev[i, k] * moment
+                    + sc.r_dev[i, k] * (gains.dev_gain[i, k] * a_d) ** mo * moment
                 )
                 nxt += table.alpha[i, k + 1] * _push_dev_moment(sc, k, clf_d, moment)
             if table.gamma_bar is not None:
@@ -600,15 +578,14 @@ def _min_curvature(order: int, a, b, r, weight, gain) -> float:
 def sample_convexity(sc: Scenario, table: CoefficientTable, gains: GainSchedule) -> float:
     """Minimum sampled second derivative of the per-agent best-response
     objectives of every channel."""
-    worst = _min_curvature(2 * sc.p, sc.a_bar, np.asarray(sc.b_bar), np.asarray(sc.r_bar),
+    worst = _min_curvature(2 * sc.p, sc.a_bar, sc.b_bar, sc.r_bar,
                            table.alpha_bar[:, 1:], gains.mean_gain)
     if sc.family.stochastic:
         general = sc.family is Family.GENERAL_MOMENT
         noise = [noise_even_moment(sc.noise, k + 1, sc.moment_order) if general else 1.0
                  for k in range(sc.horizon)]
         worst = min(worst, _min_curvature(
-            sc.moment_order, sc.a_dev if general else sc.a_bar,
-            np.asarray(sc.b_dev if general else sc.b_bar), np.asarray(sc.r_dev),
+            sc.moment_order, *sc.deviation_dynamics, sc.r_dev,
             table.alpha[:, 1:] * np.asarray(noise), gains.dev_gain,
         ))
     return worst

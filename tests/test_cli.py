@@ -191,6 +191,23 @@ class TestSimulate:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, initial", [
+        ("mean", {"mean": math.nan}),
+        ("variance", {"mean": 1.0, "kind": "gaussian_around_mean", "variance": math.inf}),
+        ("atom", {"mean": 1.0, "atom": math.nan}),
+        ("samples", {"kind": "empirical_samples", "mean": 1.0, "samples": [1.0, math.inf]}),
+        ("samples", {"kind": "empirical_samples", "samples": [-math.inf, math.inf]}),
+    ])
+    def test_nonfinite_initial_law_exit_3(self, tmp_path, capsys, field, initial):
+        doc = yaml.safe_load(Path(ADD).read_text())
+        doc["initial"] = initial
+        out = tmp_path / "o"
+        assert main(["simulate", write_doc(tmp_path, doc), "--out", str(out),
+                     "--paths", "100"]) == 3
+        assert (f"validation error [initial-law]: initial.{field} must be finite"
+                in capsys.readouterr().err.splitlines())
+        assert not (out / "costs.csv").exists()
+
     def test_resource_error_exit_5(self, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", ADD, "--out", str(out),
@@ -248,6 +265,14 @@ class TestVerify:
     def test_bad_injection_spec_exit_2(self, tmp_path):
         assert main(["verify", DET, "--out", str(tmp_path / "o"),
                      "--inject-gain", "9:*:1.2"]) == 2
+
+    @pytest.mark.parametrize("factor", ["nan", "inf", "-inf"])
+    def test_nonfinite_injection_factor_exit_2(self, tmp_path, capsys, factor):
+        out = tmp_path / "o"
+        assert main(["verify", DET, "--out", str(out), "--inject-gain", f"1:*:{factor}"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --inject-gain factor must be finite, got '{factor}'"]
+        assert not (out / "report.csv").exists()
 
 
 class TestSweep:

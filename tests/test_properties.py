@@ -103,7 +103,8 @@ def pyyaml_text(sc):
     return yaml.safe_dump(scenario_to_doc(sc), sort_keys=True, default_flow_style=False)
 
 
-# Values at the edges of float formatting: signed zero, the smallest
+# Values at the edges of float formatting: signed zero (also next to an
+# unsigned one, which compares equal but is written differently), the smallest
 # subnormal, exponents without a decimal point, the largest finite weight,
 # the largest seed and an explicit moment table of orders 2 and 10.
 # Infinities are invalid in a scenario; test_scalars_match_pyyaml covers them.
@@ -114,7 +115,7 @@ EDGE_DOC = {
     "p": 2,
     "o": 5,
     "dynamics": {"a_bar": [-0.0, 5e-324, 1e16], "b_bar": [[1e300, -0.0, 0.5], 2.5e-7],
-                 "a_dev": 1e-5, "b_dev": [-1e16, 0.1]},
+                 "a_dev": [0.0, -0.0, -0.0], "b_dev": [-1e16, 0.1]},
     "weights": {"q_bar": [[1.0, 1.7976931348623157e308, 1e300, 2.0], 1.0],
                 "r_bar": [5e-324, 1e16], "q_dev": 1.0, "r_dev": [0.1, 1e-300]},
     "noise": {"kind": "explicit_moments", "moments": {2: [0.0, 1e16, -0.0], 10: 945.0}},

@@ -231,9 +231,8 @@ class TestSharedStructure:
             t_det, g_det = solve_deterministic(base)
             common = dict(
                 agents=base.agents, horizon=base.horizon, p=base.p,
-                a_bar=list(base.a_bar), b_bar=[list(b) for b in base.b_bar],
-                q_bar=[list(q) for q in base.q_bar],
-                r_bar=[list(r) for r in base.r_bar],
+                a_bar=base.a_bar.tolist(), b_bar=base.b_bar.tolist(),
+                q_bar=base.q_bar.tolist(), r_bar=base.r_bar.tolist(),
                 initial={"mean": base.x0.mean},
                 noise={"kind": "gaussian", "sigma": 1.0},
             )

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 
+import numpy as np
 import pytest
 import yaml
 
@@ -13,6 +14,7 @@ from mftg import (
     load_scenario,
     serialize_scenario,
     validate,
+    with_params,
 )
 from conftest import LOADERS, REPO, SCENARIOS, load_with, make_scenario, scenario_doc
 
@@ -56,10 +58,10 @@ class TestLoading:
         sc = det_two_agent
         assert sc.family is Family.DETERMINISTIC
         assert (sc.agents, sc.horizon, sc.p) == (2, 7, 2)
-        assert sc.a_bar == (1.0,) * 7
-        assert sc.b_bar == ((-2.0,) * 7, (2.0,) * 7)
-        assert sc.q_bar == ((4.0,) * 8, (5.0,) * 8)
-        assert sc.r_bar == ((6.0,) * 7, (7.0,) * 7)
+        assert sc.a_bar.tolist() == [1.0] * 7
+        assert sc.b_bar.tolist() == [[-2.0] * 7, [2.0] * 7]
+        assert sc.q_bar.tolist() == [[4.0] * 8, [5.0] * 8]
+        assert sc.r_bar.tolist() == [[6.0] * 7, [7.0] * 7]
         assert sc.x0.mean == 10.0
         assert validate(sc) == []
 
@@ -115,8 +117,8 @@ class TestLoading:
     def test_terminal_weight_defaults_to_last_running_entry(self):
         doc = scenario_doc(horizon=3, q_bar=[[1.0, 2.0, 3.0], 4.0])
         sc = load_scenario(yaml.safe_dump(doc))
-        assert sc.q_bar[0] == (1.0, 2.0, 3.0, 3.0)
-        assert sc.q_bar[1] == (4.0, 4.0, 4.0, 4.0)
+        assert sc.q_bar[0].tolist() == [1.0, 2.0, 3.0, 3.0]
+        assert sc.q_bar[1].tolist() == [4.0, 4.0, 4.0, 4.0]
 
     def test_explicit_moments_requires_cost_order(self):
         doc = scenario_doc(family="general_moment_2o2p", o=2,
@@ -130,7 +132,7 @@ class TestLoading:
         doc = scenario_doc(family="additive_variance_2p",
                            noise={"kind": "explicit_moments", "moments": {2: 4.0}})
         sc = load_scenario(yaml.safe_dump(doc))
-        assert sc.noise.sigma == (2.0,)
+        assert sc.noise.sigma.tolist() == [2.0]
 
     def test_deterministic_atom_initial_law(self):
         doc = scenario_doc(initial={"mean": 20.5, "kind": "deterministic", "atom": 20.0})
@@ -145,6 +147,17 @@ class TestLoading:
         assert sc.x0.sample_offset == pytest.approx(0.5)
         assert sum(sc.x0.samples) / 2 == pytest.approx(1.0)
 
+    def test_sample_sum_beyond_float_range(self):
+        doc = scenario_doc(initial={"kind": "empirical_samples", "samples": [1e308, 1e308]})
+        sc = load_scenario(yaml.safe_dump(doc))
+        assert sc.x0.mean == 1e308 and sc.x0.samples.tolist() == [1e308, 1e308]
+
+    def test_zero_horizon_with_empty_rows(self):
+        doc = scenario_doc(horizon=0, a_bar=[], q_bar=[[], []])
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(yaml.safe_dump(doc))
+        assert [d.code for d in err.value.diagnostics] == ["shape"]
+
     def test_unknown_keys_rejected(self):
         doc = scenario_doc()
         doc["mystery"] = 1
@@ -155,26 +168,86 @@ class TestLoading:
 class TestValidateDiagnostics:
     def test_negative_weight_diagnostic(self, det_two_agent):
         broken = dataclasses.replace(
-            det_two_agent, r_bar=((-1.0,) * 7, det_two_agent.r_bar[1])
+            det_two_agent, r_bar=np.array([[-1.0] * 7, det_two_agent.r_bar[1]])
         )
         diags = validate(broken)
         assert any(d.code == "weight-positivity" for d in diags)
 
     def test_length_mismatch_diagnostic(self, det_two_agent):
         broken = dataclasses.replace(
-            det_two_agent, b_bar=((-2.0,) * 6, det_two_agent.b_bar[1])
+            det_two_agent, b_bar=np.array([[-2.0] * 6, [2.0] * 6])
         )
         diags = validate(broken)
         assert any(d.code == "length-mismatch" for d in diags)
 
     def test_non_finite_coefficient_diagnostic(self, det_two_agent):
-        broken = dataclasses.replace(det_two_agent, a_bar=(float("inf"),) * 7)
+        broken = dataclasses.replace(det_two_agent, a_bar=np.full(7, np.inf))
         assert any(d.code == "coefficient-bounded" for d in validate(broken))
 
     def test_validation_is_pure(self, additive_two_agent):
         before = serialize_scenario(additive_two_agent)
         assert validate(additive_two_agent) == []
         assert serialize_scenario(additive_two_agent) == before
+
+
+def _tables(sc):
+    """(name, array, documented shape) for every numeric table of a scenario."""
+    n, agents = sc.horizon, sc.agents
+    for name in ("a_bar", "a_dev"):
+        yield name, getattr(sc, name), (n,)
+    for name in ("b_bar", "r_bar", "b_dev", "r_dev"):
+        yield name, getattr(sc, name), (agents, n)
+    for name in ("q_bar", "q_dev"):
+        yield name, getattr(sc, name), (agents, n + 1)
+    yield "noise.sigma", sc.noise.sigma, (n,)
+    for order, row in sc.noise.moments.items():
+        yield f"noise.moments[{order}]", row, (n,)
+    yield "initial.samples", sc.x0.samples, (3,)
+
+
+class TestArrays:
+    """Every numeric table is a read-only float64 array built once at load."""
+
+    @pytest.fixture
+    def sc(self):
+        return make_scenario(
+            family="general_moment_2o2p", o=2, agents=2, horizon=3,
+            b_bar=[1.0, [0.5, 0.25, 2.0]], q_bar=[[1.0, 2.0, 3.0], 4.0],
+            noise={"kind": "explicit_moments", "moments": {2: [1.0, 1.5, 2.0], 4: 3.0}},
+            initial={"kind": "empirical_samples", "samples": [1.0, 2.5, 3.0]},
+        )
+
+    def test_tables_are_read_only_float64_arrays(self, sc):
+        names = set()
+        for name, table, shape in _tables(sc):
+            names.add(name)
+            assert isinstance(table, np.ndarray) and table.dtype == np.float64, name
+            assert table.shape == shape, name
+            assert table.flags.c_contiguous and table.flags.owndata, name
+            assert not table.flags.writeable, name
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 1.0
+        assert len(names) == 12
+
+    def test_with_params_keeps_the_arrays(self, sc):
+        changed = with_params(sc, p=3)
+        assert changed.p == 3
+        for (name, table, _), (_, kept, _) in zip(_tables(sc), _tables(changed)):
+            assert kept is table, name
+
+    def test_equality_sees_one_ulp(self, sc):
+        b_bar = sc.b_bar.copy()
+        assert dataclasses.replace(sc, b_bar=b_bar) == sc
+        b_bar[1, 2] = np.nextafter(b_bar[1, 2], np.inf)
+        assert dataclasses.replace(sc, b_bar=b_bar) != sc
+
+    def test_equality_never_raises(self, sc):
+        assert sc != dataclasses.replace(sc, b_bar=sc.b_bar[:, :2])
+        assert sc != dataclasses.replace(sc, a_dev=None)
+        assert sc.noise != dataclasses.replace(sc.noise, moments=None)
+        assert sc.noise != dataclasses.replace(sc.noise, moments={2: sc.noise.moments[2]})
+        assert sc.x0 != dataclasses.replace(sc.x0, samples=None)
+        assert sc != "scenario" and sc.noise != 1.0 and sc.x0 != sc
 
 
 class TestRoundTrip:

@@ -70,7 +70,7 @@ class TestInitialMoments:
         assert initial_central_moment(law, 4) == pytest.approx(12.0)
 
     def test_samples(self):
-        law = InitialLaw(mean=1.0, kind="empirical_samples", samples=(0.0, 2.0))
+        law = InitialLaw(mean=1.0, kind="empirical_samples", samples=np.array([0.0, 2.0]))
         assert initial_central_moment(law, 2) == pytest.approx(1.0)
         assert initial_central_moment(law, 4) == pytest.approx(1.0)
 

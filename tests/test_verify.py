@@ -128,6 +128,16 @@ class TestBruteForceOneStep:
         assert sol.dev_gain[0] == pytest.approx(0.5, abs=1e-8)
         assert sol.dev_value[0] == pytest.approx(1.5, abs=1e-8)
 
+    def test_general_family_needs_only_its_own_moment(self):
+        # An explicit table without order 2: the general family prices E[eps^4] only.
+        sc = make_scenario(family="general_moment_2o2p", agents=2, horizon=1, p=2, o=2,
+                           a_dev=0.9, noise={"kind": "explicit_moments", "sigma": 1.0,
+                                             "moments": {4: 3.0}})
+        _, gains = solve(sc)
+        sol = brute_force_one_step(sc)
+        assert sol.converged
+        np.testing.assert_allclose(sol.dev_gain, gains.dev_gain[:, 0], atol=1e-6)
+
     def test_rejects_longer_horizons(self, det_two_agent):
         with pytest.raises(ValueError):
             brute_force_one_step(det_two_agent)
@@ -193,11 +203,11 @@ class TestBruteForceOneStep:
             lam = float(rng.uniform(0.1, 10.0))
             scaled = make_scenario(
                 family="deterministic_2p", agents=sc.agents, horizon=sc.horizon,
-                p=sc.p, a_bar=list(sc.a_bar), b_bar=[list(b) for b in sc.b_bar],
-                q_bar=[[lam * v for v in row] if i == 0 else list(row)
-                       for i, row in enumerate(sc.q_bar)],
-                r_bar=[[lam * v for v in row] if i == 0 else list(row)
-                       for i, row in enumerate(sc.r_bar)],
+                p=sc.p, a_bar=sc.a_bar.tolist(), b_bar=sc.b_bar.tolist(),
+                q_bar=[[lam * v for v in row] if i == 0 else row
+                       for i, row in enumerate(sc.q_bar.tolist())],
+                r_bar=[[lam * v for v in row] if i == 0 else row
+                       for i, row in enumerate(sc.r_bar.tolist())],
                 initial={"mean": sc.x0.mean},
             )
             _, gains2 = solve(scaled)
