@@ -59,21 +59,28 @@ def _odd_double_factorial(n: int) -> float:
     return out
 
 
-def even_power(x, m: int) -> np.ndarray:
+def even_power(x, m: int, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise x**m for an integer m >= 1, by repeated squaring.
 
     ``x ** m`` with m other than 2 goes through libm ``pow``, which is far
     slower than a few multiplications; every step here works in place on a
     single output array.  m = 1 and m = 2 match ``**`` bit for bit; higher
-    orders agree to within a few ulps.
+    orders agree to within a few ulps.  With ``out`` the result is written
+    there, with the same bits; ``out`` may be ``x`` itself, in which case x
+    is copied first only when m is not a power of two.
     """
     if m < 1:
         raise ValueError(f"power must be a positive integer, got {m}")
     x = np.asarray(x, dtype=float)
     bits = bin(m)[3:]  # exponent bits below the leading one
+    if out is None:
+        out = np.empty_like(x)
+    elif "1" in bits and np.may_share_memory(x, out):
+        x = x.copy()
     if not bits:
-        return x.copy()
-    out = np.multiply(x, x)
+        np.copyto(out, x)
+        return out
+    np.multiply(x, x, out=out)
     if bits[0] == "1":
         out *= x
     for bit in bits[1:]:

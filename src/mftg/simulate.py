@@ -7,10 +7,20 @@ would couple paths).  Monte Carlo paths are drawn in fixed blocks of
 CHUNK_SIZE paths, each from its own substream derived from (seed, block
 index), which makes ensembles reproducible bit for bit regardless of how
 blocks are scheduled over worker threads.
+
+Each block runs step-major: states and their deviations from the mean
+(N+1, B) and controls (N, I, B) are filled one step row at a time, the
+deviations are raised to the moment order once, in place, and both the
+per-path costs and the block's moment sums read those powers.  A run that
+keeps its paths (up to the store cap) reduces its statistics over the
+stored paths in path order; a streamed run sums each block over its paths
+and adds the block sums in block order.  The two agree to about 1e-13
+relative, not bit for bit.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,7 +34,8 @@ from .scenario import Family, InitialLaw, Scenario
 DEFAULT_STORE_CAP = 100_000
 # Paths per random-stream block; chunks are whole blocks (the last may be partial).
 CHUNK_SIZE = 4096
-# Ceiling on floats held at once (path-cost matrix plus one chunk).
+# Ceiling on floats held at once: the per-path costs, the path store when
+# one is kept, and the block arrays of every concurrent worker.
 MAX_PATH_FLOATS = 400_000_000
 
 
@@ -105,15 +116,16 @@ def initial_central_moment(law: InitialLaw, order: int) -> float:
     return float(np.mean((law.samples - law.mean) ** order))
 
 
-def _draw_paths(sc: Scenario, seed: int, lo: int, hi: int):
-    """Initial states and scaled noise rows for paths lo..hi-1 of one block.
+def _draw_paths(sc: Scenario, seed: int, lo: int, eps: np.ndarray) -> np.ndarray:
+    """Initial states of paths lo..lo+B-1 of one block, with their scaled
+    noise written step-major into eps (N, B).
 
     lo must start a block.  The block's substream first draws a full block
     of initial states (when the law is random), then one noise row per
     path as a single draw, so a partial last block yields the first rows of
     a full one and the first n paths of any ensemble are the same.
     """
-    rows, n = hi - lo, sc.horizon
+    rows, n = eps.shape[1], sc.horizon
     law = sc.x0
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), lo // CHUNK_SIZE]))
     if law.kind == "deterministic":
@@ -124,22 +136,23 @@ def _draw_paths(sc: Scenario, seed: int, lo: int, hi: int):
         x0 = law.samples[rng.integers(0, len(law.samples), CHUNK_SIZE)[:rows]]
     kind = sc.noise.kind
     if kind == "gaussian":
-        eps = rng.standard_normal((rows, n))
+        raw = rng.standard_normal((rows, n))
     elif kind == "rademacher":
-        eps = 2.0 * rng.integers(0, 2, (rows, n)) - 1.0
+        raw = 2.0 * rng.integers(0, 2, (rows, n)) - 1.0
     else:
-        eps = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (rows, n))
-    eps *= sc.noise.sigma
-    return x0, eps
+        raw = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (rows, n))
+    np.multiply(raw.T, sc.noise.sigma[:, None], out=eps)
+    return x0
 
 
-def _simulate_chunk(sc: Scenario, gains: GainSchedule, mean: MeanPath,
-                    seed: int, lo: int, x: np.ndarray, u: np.ndarray) -> None:
-    """Fill x (B, N+1) and u (I, B, N) with the closed-loop paths lo..lo+B-1
-    of one block; they may be views into the ensemble's path store."""
+def _propagate_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, seed: int,
+                     lo: int, x: np.ndarray, d: np.ndarray, u: np.ndarray,
+                     eps: np.ndarray) -> None:
+    """Fill the step-major states x (N+1, B), their deviations d = x - x_bar
+    and the controls u (N, I, B) of paths lo..lo+B-1 of one block."""
     family = sc.family
-    x0, eps = _draw_paths(sc, seed, lo, lo + x.shape[0])
-    x[:, 0] = x0
+    x[0] = _draw_paths(sc, seed, lo, eps)
+    np.subtract(x[0], mean.x_bar[0], out=d[0])
     g_dev = gains.dev_gain
     a, b = sc.deviation_dynamics
     # The dynamics split exactly into the mean recursion plus a deviation
@@ -147,32 +160,78 @@ def _simulate_chunk(sc: Scenario, gains: GainSchedule, mean: MeanPath,
     # zero-noise paths bit-identical to the mean path.  The controls' push
     # b.v is applied as a scalar times d rather than a matrix product, so
     # each path's arithmetic does not depend on how many paths share its
-    # chunk (a matrix product may round differently for a one-row chunk).
+    # block.  d[k + 1] serves as scratch until it is written at the step's end.
     for k in range(sc.horizon):
         gain = g_dev[:, k] * a[k]
-        d = x[:, k] - mean.x_bar[k]
-        u[:, :, k] = mean.u_bar[:, k][:, None] - gain[:, None] * d[None, :]
-        dev_next = a[k] * d - (b[:, k] @ gain) * d
+        np.multiply(gain[:, None], d[k], out=u[k])
+        np.subtract(mean.u_bar[:, k, None], u[k], out=u[k])
+        nxt, tmp = x[k + 1], d[k + 1]
+        np.multiply(d[k], a[k], out=nxt)
+        np.multiply(d[k], b[:, k] @ gain, out=tmp)
+        nxt -= tmp
         if family is Family.ADDITIVE:
-            dev_next += eps[:, k]
+            nxt += eps[k]
         elif family is Family.MULTIPLICATIVE:
-            dev_next += d * eps[:, k]
+            np.multiply(d[k], eps[k], out=tmp)
+            nxt += tmp
         else:
-            dev_next *= eps[:, k]
-        x[:, k + 1] = mean.x_bar[k + 1] + dev_next
+            nxt *= eps[k]
+        nxt += mean.x_bar[k + 1]
+        np.subtract(nxt, mean.x_bar[k + 1], out=d[k + 1])
 
 
-def _dev_cost_per_path(sc: Scenario, mean: MeanPath, x: np.ndarray, u: np.ndarray):
-    """Deviation-cost contribution of each path, per agent: (I, B)."""
-    n = sc.horizon
-    mo = sc.moment_order
-    q_dev, r_dev = sc.q_dev, sc.r_dev
-    d_pow = even_power(x - mean.x_bar[None, :], mo)
-    out = d_pow[:, :n] @ q_dev[:, :n].T
-    out += np.outer(d_pow[:, n], q_dev[:, n])
-    v_pow = even_power(u - mean.u_bar[:, None, :], mo)
-    out += np.einsum("ibk,ik->bi", v_pow, r_dev)
+def _path_sums(x: np.ndarray, d: np.ndarray, mo: int):
+    """Sums over the last (path) axis of x, d**2 and d**mo; d is raised to
+    the moment order in place."""
+    x_sum = x.sum(axis=-1)
+    d2_sum = None if mo == 2 else np.einsum("...b,...b->...", d, d)
+    even_power(d, mo, out=d)
+    dmo_sum = d.sum(axis=-1)
+    return x_sum, dmo_sum if d2_sum is None else d2_sum, dmo_sum
+
+
+def _path_cost_dev(sc: Scenario, d_pow: np.ndarray, v_pow: np.ndarray,
+                   x_buf: np.ndarray, u_buf: np.ndarray) -> np.ndarray:
+    """Deviation-cost contribution of each path of a block, per agent: (I, B).
+
+    d_pow (N+1, B) and v_pow (N, I, B) are the deviations raised to the
+    moment order.  A matrix product may round differently with its operands'
+    layout, so they are first copied path-major into the block's freed
+    state and control buffers, and the products are taken there: each
+    path's cost then has the same bits as a path-major kernel gives, for
+    any block size.
+    """
+    n, rows = sc.horizon, d_pow.shape[1]
+    d_path = x_buf.reshape(-1)[:d_pow.size].reshape(rows, n + 1)
+    v_path = u_buf.reshape(-1)[:v_pow.size].reshape(sc.agents, rows, n)
+    np.copyto(d_path, d_pow.T)
+    np.copyto(v_path, v_pow.transpose(1, 2, 0))
+    q_dev = sc.q_dev
+    out = d_path[:, :n] @ q_dev[:, :n].T
+    out += np.outer(d_path[:, n], q_dev[:, n])
+    out += np.einsum("ibk,ik->bi", v_path, sc.r_dev)
     return out.T
+
+
+def _memory_plan(sc: Scenario, n_paths: int, store_cap: int) -> tuple[bool, int, int]:
+    """Whether a run keeps its path store, the floats it holds throughout,
+    and the floats each of its workers holds, counted against MAX_PATH_FLOATS.
+
+    A run holds the per-path costs (before and after the mean terms), each
+    block's partial sums, and the path store when it keeps one.  A worker
+    holds its block arrays (x, d, u, v), the noise in both layouts, the
+    block's per-path costs, and the copy even_power takes of v when the
+    moment order is not a power of two.
+    """
+    n, agents, mo = sc.horizon, sc.agents, sc.moment_order
+    blocks = -(-n_paths // CHUNK_SIZE)
+    held = 2 * agents * n_paths + blocks * 3 * (n + 1 + agents * n)
+    power_copy = agents * n if mo & (mo - 1) else 0
+    per_worker = min(CHUNK_SIZE, n_paths) * (
+        2 * (n + 1) + 2 * n + 2 * agents * n + 3 * agents + power_copy)
+    store_floats = n_paths * (n + 1 + agents * n)
+    store = n_paths <= store_cap and held + store_floats + per_worker <= MAX_PATH_FLOATS
+    return store, (held + store_floats if store else held), per_worker
 
 
 def run_ensemble(
@@ -189,6 +248,8 @@ def run_ensemble(
     Paths are processed in the fixed blocks their random streams are keyed
     by; worker threads only decide which block runs when, never how
     statistics are reduced, so results are identical for any thread count.
+    Each worker reuses one set of block arrays, and no more workers run
+    than MAX_PATH_FLOATS has room for.
     """
     if not sc.family.stochastic:
         raise ValueError("deterministic scenarios have no ensemble; use propagate_mean")
@@ -202,11 +263,13 @@ def run_ensemble(
     seed = sc.mc.seed if seed is None else int(seed)
     n, agents = sc.horizon, sc.agents
 
-    if n_paths * (agents + 2) > MAX_PATH_FLOATS:
+    store, held, per_worker = _memory_plan(sc, n_paths, store_cap)
+    workers = min(threads, (MAX_PATH_FLOATS - held) // per_worker)
+    if workers < 1:
         raise ResourceLimitError(
-            f"{n_paths} paths exceed the in-memory budget for per-path statistics"
+            f"{n_paths} paths need {held + per_worker} floats with one worker, "
+            f"above the in-memory budget of {MAX_PATH_FLOATS}"
         )
-    store = n_paths <= store_cap and n_paths * (n + 1) * (agents + 1) <= MAX_PATH_FLOATS
 
     mean = propagate_mean(sc, gains)
     mo = sc.moment_order
@@ -215,32 +278,32 @@ def run_ensemble(
     x_store = np.empty((n_paths, n + 1)) if store else None
     u_store = np.empty((agents, n_paths, n)) if store else None
     partials: list = [None] * len(chunks)
+    # One set of step-major block arrays per worker: x, d, u, v and eps.
+    block = chunks[0][1]
+    shapes = [(n + 1, block)] * 2 + [(n, agents, block)] * 2 + [(n, block)]
+    local = threading.local()
 
     def work(ci: int) -> None:
         lo, hi = chunks[ci]
+        if not hasattr(local, "buffers"):
+            local.buffers = [np.empty(shape) for shape in shapes]
+        x, d, u, v, eps = (buf[..., :hi - lo] for buf in local.buffers)
+        _propagate_block(sc, gains, mean, seed, lo, x, d, u, eps)
+        np.subtract(u, mean.u_bar.T[:, :, None], out=v)
         if store:
-            x, u = x_store[lo:hi], u_store[:, lo:hi]
+            x_store[lo:hi] = x.T
+            u_store[:, lo:hi] = u.transpose(1, 2, 0)
+            even_power(d, mo, out=d)
+            even_power(v, mo, out=v)
         else:
-            x, u = np.empty((hi - lo, n + 1)), np.empty((agents, hi - lo, n))
-        _simulate_chunk(sc, gains, mean, seed, lo, x, u)
-        path_cost_dev[:, lo:hi] = _dev_cost_per_path(sc, mean, x, u)
-        if not store:
-            d = x - mean.x_bar[None, :]
-            v = u - mean.u_bar[:, None, :]
-            partials[ci] = (
-                x.sum(axis=0),
-                (d ** 2).sum(axis=0),
-                even_power(d, mo).sum(axis=0),
-                u.sum(axis=1),
-                (v ** 2).sum(axis=1),
-                even_power(v, mo).sum(axis=1),
-            )
+            partials[ci] = _path_sums(x, d, mo) + _path_sums(u, v, mo)
+        path_cost_dev[:, lo:hi] = _path_cost_dev(sc, d, v, local.buffers[0], local.buffers[2])
 
-    if threads <= 1 or len(chunks) == 1:
+    if workers == 1 or len(chunks) == 1:
         for ci in range(len(chunks)):
             work(ci)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(len(chunks))))
 
     if store:
@@ -253,13 +316,15 @@ def run_ensemble(
         u_dev_m2 = (v ** 2).sum(axis=1) / n_paths
         u_dev_m2o = even_power(v, mo).sum(axis=1) / n_paths
     else:
+        # Block sums are added in block order, whichever worker made them.
         sums = [np.zeros_like(p) for p in partials[0]]
         for part in partials:
             for acc, val in zip(sums, part):
                 acc += val
-        emp_mean, dev_m2, dev_m2o, u_mean, u_dev_m2, u_dev_m2o = (
-            s / n_paths for s in sums
-        )
+        emp_mean, dev_m2, dev_m2o = (s / n_paths for s in sums[:3])
+        # Control sums are step-major (N, I); the statistics are (I, N).
+        u_mean, u_dev_m2, u_dev_m2o = (np.ascontiguousarray(s.T) / n_paths
+                                       for s in sums[3:])
 
     # Mean cost terms are path-independent constants; add them so that the
     # per-path costs average to the full realized cost.

@@ -108,6 +108,18 @@ class TestEvenPower:
         np.testing.assert_array_equal(x, [-2.0, 3.0])
         np.testing.assert_array_equal(even_power([-2.0, 0.5], 3), [-8.0, 0.125])
 
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_out_and_in_place_match_bit_for_bit(self, m):
+        x = self._samples()
+        with np.errstate(over="ignore", under="ignore"):
+            want = even_power(x, m)
+            out = np.empty_like(x)
+            assert even_power(x, m, out=out) is out
+            inplace = x.copy()
+            even_power(inplace, m, out=inplace)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(inplace, want)
+
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
             even_power(np.ones(3), 0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mftg.simulate
 from mftg import (
     NumericDomainError,
     ResourceLimitError,
@@ -10,8 +11,87 @@ from mftg import (
     run_ensemble,
     solve,
 )
-from mftg.scenario import InitialLaw
-from conftest import make_scenario, random_deterministic
+from mftg.cli import main
+from mftg.numerics import even_power
+from mftg.scenario import Family, InitialLaw
+from mftg.simulate import CHUNK_SIZE
+from conftest import SCENARIOS, make_scenario, random_deterministic
+
+STATISTICS = ("emp_mean", "dev_m2", "dev_m2o", "u_mean", "u_dev_m2", "u_dev_m2o")
+
+
+# The path-major block kernel that run_ensemble's step-major kernel replaced,
+# kept as its reference: paths (B, N+1), controls (I, B, N) and per-path
+# costs must agree with it bit for bit.
+def _reference_draws(sc, seed, lo, hi):
+    rows, n = hi - lo, sc.horizon
+    law = sc.x0
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), lo // CHUNK_SIZE]))
+    if law.kind == "deterministic":
+        x0 = np.full(rows, law.start_value())
+    elif law.kind == "gaussian_around_mean":
+        x0 = law.mean + np.sqrt(law.variance) * rng.standard_normal(CHUNK_SIZE)[:rows]
+    else:
+        x0 = law.samples[rng.integers(0, len(law.samples), CHUNK_SIZE)[:rows]]
+    kind = sc.noise.kind
+    if kind == "gaussian":
+        eps = rng.standard_normal((rows, n))
+    elif kind == "rademacher":
+        eps = 2.0 * rng.integers(0, 2, (rows, n)) - 1.0
+    else:
+        eps = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), (rows, n))
+    eps *= sc.noise.sigma
+    return x0, eps
+
+
+def _reference_chunk(sc, gains, mean, seed, lo, hi):
+    x = np.empty((hi - lo, sc.horizon + 1))
+    u = np.empty((sc.agents, hi - lo, sc.horizon))
+    x0, eps = _reference_draws(sc, seed, lo, hi)
+    x[:, 0] = x0
+    g_dev = gains.dev_gain
+    a, b = sc.deviation_dynamics
+    for k in range(sc.horizon):
+        gain = g_dev[:, k] * a[k]
+        d = x[:, k] - mean.x_bar[k]
+        u[:, :, k] = mean.u_bar[:, k][:, None] - gain[:, None] * d[None, :]
+        dev_next = a[k] * d - (b[:, k] @ gain) * d
+        if sc.family is Family.ADDITIVE:
+            dev_next += eps[:, k]
+        elif sc.family is Family.MULTIPLICATIVE:
+            dev_next += d * eps[:, k]
+        else:
+            dev_next *= eps[:, k]
+        x[:, k + 1] = mean.x_bar[k + 1] + dev_next
+    return x, u
+
+
+def _reference_path_cost(sc, mean, x, u):
+    n, mo, p2 = sc.horizon, sc.moment_order, 2 * sc.p
+    d_pow = even_power(x - mean.x_bar[None, :], mo)
+    out = d_pow[:, :n] @ sc.q_dev[:, :n].T
+    out += np.outer(d_pow[:, n], sc.q_dev[:, n])
+    v_pow = even_power(u - mean.u_bar[:, None, :], mo)
+    out += np.einsum("ibk,ik->bi", v_pow, sc.r_dev)
+    mean_const = (
+        sc.q_bar[:, :n] @ mean.x_bar[:n] ** p2
+        + (sc.r_bar * mean.u_bar ** p2).sum(axis=1)
+        + sc.q_bar[:, n] * mean.x_bar[n] ** p2
+    )
+    return out.T + mean_const[:, None]
+
+
+def _kernel_case(family, o, noise, initial):
+    general = family == "general_moment_2o2p"
+    return make_scenario(
+        family=family, agents=3, horizon=5, p=2, o=o,
+        a_bar=[1.1, 0.9, 1.0, 0.8, 1.2], b_bar=[0.5, -0.7, 1.0],
+        q_bar=[4.0, 5.0, 3.0], r_bar=[6.0, 7.0, 2.0],
+        q_dev=[2.0, 3.0, 1.5], r_dev=[2.0, 1.0, 0.5],
+        a_dev=0.9 if general else None, b_dev=[1.0, 0.8, -0.6] if general else None,
+        noise={"kind": noise, "sigma": [0.3, 0.5, 0.7, 0.4, 0.6]},
+        initial=initial,
+    )
 
 
 class TestMeanPath:
@@ -140,15 +220,29 @@ class TestEnsemble:
             np.testing.assert_array_equal(ens.emp_mean, runs[0].emp_mean)
             np.testing.assert_array_equal(ens.path_cost, runs[0].path_cost)
 
-    def test_streaming_mode_matches_stored_statistics(self, additive_two_agent):
-        sc = additive_two_agent
+    @pytest.mark.parametrize("fixture", ["additive_two_agent", "general_two_agent"])
+    def test_streamed_thread_invariance(self, fixture, request):
+        # 9000 paths: two full blocks and a partial one, reduced without a store.
+        sc = request.getfixturevalue(fixture)
         _, gains = solve(sc)
-        stored = run_ensemble(sc, gains, paths=5000, seed=4)
-        streamed = run_ensemble(sc, gains, paths=5000, seed=4, store_cap=100)
-        assert streamed.x is None
-        np.testing.assert_allclose(streamed.emp_mean, stored.emp_mean, rtol=1e-12)
-        np.testing.assert_allclose(streamed.dev_m2, stored.dev_m2, rtol=1e-12)
-        np.testing.assert_array_equal(streamed.path_cost, stored.path_cost)
+        runs = [run_ensemble(sc, gains, paths=9000, seed=9, threads=t, store_cap=100)
+                for t in (1, 2, 8)]
+        assert runs[0].x is None
+        for ens in runs[1:]:
+            for name in STATISTICS + ("path_cost",):
+                np.testing.assert_array_equal(getattr(ens, name), getattr(runs[0], name))
+
+    def test_streaming_mode_matches_stored_statistics(self, request):
+        for fixture in ("additive_two_agent", "multiplicative_two_agent", "general_two_agent"):
+            sc = request.getfixturevalue(fixture)
+            _, gains = solve(sc)
+            stored = run_ensemble(sc, gains, paths=5000, seed=4)
+            streamed = run_ensemble(sc, gains, paths=5000, seed=4, store_cap=100)
+            assert streamed.x is None
+            for name in STATISTICS:
+                np.testing.assert_allclose(getattr(streamed, name), getattr(stored, name),
+                                           rtol=1e-12, err_msg=f"{fixture} {name}")
+            np.testing.assert_array_equal(streamed.path_cost, stored.path_cost)
 
     @pytest.mark.parametrize("fixture", ["additive_two_agent", "multiplicative_two_agent",
                                          "general_two_agent"])
@@ -162,6 +256,7 @@ class TestEnsemble:
             longer = run_ensemble(sc, gains, paths=5000, seed=seed)
             np.testing.assert_array_equal(short.x, longer.x[:4097])
             np.testing.assert_array_equal(short.u, longer.u[:, :4097])
+            np.testing.assert_array_equal(short.path_cost, longer.path_cost[:, :4097])
 
     def test_stats_are_exact_statistics_of_stored_paths(self, additive_two_agent):
         sc = additive_two_agent
@@ -191,6 +286,37 @@ class TestEnsemble:
         with pytest.raises(ResourceLimitError):
             run_ensemble(additive_two_agent, gains, paths=10 ** 12)
 
+    def test_memory_budget_limits_workers(self, additive_two_agent, monkeypatch):
+        sc = additive_two_agent
+        _, gains = solve(sc)
+        want = run_ensemble(sc, gains, paths=9000, seed=9, store_cap=100)
+        _, held, per_worker = mftg.simulate._memory_plan(sc, 9000, 100)
+        pools = []
+
+        class RecordingPool(mftg.simulate.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(mftg.simulate, "ThreadPoolExecutor", RecordingPool)
+        for workers in (1, 2):
+            monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + workers * per_worker)
+            got = run_ensemble(sc, gains, paths=9000, seed=9, threads=8, store_cap=100)
+            for name in STATISTICS + ("path_cost",):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert pools == [2]  # one worker runs the blocks in the calling thread
+
+    def test_budget_below_one_block_exits_5(self, additive_two_agent, monkeypatch, tmp_path):
+        sc = additive_two_agent
+        _, held, per_worker = mftg.simulate._memory_plan(sc, 9000, 0)
+        monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + per_worker - 1)
+        _, gains = solve(sc)
+        with pytest.raises(ResourceLimitError):
+            run_ensemble(sc, gains, paths=9000, threads=8)
+        out = tmp_path / "out"
+        assert main(["simulate", str(SCENARIOS / "additive_two_agent.yaml"), "--out", str(out),
+                     "--paths", "9000", "--threads", "8"]) == 5
+
     def test_gaussian_initial_law_and_rademacher_noise(self):
         sc = make_scenario(
             family="multiplicative_variance_2p", agents=1, horizon=4, p=1,
@@ -203,6 +329,34 @@ class TestEnsemble:
         predicted = evaluate_cost(sc, ens, table)[0]
         z = (predicted.total - predicted.predicted) / predicted.std_error
         assert abs(z) <= 3.0
+
+
+@pytest.mark.parametrize("initial", [
+    {"mean": 2.0, "kind": "deterministic", "atom": 2.5},
+    {"mean": 2.0, "kind": "gaussian_around_mean", "variance": 0.5},
+    {"mean": 2.0, "kind": "empirical_samples", "samples": [1.0, 2.5, 3.0, 0.5]},
+], ids=["deterministic", "gaussian_around_mean", "empirical_samples"])
+@pytest.mark.parametrize("noise", ["gaussian", "rademacher", "uniform"])
+@pytest.mark.parametrize("family,o", [
+    ("additive_variance_2p", None),
+    ("multiplicative_variance_2p", None),
+    ("general_moment_2o2p", 2),
+    ("general_moment_2o2p", 3),  # moment order 6 is not a power of two
+])
+def test_block_kernel_matches_reference(family, o, noise, initial):
+    """Full blocks of 4096, the 1808-path last block of a 10,000-path run
+    and a one-path block, against the path-major reference kernel."""
+    sc = _kernel_case(family, o, noise, initial)
+    _, gains = solve(sc)
+    for paths, blocks in ((10_000, ((0, 4096), (4096, 8192), (8192, 10_000))),
+                          (1, ((0, 1),))):
+        ens = run_ensemble(sc, gains, paths=paths, seed=6, threads=2)
+        for lo, hi in blocks:
+            x, u = _reference_chunk(sc, gains, ens.mean, 6, lo, hi)
+            np.testing.assert_array_equal(ens.x[lo:hi], x)
+            np.testing.assert_array_equal(ens.u[:, lo:hi], u)
+            np.testing.assert_array_equal(ens.path_cost[:, lo:hi],
+                                          _reference_path_cost(sc, ens.mean, x, u))
 
 
 class TestCostEvaluation:
