@@ -228,10 +228,6 @@ def cmd_simulate(args) -> int:
     sc = load_scenario_file(args.scenario)
     table, gains = solve(sc)
     out = Path(args.out)
-    mean = propagate_mean(sc, gains)
-    terminal = (sc.horizon + 1, 2)
-    files = {"meanpath.csv": _write_csv(out / "meanpath.csv", _meanpath_header(sc.agents),
-                                        [_meanpath_columns(sc, mean)], terminal)}
     extras = {"paths": 0, "threads": args.threads}
 
     paths = args.paths if args.paths is not None else sc.mc.paths
@@ -240,28 +236,29 @@ def cmd_simulate(args) -> int:
         if paths:
             print("warning: deterministic scenario; --paths ignored, "
                   "mean path only", file=sys.stderr)
-        breakdown = evaluate_cost(sc, mean, table)
+    elif paths < 1:
+        print("warning: monte_carlo.paths is 0; mean path only", file=sys.stderr)
     else:
-        if paths < 1:
-            print("warning: monte_carlo.paths is 0; mean path only", file=sys.stderr)
-            breakdown = evaluate_cost(sc, mean, table)
-        else:
-            ensemble = run_ensemble(sc, gains, paths=paths, seed=args.seed,
-                                    threads=args.threads)
-            breakdown = evaluate_cost(sc, ensemble, table)
-            extras["paths"] = ensemble.n_paths
-            extras["ensemble_seed"] = ensemble.seed
-            files["ensemble_stats.csv"] = _write_csv(
-                out / "ensemble_stats.csv", ["k", "emp_mean", "emp_var", "emp_moment_2o"],
-                [[np.arange(sc.horizon + 1), ensemble.emp_mean, ensemble.dev_m2,
-                  ensemble.dev_m2o]],
+        ensemble = run_ensemble(sc, gains, paths=paths, seed=args.seed, threads=args.threads)
+    mean = propagate_mean(sc, gains) if ensemble is None else ensemble.mean
+    terminal = (sc.horizon + 1, 2)
+    files = {"meanpath.csv": _write_csv(out / "meanpath.csv", _meanpath_header(sc.agents),
+                                        [_meanpath_columns(sc, mean)], terminal)}
+    breakdown = evaluate_cost(sc, mean if ensemble is None else ensemble, table)
+    if ensemble is not None:
+        extras["paths"] = ensemble.n_paths
+        extras["ensemble_seed"] = ensemble.seed
+        files["ensemble_stats.csv"] = _write_csv(
+            out / "ensemble_stats.csv", ["k", "emp_mean", "emp_var", "emp_moment_2o"],
+            [[np.arange(sc.horizon + 1), ensemble.emp_mean, ensemble.dev_m2,
+              ensemble.dev_m2o]],
+        )
+        if ensemble.x is not None and ensemble.n_paths * (sc.horizon + 1) <= TRAJECTORY_ROW_LIMIT:
+            files["trajectories.csv"] = _write_csv(
+                out / "trajectories.csv",
+                ["path", "k", "x"] + [f"u_{i + 1}" for i in range(sc.agents)],
+                _trajectory_blocks(sc, ensemble), (sc.horizon + 1, 3),
             )
-            if ensemble.x is not None and ensemble.n_paths * (sc.horizon + 1) <= TRAJECTORY_ROW_LIMIT:
-                files["trajectories.csv"] = _write_csv(
-                    out / "trajectories.csv",
-                    ["path", "k", "x"] + [f"u_{i + 1}" for i in range(sc.agents)],
-                    _trajectory_blocks(sc, ensemble), (sc.horizon + 1, 3),
-                )
 
     files["costs.csv"] = _write_csv(out / "costs.csv", COST_HEADER, [_cost_columns(breakdown)])
 

@@ -616,21 +616,17 @@ def validate(sc: Scenario) -> list[Diagnostic]:
 # serialization
 
 
-def scenario_to_doc(sc: Scenario) -> dict:
-    """Plain-dict form of a materialized scenario (loss-free)."""
+def _document(sc: Scenario) -> dict:
+    """The canonical document of a materialized scenario, with its tables
+    as the scenario's arrays: the one description of the layout, which
+    ``scenario_to_doc`` and ``serialize_scenario`` share."""
     doc: dict = {
         "family": sc.family.value,
         "agents": sc.agents,
         "horizon": sc.horizon,
         "p": sc.p,
-        "dynamics": {
-            "a_bar": sc.a_bar.tolist(),
-            "b_bar": sc.b_bar.tolist(),
-        },
-        "weights": {
-            "q_bar": sc.q_bar.tolist(),
-            "r_bar": sc.r_bar.tolist(),
-        },
+        "dynamics": {"a_bar": sc.a_bar, "b_bar": sc.b_bar},
+        "weights": {"q_bar": sc.q_bar, "r_bar": sc.r_bar},
         "monte_carlo": {
             "paths": sc.mc.paths,
             "seed": sc.mc.seed,
@@ -640,14 +636,14 @@ def scenario_to_doc(sc: Scenario) -> dict:
     if sc.o is not None:
         doc["o"] = sc.o
     if sc.family.uses_dev_dynamics:
-        doc["dynamics"]["a_dev"] = sc.a_dev.tolist()
-        doc["dynamics"]["b_dev"] = sc.b_dev.tolist()
+        doc["dynamics"]["a_dev"] = sc.a_dev
+        doc["dynamics"]["b_dev"] = sc.b_dev
     if sc.family.stochastic:
-        doc["weights"]["q_dev"] = sc.q_dev.tolist()
-        doc["weights"]["r_dev"] = sc.r_dev.tolist()
-        noise = {"kind": sc.noise.kind, "sigma": sc.noise.sigma.tolist()}
+        doc["weights"]["q_dev"] = sc.q_dev
+        doc["weights"]["r_dev"] = sc.r_dev
+        noise = {"kind": sc.noise.kind, "sigma": sc.noise.sigma}
         if sc.noise.moments is not None:
-            noise["moments"] = {order: row.tolist() for order, row in sc.noise.moments.items()}
+            noise["moments"] = sc.noise.moments
         doc["noise"] = noise
 
     law = sc.x0
@@ -657,10 +653,22 @@ def scenario_to_doc(sc: Scenario) -> dict:
     if law.kind == "gaussian_around_mean":
         initial["variance"] = float(law.variance)
     if law.kind == "empirical_samples":
-        initial["samples"] = law.samples.tolist()
+        initial["samples"] = law.samples
         initial["sample_offset"] = float(law.sample_offset)
     doc["initial"] = initial
     return doc
+
+
+def _plain(node):
+    """A document with every table turned into (nested) Python lists."""
+    if isinstance(node, dict):
+        return {key: _plain(value) for key, value in node.items()}
+    return node.tolist() if isinstance(node, np.ndarray) else node
+
+
+def scenario_to_doc(sc: Scenario) -> dict:
+    """Plain-dict form of a materialized scenario (loss-free)."""
+    return _plain(_document(sc))
 
 
 def _yaml_scalar(value) -> str:
@@ -669,7 +677,8 @@ def _yaml_scalar(value) -> str:
     Floats follow its rule: ``repr`` (lower-case already), with ``.0``
     inserted before an exponent that has no decimal point, and ``.inf``,
     ``-.inf`` and ``.nan``.  Every string in a scenario document is a schema
-    identifier (family, kind, stream scheme), which YAML writes plain.
+    identifier (family, kind, stream scheme), which YAML writes plain.  An
+    empty table is written ``[]``.
     """
     if isinstance(value, float):
         text = repr(value)
@@ -678,49 +687,70 @@ def _yaml_scalar(value) -> str:
         if "e" in text and "." not in text:
             text = text.replace("e", ".0e", 1)
         return text
-    if isinstance(value, (list, dict)):
-        return "[]" if isinstance(value, list) else "{}"
+    if isinstance(value, (np.ndarray, dict)):
+        return "[]" if isinstance(value, np.ndarray) else "{}"
     return str(value)
 
 
-def _yaml_lines(node, indent: str, out: list[str]) -> None:
-    """Append the block-style YAML lines of a non-empty list or dict."""
-    if isinstance(node, dict):
-        for key in sorted(node):
-            value = node[key]
-            if isinstance(value, (list, dict)) and value:
-                out.append(f"{indent}{key}:")
-                # A sequence under a key is not indented; a mapping is.
-                _yaml_lines(value, indent if isinstance(value, list) else indent + "  ", out)
-            else:
-                out.append(f"{indent}{key}: {_yaml_scalar(value)}")
+def _table_lines(table: np.ndarray, indent: str, out: list[str]) -> None:
+    """Append the block-style YAML lines of a non-empty 1-D or 2-D float
+    table; a 2-D table is a sequence of rows, each a nested sequence.
+
+    A run of equal bit patterns within a row (a scalar the loader
+    broadcast, say) is formatted once and its line repeated; bit patterns
+    keep 0.0 and -0.0 apart, which YAML writes differently.
+    """
+    width = table.shape[-1]
+    if width == 0:  # rows of an empty horizon
+        out.append(f"{indent}- []\n" * len(table))
         return
-    previous, line = object(), ""
-    for item in node:
-        if isinstance(item, (list, dict)) and item:
-            first = len(out)
-            _yaml_lines(item, indent + "  ", out)
-            out[first] = f"{indent}- {out[first][len(indent) + 2:]}"
-            continue
-        # Every scalar in a scenario sequence is a float, and a row broadcast
-        # by the loader repeats one value, so the line of an equal previous
-        # value is reused; 0.0 and -0.0 are equal but written differently,
-        # so a zero is always formatted afresh.
-        if not (item == previous and item != 0):
-            previous, line = item, f"{indent}- {_yaml_scalar(item)}"
-        out.append(line)
+    flat = table.reshape(-1)
+    bits = flat.view(np.int64)
+    starts = np.empty(flat.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    starts[::width] = True  # runs never cross a row boundary
+    at = np.flatnonzero(starts)
+    texts = list(map(_yaml_scalar, flat[at].tolist()))
+    if table.ndim == 1:
+        head = item = f"{indent}- "
+    else:
+        head, item = f"{indent}- - ", f"{indent}  - "
+    sep = "\n" + item
+    counts = np.diff(at, append=flat.size)
+    for j in np.flatnonzero(counts > 1).tolist():
+        texts[j] += (sep + texts[j]) * int(counts[j] - 1)
+    rows = np.flatnonzero(at % width == 0).tolist() + [len(texts)]
+    for lo, hi in zip(rows, rows[1:]):
+        out.append(head + sep.join(texts[lo:hi]) + "\n")
+
+
+def _yaml_lines(doc: dict, indent: str, out: list[str]) -> None:
+    """Append the block-style YAML lines of a document mapping, keys sorted."""
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, dict) and value:
+            out.append(f"{indent}{key}:\n")
+            _yaml_lines(value, indent + "  ", out)
+        elif isinstance(value, np.ndarray) and len(value):
+            # A sequence under a key is not indented.
+            out.append(f"{indent}{key}:\n")
+            _table_lines(value, indent, out)
+        else:
+            out.append(f"{indent}{key}: {_yaml_scalar(value)}\n")
 
 
 def serialize_scenario(sc: Scenario) -> str:
     """Loss-free canonical YAML for a materialized scenario.
 
     The text of ``scenario_to_doc(sc)`` in block style with sorted keys,
-    byte-identical to what PyYAML's safe dumper writes for that document
-    (the tests keep PyYAML as the reference), but written directly.
+    byte-identical to what PyYAML's ``safe_dump`` writes for that document
+    (the tests keep PyYAML as the reference), but written directly from the
+    scenario's arrays: one formatted line per run of equal bit patterns in
+    a row, repeated by string multiplication.
     """
-    lines: list[str] = []
-    _yaml_lines(scenario_to_doc(sc), "", lines)
-    return "\n".join(lines) + "\n"
+    out: list[str] = []
+    _yaml_lines(_document(sc), "", out)
+    return "".join(out)
 
 
 def with_params(sc: Scenario, **updates) -> Scenario:

@@ -35,7 +35,8 @@ DEFAULT_STORE_CAP = 100_000
 # Paths per random-stream block; chunks are whole blocks (the last may be partial).
 CHUNK_SIZE = 4096
 # Ceiling on floats held at once: the per-path costs, the path store when
-# one is kept, and the block arrays of every concurrent worker.
+# one is kept with the temporaries of its reduction, and the block arrays of
+# every concurrent worker.
 MAX_PATH_FLOATS = 400_000_000
 
 
@@ -213,6 +214,16 @@ def _path_cost_dev(sc: Scenario, d_pow: np.ndarray, v_pow: np.ndarray,
     return out.T
 
 
+def _stored_stats(store: np.ndarray, mean: np.ndarray, axis: int, mo: int):
+    """Average, mean squared deviation and mean mo-power deviation from the
+    model mean of stored paths, over their path axis.  Besides the store it
+    holds the deviations and one power of them at a time."""
+    n_paths = store.shape[axis]
+    dev = store - mean
+    return (store.sum(axis=axis) / n_paths, (dev ** 2).sum(axis=axis) / n_paths,
+            even_power(dev, mo).sum(axis=axis) / n_paths)
+
+
 def _memory_plan(sc: Scenario, n_paths: int, store_cap: int) -> tuple[bool, int, int]:
     """Whether a run keeps its path store, the floats it holds throughout,
     and the floats each of its workers holds, counted against MAX_PATH_FLOATS.
@@ -221,7 +232,11 @@ def _memory_plan(sc: Scenario, n_paths: int, store_cap: int) -> tuple[bool, int,
     block's partial sums, and the path store when it keeps one.  A worker
     holds its block arrays (x, d, u, v), the noise in both layouts, the
     block's per-path costs, and the copy even_power takes of v when the
-    moment order is not a power of two.
+    moment order is not a power of two.  A run that keeps its store reduces
+    it after the blocks, holding a deviation and a power of the state store
+    and then of the control store while a worker that ran in the calling
+    thread still holds its block arrays; it keeps the store only when those
+    fit as well.
     """
     n, agents, mo = sc.horizon, sc.agents, sc.moment_order
     blocks = -(-n_paths // CHUNK_SIZE)
@@ -230,7 +245,9 @@ def _memory_plan(sc: Scenario, n_paths: int, store_cap: int) -> tuple[bool, int,
     per_worker = min(CHUNK_SIZE, n_paths) * (
         2 * (n + 1) + 2 * n + 2 * agents * n + 3 * agents + power_copy)
     store_floats = n_paths * (n + 1 + agents * n)
-    store = n_paths <= store_cap and held + store_floats + per_worker <= MAX_PATH_FLOATS
+    reduction = 2 * n_paths * max(n + 1, agents * n)
+    store = (n_paths <= store_cap
+             and held + store_floats + reduction + per_worker <= MAX_PATH_FLOATS)
     return store, (held + store_floats if store else held), per_worker
 
 
@@ -307,14 +324,8 @@ def run_ensemble(
             list(pool.map(work, range(len(chunks))))
 
     if store:
-        d = x_store - mean.x_bar[None, :]
-        v = u_store - mean.u_bar[:, None, :]
-        emp_mean = x_store.sum(axis=0) / n_paths
-        dev_m2 = (d ** 2).sum(axis=0) / n_paths
-        dev_m2o = even_power(d, mo).sum(axis=0) / n_paths
-        u_mean = u_store.sum(axis=1) / n_paths
-        u_dev_m2 = (v ** 2).sum(axis=1) / n_paths
-        u_dev_m2o = even_power(v, mo).sum(axis=1) / n_paths
+        emp_mean, dev_m2, dev_m2o = _stored_stats(x_store, mean.x_bar[None, :], 0, mo)
+        u_mean, u_dev_m2, u_dev_m2o = _stored_stats(u_store, mean.u_bar[:, None, :], 1, mo)
     else:
         # Block sums are added in block order, whichever worker made them.
         sums = [np.zeros_like(p) for p in partials[0]]

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 import yaml
 
+import mftg.cli
+import mftg.simulate
 from mftg.cli import main
 from conftest import SCENARIOS, scenario_doc
 
@@ -128,6 +130,24 @@ class TestSimulate:
         for row in costs:
             gap = abs(float(row["total"]) - float(row["predicted"]))
             assert gap <= 3.0 * float(row["std_error"])
+
+    def test_mean_path_propagated_once(self, tmp_path, monkeypatch):
+        """An ensemble run writes meanpath.csv from the ensemble's own mean
+        path, first in the manifest's file list."""
+        calls, propagate = [], mftg.simulate.propagate_mean
+
+        def counted(sc, gains):
+            calls.append(sc)
+            return propagate(sc, gains)
+
+        monkeypatch.setattr(mftg.simulate, "propagate_mean", counted)
+        monkeypatch.setattr(mftg.cli, "propagate_mean", counted)
+        out = tmp_path / "out"
+        assert main(["simulate", ADD, "--out", str(out), "--paths", "50"]) == 0
+        assert len(calls) == 1
+        files = [line for line in (out / "manifest.txt").read_text().splitlines()
+                 if line.startswith("file ")]
+        assert files[0].startswith("file meanpath.csv = ")
 
     def test_seed_repeatability_bytes(self, tmp_path):
         outs = [tmp_path / name for name in ("a", "b")]

@@ -6,8 +6,10 @@ PyYAML's safe_dump of the same document, and a scenario that solves must
 pass every verification oracle.
 """
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from mftg import (
     CoefficientOverflowError,
+    ScenarioValidationError,
     load_scenario,
     run_verification,
     serialize_scenario,
@@ -129,6 +132,95 @@ def test_edge_values_serialize_like_pyyaml():
     text = serialize_scenario(sc)
     assert text == pyyaml_text(sc)
     assert "- -0.0\n" in text and "5.0e-324" in text and "1.7976931348623157e+308" in text
+    assert load_scenario(text) == sc
+
+
+def _run_doc(horizon, dynamics=None, weights=None, **top):
+    """A valid two-agent general-moment document; the keyword arguments
+    replace entries of its dynamics, its weights and its top level."""
+    doc = {
+        "family": "general_moment_2o2p", "agents": 2, "horizon": horizon, "p": 2, "o": 1,
+        "dynamics": {"a_bar": 0.9, "b_bar": 1.0, "a_dev": 0.8, "b_dev": 0.5, **(dynamics or {})},
+        "weights": {"q_bar": 1.0, "r_bar": 1.0, "q_dev": 2.0, "r_dev": 0.5, **(weights or {})},
+        "noise": {"kind": "gaussian", "sigma": 0.5},
+        "initial": {"mean": 1.0, "kind": "deterministic"},
+        "monte_carlo": {"paths": 0, "seed": 0},
+    }
+    doc.update(top)
+    return doc
+
+
+# The serializer writes one line per run of equal bit patterns in a row;
+# these documents put runs where a boundary could go wrong.
+RUN_DOCS = {
+    "row end equals next row start": _run_doc(
+        3, {"b_bar": [[1.0, 2.0, 3.0], [3.0, 3.0, 1.0]], "b_dev": [[0.5, 0.5, 0.5], 0.5]},
+        {"q_bar": [[1.0, 2.0, 2.0, 2.5], [2.5, 2.5, 1.0, 1.0]]}),
+    "signed zeros": _run_doc(
+        4, {"a_bar": [-0.0, -0.0, -0.0, 0.0], "b_bar": [[0.0, -0.0, 0.0, -0.0], -0.0],
+            "a_dev": [0.0, 0.0, -0.0, -0.0]},
+        initial={"mean": -0.0, "kind": "deterministic", "atom": 0.0}),
+    "smallest subnormal": _run_doc(
+        4, {"a_bar": 5e-324, "b_dev": [[5e-324, 5e-324, 1.0, 5e-324], 1.0]},
+        {"r_bar": [5e-324, [1.0, 5e-324, 5e-324, 5e-324]]}),
+    "one step": _run_doc(1, {"b_bar": [[2.0], 2.0]}, {"q_bar": [[1.0, 1.0], [1.0, 3.0]]}),
+    "explicit moments of orders 2 and 10": _run_doc(
+        3, o=5, noise={"kind": "explicit_moments",
+                       "moments": {2: [1.0, 1.0, 0.25], 10: [945.0, 945.0, 945.0]}}),
+    "repeated empirical samples": _run_doc(
+        2, initial={"kind": "empirical_samples", "samples": [1.0, 1.0, 2.0, 2.0, 2.0, -0.5]}),
+}
+
+
+@pytest.mark.parametrize("doc", RUN_DOCS.values(), ids=RUN_DOCS.keys())
+def test_runs_serialize_like_pyyaml(doc):
+    sc = load_scenario(yaml.safe_dump(doc))
+    text = serialize_scenario(sc)
+    assert text == pyyaml_text(sc)
+    assert load_scenario(text) == sc
+    # Scenario equality takes 0.0 for -0.0; the text keeps them apart.
+    assert serialize_scenario(load_scenario(text)) == text
+
+
+def test_empty_horizon_serializes_like_pyyaml():
+    """Horizon 0 is invalid, but its empty tables and empty rows are
+    written as PyYAML writes them, and the text parses back to the document."""
+    sc = load_scenario(yaml.safe_dump(_run_doc(1)))
+    empty_rows = np.empty((sc.agents, 0))
+    sc = dataclasses.replace(
+        sc, horizon=0, a_bar=np.empty(0), a_dev=np.empty(0), b_bar=empty_rows, b_dev=empty_rows,
+        r_bar=empty_rows, r_dev=empty_rows, q_bar=sc.q_bar[:, :1], q_dev=sc.q_dev[:, :1],
+        noise=dataclasses.replace(sc.noise, sigma=np.empty(0)))
+    text = serialize_scenario(sc)
+    assert text == pyyaml_text(sc)
+    assert "a_bar: []\n" in text and "  b_bar:\n  - []\n  - []\n" in text
+    assert yaml.safe_load(text) == scenario_to_doc(sc)
+    with pytest.raises(ScenarioValidationError, match="horizon must be >= 1"):
+        load_scenario(text)
+
+
+def test_wide_shaped_scenario_serializes_like_pyyaml():
+    """Twenty agents over 200 steps: per-agent scalars broadcast to long
+    runs, and a per-step a_bar with no runs at all."""
+    rng = np.random.default_rng(7)
+    agents, n = 20, 200
+
+    def draw(lo, hi, size):
+        return rng.uniform(lo, hi, size).tolist()
+
+    doc = {
+        "family": "general_moment_2o2p", "agents": agents, "horizon": n, "p": 2, "o": 2,
+        "dynamics": {"a_bar": draw(0.95, 1.05, n), "b_bar": draw(0.5, 1.5, agents),
+                     "a_dev": draw(0.85, 0.95, n), "b_dev": draw(0.5, 1.5, agents)},
+        "weights": {"q_bar": draw(1.0, 5.0, agents), "r_bar": draw(1.0, 5.0, agents),
+                    "q_dev": draw(1.0, 3.0, agents), "r_dev": draw(1.0, 3.0, agents)},
+        "noise": {"kind": "gaussian", "sigma": 0.5},
+        "initial": {"mean": 4.0, "kind": "gaussian_around_mean", "variance": 1.0},
+        "monte_carlo": {"paths": 0, "seed": 29},
+    }
+    sc = load_scenario(yaml.safe_dump(doc))
+    text = serialize_scenario(sc)
+    assert text == pyyaml_text(sc)
     assert load_scenario(text) == sc
 
 

@@ -306,6 +306,21 @@ class TestEnsemble:
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         assert pools == [2]  # one worker runs the blocks in the calling thread
 
+    def test_store_streams_when_its_reduction_does_not_fit(self, additive_two_agent,
+                                                            monkeypatch):
+        """A budget that holds the store and a worker, but not the deviations
+        and powers the stored-path reduction builds, streams instead."""
+        sc = additive_two_agent
+        _, gains = solve(sc)
+        want = run_ensemble(sc, gains, paths=20000, seed=4)
+        store, held, per_worker = mftg.simulate._memory_plan(sc, 20000, 20000)
+        assert store and want.x is not None
+        monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + per_worker)
+        got = run_ensemble(sc, gains, paths=20000, seed=4)
+        assert got.x is None and got.u is None
+        for name in STATISTICS:
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
+
     def test_budget_below_one_block_exits_5(self, additive_two_agent, monkeypatch, tmp_path):
         sc = additive_two_agent
         _, held, per_worker = mftg.simulate._memory_plan(sc, 9000, 0)
