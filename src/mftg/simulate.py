@@ -11,11 +11,10 @@ blocks are scheduled over worker threads.
 Each block runs step-major: states and their deviations from the mean
 (N+1, B) and controls (N, I, B) are filled one step row at a time, the
 deviations are raised to the moment order once, in place, and both the
-per-path costs and the block's moment sums read those powers.  A run that
-keeps its paths (up to the store cap) reduces its statistics over the
-stored paths in path order; a streamed run sums each block over its paths
-and adds the block sums in block order.  The two agree to about 1e-13
-relative, not bit for bit.
+per-path costs and the block's moment sums read those powers.  Every run
+sums each block over its paths and adds the block sums in block order; a
+run that keeps its paths (up to the store cap) only copies them into the
+store as well, so its statistics have the same bits as a streamed run's.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ DEFAULT_STORE_CAP = 100_000
 # Paths per random-stream block; chunks are whole blocks (the last may be partial).
 CHUNK_SIZE = 4096
 # Ceiling on floats held at once: the per-path costs, the path store when
-# one is kept with the temporaries of its reduction, and the block arrays of
-# every concurrent worker.
+# one is kept, and the block arrays of every concurrent worker.
 MAX_PATH_FLOATS = 400_000_000
 
 
@@ -214,16 +212,6 @@ def _path_cost_dev(sc: Scenario, d_pow: np.ndarray, v_pow: np.ndarray,
     return out.T
 
 
-def _stored_stats(store: np.ndarray, mean: np.ndarray, axis: int, mo: int):
-    """Average, mean squared deviation and mean mo-power deviation from the
-    model mean of stored paths, over their path axis.  Besides the store it
-    holds the deviations and one power of them at a time."""
-    n_paths = store.shape[axis]
-    dev = store - mean
-    return (store.sum(axis=axis) / n_paths, (dev ** 2).sum(axis=axis) / n_paths,
-            even_power(dev, mo).sum(axis=axis) / n_paths)
-
-
 def _memory_plan(sc: Scenario, n_paths: int, store_cap: int) -> tuple[bool, int, int]:
     """Whether a run keeps its path store, the floats it holds throughout,
     and the floats each of its workers holds, counted against MAX_PATH_FLOATS.
@@ -232,11 +220,8 @@ def _memory_plan(sc: Scenario, n_paths: int, store_cap: int) -> tuple[bool, int,
     block's partial sums, and the path store when it keeps one.  A worker
     holds its block arrays (x, d, u, v), the noise in both layouts, the
     block's per-path costs, and the copy even_power takes of v when the
-    moment order is not a power of two.  A run that keeps its store reduces
-    it after the blocks, holding a deviation and a power of the state store
-    and then of the control store while a worker that ran in the calling
-    thread still holds its block arrays; it keeps the store only when those
-    fit as well.
+    moment order is not a power of two.  A run keeps its store only when the
+    store fits beside what it holds throughout and one worker.
     """
     n, agents, mo = sc.horizon, sc.agents, sc.moment_order
     blocks = -(-n_paths // CHUNK_SIZE)
@@ -245,9 +230,8 @@ def _memory_plan(sc: Scenario, n_paths: int, store_cap: int) -> tuple[bool, int,
     per_worker = min(CHUNK_SIZE, n_paths) * (
         2 * (n + 1) + 2 * n + 2 * agents * n + 3 * agents + power_copy)
     store_floats = n_paths * (n + 1 + agents * n)
-    reduction = 2 * n_paths * max(n + 1, agents * n)
     store = (n_paths <= store_cap
-             and held + store_floats + reduction + per_worker <= MAX_PATH_FLOATS)
+             and held + store_floats + per_worker <= MAX_PATH_FLOATS)
     return store, (held + store_floats if store else held), per_worker
 
 
@@ -310,10 +294,7 @@ def run_ensemble(
         if store:
             x_store[lo:hi] = x.T
             u_store[:, lo:hi] = u.transpose(1, 2, 0)
-            even_power(d, mo, out=d)
-            even_power(v, mo, out=v)
-        else:
-            partials[ci] = _path_sums(x, d, mo) + _path_sums(u, v, mo)
+        partials[ci] = _path_sums(x, d, mo) + _path_sums(u, v, mo)
         path_cost_dev[:, lo:hi] = _path_cost_dev(sc, d, v, local.buffers[0], local.buffers[2])
 
     if workers == 1 or len(chunks) == 1:
@@ -323,19 +304,15 @@ def run_ensemble(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(len(chunks))))
 
-    if store:
-        emp_mean, dev_m2, dev_m2o = _stored_stats(x_store, mean.x_bar[None, :], 0, mo)
-        u_mean, u_dev_m2, u_dev_m2o = _stored_stats(u_store, mean.u_bar[:, None, :], 1, mo)
-    else:
-        # Block sums are added in block order, whichever worker made them.
-        sums = [np.zeros_like(p) for p in partials[0]]
-        for part in partials:
-            for acc, val in zip(sums, part):
-                acc += val
-        emp_mean, dev_m2, dev_m2o = (s / n_paths for s in sums[:3])
-        # Control sums are step-major (N, I); the statistics are (I, N).
-        u_mean, u_dev_m2, u_dev_m2o = (np.ascontiguousarray(s.T) / n_paths
-                                       for s in sums[3:])
+    # Block sums are added in block order, whichever worker made them.
+    sums = [np.zeros_like(p) for p in partials[0]]
+    for part in partials:
+        for acc, val in zip(sums, part):
+            acc += val
+    emp_mean, dev_m2, dev_m2o = (s / n_paths for s in sums[:3])
+    # Control sums are step-major (N, I); the statistics are (I, N).
+    u_mean, u_dev_m2, u_dev_m2o = (np.ascontiguousarray(s.T) / n_paths
+                                   for s in sums[3:])
 
     # Mean cost terms are path-independent constants; add them so that the
     # per-path costs average to the full realized cost.

@@ -15,7 +15,7 @@ profitable deviation inside that class, not over all measurable policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -245,7 +245,6 @@ class OneStepSolution:
     dev_gain: np.ndarray | None = None
     dev_value: np.ndarray | None = None
     converged: bool = True
-    rounds: int = 0
 
 
 def _minimize_convex(f, rough: float) -> float:
@@ -303,14 +302,13 @@ def _iterate_best_responses(br, agents: int, max_rounds: int, damping: float,
     the combined displacement is the exact fixed point when the response map
     is affine, and a sharp improvement otherwise.  Safeguards fall back to
     the plain iterate when the window's Gram system is degenerate.
-    Returns (controls, converged, rounds).
+    Returns (controls, converged).
     """
     u = np.zeros(agents)
     window = [u.copy()]
     depth = agents + 2
     converged = False
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for _ in range(max_rounds):
         previous = u.copy()
         for i in range(agents):
             u[i] = (1.0 - damping) * u[i] + damping * br(i, u)
@@ -336,7 +334,7 @@ def _iterate_best_responses(br, agents: int, max_rounds: int, damping: float,
             if np.all(np.isfinite(candidate)) and np.max(np.abs(candidate)) < 1e8 * scale:
                 u = candidate
             window = [u.copy()]
-    return u, converged, rounds
+    return u, converged
 
 
 def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
@@ -372,7 +370,7 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
         scale = max(abs(a0 * xb), 2.0 * float(np.max(np.abs(u))))
         return _minimize_convex(lambda t: mean_objective(i, t, others), rough=scale)
 
-    u, converged, rounds = _iterate_best_responses(
+    u, converged = _iterate_best_responses(
         mean_br, agents, max_rounds, damping, tol
     )
     mean_gain = -u / (a0 * xb)
@@ -381,7 +379,7 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
 
     if not sc.family.stochastic:
         return OneStepSolution(mean_gain=mean_gain, mean_value=mean_value,
-                               probe_mean=xb, converged=converged, rounds=rounds)
+                               probe_mean=xb, converged=converged)
 
     mo = sc.moment_order
     q_dev = sc.q_dev
@@ -408,7 +406,7 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
         scale = max(abs(a_d), 2.0 * float(np.max(np.abs(w))))
         return _minimize_convex(lambda t: dev_objective(i, t, others), rough=scale)
 
-    w, dev_converged, dev_rounds = _iterate_best_responses(
+    w, dev_converged = _iterate_best_responses(
         dev_br, agents, max_rounds, damping, tol
     )
     dev_gain = -w / a_d
@@ -426,7 +424,6 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
         dev_gain=dev_gain,
         dev_value=dev_value,
         converged=converged and dev_converged,
-        rounds=max(rounds, dev_rounds),
     )
 
 
@@ -602,7 +599,6 @@ class VerificationReport:
     positivity_gamma: bool | None
     convexity_min: float
     bellman_max_per_step: np.ndarray
-    notes: list[str] = field(default_factory=list)
 
     @property
     def positivity_ok(self) -> bool:
@@ -656,11 +652,6 @@ def run_verification(
     bellman = np.array([
         bellman_identity_check(sc, table, gains, k, probes) for k in range(sc.horizon)
     ])
-    notes = [
-        f"agent {report.agent + 1}: uniform deviation argmin at factor "
-        f"{report.uniform_argmin_factor:.4f}"
-        for report in deviation
-    ]
     pos_alpha_bar = bool(np.all(table.alpha_bar > 0.0))
     pos_alpha = None if table.alpha is None else bool(np.all(table.alpha > 0.0))
     pos_gamma = None if table.gamma_bar is None else bool(np.all(table.gamma_bar >= 0.0))
@@ -672,5 +663,4 @@ def run_verification(
         positivity_gamma=pos_gamma,
         convexity_min=sample_convexity(sc, table, gains),
         bellman_max_per_step=bellman,
-        notes=notes,
     )

@@ -233,16 +233,21 @@ class TestEnsemble:
                 np.testing.assert_array_equal(getattr(ens, name), getattr(runs[0], name))
 
     def test_streaming_mode_matches_stored_statistics(self, request):
+        # One path, one row into the second block, and two full blocks plus
+        # a partial one: a kept store changes no statistic's bits.
         for fixture in ("additive_two_agent", "multiplicative_two_agent", "general_two_agent"):
             sc = request.getfixturevalue(fixture)
             _, gains = solve(sc)
-            stored = run_ensemble(sc, gains, paths=5000, seed=4)
-            streamed = run_ensemble(sc, gains, paths=5000, seed=4, store_cap=100)
-            assert streamed.x is None
-            for name in STATISTICS:
-                np.testing.assert_allclose(getattr(streamed, name), getattr(stored, name),
-                                           rtol=1e-12, err_msg=f"{fixture} {name}")
-            np.testing.assert_array_equal(streamed.path_cost, stored.path_cost)
+            for paths in (1, 4097, 9000):
+                for threads in (1, 2):
+                    stored = run_ensemble(sc, gains, paths=paths, seed=4, threads=threads)
+                    streamed = run_ensemble(sc, gains, paths=paths, seed=4, threads=threads,
+                                            store_cap=0)
+                    assert stored.x is not None and streamed.x is None
+                    for name in STATISTICS + ("path_cost",):
+                        np.testing.assert_array_equal(
+                            getattr(streamed, name), getattr(stored, name),
+                            err_msg=f"{fixture} {paths} paths {threads} threads {name}")
 
     @pytest.mark.parametrize("fixture", ["additive_two_agent", "multiplicative_two_agent",
                                          "general_two_agent"])
@@ -258,13 +263,30 @@ class TestEnsemble:
             np.testing.assert_array_equal(short.u, longer.u[:, :4097])
             np.testing.assert_array_equal(short.path_cost, longer.path_cost[:, :4097])
 
-    def test_stats_are_exact_statistics_of_stored_paths(self, additive_two_agent):
-        sc = additive_two_agent
-        _, gains = solve(sc)
-        ens = run_ensemble(sc, gains, paths=3000, seed=2)
-        np.testing.assert_array_equal(ens.emp_mean, ens.x.sum(axis=0) / ens.n_paths)
-        dev = ens.x - ens.mean.x_bar[None, :]
-        np.testing.assert_array_equal(ens.dev_m2, (dev ** 2).sum(axis=0) / ens.n_paths)
+    def test_stats_are_exact_statistics_of_stored_paths(self, request):
+        """Each block's step rows are summed over its paths, and the block
+        sums are added in block order.  The squared deviations are summed as
+        products when the moment order is above 2."""
+        for fixture in ("additive_two_agent", "general_two_agent"):
+            sc = request.getfixturevalue(fixture)
+            _, gains = solve(sc)
+            ens = run_ensemble(sc, gains, paths=9000, seed=2)
+            mo = sc.moment_order
+            sums = None
+            for lo in range(0, ens.n_paths, CHUNK_SIZE):
+                x = np.ascontiguousarray(ens.x[lo:lo + CHUNK_SIZE].T)
+                u = np.ascontiguousarray(ens.u[:, lo:lo + CHUNK_SIZE].transpose(2, 0, 1))
+                part = []
+                for z, dev in ((x, x - ens.mean.x_bar[:, None]),
+                               (u, u - ens.mean.u_bar.T[:, :, None])):
+                    sq = ((dev * dev).sum(axis=-1) if mo == 2
+                          else np.einsum("...b,...b->...", dev, dev))
+                    part += [z.sum(axis=-1), sq, even_power(dev, mo).sum(axis=-1)]
+                sums = part if sums is None else [acc + val for acc, val in zip(sums, part)]
+            want = [s / ens.n_paths for s in sums[:3]] + [s.T / ens.n_paths for s in sums[3:]]
+            for name, val in zip(STATISTICS, want):
+                np.testing.assert_array_equal(getattr(ens, name), val,
+                                              err_msg=f"{fixture} {name}")
 
     def test_deterministic_family_rejected(self, det_two_agent):
         _, gains = solve(det_two_agent)
@@ -306,20 +328,23 @@ class TestEnsemble:
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         assert pools == [2]  # one worker runs the blocks in the calling thread
 
-    def test_store_streams_when_its_reduction_does_not_fit(self, additive_two_agent,
-                                                            monkeypatch):
-        """A budget that holds the store and a worker, but not the deviations
-        and powers the stored-path reduction builds, streams instead."""
+    def test_store_kept_exactly_when_it_fits_beside_one_worker(self, additive_two_agent,
+                                                                 monkeypatch):
+        """At a budget of held + store + one worker the run keeps its store;
+        one float less streams it, with the same statistics bits."""
         sc = additive_two_agent
         _, gains = solve(sc)
-        want = run_ensemble(sc, gains, paths=20000, seed=4)
-        store, held, per_worker = mftg.simulate._memory_plan(sc, 20000, 20000)
-        assert store and want.x is not None
-        monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + per_worker)
-        got = run_ensemble(sc, gains, paths=20000, seed=4)
-        assert got.x is None and got.u is None
-        for name in STATISTICS:
-            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
+        _, held, per_worker = mftg.simulate._memory_plan(sc, 20000, 0)
+        store = 20000 * (sc.horizon + 1 + sc.agents * sc.horizon)
+        budget = held + store + per_worker
+        monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", budget)
+        kept = run_ensemble(sc, gains, paths=20000, seed=4)
+        monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", budget - 1)
+        streamed = run_ensemble(sc, gains, paths=20000, seed=4)
+        assert kept.x is not None and kept.u is not None
+        assert streamed.x is None and streamed.u is None
+        for name in STATISTICS + ("path_cost",):
+            np.testing.assert_array_equal(getattr(streamed, name), getattr(kept, name))
 
     def test_budget_below_one_block_exits_5(self, additive_two_agent, monkeypatch, tmp_path):
         sc = additive_two_agent
