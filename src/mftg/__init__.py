@@ -13,15 +13,11 @@ from .errors import (
     ScenarioValidationError,
     SchemaError,
 )
-from .numerics import convexity_scan, noise_even_moment, signed_root
+from .numerics import noise_even_moment
 from .recursion import (
     CoefficientTable,
     GainSchedule,
     solve,
-    solve_additive,
-    solve_deterministic,
-    solve_general_moment,
-    solve_multiplicative,
     stationarity_residual,
 )
 from .scenario import (

@@ -451,16 +451,36 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# Each expected failure class and its exit code; the first match wins.  An
+# OSError is a path the output cannot be written to (or a scenario file that
+# cannot be read), which is a usage error.
+_EXIT_CODES = {
+    ConfigSyntaxError: EXIT_PARSE,
+    SchemaError: EXIT_PARSE,
+    ScenarioValidationError: EXIT_VALIDATION,
+    MissingMomentError: EXIT_VALIDATION,
+    NumericDomainError: EXIT_VALIDATION,
+    CoefficientOverflowError: EXIT_OVERFLOW,
+    ResourceLimitError: EXIT_RESOURCE,
+    OSError: EXIT_USAGE,
+}
+
+
 def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, (ConfigSyntaxError, SchemaError)):
-        return EXIT_PARSE
-    if isinstance(exc, (ScenarioValidationError, MissingMomentError, NumericDomainError)):
-        return EXIT_VALIDATION
-    if isinstance(exc, CoefficientOverflowError):
-        return EXIT_OVERFLOW
-    if isinstance(exc, ResourceLimitError):
-        return EXIT_RESOURCE
+    """The documented exit code of an expected failure; anything else is a
+    defect and is raised again."""
+    for kind, code in _EXIT_CODES.items():
+        if isinstance(exc, kind):
+            return code
     raise exc
+
+
+def _error_lines(exc: Exception) -> list[str]:
+    if isinstance(exc, ScenarioValidationError):
+        return [f"validation error [{diag.code}]: {diag.message}" for diag in exc.diagnostics]
+    if isinstance(exc, MissingMomentError):
+        return [f"validation error: {exc}"]
+    return [f"error: {exc}"]
 
 
 def _nonnegative_type(text: str) -> int:
@@ -531,28 +551,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigSyntaxError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ScenarioValidationError as exc:
-        for diag in exc.diagnostics:
-            print(f"validation error [{diag.code}]: {diag.message}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MissingMomentError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except CoefficientOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    except tuple(_EXIT_CODES) as exc:
+        for line in _error_lines(exc):
+            print(line, file=sys.stderr)
+        return _exit_code_for(exc)
 
 
 def entry() -> None:

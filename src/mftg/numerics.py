@@ -1,8 +1,6 @@
 """Elementary numerical kernels shared by the solvers.
 
-Signed odd roots, integer array powers, even noise moments, and the
-second-derivative sampler backing the convexity argument that makes every
-per-agent best response well posed.
+Signed odd roots, integer array powers and even noise moments.
 """
 
 from __future__ import annotations
@@ -11,34 +9,20 @@ import math
 
 import numpy as np
 
-from .errors import CoefficientOverflowError, MissingMomentError, NumericDomainError
+from .errors import CoefficientOverflowError, MissingMomentError
 
 _TINY = np.nextafter(0.0, 1.0)
 
 
-def signed_root(y, m: int):
-    """Real m-th root of y for odd m, preserving sign, elementwise.
+def _odd_root(y: np.ndarray, m: int) -> np.ndarray:
+    """Real m-th root of y for odd m >= 1, preserving sign, elementwise.
 
     Inverts t -> t**m over the reals, so negative arguments get negative
-    roots.  A couple of Newton polish steps keep integer cases such as
-    (8, 3) -> 2 exact.  A scalar argument gives a scalar, an array an array
-    of the same shape.  Non-finite arguments raise NumericDomainError.
+    roots.  Two Newton polish steps keep integer cases such as (8, 3) -> 2
+    exact.  m = 1 returns y itself.  Arguments are not checked: non-finite
+    ones give NaN or infinite roots, with NumPy's invalid-value warning
+    unless the caller's errstate silences it.
     """
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"root order must be an odd positive integer, got {m}")
-    y = np.array(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        bad = np.count_nonzero(~np.isfinite(y))
-        raise NumericDomainError(
-            f"signed_root requires finite arguments, got {bad} non-finite of {y.size}"
-        )
-    return _odd_root(y, m)[()]
-
-
-def _odd_root(y: np.ndarray, m: int) -> np.ndarray:
-    """signed_root without the argument checks: non-finite arguments give
-    NaN or infinite roots, with NumPy's invalid-value warning unless the
-    caller's errstate silences it.  m = 1 returns y itself."""
     if m == 1:
         return y
     ay = np.abs(y)
@@ -130,24 +114,3 @@ def noise_even_moment(spec, k: int, order: int) -> float:
             f"noise moment E[eps^{order}] at step {k} overflows for sigma {sigma:g}"
         )
     return moment
-
-
-def convexity_scan(p: int, a: float, b: float, grid) -> float:
-    """Minimum over the grid of f''(z) for f(z) = z**2p + (a z + b)**2p.
-
-    With p >= 1 and a, b != 0 the two vanishing points of the summands (0 and
-    -b/a) never coincide, so the sampled second derivative stays positive;
-    callers assert that.
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if a == 0.0 or b == 0.0:
-        raise NumericDomainError("convexity requires a != 0 and b != 0")
-    z = np.asarray(grid, dtype=float)
-    if z.size == 0:
-        raise ValueError("grid must be non-empty")
-    if not np.all(np.isfinite(z)):
-        raise NumericDomainError("grid points must be finite")
-    coef = 2 * p * (2 * p - 1)
-    second = coef * z ** (2 * p - 2) + coef * a * a * (a * z + b) ** (2 * p - 2)
-    return float(np.min(second))

@@ -192,16 +192,29 @@ def _channel(names, orders, a, b, q, r, factor=None, noise_on=()):
             for j in range(rows)]
 
 
-def _solve(sc: Scenario, family: Family, noise_on=()) -> tuple[CoefficientTable, GainSchedule]:
+# Where each family's per-step noise moment enters the deviation channel (see
+# _channel).  The general-moment deviation pushforward satisfies
+#     E[(x' - xbar')^{2o}] = (closed-loop dev factor)^{2o}
+#                            * E[(x - xbar)^{2o}] * E[eps'^{2o}],
+# so that family carries the order-2o moment on the best-response argument
+# and on the closed-loop term; the one-step value identity and the
+# brute-force oracle in mftg.verify confirm that placement.
+_NOISE_ON = {
+    Family.DETERMINISTIC: (),
+    Family.ADDITIVE: ("gamma",),
+    Family.MULTIPLICATIVE: ("alpha",),
+    Family.GENERAL_MOMENT: ("gain", "closed_loop"),
+}
+
+
+def _solve(sc: Scenario, noise_on=()) -> tuple[CoefficientTable, GainSchedule]:
     """The mean channel and (stochastic families) the deviation channel, in
     one stacked backward loop, with the noise moment placed as ``noise_on``
     says."""
-    if sc.family is not family:
-        raise ValueError(f"expected {family.value} scenario, got {sc.family.value}")
     names, orders = ["alpha_bar"], [2 * sc.p]
     a, b, q, r = [sc.a_bar], [sc.b_bar], [sc.q_bar], [sc.r_bar]
     factor = None
-    if family.stochastic:
+    if sc.family.stochastic:
         dev_a, dev_b = sc.deviation_dynamics
         order = sc.moment_order
         names.append("alpha")
@@ -224,7 +237,7 @@ def _solve(sc: Scenario, family: Family, noise_on=()) -> tuple[CoefficientTable,
         c_bar=_freeze(c_bar),
         closed_loop_mean=_freeze(clf_mean),
     )
-    if not family.stochastic:
+    if not sc.family.stochastic:
         return table, gains
 
     alpha, gamma, dev_gain, c, clf_dev = channels[1]
@@ -238,50 +251,11 @@ def _solve(sc: Scenario, family: Family, noise_on=()) -> tuple[CoefficientTable,
     return table, gains
 
 
-def solve_deterministic(sc: Scenario) -> tuple[CoefficientTable, GainSchedule]:
-    """Mean-only 2p game: alpha_bar table and mean-field gains."""
-    return _solve(sc, Family.DETERMINISTIC)
-
-
-def solve_additive(sc: Scenario) -> tuple[CoefficientTable, GainSchedule]:
-    """Additive-noise variance-aware 2p game: alpha_bar, alpha, gamma_bar."""
-    return _solve(sc, Family.ADDITIVE, noise_on=("gamma",))
-
-
-def solve_multiplicative(sc: Scenario) -> tuple[CoefficientTable, GainSchedule]:
-    """Deviation-scaling-noise variance-aware 2p game: alpha_bar and alpha,
-    with the noise variance folded into the alpha recursion."""
-    return _solve(sc, Family.MULTIPLICATIVE, noise_on=("alpha",))
-
-
-def solve_general_moment(
-    sc: Scenario, *, noise_factor_on_closed_loop: bool = True
-) -> tuple[CoefficientTable, GainSchedule]:
-    """General 2o-moment game with noise scaling both deviation channels.
-
-    The deviation pushforward satisfies
-        E[(x' - xbar')^{2o}] = (closed-loop dev factor)^{2o}
-                               * E[(x - xbar)^{2o}] * E[eps'^{2o}],
-    so the alpha recursion carries the order-2o noise moment on the
-    closed-loop term.  ``noise_factor_on_closed_loop=False`` drops that
-    factor; the one-step value identity only holds with it on, which is why
-    True is the default (the verification oracles pin this down).
-    """
-    noise_on = ("gain", "closed_loop") if noise_factor_on_closed_loop else ("gain",)
-    return _solve(sc, Family.GENERAL_MOMENT, noise_on=noise_on)
-
-
-_SOLVERS = {
-    Family.DETERMINISTIC: solve_deterministic,
-    Family.ADDITIVE: solve_additive,
-    Family.MULTIPLICATIVE: solve_multiplicative,
-    Family.GENERAL_MOMENT: solve_general_moment,
-}
-
-
 def solve(sc: Scenario) -> tuple[CoefficientTable, GainSchedule]:
-    """Dispatch to the family's backward solver."""
-    return _SOLVERS[sc.family](sc)
+    """Coefficient tables and gains of the scenario's family: alpha_bar for
+    every family, plus alpha for the stochastic ones and gamma_bar for
+    additive noise."""
+    return _solve(sc, _NOISE_ON[sc.family])
 
 
 def _normalized(t1: float, t2: float) -> float:

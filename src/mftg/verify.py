@@ -8,6 +8,22 @@ separately coded scalar Riccati recursion, and the one-step value identity
 is evaluated with the same exact moment pushforward, recomputed from the
 gains.  These oracles are what certify the solver.
 
+The oracles read the closed loop from one layer, ``_closed_loop``, built
+from the gains and the raw scenario data only: never from ``alpha`` and
+never from the solver's ``closed_loop_*`` audit fields, which a gain
+injection leaves stale.  For the steps asked for, it gives each channel's
+coupling sum s_k = sum_j b_jk g_jk, its closed-loop factor
+clf_k = a_k (1 - s_k), and the deviation-moment push as three per-step rows
+(lift, scale, shift):
+
+    E[d_{k+1}^mo] = (clf_k^mo + lift_k) * E[d_k^mo] * scale_k + shift_k.
+
+The stochastic families differ only in those rows, with E[eps^mo] the
+step-(k+1) noise moment: additive noise shifts the pushed moment by it,
+multiplicative noise lifts clf^2 by it, and the general-moment family
+scales the pushed moment by it.  ``_push_rows`` holds that table, the one
+place here that tells the noise families apart.
+
 Scope: the deviation tests perturb within the linear-feedback class the
 equilibrium lives in (plus an open-loop jitter smoke test); they certify no
 profitable deviation inside that class, not over all measurable policies.
@@ -84,15 +100,65 @@ class DeviationReport:
     equilibrium_cost: float
 
 
-def _push_dev_moment(sc: Scenario, k: int, clf, m):
-    """E[d_{k+1}^mo] from m = E[d_k^mo] under the deviation closed-loop
-    factor clf, with the step-(k+1) noise entering through its exact moment."""
-    mo = sc.moment_order
-    if sc.family is Family.ADDITIVE:
-        return clf ** 2 * m + noise_even_moment(sc.noise, k + 1, 2)
-    if sc.family is Family.MULTIPLICATIVE:
-        return (clf ** 2 + noise_even_moment(sc.noise, k + 1, 2)) * m
-    return clf ** mo * m * noise_even_moment(sc.noise, k + 1, mo)
+def _channels(sc: Scenario, gains: GainSchedule) -> list[tuple]:
+    """(order, a, b, r, gain) of the mean channel and, for the stochastic
+    families, of the deviation channel: a is (N,), the rest (I, N)."""
+    channels = [(2 * sc.p, sc.a_bar, sc.b_bar, sc.r_bar, gains.mean_gain)]
+    if sc.family.stochastic:
+        a, b = sc.deviation_dynamics
+        channels.append((sc.moment_order, a, b, sc.r_dev, gains.dev_gain))
+    return channels
+
+
+def _coupling(b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_j b_jk g_jk for every column k of two (I, K) tables, as one
+    stacked matmul with the bits of ``b[:, k] @ g[:, k]`` column by column."""
+    return np.matmul(b.T[:, None, :], g.T[:, :, None])[:, 0, 0]
+
+
+def _push_rows(sc: Scenario, steps: slice) -> np.ndarray:
+    """The (3, K) deviation-moment push rows (lift, scale, shift) at
+    ``steps`` of a stochastic scenario; see the module docstring."""
+    noise = np.array([noise_even_moment(sc.noise, k + 1, sc.moment_order)
+                      for k in range(sc.horizon)[steps]])
+    zero, one = np.zeros_like(noise), np.ones_like(noise)
+    rows = {
+        Family.ADDITIVE: (zero, one, noise),
+        Family.MULTIPLICATIVE: (noise, one, zero),
+        Family.GENERAL_MOMENT: (zero, noise, zero),
+    }[sc.family]
+    return np.array(rows)
+
+
+def _push(rows, clf, order: int, m):
+    """E[d_{k+1}^order] from m = E[d_k^order] under the deviation
+    closed-loop factor clf, given one step's push rows."""
+    lift, scale, shift = rows
+    return (clf ** order + lift) * m * scale + shift
+
+
+def _scalar_pow(x: np.ndarray, order: int) -> np.ndarray:
+    """x ** order element by element through the scalar power (libm pow),
+    as the per-pair oracles took it: NumPy's array power may take a SIMD
+    kernel that rounds differently in the last bit, even at order 2."""
+    x = np.asarray(x, dtype=float)
+    return np.array([v ** order for v in x.flat]).reshape(x.shape)
+
+
+def _closed_loop(sc: Scenario, gains: GainSchedule, steps: slice):
+    """The closed loop at K steps, from the gains and the raw data:
+    (coupling, factor, push), where coupling and factor hold one (K,) row
+    per channel and push is the (3, K) push rows, or None for the
+    deterministic family.
+
+    ``steps`` is a slice, so each table column stays a view with the
+    strides ``b[:, k]`` has, and the coupling sums keep its bits.
+    """
+    channels = _channels(sc, gains)
+    coupling = np.array([_coupling(b[:, steps], g[:, steps]) for _, _, b, _, g in channels])
+    factor = np.array([a[steps] for _, a, *_ in channels]) * (1.0 - coupling)
+    push = _push_rows(sc, steps) if sc.family.stochastic else None
+    return coupling, factor, push
 
 
 def _channel_costs(sc: Scenario, gains: GainSchedule, agent: int,
@@ -112,6 +178,7 @@ def _channel_costs(sc: Scenario, gains: GainSchedule, agent: int,
     mo = sc.moment_order
     a_bar, b_bar, q_bar, r_bar = sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar
     stochastic = sc.family.stochastic
+    coupling, _, push = _closed_loop(sc, gains, slice(None))
     if stochastic:
         a_d, b_d = sc.deviation_dynamics
         q_dev, r_dev = sc.q_dev, sc.r_dev
@@ -120,23 +187,24 @@ def _channel_costs(sc: Scenario, gains: GainSchedule, agent: int,
     xb = np.full(shape, float(sc.x0.mean))
     mean = np.zeros(shape)
 
-    def closed_loop(a, s, b, g, f):
-        # a - s * sum_j b_j g_j with the agent's gain scaled by f; written
+    def closed_loop(a, b_g_sum, b_g, f):
+        # a (1 - sum_j b_j g_j) with the agent's b_j g_j scaled by f; written
         # around f - 1 so the factor-1 column is the equilibrium loop exactly
-        return a - s * (b @ g + b[agent] * g[agent] * (f - 1.0))
+        return a - a * (b_g_sum + b_g * (f - 1.0))
 
     for k in range(n):
         f = np.ones(shape)
         f[0] = factors
         if per_step:
             f[1 + k] = factors
-        g, s = gains.mean_gain[:, k], a_bar[k]
-        mean += q_bar[agent, k] * xb ** p2 + r_bar[agent, k] * (f * g[agent] * s * xb) ** p2
-        xb = closed_loop(a_bar[k], s, b_bar[:, k], g, f) * xb
+        g, s = gains.mean_gain[agent, k], a_bar[k]
+        mean += q_bar[agent, k] * xb ** p2 + r_bar[agent, k] * (f * g * s * xb) ** p2
+        xb = closed_loop(s, coupling[0, k], b_bar[agent, k] * g, f) * xb
         if stochastic:
-            g, s = gains.dev_gain[:, k], a_d[k]
-            dev += (q_dev[agent, k] + r_dev[agent, k] * (f * g[agent] * s) ** mo) * m
-            m = _push_dev_moment(sc, k, closed_loop(a_d[k], s, b_d[:, k], g, f), m)
+            g, s = gains.dev_gain[agent, k], a_d[k]
+            dev += (q_dev[agent, k] + r_dev[agent, k] * (f * g * s) ** mo) * m
+            clf = closed_loop(s, coupling[1, k], b_d[agent, k] * g, f)
+            m = _push(push[:, k], clf, mo, m)
     mean += q_bar[agent, n] * xb ** p2
     if not stochastic:
         return [("mean", mean)]
@@ -386,16 +454,12 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
     r_dev0 = sc.r_dev[:, 0]
     a_dev, b_dev = sc.deviation_dynamics
     a_d, b_d = a_dev[0], b_dev[:, 0]
-    # E[eps^2] for the variance families (mo = 2), E[eps^2o] for the general one
-    noise = noise_even_moment(sc.noise, 1, mo)
-    general = sc.family is Family.GENERAL_MOMENT
+    push = _push_rows(sc, slice(0, 1))[:, 0]
 
     def dev_objective(i, w_i, w_other):
         # One-step deviation cost with E[(x0 - xbar0)^mo] normalized to 1.
         inner = a_d + b_d @ w_other + b_d[i] * w_i
-        if general:
-            return r_dev0[i] * w_i ** mo + q_dev[i, 1] * inner ** mo * noise
-        return r_dev0[i] * w_i ** 2 + q_dev[i, 1] * (inner ** 2 + noise)
+        return r_dev0[i] * w_i ** mo + q_dev[i, 1] * _push(push, inner, mo, 1.0)
 
     if a_d == 0.0:
         raise ValueError("deviation-gain recovery needs a nonzero deviation coefficient")
@@ -411,11 +475,7 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
     )
     dev_gain = -w / a_d
     inner = a_d + b_d @ w
-    if general:
-        tail = q_dev[:, 1] * inner ** mo * noise
-    else:
-        tail = q_dev[:, 1] * (inner ** 2 + noise)
-    dev_value = q_dev[:, 0] + r_dev0 * w ** mo + tail
+    dev_value = q_dev[:, 0] + r_dev0 * w ** mo + q_dev[:, 1] * _push(push, inner, mo, 1.0)
 
     return OneStepSolution(
         mean_gain=mean_gain,
@@ -475,15 +535,6 @@ def lq_reduction_check(sc: Scenario) -> LqReduction:
 # one-step value identity
 
 
-def _clf_mean(sc: Scenario, gains: GainSchedule, k: int) -> float:
-    return sc.a_bar[k] * (1.0 - gains.mean_gain[:, k] @ sc.b_bar[:, k])
-
-
-def _clf_dev(sc: Scenario, gains: GainSchedule, k: int) -> float:
-    a, b = sc.deviation_dynamics
-    return a[k] * (1.0 - gains.dev_gain[:, k] @ b[:, k])
-
-
 DEFAULT_PROBES = tuple(
     (x_bar, moment) for x_bar in (-2.0, -0.5, 1.0, 3.0) for moment in (0.0, 0.5, 2.0)
 )
@@ -506,33 +557,26 @@ def bellman_identity_check(
     if len(probes) == 0:
         raise SchemaError("the cost-to-go identity needs at least one probe state")
     p2 = 2 * sc.p
-    mo = sc.moment_order
-    clf_m = _clf_mean(sc, gains, k)
+    x_bar, moment = (np.array(column, dtype=float) for column in zip(*probes))
+    _, factor, push = _closed_loop(sc, gains, slice(k, k + 1))
+    # (agent, probe) arrays
+    x_pow = _scalar_pow(x_bar, p2)
+    u_pow = _scalar_pow(gains.mean_gain[:, k, None] * sc.a_bar[k] * x_bar, p2)
+    value = table.alpha_bar[:, k, None] * x_pow
+    stage = sc.q_bar[:, k, None] * x_pow + sc.r_bar[:, k, None] * u_pow
+    nxt = table.alpha_bar[:, k + 1, None] * _scalar_pow(factor[0, 0] * x_bar, p2)
     if sc.family.stochastic:
-        clf_d = _clf_dev(sc, gains, k)
+        mo = sc.moment_order
         a_d = sc.deviation_dynamics[0][k]
-    worst = 0.0
-    for i in range(sc.agents):
-        for x_bar, moment in probes:
-            value = table.alpha_bar[i, k] * x_bar ** p2
-            stage = (
-                sc.q_bar[i, k] * x_bar ** p2
-                + sc.r_bar[i, k] * (gains.mean_gain[i, k] * sc.a_bar[k] * x_bar) ** p2
-            )
-            nxt = table.alpha_bar[i, k + 1] * (clf_m * x_bar) ** p2
-            if sc.family.stochastic:
-                value += table.alpha[i, k] * moment
-                stage += (
-                    sc.q_dev[i, k] * moment
-                    + sc.r_dev[i, k] * (gains.dev_gain[i, k] * a_d) ** mo * moment
-                )
-                nxt += table.alpha[i, k + 1] * _push_dev_moment(sc, k, clf_d, moment)
-            if table.gamma_bar is not None:
-                value += table.gamma_bar[i, k]
-                nxt += table.gamma_bar[i, k + 1]
-            residual = abs(value - (stage + nxt)) / max(abs(value), 1.0)
-            worst = max(worst, residual)
-    return worst
+        r_v = sc.r_dev[:, k] * _scalar_pow(gains.dev_gain[:, k] * a_d, mo)
+        value += table.alpha[:, k, None] * moment
+        stage += sc.q_dev[:, k, None] * moment + r_v[:, None] * moment
+        nxt += table.alpha[:, k + 1, None] * _push(push[:, 0], factor[1, 0], mo, moment)
+    if table.gamma_bar is not None:
+        value += table.gamma_bar[:, k, None]
+        nxt += table.gamma_bar[:, k + 1, None]
+    residual = np.abs(value - (stage + nxt)) / np.maximum(np.abs(value), 1.0)
+    return float(np.max(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -546,46 +590,39 @@ def _min_curvature(order: int, a, b, r, weight, gain) -> float:
     moment the channel carries.  Samples lie around the equilibrium control
     and at the points where either curvature term vanishes.
 
-    When rest or weight is zero the objective is a single even power
-    centred at 0: strictly convex, although its curvature vanishes at the
-    centre, so the centre is not sampled.
+    The whole (agent, step, sample) table is one array expression.  Agents
+    with b = 0 have no best-response problem and are masked out.  When rest
+    or weight is zero the objective is a single even power centred at 0:
+    strictly convex, although its curvature vanishes at the centre, so the
+    centre is masked out too.
     """
-    worst = np.inf
-    for k in range(len(a)):
-        w_eq = -gain[:, k] * a[k]
-        for i in range(len(w_eq)):
-            if b[i, k] == 0.0:
-                continue
-            rest = a[k] + b[:, k] @ w_eq - b[i, k] * w_eq[i]
-            width = 2.0 * max(1.0, abs(w_eq[i]))
-            grid = np.concatenate([
-                np.linspace(w_eq[i] - width, w_eq[i] + width, 9),
-                [0.0, -rest / b[i, k]],
-            ])
-            if rest == 0.0 or weight[i, k] == 0.0:
-                grid = grid[grid != 0.0]
-            curvature = order * (order - 1) * (
-                r[i, k] * grid ** (order - 2)
-                + weight[i, k] * b[i, k] ** 2 * (rest + b[i, k] * grid) ** (order - 2)
-            )
-            worst = min(worst, float(np.min(curvature)))
-    return worst
+    w_eq = -gain * a
+    rest = a + _coupling(b, w_eq) - b * w_eq
+    width = 2.0 * np.maximum(1.0, np.abs(w_eq))
+    pivot = np.divide(-rest, b, out=np.zeros_like(rest), where=b != 0.0)
+    grid = np.concatenate([
+        np.linspace(w_eq - width, w_eq + width, 9, axis=-1),
+        np.zeros_like(rest)[..., None], pivot[..., None],
+    ], axis=-1)
+    # (agent, step) tables against the (agent, step, sample) grid
+    r, b2_weight, rest, b = (v[..., None] for v in (r, weight * _scalar_pow(b, 2), rest, b))
+    curvature = order * (order - 1) * (
+        r * grid ** (order - 2) + b2_weight * (rest + b * grid) ** (order - 2)
+    )
+    centre = ((rest == 0.0) | (weight[..., None] == 0.0)) & (grid == 0.0)
+    return float(np.min(np.where((b == 0.0) | centre, np.inf, curvature)))
 
 
 def sample_convexity(sc: Scenario, table: CoefficientTable, gains: GainSchedule) -> float:
     """Minimum sampled second derivative of the per-agent best-response
-    objectives of every channel."""
-    worst = _min_curvature(2 * sc.p, sc.a_bar, sc.b_bar, sc.r_bar,
-                           table.alpha_bar[:, 1:], gains.mean_gain)
+    objectives of every channel.  The deviation channel's next-step weight
+    is alpha_{k+1} times the push's scale row, the noise moment that the
+    general-moment family puts on its best response (1 otherwise)."""
+    weights = [table.alpha_bar[:, 1:]]
     if sc.family.stochastic:
-        general = sc.family is Family.GENERAL_MOMENT
-        noise = [noise_even_moment(sc.noise, k + 1, sc.moment_order) if general else 1.0
-                 for k in range(sc.horizon)]
-        worst = min(worst, _min_curvature(
-            sc.moment_order, *sc.deviation_dynamics, sc.r_dev,
-            table.alpha[:, 1:] * np.asarray(noise), gains.dev_gain,
-        ))
-    return worst
+        weights.append(table.alpha[:, 1:] * _push_rows(sc, slice(None))[1])
+    return min(_min_curvature(order, a, b, r, weight, gain)
+               for (order, a, b, r, gain), weight in zip(_channels(sc, gains), weights))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from mftg import (
     DeviationGrid,
     bellman_identity_check,
     brute_force_one_step,
-    convexity_scan,
     evaluate_cost,
     inject_gain_scaling,
     load_scenario_file,
@@ -22,12 +21,10 @@ from mftg import (
     propagate_mean,
     run_ensemble,
     solve,
-    solve_additive,
-    solve_deterministic,
-    solve_general_moment,
-    solve_multiplicative,
     unilateral_deviation_test,
 )
+from mftg.recursion import _solve
+from mftg.verify import _min_curvature
 from mftg.cli import main
 from conftest import SCENARIOS, make_scenario, random_deterministic
 
@@ -158,9 +155,9 @@ def test_criterion_7_zero_noise_reductions():
                         noise={"kind": "gaussian", "sigma": 0.0})
     add = make_scenario(family="additive_variance_2p", **stoch_kwargs)
     mult = make_scenario(family="multiplicative_variance_2p", **stoch_kwargs)
-    t_det, g_det = solve_deterministic(det)
-    t_add, g_add = solve_additive(add)
-    t_mult, g_mult = solve_multiplicative(mult)
+    t_det, g_det = solve(det)
+    t_add, g_add = solve(add)
+    t_mult, g_mult = solve(mult)
     ok = (
         np.array_equal(t_add.alpha_bar, t_det.alpha_bar)
         and np.array_equal(t_mult.alpha_bar, t_det.alpha_bar)
@@ -174,18 +171,23 @@ def test_criterion_7_zero_noise_reductions():
 
 
 def test_criterion_8_convexity_of_power_law_objectives():
+    # 1000 one-agent objectives w**2p + (rest + b w)**2p, whose rest term is
+    # the state coefficient a, with random a, b and equilibrium control, as
+    # the steps of one table per p, through the verify convexity sampler.
+    # Its samples include the two points where a term's curvature vanishes,
+    # 0 and -rest/b, which cannot coincide while rest != 0.
     rng = np.random.default_rng(8)
+    draws = 1000
+    p = rng.integers(1, 6, draws)
+    a = rng.uniform(0.1, 3.0, draws) * rng.choice([-1.0, 1.0], draws)
+    b = rng.uniform(0.1, 3.0, draws) * rng.choice([-1.0, 1.0], draws)
+    gain = rng.uniform(-2.0, 2.0, draws)
     worst = np.inf
-    for _ in range(1000):
-        p = int(rng.integers(1, 6))
-        a = float(rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0]))
-        b = float(rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0]))
-        pivot = -b / a
-        grid = np.concatenate([
-            np.linspace(-2.0, 2.0, 21) * max(1.0, abs(pivot)),
-            [0.0, 1e-9, -1e-9, pivot, pivot + 1e-9, pivot - 1e-9],
-        ])
-        worst = min(worst, convexity_scan(p, a, b, grid))
+    for half in np.unique(p):
+        at = p == half
+        ones = np.ones((1, np.count_nonzero(at)))
+        worst = min(worst, _min_curvature(2 * int(half), a[at], b[None, at], ones, ones,
+                                          gain[None, at]))
     _criterion(8, f"1000 random power-law objectives: sampled second "
                   f"derivative stays positive (min {worst:.3e})", worst > 0.0)
 
@@ -193,20 +195,17 @@ def test_criterion_8_convexity_of_power_law_objectives():
 def test_criterion_9_moment_factor_arbitration():
     sc = load_scenario_file(GEN)
     assert sc.o == 2 and sc.noise.kind == "gaussian"
+    # negative control: the private solver without the closed-loop factor
     residuals = {}
-    tables = {}
-    for flag in (True, False):
-        table, gains = solve_general_moment(sc, noise_factor_on_closed_loop=flag)
-        tables[flag] = table
-        residuals[flag] = max(bellman_identity_check(sc, table, gains, k)
+    for name, (table, gains) in (("shipped", solve(sc)),
+                                 ("without", _solve(sc, noise_on=("gain",)))):
+        residuals[name] = max(bellman_identity_check(sc, table, gains, k)
                               for k in range(sc.horizon))
-    default_table, _ = solve(sc)
-    exactly_one = residuals[True] <= 1e-10 and residuals[False] > 1e-10
-    default_is_winner = np.array_equal(default_table.alpha, tables[True].alpha)
+    exactly_one = residuals["shipped"] <= 1e-10 and residuals["without"] > 1e-10
     _criterion(9, f"one-step value identity selects the noise-moment-weighted "
-                  f"recursion (residuals {residuals[True]:.1e} vs "
-                  f"{residuals[False]:.1e}); the default solver ships it",
-               exactly_one and default_is_winner)
+                  f"recursion the solver ships (residuals {residuals['shipped']:.1e} "
+                  f"vs {residuals['without']:.1e} without the closed-loop factor)",
+               exactly_one)
 
 
 def test_criterion_10_simulation_determinism(tmp_path):

@@ -329,3 +329,19 @@ class TestSweep:
     def test_unknown_parameter_exit_1(self, tmp_path):
         assert main(["sweep", DET, "--out", str(tmp_path / "o"),
                      "--sweep", "sigma=1,2"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", DET],
+    ["simulate", ADD, "--paths", "10"],
+    ["verify", DET, "--grid", "3x0.2"],
+    ["sweep", DET, "--sweep", "p=1,2"],
+], ids=["solve", "simulate", "verify", "sweep"])
+def test_out_naming_a_file_exit_1(tmp_path, capsys, argv):
+    out = tmp_path / "taken"
+    out.write_text("a regular file\n")
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert out.read_text() == "a regular file\n"

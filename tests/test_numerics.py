@@ -1,40 +1,38 @@
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mftg import (
-    MissingMomentError,
-    NumericDomainError,
-    convexity_scan,
-    noise_even_moment,
-    signed_root,
-)
-from mftg.numerics import even_power
+from mftg import MissingMomentError, noise_even_moment, sample_convexity, solve
+from mftg.numerics import _odd_root, even_power
 from mftg.scenario import NoiseSpec
+from mftg.verify import _min_curvature
+from conftest import make_scenario
 
 
 def _roots(ys, m):
-    """signed_root of all values as one array, checked against each value
+    """_odd_root of all values as one array, checked against each value
     alone.  Vectorised pow may round differently from scalar pow, so the two
     forms agree to within two ulps rather than bit for bit."""
     ys = np.asarray(ys, dtype=float)
-    together = signed_root(ys, m)
+    together = _odd_root(ys, m)
     assert together.shape == ys.shape
-    singles = np.array([signed_root(float(y), m) for y in ys])
+    singles = np.array([_odd_root(float(y), m) for y in ys])
     np.testing.assert_allclose(together, singles, rtol=4.5e-16, atol=0)
     return together
 
 
 class TestSignedRoot:
+    """The signed odd root the backward solver takes, ``_odd_root``."""
+
     def test_integer_cases(self):
-        assert signed_root(8.0, 3) == 2.0
-        assert signed_root(-8.0, 3) == -2.0
-        assert signed_root(0.0, 5) == 0.0
+        assert _odd_root(8.0, 3) == 2.0
+        assert _odd_root(-8.0, 3) == -2.0
+        assert _odd_root(0.0, 5) == 0.0
         np.testing.assert_array_equal(_roots([8.0, -8.0, 0.0, 27.0], 3), [2.0, -2.0, 0.0, 3.0])
 
     def test_identity_order_one(self):
-        assert signed_root(-3.7, 1) == -3.7
+        assert _odd_root(-3.7, 1) == -3.7
         np.testing.assert_array_equal(_roots([-3.7, 0.0, 2.5], 1), [-3.7, 0.0, 2.5])
 
     def test_round_trip_relative_accuracy(self):
@@ -43,7 +41,7 @@ class TestSignedRoot:
         for _ in range(500):
             y = float(10.0 ** rng.uniform(-6, 6)) * float(rng.choice([-1.0, 1.0]))
             m = int(rng.choice([1, 3, 5, 7, 9]))
-            t = signed_root(y, m)
+            t = _odd_root(y, m)
             assert abs(t ** m - y) <= 1e-12 * abs(y)
             cases[m].append(y)
         for m, ys in cases.items():
@@ -56,25 +54,11 @@ class TestSignedRoot:
         for _ in range(200):
             y = float(rng.normal()) * 10.0 ** int(rng.integers(-4, 5))
             m = int(rng.choice([3, 5, 7]))
-            assert signed_root(-y, m) == -signed_root(y, m)
+            assert _odd_root(-y, m) == -_odd_root(y, m)
             cases[m].append(y)
         for m, ys in cases.items():
             ys = np.array(ys)
             np.testing.assert_array_equal(_roots(-ys, m), -_roots(ys, m))
-
-    def test_rejects_even_or_nonpositive_order(self):
-        for y in (1.0, np.array([1.0, 8.0])):
-            with pytest.raises(ValueError):
-                signed_root(y, 2)
-            with pytest.raises(ValueError):
-                signed_root(y, -3)
-
-    def test_rejects_non_finite(self):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(NumericDomainError):
-                signed_root(bad, 3)
-            with pytest.raises(NumericDomainError, match="1 non-finite of 2"):
-                signed_root(np.array([1.0, bad]), 3)
 
 
 class TestEvenPower:
@@ -175,32 +159,56 @@ class TestNoiseEvenMoment:
 
 
 class TestConvexityScan:
+    """Hand-checked minima of the convexity scan, ``sample_convexity``, on
+    one-agent one-step games with the equilibrium gain set to 0, so the
+    samples are known: w in -2..2 in steps of 0.5, plus 0 and the point
+    -rest/b where the second term's curvature vanishes.  With a = 1 the
+    rest term is 1 and the next-step weight is the terminal q = 1."""
+
+    @staticmethod
+    def _min(p, b, r, family="deterministic_2p", **kwargs):
+        sc = make_scenario(family=family, agents=1, horizon=1, p=p, a_bar=1.0,
+                           b_bar=[b], r_bar=r, **kwargs)
+        table, gains = solve(sc)
+        zero = np.zeros((1, 1))
+        gains = replace(gains, mean_gain=zero,
+                        dev_gain=None if gains.dev_gain is None else zero)
+        return sample_convexity(sc, table, gains)
+
     def test_quadratic_case(self):
-        assert convexity_scan(1, 1.0, 1.0, [-1.0, 0.0, 1.0]) == 4.0
+        # f'' = 2 (r + q b^2) at every sample
+        assert self._min(1, 1.0, 1.0) == 4.0
 
     def test_quartic_at_zero(self):
-        assert convexity_scan(2, 2.0, 1.0, [0.0]) == 48.0
+        # f'' = 12 (r w^2 + q b^2 (1 + b w)^2): with r = 100 the least sample
+        # is at w = 0, 12 * 4 = 48
+        assert self._min(2, 2.0, 100.0) == 48.0
 
     def test_quartic_one_term_vanishes(self):
-        assert convexity_scan(2, 1.0, 1.0, [-1.0]) == 12.0
+        # with r = 1 it is at w = -1/2, where 1 + b w vanishes: 12 / 4 = 3
+        assert self._min(2, 2.0, 1.0) == 3.0
 
-    def test_rejects_zero_coefficients(self):
-        with pytest.raises(NumericDomainError):
-            convexity_scan(2, 0.0, 1.0, [0.0])
-        with pytest.raises(NumericDomainError):
-            convexity_scan(2, 1.0, 0.0, [0.0])
+    def test_noise_moment_scales_the_deviation_weight(self):
+        # o = 2 and E[eps^4] = 3: the deviation weight is 3 q_dev = 3, so
+        # f'' = 12 (100 w^2 + 3 (1 + w)^2), least at w = 0: 12 * 3 = 36.
+        # The quadratic mean channel stays at 2 (100 + 1) = 202.
+        assert self._min(1, 1.0, 100.0, family="general_moment_2o2p", o=2, a_dev=1.0,
+                         b_dev=[1.0], r_dev=100.0,
+                         noise={"kind": "gaussian", "sigma": 1.0}) == 36.0
 
     def test_positive_on_random_draws(self):
-        # 1000 draws with grids crowding the two vanishing points, which
-        # cannot coincide while b != 0.
+        # 1000 one-agent objectives w**2p + (rest + b w)**2p, as the steps of
+        # one table per p; the samples include both points where a term's
+        # curvature vanishes, 0 and -rest/b, which cannot coincide while
+        # rest != 0.
         rng = np.random.default_rng(99)
-        for _ in range(1000):
-            p = int(rng.integers(1, 6))
-            a = float(rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0]))
-            b = float(rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0]))
-            pivot = -b / a
-            grid = np.concatenate([
-                np.linspace(-1.0, 1.0, 9) * abs(pivot) * 2.0,
-                [0.0, pivot, pivot + 1e-9, pivot - 1e-9, 1e-9, -1e-9],
-            ])
-            assert convexity_scan(p, a, b, grid) > 0.0
+        draws = 1000
+        p = rng.integers(1, 6, draws)
+        a = rng.uniform(0.1, 3.0, draws) * rng.choice([-1.0, 1.0], draws)
+        b = rng.uniform(0.1, 3.0, draws) * rng.choice([-1.0, 1.0], draws)
+        gain = rng.uniform(-2.0, 2.0, draws)
+        for half in np.unique(p):
+            at = p == half
+            ones = np.ones((1, np.count_nonzero(at)))
+            assert _min_curvature(2 * int(half), a[at], b[None, at], ones, ones,
+                                  gain[None, at]) > 0.0

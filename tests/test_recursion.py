@@ -1,30 +1,23 @@
 import numpy as np
 import pytest
 
-from mftg import (
-    CoefficientOverflowError,
-    solve,
-    solve_additive,
-    solve_deterministic,
-    solve_general_moment,
-    solve_multiplicative,
-    stationarity_residual,
-)
-from mftg.numerics import noise_even_moment, signed_root
+from mftg import CoefficientOverflowError, solve, stationarity_residual
+from mftg.numerics import _odd_root, noise_even_moment
+from mftg.recursion import _solve
 from mftg.verify import inject_gain_scaling
 from conftest import make_scenario, random_deterministic
 
 
 class TestDeterministic:
     def test_one_step_unit_game(self, one_step_unit):
-        table, gains = solve_deterministic(one_step_unit)
+        table, gains = solve(one_step_unit)
         np.testing.assert_allclose(gains.mean_gain[:, 0], 1 / 3, rtol=0, atol=1e-12)
         np.testing.assert_allclose(table.alpha_bar[:, 0], 83 / 81, rtol=0, atol=1e-12)
 
     def test_zero_control_channel(self):
         sc = make_scenario(agents=2, horizon=5, p=3, a_bar=1.1,
                            b_bar=[0.0, 0.0], q_bar=[2.0, 3.0], r_bar=[1.0, 1.0])
-        table, gains = solve_deterministic(sc)
+        table, gains = solve(sc)
         assert np.all(gains.mean_gain == 0.0)
         expected = np.empty(6)
         expected[5] = 2.0
@@ -33,7 +26,7 @@ class TestDeterministic:
         np.testing.assert_allclose(table.alpha_bar[0], expected, rtol=1e-14)
 
     def test_terminal_condition_bit_exact(self, det_two_agent):
-        table, _ = solve_deterministic(det_two_agent)
+        table, _ = solve(det_two_agent)
         assert table.alpha_bar[0, 7] == 4.0
         assert table.alpha_bar[1, 7] == 5.0
 
@@ -42,7 +35,7 @@ class TestDeterministic:
             sc = make_scenario(agents=2, horizon=7, p=p, b_bar=[-2.0, 2.0],
                                q_bar=[4.0, 5.0], r_bar=[6.0, 7.0],
                                initial={"mean": 10.0})
-            table, gains = solve_deterministic(sc)
+            table, gains = solve(sc)
             assert np.all(table.alpha_bar > 0.0)
             assert np.all(np.abs(gains.closed_loop_mean) < 1.0)
 
@@ -50,7 +43,7 @@ class TestDeterministic:
         # identical agents must get identical schedules, up to roundoff
         sc = make_scenario(agents=3, horizon=6, p=2, b_bar=[1.5, 1.5, 1.5],
                            q_bar=[2.0, 2.0, 2.0], r_bar=[3.0, 3.0, 3.0])
-        table, gains = solve_deterministic(sc)
+        table, gains = solve(sc)
         for i in (1, 2):
             np.testing.assert_allclose(table.alpha_bar[i], table.alpha_bar[0], rtol=1e-13)
             np.testing.assert_allclose(gains.mean_gain[i], gains.mean_gain[0], rtol=1e-13)
@@ -58,7 +51,7 @@ class TestDeterministic:
     def test_overflow_guard(self):
         sc = make_scenario(agents=1, horizon=4, p=4, a_bar=1e30, b_bar=[0.0])
         with pytest.raises(CoefficientOverflowError):
-            solve_deterministic(sc)
+            solve(sc)
 
     def test_overflow_names_agent_and_step(self):
         # only agent 2's terminal weight is large enough to overflow
@@ -66,7 +59,7 @@ class TestDeterministic:
                            q_bar=[[1.0] * 4, [1.0, 1.0, 1.0, 1e299]])
         with pytest.raises(CoefficientOverflowError,
                            match=r"alpha_bar coefficient exceeded .* agent 2 at step 2;"):
-            solve_deterministic(sc)
+            solve(sc)
 
     def test_terminal_weight_above_limit_overflows(self):
         # a terminal weight is the coefficient alpha_N itself
@@ -74,10 +67,10 @@ class TestDeterministic:
                            q_bar=[[1.0, 1.0, 1e305]])
         with pytest.raises(CoefficientOverflowError,
                            match=r"alpha_bar coefficient exceeded .* agent 1 at step 2;"):
-            solve_deterministic(sc)
+            solve(sc)
 
     def test_tables_are_read_only(self, det_two_agent):
-        table, gains = solve_deterministic(det_two_agent)
+        table, gains = solve(det_two_agent)
         with pytest.raises(ValueError):
             table.alpha_bar[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -88,14 +81,14 @@ class TestAdditive:
     def test_scalar_quadratic_one_step(self):
         sc = make_scenario(family="additive_variance_2p", agents=1, horizon=1,
                            p=1, noise={"kind": "gaussian", "sigma": 0.0})
-        table, gains = solve_additive(sc)
+        table, gains = solve(sc)
         assert gains.c[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert table.alpha[0, 0] == pytest.approx(1.5, abs=1e-15)
 
     def test_gamma_accumulates_noise_through_alpha(self):
         sc = make_scenario(family="additive_variance_2p", agents=1, horizon=3,
                            p=2, noise={"kind": "gaussian", "sigma": [0.5, 1.0, 2.0]})
-        table, _ = solve_additive(sc)
+        table, _ = solve(sc)
         # gamma_k = gamma_{k+1} + alpha_{k+1} * E[eps_{k+1}^2]
         gamma = np.zeros(4)
         for k in (2, 1, 0):
@@ -117,8 +110,8 @@ class TestAdditive:
             b_bar=[-2.0, 3.0], q_bar=[4.0, 5.0], r_bar=[6.0, 7.0],
             initial={"mean": 20.25},
         )
-        t_add, g_add = solve_additive(sc)
-        t_det, g_det = solve_deterministic(det)
+        t_add, g_add = solve(sc)
+        t_det, g_det = solve(det)
         np.testing.assert_array_equal(t_add.alpha_bar, t_det.alpha_bar)
         np.testing.assert_array_equal(g_add.mean_gain, g_det.mean_gain)
         assert np.all(t_add.gamma_bar == 0.0)
@@ -133,7 +126,7 @@ class TestAdditive:
                 noise={"kind": "gaussian", "sigma": 1.0},
                 initial={"mean": 20.25},
             )
-            table, gains = solve_additive(sc)
+            table, gains = solve(sc)
             outputs.append((table.alpha, table.gamma_bar, gains.dev_gain))
         for alpha, gamma, dev in outputs[1:]:
             np.testing.assert_array_equal(alpha, outputs[0][0])
@@ -145,7 +138,7 @@ class TestMultiplicative:
     def test_scalar_one_step_with_unit_noise(self):
         sc = make_scenario(family="multiplicative_variance_2p", agents=1,
                            horizon=1, p=1, noise={"kind": "gaussian", "sigma": 1.0})
-        table, gains = solve_multiplicative(sc)
+        table, gains = solve(sc)
         assert gains.c[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert table.alpha[0, 0] == pytest.approx(2.5, abs=1e-15)
 
@@ -155,9 +148,9 @@ class TestMultiplicative:
                       q_dev=[5.0, 4.0], r_dev=[1.0, 1.0],
                       noise={"kind": "gaussian", "sigma": 0.0},
                       initial={"mean": 20.5})
-        t_mult, g_mult = solve_multiplicative(
+        t_mult, g_mult = solve(
             make_scenario(family="multiplicative_variance_2p", **kwargs))
-        t_add, g_add = solve_additive(
+        t_add, g_add = solve(
             make_scenario(family="additive_variance_2p", **kwargs))
         np.testing.assert_array_equal(t_mult.alpha, t_add.alpha)
         np.testing.assert_array_equal(g_mult.dev_gain, g_add.dev_gain)
@@ -171,7 +164,7 @@ class TestMultiplicative:
                 noise={"kind": "gaussian", "sigma": 1.0},
                 initial={"mean": 20.5, "atom": 20.0},
             )
-            table, _ = solve_multiplicative(sc)
+            table, _ = solve(sc)
             assert np.all(table.alpha_bar > 0.0)
             assert np.all(table.alpha > 0.0)
 
@@ -182,14 +175,14 @@ class TestMultiplicative:
                            p=2, a_bar=0.5, noise={"kind": "gaussian", "sigma": 1e100})
         with pytest.raises(CoefficientOverflowError,
                            match=r"^alpha coefficient exceeded .* agent 1 at step 1;"):
-            solve_multiplicative(sc)
+            solve(sc)
 
 
 class TestGeneralMoment:
     def test_scalar_first_moment_order(self):
         sc = make_scenario(family="general_moment_2o2p", agents=1, horizon=1,
                            p=1, o=1, noise={"kind": "gaussian", "sigma": 1.0})
-        table, gains = solve_general_moment(sc)
+        table, gains = solve(sc)
         assert gains.c[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert gains.dev_gain[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert table.alpha[0, 0] == pytest.approx(1.5, abs=1e-15)
@@ -200,7 +193,7 @@ class TestGeneralMoment:
             noise={"kind": "explicit_moments",
                    "moments": {2: 0.0, 4: 0.0}},
         )
-        table, gains = solve_general_moment(sc)
+        table, gains = solve(sc)
         assert np.all(gains.c == 0.0)
         assert np.all(gains.dev_gain == 0.0)
         # zero noise transfer: deviations die after one step, so each alpha
@@ -212,14 +205,15 @@ class TestGeneralMoment:
         det = make_scenario(agents=2, horizon=8, p=2, b_bar=[-2.0, 2.0],
                             q_bar=[4.0, 5.0], r_bar=[6.0, 7.0],
                             initial={"mean": 5.0})
-        t_gen, g_gen = solve_general_moment(general_two_agent)
-        t_det, g_det = solve_deterministic(det)
+        t_gen, g_gen = solve(general_two_agent)
+        t_det, g_det = solve(det)
         np.testing.assert_array_equal(t_gen.alpha_bar, t_det.alpha_bar)
         np.testing.assert_array_equal(g_gen.mean_gain, g_det.mean_gain)
 
     def test_noise_factor_switch_changes_alpha(self, general_two_agent):
-        on, _ = solve_general_moment(general_two_agent, noise_factor_on_closed_loop=True)
-        off, _ = solve_general_moment(general_two_agent, noise_factor_on_closed_loop=False)
+        # negative control: the private solver without the closed-loop factor
+        on, _ = solve(general_two_agent)
+        off, _ = _solve(general_two_agent, noise_on=("gain",))
         assert not np.array_equal(on.alpha, off.alpha)
 
 
@@ -228,7 +222,7 @@ class TestSharedStructure:
         rng = np.random.default_rng(5)
         for _ in range(10):
             base = random_deterministic(rng, max_agents=3, max_horizon=8)
-            t_det, g_det = solve_deterministic(base)
+            t_det, g_det = solve(base)
             common = dict(
                 agents=base.agents, horizon=base.horizon, p=base.p,
                 a_bar=base.a_bar.tolist(), b_bar=base.b_bar.tolist(),
@@ -246,7 +240,7 @@ class TestSharedStructure:
         rng = np.random.default_rng(17)
         for _ in range(50):
             sc = random_deterministic(rng, max_p=1)
-            table, gains = solve_deterministic(sc)
+            table, gains = solve(sc)
             b = np.asarray(sc.b_bar)
             r = np.asarray(sc.r_bar)
             for k in range(sc.horizon):
@@ -269,7 +263,7 @@ class TestSharedStructure:
                 q_bar=rng.uniform(0.1, 5.0, agents).tolist(),
                 r_bar=rng.uniform(0.1, 5.0, agents).tolist(),
             )
-            table, gains = solve_deterministic(sc)
+            table, gains = solve(sc)
             b = np.asarray(sc.b_bar)
             r = np.asarray(sc.r_bar)
             for k in range(sc.horizon):
@@ -289,7 +283,7 @@ class TestSharedStructure:
             q_dev=[2.0, 2.0], r_dev=[3.0, 3.0],
             noise={"kind": "gaussian", "sigma": 1.0},
         )
-        table, gains = solve_additive(sc)
+        table, gains = solve(sc)
         np.testing.assert_allclose(gains.mean_gain, gains.dev_gain, rtol=1e-12)
 
 
@@ -306,7 +300,7 @@ def _lone_channel(order, a, b, q, r, moment=None, noise_on=()):
         arg = nxt * b[:, k]
         if "gain" in noise_on:
             arg = arg * moment[k]
-        eta = signed_root(arg / r[:, k], order - 1)
+        eta = _odd_root(arg / r[:, k], order - 1)
         c[:, k] = eta / (1.0 + eta * b[:, k])
         g = eta / (1.0 + b[:, k] @ eta)
         gain[:, k] = g
@@ -371,7 +365,7 @@ class TestStackedLoop:
 
 class TestStationarity:
     def test_zero_at_solution(self, one_step_unit):
-        table, gains = solve_deterministic(one_step_unit)
+        table, gains = solve(one_step_unit)
         assert stationarity_residual(one_step_unit, table, gains, 0, 0) <= 1e-12
 
     def test_all_families_below_tolerance(self, det_two_agent, additive_two_agent,
@@ -386,11 +380,11 @@ class TestStationarity:
             assert worst <= 1e-9
 
     def test_perturbed_gains_detected(self, one_step_unit):
-        table, gains = solve_deterministic(one_step_unit)
+        table, gains = solve(one_step_unit)
         corrupted = inject_gain_scaling(gains, 0, None, 1.1)
         assert stationarity_residual(one_step_unit, table, corrupted, 0, 0) > 1e-3
 
     def test_zero_control_exactly_stationary(self):
         sc = make_scenario(agents=2, horizon=3, p=2, b_bar=[0.0, 0.0])
-        table, gains = solve_deterministic(sc)
+        table, gains = solve(sc)
         assert stationarity_residual(sc, table, gains, 0, 0) == 0.0

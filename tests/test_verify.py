@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
 
 from mftg import (
     DeviationGrid,
@@ -19,11 +20,15 @@ from mftg import (
     run_verification,
     sample_convexity,
     solve,
-    solve_general_moment,
     unilateral_deviation_test,
 )
-from mftg.errors import SchemaError
-from conftest import make_scenario, random_deterministic, scenario_doc
+from mftg.errors import CoefficientOverflowError, SchemaError
+from mftg.numerics import noise_even_moment
+from mftg.recursion import _solve
+from mftg.scenario import Family
+from mftg.verify import _channels, _closed_loop, _min_curvature, _push
+from conftest import SCENARIOS, make_scenario, random_deterministic
+from test_properties import scenario_docs
 
 
 SMALL_GRID = DeviationGrid(points=41, span=0.2, per_step=True)
@@ -279,11 +284,13 @@ class TestBellmanIdentity:
         # Gaussian noise with o=2 separates the two candidate recursions:
         # only the one carrying the order-2o moment satisfies the identity.
         sc = general_two_agent
+        # The negative control is the private solver without the closed-loop
+        # factor.
         residuals = {}
-        for flag in (True, False):
-            table, gains = solve_general_moment(sc, noise_factor_on_closed_loop=flag)
-            residuals[flag] = max(bellman_identity_check(sc, table, gains, k)
-                                  for k in range(sc.horizon))
+        for shipped, (table, gains) in ((True, solve(sc)),
+                                        (False, _solve(sc, noise_on=("gain",)))):
+            residuals[shipped] = max(bellman_identity_check(sc, table, gains, k)
+                                     for k in range(sc.horizon))
         assert residuals[True] <= 1e-10
         assert residuals[False] > 1e-3
 
@@ -324,3 +331,101 @@ class TestAggregateReport:
         for sc in (multiplicative_two_agent, general_two_agent):
             table, gains = solve(sc)
             assert sample_convexity(sc, table, gains) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the closed-loop layer against the per-step and per-pair code it replaced
+
+
+def _push_dev_moment(sc, k, clf, m):
+    """Reference: E[d_{k+1}^mo] from m = E[d_k^mo] under the deviation
+    closed-loop factor clf, one family formula each."""
+    mo = sc.moment_order
+    if sc.family is Family.ADDITIVE:
+        return clf ** 2 * m + noise_even_moment(sc.noise, k + 1, 2)
+    if sc.family is Family.MULTIPLICATIVE:
+        return (clf ** 2 + noise_even_moment(sc.noise, k + 1, 2)) * m
+    return clf ** mo * m * noise_even_moment(sc.noise, k + 1, mo)
+
+
+def _min_curvature_per_pair(order, a, b, r, weight, gain):
+    """Reference: the convexity sampler as one loop over (step, agent)."""
+    worst = np.inf
+    for k in range(len(a)):
+        w_eq = -gain[:, k] * a[k]
+        for i in range(len(w_eq)):
+            if b[i, k] == 0.0:
+                continue
+            rest = a[k] + b[:, k] @ w_eq - b[i, k] * w_eq[i]
+            width = 2.0 * max(1.0, abs(w_eq[i]))
+            grid = np.concatenate([
+                np.linspace(w_eq[i] - width, w_eq[i] + width, 9),
+                [0.0, -rest / b[i, k]],
+            ])
+            if rest == 0.0 or weight[i, k] == 0.0:
+                grid = grid[grid != 0.0]
+            curvature = order * (order - 1) * (
+                r[i, k] * grid ** (order - 2)
+                + weight[i, k] * b[i, k] ** 2 * (rest + b[i, k] * grid) ** (order - 2)
+            )
+            worst = min(worst, float(np.min(curvature)))
+    return worst
+
+
+def _assert_layer_matches_references(sc):
+    table, gains = solve(sc)
+    _, factor, push = _closed_loop(sc, gains, slice(None))
+    weights = [table.alpha_bar[:, 1:]]
+    if sc.family.stochastic:
+        moments = np.array([0.0, 0.5, 2.0])
+        want = np.array([[_push_dev_moment(sc, k, factor[1, k], m) for m in moments]
+                         for k in range(sc.horizon)])
+        got = np.array([_push(push[:, k], factor[1, k], sc.moment_order, moments)
+                        for k in range(sc.horizon)])
+        np.testing.assert_array_equal(got, want)
+        weights.append(table.alpha[:, 1:] * push[1])
+    for (order, a, b, r, gain), weight in zip(_channels(sc, gains), weights):
+        np.testing.assert_array_equal(_min_curvature(order, a, b, r, weight, gain),
+                                      _min_curvature_per_pair(order, a, b, r, weight, gain))
+
+
+class TestClosedLoopLayer:
+    @pytest.mark.parametrize("name", ["deterministic_two_agent", "additive_two_agent",
+                                      "multiplicative_two_agent", "general_moment_two_agent"])
+    def test_shipped_scenarios_match_references(self, name):
+        _assert_layer_matches_references(
+            load_scenario((SCENARIOS / f"{name}.yaml").read_text()))
+
+    @pytest.mark.parametrize("family", ["deterministic_2p", "additive_variance_2p",
+                                        "multiplicative_variance_2p", "general_moment_2o2p"])
+    def test_zero_control_and_zero_rest_match_references(self, family):
+        # agent 2 has b = 0 at every step, and a = 0 leaves each rest term 0
+        general = {}
+        if family == "general_moment_2o2p":
+            general = dict(o=2, a_dev=0.0, b_dev=[0.8, 0.0, 1.1])
+        for a_bar in (0.0, 0.9):
+            sc = make_scenario(family=family, agents=3, horizon=4, p=2, a_bar=a_bar,
+                               b_bar=[1.2, 0.0, -0.7], **general)
+            _assert_layer_matches_references(sc)
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(scenario_docs())
+    def test_bounded_draws_match_references(self, doc):
+        sc = load_scenario(yaml.safe_dump(doc))
+        try:
+            _assert_layer_matches_references(sc)
+        except CoefficientOverflowError:
+            pass
+
+    def test_factor_read_from_gains_not_audit_fields(self, det_two_agent):
+        # An injected gain leaves closed_loop_mean as solved; the layer
+        # follows the gains.
+        sc = det_two_agent
+        _, gains = solve(sc)
+        _, factor, _ = _closed_loop(sc, gains, slice(None))
+        np.testing.assert_array_equal(factor[0], gains.closed_loop_mean)
+        corrupted = inject_gain_scaling(gains, 0, None, 1.2)
+        _, factor, _ = _closed_loop(sc, corrupted, slice(None))
+        want = sc.a_bar * (1.0 - np.sum(sc.b_bar * corrupted.mean_gain, axis=0))
+        np.testing.assert_allclose(factor[0], want, rtol=1e-14)
+        assert not np.any(factor[0] == gains.closed_loop_mean)
