@@ -40,7 +40,7 @@ from .scenario import (
     serialize_scenario,
     with_params,
 )
-from .simulate import evaluate_cost, propagate_mean, run_ensemble
+from .simulate import DEFAULT_STORE_CAP, evaluate_cost, propagate_mean, run_ensemble
 from .svgplot import line_plot
 from .verify import (
     BELLMAN_TOL,
@@ -239,7 +239,10 @@ def cmd_simulate(args) -> int:
     elif paths < 1:
         print("warning: monte_carlo.paths is 0; mean path only", file=sys.stderr)
     else:
-        ensemble = run_ensemble(sc, gains, paths=paths, seed=args.seed, threads=args.threads)
+        # Keep the paths only when trajectories.csv will be written from them.
+        store_cap = min(DEFAULT_STORE_CAP, TRAJECTORY_ROW_LIMIT // (sc.horizon + 1))
+        ensemble = run_ensemble(sc, gains, paths=paths, seed=args.seed, threads=args.threads,
+                                store_cap=store_cap)
     mean = propagate_mean(sc, gains) if ensemble is None else ensemble.mean
     terminal = (sc.horizon + 1, 2)
     files = {"meanpath.csv": _write_csv(out / "meanpath.csv", _meanpath_header(sc.agents),
@@ -253,7 +256,7 @@ def cmd_simulate(args) -> int:
             [[np.arange(sc.horizon + 1), ensemble.emp_mean, ensemble.dev_m2,
               ensemble.dev_m2o]],
         )
-        if ensemble.x is not None and ensemble.n_paths * (sc.horizon + 1) <= TRAJECTORY_ROW_LIMIT:
+        if ensemble.x is not None:
             files["trajectories.csv"] = _write_csv(
                 out / "trajectories.csv",
                 ["path", "k", "x"] + [f"u_{i + 1}" for i in range(sc.agents)],
@@ -421,7 +424,7 @@ def cmd_sweep(args) -> int:
                                                _meanpath_header(variant.agents),
                                                [meanpath], terminal)
             if variant.family.stochastic and variant.mc.paths > 0:
-                ensemble = run_ensemble(variant, gains)
+                ensemble = run_ensemble(variant, gains, store_cap=0)
                 breakdown = evaluate_cost(variant, ensemble, table)
             else:
                 breakdown = evaluate_cost(variant, mean, table)

@@ -5,21 +5,24 @@ recursion, so it is propagated deterministically and the feedback laws
 consume this model mean, never an ensemble average (using empirical means
 would couple paths).  Monte Carlo paths are drawn in fixed blocks of
 CHUNK_SIZE paths, each from its own substream derived from (seed, block
-index), which makes ensembles reproducible bit for bit regardless of how
-blocks are scheduled over worker threads.
+index), which makes ensembles reproducible bit for bit regardless of which
+thread draws a block.
 
-Each block runs step-major: states and their deviations from the mean
-(N+1, B) and controls (N, I, B) are filled one step row at a time, the
-deviations are raised to the moment order once, in place, and both the
-per-path costs and the block's moment sums read those powers.  Every run
-sums each block over its paths and adds the block sums in block order; a
-run that keeps its paths (up to the store cap) only copies them into the
-store as well, so its statistics have the same bits as a streamed run's.
+Each block is propagated one step at a time and each step is reduced as
+soon as it is made: its path sums of the states, the controls and their
+deviations' squares and moment powers are added to the run's running sums,
+and each path's stage cost is added to that path's cost, in a fixed order
+of elementwise operations.  The step rows are then reused for the next
+step, so a block holds its noise draw (N x B floats) and a few (I, B) rows,
+whatever the horizon.  The calling thread propagates and reduces the blocks
+in block order; helper threads only draw the noise of the next blocks
+ahead of it.  A run that keeps its paths (up to the store cap) also writes
+each step's rows into the store, so its statistics have the same bits as a
+streamed run's.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,7 +37,7 @@ DEFAULT_STORE_CAP = 100_000
 # Paths per random-stream block; chunks are whole blocks (the last may be partial).
 CHUNK_SIZE = 4096
 # Ceiling on floats held at once: the per-path costs, the path store when
-# one is kept, and the block arrays of every concurrent worker.
+# one is kept, the step rows, and the noise of every block in flight.
 MAX_PATH_FLOATS = 400_000_000
 
 
@@ -144,95 +147,119 @@ def _draw_paths(sc: Scenario, seed: int, lo: int, eps: np.ndarray) -> np.ndarray
     return x0
 
 
-def _propagate_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, seed: int,
-                     lo: int, x: np.ndarray, d: np.ndarray, u: np.ndarray,
-                     eps: np.ndarray) -> None:
-    """Fill the step-major states x (N+1, B), their deviations d = x - x_bar
-    and the controls u (N, I, B) of paths lo..lo+B-1 of one block."""
-    family = sc.family
-    x[0] = _draw_paths(sc, seed, lo, eps)
-    np.subtract(x[0], mean.x_bar[0], out=d[0])
-    g_dev = gains.dev_gain
-    a, b = sc.deviation_dynamics
-    # The dynamics split exactly into the mean recursion plus a deviation
-    # channel; propagating the deviation and re-adding the exact mean keeps
-    # zero-noise paths bit-identical to the mean path.  The controls' push
-    # b.v is applied as a scalar times d rather than a matrix product, so
-    # each path's arithmetic does not depend on how many paths share its
-    # block.  d[k + 1] serves as scratch until it is written at the step's end.
-    for k in range(sc.horizon):
-        gain = g_dev[:, k] * a[k]
-        np.multiply(gain[:, None], d[k], out=u[k])
-        np.subtract(mean.u_bar[:, k, None], u[k], out=u[k])
-        nxt, tmp = x[k + 1], d[k + 1]
-        np.multiply(d[k], a[k], out=nxt)
-        np.multiply(d[k], b[:, k] @ gain, out=tmp)
-        nxt -= tmp
-        if family is Family.ADDITIVE:
-            nxt += eps[k]
-        elif family is Family.MULTIPLICATIVE:
-            np.multiply(d[k], eps[k], out=tmp)
-            nxt += tmp
-        else:
-            nxt *= eps[k]
-        nxt += mean.x_bar[k + 1]
-        np.subtract(nxt, mean.x_bar[k + 1], out=d[k + 1])
+def _moment_sums(dev: np.ndarray, mo: int, out: np.ndarray):
+    """Sums over the last (path) axis of dev**2 and dev**mo; dev**mo is
+    written to out."""
+    sq_sum = None if mo == 2 else np.einsum("...b,...b->...", dev, dev)
+    even_power(dev, mo, out=out)
+    mo_sum = out.sum(axis=-1)
+    return (mo_sum if sq_sum is None else sq_sum), mo_sum
 
 
-def _path_sums(x: np.ndarray, d: np.ndarray, mo: int):
-    """Sums over the last (path) axis of x, d**2 and d**mo; d is raised to
-    the moment order in place."""
-    x_sum = x.sum(axis=-1)
-    d2_sum = None if mo == 2 else np.einsum("...b,...b->...", d, d)
-    even_power(d, mo, out=d)
-    dmo_sum = d.sum(axis=-1)
-    return x_sum, dmo_sum if d2_sum is None else d2_sum, dmo_sum
+def _run_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, x0: np.ndarray,
+               eps: np.ndarray, sums: list, cost: np.ndarray, rows: list,
+               store: tuple | None) -> None:
+    """Propagate one block of B paths from its initial states x0 and its
+    step-major noise eps (N, B), one step at a time, and reduce each step
+    as soon as it is made.
 
-
-def _path_cost_dev(sc: Scenario, d_pow: np.ndarray, v_pow: np.ndarray,
-                   x_buf: np.ndarray, u_buf: np.ndarray) -> np.ndarray:
-    """Deviation-cost contribution of each path of a block, per agent: (I, B).
-
-    d_pow (N+1, B) and v_pow (N, I, B) are the deviations raised to the
-    moment order.  A matrix product may round differently with its operands'
-    layout, so they are first copied path-major into the block's freed
-    state and control buffers, and the products are taken there: each
-    path's cost then has the same bits as a path-major kernel gives, for
-    any block size.
+    Each step's path sums of x, d**2, d**mo (d = x - x_bar) and of u, v**2,
+    v**mo (v = u - u_bar) are added into sums, and each path's deviation
+    cost is added into cost (I, B) in a fixed order: the stage costs
+    r_k * v_k**mo + q_k * d_k**mo for k = 0..N-1 in step order, then the
+    terminal q_N * d_N**mo.  That arithmetic is elementwise, so each path's
+    cost has the same bits for any block size.  rows are the step rows the
+    block is propagated in: x, d, d**mo and a scratch row (B), and u, v and a
+    scratch row (I, B).  A kept store gets each step's rows written into its
+    views store = (x (B, N+1), u (I, B, N)).
     """
-    n, rows = sc.horizon, d_pow.shape[1]
-    d_path = x_buf.reshape(-1)[:d_pow.size].reshape(rows, n + 1)
-    v_path = u_buf.reshape(-1)[:v_pow.size].reshape(sc.agents, rows, n)
-    np.copyto(d_path, d_pow.T)
-    np.copyto(v_path, v_pow.transpose(1, 2, 0))
-    q_dev = sc.q_dev
-    out = d_path[:, :n] @ q_dev[:, :n].T
-    out += np.outer(d_path[:, n], q_dev[:, n])
-    out += np.einsum("ibk,ik->bi", v_path, sc.r_dev)
-    return out.T
+    n, family, mo = sc.horizon, sc.family, sc.moment_order
+    x, d, d_pow, tmp, u, v, stage = rows
+    x_sum, d2_sum, dmo_sum, u_sum, v2_sum, vmo_sum = sums
+    g_dev, q_dev, r_dev = gains.dev_gain, sc.q_dev, sc.r_dev
+    x_bar, u_bar = mean.x_bar, mean.u_bar
+    a, b = sc.deviation_dynamics
+    np.copyto(x, x0)
+    np.subtract(x, x_bar[0], out=d)
+    for k in range(n + 1):
+        x_sum[k] += x.sum()
+        d2, dmo = _moment_sums(d, mo, d_pow)
+        d2_sum[k] += d2
+        dmo_sum[k] += dmo
+        if store:
+            store[0][:, k] = x
+        if k == n:
+            break
+        gain = g_dev[:, k] * a[k]
+        np.multiply(gain[:, None], d, out=u)
+        np.subtract(u_bar[:, k, None], u, out=u)
+        np.subtract(u, u_bar[:, k, None], out=v)
+        u_sum[k] += u.sum(axis=-1)
+        v2, vmo = _moment_sums(v, mo, stage)
+        v2_sum[k] += v2
+        vmo_sum[k] += vmo
+        if store:
+            store[1][:, :, k] = u
+        stage *= r_dev[:, k, None]
+        np.multiply(q_dev[:, k, None], d_pow, out=v)
+        stage += v
+        cost += stage
+        # The dynamics split exactly into the mean recursion plus a
+        # deviation channel; propagating the deviation and re-adding the
+        # exact mean keeps zero-noise paths bit-identical to the mean path.
+        # The controls' push b.v is applied as a scalar times d rather than
+        # a matrix product, so each path's arithmetic does not depend on how
+        # many paths share its block.
+        np.multiply(d, a[k], out=x)
+        np.multiply(d, b[:, k] @ gain, out=tmp)
+        x -= tmp
+        if family is Family.ADDITIVE:
+            x += eps[k]
+        elif family is Family.MULTIPLICATIVE:
+            np.multiply(d, eps[k], out=tmp)
+            x += tmp
+        else:
+            x *= eps[k]
+        x += x_bar[k + 1]
+        np.subtract(x, x_bar[k + 1], out=d)
+    np.multiply(q_dev[:, n, None], d_pow, out=stage)
+    cost += stage
 
 
 def _memory_plan(sc: Scenario, n_paths: int, store_cap: int) -> tuple[bool, int, int]:
     """Whether a run keeps its path store, the floats it holds throughout,
-    and the floats each of its workers holds, counted against MAX_PATH_FLOATS.
+    and the floats each block in flight holds, counted against
+    MAX_PATH_FLOATS.
 
-    A run holds the per-path costs (before and after the mean terms), each
-    block's partial sums, and the path store when it keeps one.  A worker
-    holds its block arrays (x, d, u, v), the noise in both layouts, the
-    block's per-path costs, and the copy even_power takes of v when the
-    moment order is not a power of two.  A run keeps its store only when the
-    store fits beside what it holds throughout and one worker.
+    A run holds the per-path costs (before and after the mean terms), the
+    running path sums of its statistics, the step rows the calling thread
+    propagates each block in (four of B floats and three of I x B), and the
+    path store when it keeps one.  A block in flight holds its initial
+    states, the initial-law draw of a full block, and its noise, in both
+    layouts while it is drawn.  A run keeps its store only when the store
+    fits beside what it holds throughout and one block in flight.
     """
-    n, agents, mo = sc.horizon, sc.agents, sc.moment_order
-    blocks = -(-n_paths // CHUNK_SIZE)
-    held = 2 * agents * n_paths + blocks * 3 * (n + 1 + agents * n)
-    power_copy = agents * n if mo & (mo - 1) else 0
-    per_worker = min(CHUNK_SIZE, n_paths) * (
-        2 * (n + 1) + 2 * n + 2 * agents * n + 3 * agents + power_copy)
+    n, agents = sc.horizon, sc.agents
+    width = min(CHUNK_SIZE, n_paths)
+    held = (2 * agents * n_paths + 3 * (n + 1 + agents * n)
+            + width * (4 + 3 * agents))
+    per_block = width * (2 * n + 1) + CHUNK_SIZE
     store_floats = n_paths * (n + 1 + agents * n)
     store = (n_paths <= store_cap
-             and held + store_floats + per_worker <= MAX_PATH_FLOATS)
-    return store, (held + store_floats if store else held), per_worker
+             and held + store_floats + per_block <= MAX_PATH_FLOATS)
+    return store, (held + store_floats if store else held), per_block
+
+
+def _mean_costs(sc: Scenario, mean: MeanPath):
+    """Each agent's running state, running control and terminal cost on the
+    exact mean path.  The powers are even_power products and the sums
+    np.add.reduce over elementwise products, so neither a BLAS kernel nor
+    NumPy's SIMD pow sets their bits."""
+    n, p2 = sc.horizon, 2 * sc.p
+    xpow = even_power(mean.x_bar, p2)
+    return (np.add.reduce(sc.q_bar[:, :n] * xpow[:n], axis=1),
+            np.add.reduce(sc.r_bar * even_power(mean.u_bar, p2), axis=1),
+            sc.q_bar[:, n] * xpow[n])
 
 
 def run_ensemble(
@@ -247,10 +274,14 @@ def run_ensemble(
     """Simulate a seeded closed-loop ensemble and collect its statistics.
 
     Paths are processed in the fixed blocks their random streams are keyed
-    by; worker threads only decide which block runs when, never how
-    statistics are reduced, so results are identical for any thread count.
-    Each worker reuses one set of block arrays, and no more workers run
-    than MAX_PATH_FLOATS has room for.
+    by.  The calling thread propagates and reduces the blocks in block
+    order, while up to threads - 1 helper threads draw the noise of the
+    next blocks ahead of it: the draw runs mostly without the GIL, while the
+    step loop needs it between its short NumPy calls, so a second thread
+    propagating blocks would mostly wait for it.  Threads decide only when
+    a block is drawn, never how statistics are reduced, so results are
+    identical for any thread count.  No more blocks are in flight than
+    MAX_PATH_FLOATS has room for.
     """
     if not sc.family.stochastic:
         raise ValueError("deterministic scenarios have no ensemble; use propagate_mean")
@@ -264,51 +295,50 @@ def run_ensemble(
     seed = sc.mc.seed if seed is None else int(seed)
     n, agents = sc.horizon, sc.agents
 
-    store, held, per_worker = _memory_plan(sc, n_paths, store_cap)
-    workers = min(threads, (MAX_PATH_FLOATS - held) // per_worker)
-    if workers < 1:
+    store, held, per_block = _memory_plan(sc, n_paths, store_cap)
+    in_flight = min(threads, (MAX_PATH_FLOATS - held) // per_block)
+    if in_flight < 1:
         raise ResourceLimitError(
-            f"{n_paths} paths need {held + per_worker} floats with one worker, "
-            f"above the in-memory budget of {MAX_PATH_FLOATS}"
+            f"{n_paths} paths need {held + per_block} floats with one block in "
+            f"flight, above the in-memory budget of {MAX_PATH_FLOATS}"
         )
 
     mean = propagate_mean(sc, gains)
     mo = sc.moment_order
-    chunks = [(lo, min(lo + CHUNK_SIZE, n_paths)) for lo in range(0, n_paths, CHUNK_SIZE)]
-    path_cost_dev = np.empty((agents, n_paths))
+    starts = range(0, n_paths, CHUNK_SIZE)
+    path_cost_dev = np.zeros((agents, n_paths))
     x_store = np.empty((n_paths, n + 1)) if store else None
     u_store = np.empty((agents, n_paths, n)) if store else None
-    partials: list = [None] * len(chunks)
-    # One set of step-major block arrays per worker: x, d, u, v and eps.
-    block = chunks[0][1]
-    shapes = [(n + 1, block)] * 2 + [(n, agents, block)] * 2 + [(n, block)]
-    local = threading.local()
+    # Running path sums: x, d**2, d**mo per step (N+1), then u, v**2, v**mo
+    # step-major (N, I).  Each block's step sums are added in block order.
+    sums = [np.zeros(n + 1) for _ in range(3)] + [np.zeros((n, agents)) for _ in range(3)]
+    width = min(CHUNK_SIZE, n_paths)
+    rows = [np.empty(width) for _ in range(4)] + [np.empty((agents, width)) for _ in range(3)]
 
-    def work(ci: int) -> None:
-        lo, hi = chunks[ci]
-        if not hasattr(local, "buffers"):
-            local.buffers = [np.empty(shape) for shape in shapes]
-        x, d, u, v, eps = (buf[..., :hi - lo] for buf in local.buffers)
-        _propagate_block(sc, gains, mean, seed, lo, x, d, u, eps)
-        np.subtract(u, mean.u_bar.T[:, :, None], out=v)
-        if store:
-            x_store[lo:hi] = x.T
-            u_store[:, lo:hi] = u.transpose(1, 2, 0)
-        partials[ci] = _path_sums(x, d, mo) + _path_sums(u, v, mo)
-        path_cost_dev[:, lo:hi] = _path_cost_dev(sc, d, v, local.buffers[0], local.buffers[2])
+    def draw(lo: int):
+        eps = np.empty((n, min(CHUNK_SIZE, n_paths - lo)))
+        return _draw_paths(sc, seed, lo, eps), eps
 
-    if workers == 1 or len(chunks) == 1:
-        for ci in range(len(chunks)):
-            work(ci)
+    def propagate(lo: int, x0: np.ndarray, eps: np.ndarray) -> None:
+        hi = lo + eps.shape[1]
+        _run_block(sc, gains, mean, x0, eps, sums, path_cost_dev[:, lo:hi],
+                   [row[..., :hi - lo] for row in rows],
+                   (x_store[lo:hi], u_store[:, lo:hi]) if store else None)
+
+    ahead = min(in_flight, len(starts)) - 1
+    if ahead == 0:
+        for lo in starts:
+            propagate(lo, *draw(lo))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(len(chunks))))
+        with ThreadPoolExecutor(max_workers=ahead) as pool:
+            drawn = [pool.submit(draw, lo) for lo in starts[:ahead]]
+            for i, lo in enumerate(starts):
+                x0, eps = drawn[i].result()
+                drawn[i] = None
+                if i + ahead < len(starts):
+                    drawn.append(pool.submit(draw, starts[i + ahead]))
+                propagate(lo, x0, eps)
 
-    # Block sums are added in block order, whichever worker made them.
-    sums = [np.zeros_like(p) for p in partials[0]]
-    for part in partials:
-        for acc, val in zip(sums, part):
-            acc += val
     emp_mean, dev_m2, dev_m2o = (s / n_paths for s in sums[:3])
     # Control sums are step-major (N, I); the statistics are (I, N).
     u_mean, u_dev_m2, u_dev_m2o = (np.ascontiguousarray(s.T) / n_paths
@@ -316,14 +346,8 @@ def run_ensemble(
 
     # Mean cost terms are path-independent constants; add them so that the
     # per-path costs average to the full realized cost.
-    p2 = 2 * sc.p
-    q_bar, r_bar = sc.q_bar, sc.r_bar
-    mean_const = (
-        q_bar[:, :n] @ mean.x_bar[:n] ** p2
-        + (r_bar * mean.u_bar ** p2).sum(axis=1)
-        + q_bar[:, n] * mean.x_bar[n] ** p2
-    )
-    path_cost = path_cost_dev + mean_const[:, None]
+    state, control, terminal = _mean_costs(sc, mean)
+    path_cost = path_cost_dev + (state + control + terminal)[:, None]
 
     arrays = [emp_mean, dev_m2, dev_m2o, u_mean, u_dev_m2, u_dev_m2o, path_cost]
     if store:
@@ -360,26 +384,28 @@ def evaluate_cost(
     families) the alpha-weighted initial deviation moment and any gamma_bar
     constant.
     """
-    n, agents, p2 = sc.horizon, sc.agents, 2 * sc.p
+    n, p2 = sc.horizon, 2 * sc.p
     mean = data.mean if isinstance(data, Ensemble) else data
-    q_bar, r_bar, q_dev, r_dev = sc.q_bar, sc.r_bar, sc.q_dev, sc.r_dev
-    xpow = mean.x_bar ** p2
+    mean_parts = _mean_costs(sc, mean)
+    dev_parts = (np.zeros(sc.agents),) * 3
+    if isinstance(data, Ensemble):
+        mo = data.moment_order
+        dev = data.dev_m2 if mo == 2 else data.dev_m2o
+        u_dev = data.u_dev_m2 if mo == 2 else data.u_dev_m2o
+        dev_parts = (np.add.reduce(sc.q_dev[:, :n] * dev[:n], axis=1),
+                     np.add.reduce(sc.r_dev * u_dev, axis=1),
+                     sc.q_dev[:, n] * dev[n])
+    # One row per agent: the state, control and terminal terms, each as
+    # mean then deviation part.
+    parts = np.stack([part for pair in zip(mean_parts, dev_parts) for part in pair], axis=1)
 
     out = []
-    for i in range(agents):
-        run_state_mean = float(q_bar[i, :n] @ xpow[:n])
-        run_control_mean = float(r_bar[i] @ mean.u_bar[i] ** p2)
-        terminal_mean = float(q_bar[i, n] * xpow[n])
+    for i, row in enumerate(parts.tolist()):
+        (run_state_mean, run_state_dev, run_control_mean, run_control_dev,
+         terminal_mean, terminal_dev) = row
         predicted = float(table.alpha_bar[i, 0]) * sc.x0.mean ** p2
-        run_state_dev = run_control_dev = terminal_dev = 0.0
         std_error = None
         if isinstance(data, Ensemble):
-            mo = data.moment_order
-            dev = data.dev_m2 if mo == 2 else data.dev_m2o
-            u_dev = data.u_dev_m2 if mo == 2 else data.u_dev_m2o
-            run_state_dev = float(q_dev[i, :n] @ dev[:n])
-            run_control_dev = float(r_dev[i] @ u_dev[i])
-            terminal_dev = float(q_dev[i, n] * dev[n])
             predicted += float(table.alpha[i, 0]) * initial_central_moment(sc.x0, mo)
             if table.gamma_bar is not None:
                 predicted += float(table.gamma_bar[i, 0])

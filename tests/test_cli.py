@@ -27,6 +27,19 @@ def write_doc(tmp_path, doc, name="scenario.yaml"):
     return str(path)
 
 
+def _spy_on_path_store(monkeypatch):
+    """Record, for each ensemble the CLI runs, whether it kept its paths."""
+    stored, run = [], mftg.simulate.run_ensemble
+
+    def spy(*args, **kwargs):
+        ensemble = run(*args, **kwargs)
+        stored.append(ensemble.x is not None)
+        return ensemble
+
+    monkeypatch.setattr(mftg.cli, "run_ensemble", spy)
+    return stored
+
+
 class TestSolve:
     def test_example_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -148,6 +161,18 @@ class TestSimulate:
         files = [line for line in (out / "manifest.txt").read_text().splitlines()
                  if line.startswith("file ")]
         assert files[0].startswith("file meanpath.csv = ")
+
+    def test_path_store_kept_only_when_trajectories_are_written(self, tmp_path, monkeypatch):
+        """A run whose trajectories.csv would pass the row limit streams its
+        paths instead of keeping a store that nothing reads."""
+        stored = _spy_on_path_store(monkeypatch)
+        horizon_rows = 11  # additive_two_agent: N = 10
+        monkeypatch.setattr(mftg.cli, "TRAJECTORY_ROW_LIMIT", 90 * horizon_rows)
+        for paths, written in ((90, True), (91, False)):
+            out = tmp_path / str(paths)
+            assert main(["simulate", ADD, "--out", str(out), "--paths", str(paths)]) == 0
+            assert (out / "trajectories.csv").exists() is written
+        assert stored == [True, False]
 
     def test_seed_repeatability_bytes(self, tmp_path):
         outs = [tmp_path / name for name in ("a", "b")]
@@ -322,6 +347,12 @@ class TestSweep:
         assert main(["sweep", ADD, "--out", str(out), "--sweep", "o=2,3"]) == 3
         assert "o is only valid" in capsys.readouterr().err
         assert not (out / "o=2" / "costs.csv").exists()
+
+    def test_sweep_keeps_no_path_store(self, tmp_path, monkeypatch):
+        """sweep writes no trajectories.csv, so its ensembles keep no store."""
+        stored = _spy_on_path_store(monkeypatch)
+        assert main(["sweep", ADD, "--out", str(tmp_path / "out"), "--sweep", "p=2,3"]) == 0
+        assert stored == [False, False]
 
     def test_empty_sweep_exit_1(self, tmp_path):
         assert main(["sweep", DET, "--out", str(tmp_path / "o"), "--sweep", "p="]) == 1

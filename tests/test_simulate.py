@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,8 +23,8 @@ from conftest import SCENARIOS, make_scenario, random_deterministic
 STATISTICS = ("emp_mean", "dev_m2", "dev_m2o", "u_mean", "u_dev_m2", "u_dev_m2o")
 
 
-# The path-major block kernel that run_ensemble's step-major kernel replaced,
-# kept as its reference: paths (B, N+1), controls (I, B, N) and per-path
+# A path-major block kernel, kept as the reference of run_ensemble's
+# step-at-a-time kernel: paths (B, N+1), controls (I, B, N) and per-path
 # costs must agree with it bit for bit.
 def _reference_draws(sc, seed, lo, hi):
     rows, n = hi - lo, sc.horizon
@@ -67,18 +70,24 @@ def _reference_chunk(sc, gains, mean, seed, lo, hi):
 
 
 def _reference_path_cost(sc, mean, x, u):
+    """Per-path costs (I, B) from path-major paths (B, N+1) and controls
+    (I, B, N), in the kernel's order: the stage costs r_k v_k**mo + q_k
+    d_k**mo added for k = 0..N-1, then the terminal q_N d_N**mo, then the
+    mean terms."""
     n, mo, p2 = sc.horizon, sc.moment_order, 2 * sc.p
     d_pow = even_power(x - mean.x_bar[None, :], mo)
-    out = d_pow[:, :n] @ sc.q_dev[:, :n].T
-    out += np.outer(d_pow[:, n], sc.q_dev[:, n])
     v_pow = even_power(u - mean.u_bar[:, None, :], mo)
-    out += np.einsum("ibk,ik->bi", v_pow, sc.r_dev)
+    out = np.zeros((sc.agents, x.shape[0]))
+    for k in range(n):
+        out += sc.r_dev[:, k, None] * v_pow[:, :, k] + sc.q_dev[:, k, None] * d_pow[:, k]
+    out += sc.q_dev[:, n, None] * d_pow[:, n]
+    x_pow = even_power(mean.x_bar, p2)
     mean_const = (
-        sc.q_bar[:, :n] @ mean.x_bar[:n] ** p2
-        + (sc.r_bar * mean.u_bar ** p2).sum(axis=1)
-        + sc.q_bar[:, n] * mean.x_bar[n] ** p2
+        np.add.reduce(sc.q_bar[:, :n] * x_pow[:n], axis=1)
+        + np.add.reduce(sc.r_bar * even_power(mean.u_bar, p2), axis=1)
+        + sc.q_bar[:, n] * x_pow[n]
     )
-    return out.T + mean_const[:, None]
+    return out + mean_const[:, None]
 
 
 def _kernel_case(family, o, noise, initial):
@@ -212,7 +221,7 @@ class TestEnsemble:
         sc = additive_two_agent
         _, gains = solve(sc)
         runs = [run_ensemble(sc, gains, paths=6000, seed=9, threads=t)
-                for t in (1, 2, 8)]
+                for t in (1, 2, 3, 8)]
         again = run_ensemble(sc, gains, paths=6000, seed=9)
         for ens in runs[1:] + [again]:
             np.testing.assert_array_equal(ens.x, runs[0].x)
@@ -226,7 +235,7 @@ class TestEnsemble:
         sc = request.getfixturevalue(fixture)
         _, gains = solve(sc)
         runs = [run_ensemble(sc, gains, paths=9000, seed=9, threads=t, store_cap=100)
-                for t in (1, 2, 8)]
+                for t in (1, 2, 3, 8)]
         assert runs[0].x is None
         for ens in runs[1:]:
             for name in STATISTICS + ("path_cost",):
@@ -309,10 +318,12 @@ class TestEnsemble:
             run_ensemble(additive_two_agent, gains, paths=10 ** 12)
 
     def test_memory_budget_limits_workers(self, additive_two_agent, monkeypatch):
+        """A budget of held + n blocks lets n blocks be in flight: the one
+        the calling thread propagates and n - 1 drawn ahead by helpers."""
         sc = additive_two_agent
         _, gains = solve(sc)
         want = run_ensemble(sc, gains, paths=9000, seed=9, store_cap=100)
-        _, held, per_worker = mftg.simulate._memory_plan(sc, 9000, 100)
+        _, held, per_block = mftg.simulate._memory_plan(sc, 9000, 100)
         pools = []
 
         class RecordingPool(mftg.simulate.ThreadPoolExecutor):
@@ -321,22 +332,23 @@ class TestEnsemble:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(mftg.simulate, "ThreadPoolExecutor", RecordingPool)
-        for workers in (1, 2):
-            monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + workers * per_worker)
+        for blocks in (1, 2):
+            monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + blocks * per_block)
             got = run_ensemble(sc, gains, paths=9000, seed=9, threads=8, store_cap=100)
             for name in STATISTICS + ("path_cost",):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        assert pools == [2]  # one worker runs the blocks in the calling thread
+        # One block in flight is drawn in the calling thread; two start one helper.
+        assert pools == [1]
 
     def test_store_kept_exactly_when_it_fits_beside_one_worker(self, additive_two_agent,
                                                                  monkeypatch):
-        """At a budget of held + store + one worker the run keeps its store;
-        one float less streams it, with the same statistics bits."""
+        """At a budget of held + store + one block in flight the run keeps
+        its store; one float less streams it, with the same statistics bits."""
         sc = additive_two_agent
         _, gains = solve(sc)
-        _, held, per_worker = mftg.simulate._memory_plan(sc, 20000, 0)
+        _, held, per_block = mftg.simulate._memory_plan(sc, 20000, 0)
         store = 20000 * (sc.horizon + 1 + sc.agents * sc.horizon)
-        budget = held + store + per_worker
+        budget = held + store + per_block
         monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", budget)
         kept = run_ensemble(sc, gains, paths=20000, seed=4)
         monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", budget - 1)
@@ -348,14 +360,61 @@ class TestEnsemble:
 
     def test_budget_below_one_block_exits_5(self, additive_two_agent, monkeypatch, tmp_path):
         sc = additive_two_agent
-        _, held, per_worker = mftg.simulate._memory_plan(sc, 9000, 0)
-        monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + per_worker - 1)
+        _, held, per_block = mftg.simulate._memory_plan(sc, 9000, 0)
+        monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + per_block - 1)
         _, gains = solve(sc)
         with pytest.raises(ResourceLimitError):
             run_ensemble(sc, gains, paths=9000, threads=8)
         out = tmp_path / "out"
         assert main(["simulate", str(SCENARIOS / "additive_two_agent.yaml"), "--out", str(out),
                      "--paths", "9000", "--threads", "8"]) == 5
+
+    def test_block_memory_does_not_grow_with_agents_times_horizon(self):
+        """A streamed block holds its noise and a few (I, B) rows: at I=8,
+        N=400 the traced peak stays under what _memory_plan counts, and
+        beyond the noise that count grows with I x N only by the
+        statistics' running sums."""
+        def scenario(agents, horizon):
+            return make_scenario(family="additive_variance_2p", agents=agents,
+                                 horizon=horizon, a_bar=0.9, b_bar=[0.5] * agents,
+                                 noise={"kind": "gaussian", "sigma": 0.5})
+
+        def count(agents, horizon):
+            _, held, per_block = mftg.simulate._memory_plan(
+                scenario(agents, horizon), CHUNK_SIZE, 0)
+            return held + per_block
+
+        sc = scenario(8, 400)
+        _, gains = solve(sc)
+        # A first draw imports NumPy's random modules; keep that out of the peak.
+        run_ensemble(sc, gains, paths=1, seed=1, store_cap=0)
+        tracemalloc.start()
+        try:
+            run_ensemble(sc, gains, paths=CHUNK_SIZE, seed=1, store_cap=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * count(8, 400)
+        # The noise is N x B floats, in both layouts while it is drawn.
+        noise = 2 * CHUNK_SIZE * 200
+        assert count(8, 400) - count(8, 200) <= noise + 3 * (8 + 1) * 200
+        assert count(8, 400) - count(8, 200) - count(4, 400) + count(4, 200) <= 3 * 4 * 200
+
+    def test_draw_error_surfaces_and_leaves_no_thread(self, additive_two_agent, monkeypatch):
+        sc = additive_two_agent
+        _, gains = solve(sc)
+        draw = mftg.simulate._draw_paths
+
+        def failing(sc, seed, lo, eps):
+            if lo == 3 * CHUNK_SIZE:
+                raise RuntimeError("draw failed on block 3")
+            return draw(sc, seed, lo, eps)
+
+        monkeypatch.setattr(mftg.simulate, "_draw_paths", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 3"):
+            run_ensemble(sc, gains, paths=5 * CHUNK_SIZE, seed=1, threads=2, store_cap=0)
+        assert threading.active_count() == before
 
     def test_gaussian_initial_law_and_rademacher_noise(self):
         sc = make_scenario(
