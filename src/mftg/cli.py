@@ -40,7 +40,7 @@ from .scenario import (
     serialize_scenario,
     with_params,
 )
-from .simulate import DEFAULT_STORE_CAP, evaluate_cost, propagate_mean, run_ensemble
+from .simulate import DEFAULT_STORE_CAP, evaluate_cost, predicted_cost, propagate_mean, run_ensemble
 from .svgplot import line_plot
 from .verify import (
     BELLMAN_TOL,
@@ -232,6 +232,8 @@ def cmd_simulate(args) -> int:
 
     paths = args.paths if args.paths is not None else sc.mc.paths
     ensemble = None
+    # An overflowing prediction ends the run before any path is drawn.
+    predicted_cost(sc, table, sc.family.stochastic and paths >= 1)
     if not sc.family.stochastic:
         if paths:
             print("warning: deterministic scenario; --paths ignored, "
@@ -424,6 +426,7 @@ def cmd_sweep(args) -> int:
                                                _meanpath_header(variant.agents),
                                                [meanpath], terminal)
             if variant.family.stochastic and variant.mc.paths > 0:
+                predicted_cost(variant, table, True)  # before any path is drawn
                 ensemble = run_ensemble(variant, gains, store_cap=0)
                 breakdown = evaluate_cost(variant, ensemble, table)
             else:

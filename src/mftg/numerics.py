@@ -1,6 +1,14 @@
 """Elementary numerical kernels shared by the solvers.
 
 Signed odd roots, integer array powers and even noise moments.
+
+One rounding rule holds for every number ``solve``, ``simulate`` and
+``verify`` write: every sum over agents or paths is ``np.add.reduce`` of an
+elementwise product, never a BLAS product (``@``, ``np.dot``, ``np.matmul``,
+``np.einsum``), and every integer array power is ``even_power``, never a
+SIMD ``pow`` through ``**``.  Products and NumPy's own reductions round alike
+on every CPU.  Along a contiguous last axis the sum is NumPy's pairwise sum,
+so each row of a stacked table sums to the bits of that row alone.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ def _odd_root(y: np.ndarray, m: int) -> np.ndarray:
     ay = np.abs(y)
     t = ay ** (1.0 / m)
     for _ in range(2):
-        tm1 = t ** (m - 1)
+        tm1 = even_power(t, m - 1)
         # tm1 is 0 only where y is 0, and there the error is 0 as well: the
         # floor turns that 0 / 0 into a zero step and changes no other step.
         t -= (tm1 * t - ay) / np.maximum(m * tm1, _TINY)
@@ -36,42 +44,42 @@ def _odd_root(y: np.ndarray, m: int) -> np.ndarray:
 
 
 def _odd_double_factorial(n: int) -> float:
-    """(n)!! for odd n >= -1, e.g. 3!! = 3, 5!! = 15."""
+    """(n)!! for odd n >= -1, e.g. 3!! = 3, 5!! = 15; inf once it overflows."""
     out = 1.0
     for k in range(n, 0, -2):
         out *= k
+        if out == math.inf:
+            break
     return out
 
 
-def even_power(x, m: int, out: np.ndarray | None = None) -> np.ndarray:
+def even_power(x, m: int, out: np.ndarray | None = None):
     """Elementwise x**m for an integer m >= 1, by repeated squaring.
 
-    ``x ** m`` with m other than 2 goes through libm ``pow``, which is far
-    slower than a few multiplications; every step here works in place on a
-    single output array.  m = 1 and m = 2 match ``**`` bit for bit; higher
-    orders agree to within a few ulps.  With ``out`` the result is written
-    there, with the same bits; ``out`` may be ``x`` itself, in which case x
-    is copied first only when m is not a power of two.
+    ``x ** m`` above m = 2 goes through ``pow``, far slower than a few
+    multiplications and rounded by CPU in its SIMD kernels; here every step
+    multiplies in place on one output array, real or complex.  m = 1 and 2
+    match ``**`` bit for bit; higher orders agree to within a few ulps.  With
+    ``out`` the result is written there with the same bits; ``out`` may be
+    ``x`` itself, which is then copied first unless m is a power of two.
     """
     if m < 1:
         raise ValueError(f"power must be a positive integer, got {m}")
-    x = np.asarray(x, dtype=float)
-    bits = bin(m)[3:]  # exponent bits below the leading one
-    if out is None:
-        out = np.empty_like(x)
-    elif "1" in bits and np.may_share_memory(x, out):
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "fc"):
+        x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
+    if m == 1:
+        return np.multiply(x, 1.0, out=out)
+    if out is not None and m & (m - 1) and np.may_share_memory(x, out):
         x = x.copy()
-    if not bits:
-        np.copyto(out, x)
-        return out
-    np.multiply(x, x, out=out)
-    if bits[0] == "1":
-        out *= x
-    for bit in bits[1:]:
-        np.multiply(out, out, out=out)
-        if bit == "1":
+    shift = m.bit_length() - 2  # the exponent bits below the leading one
+    out = np.multiply(x, x, out=out)
+    while True:
+        if m >> shift & 1:
             out *= x
-    return out
+        if shift == 0:
+            return out
+        out *= out
+        shift -= 1
 
 
 def noise_even_moment(spec, k: int, order: int) -> float:

@@ -19,13 +19,12 @@ additive family accumulates it in the constant gamma_bar.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CoefficientOverflowError
-from .numerics import _odd_root, noise_even_moment
+from .numerics import _odd_root, even_power, noise_even_moment
 from .scenario import Family, Scenario, _freeze
 
 OVERFLOW_LIMIT = 1e300
@@ -132,10 +131,10 @@ def _channel(names, orders, a, b, q, r, factor=None, noise_on=()):
     eta_i b_i >= 0, so both denominators are at least 1.
 
     Each row follows the operation order of a lone channel, element for
-    element, and the sums b^T eta and b^T g run over the same (I x N) layout,
-    so a row's results do not depend on the rows stacked with it.  Step k of
-    every input and output table is a (rows, I) view, so the loop copies no
-    table.  The alpha table starts as q: column k holds q_k until step k
+    element, and the sums b^T eta and b^T g run along the agent axis of each
+    row, so a row's results do not depend on the rows stacked with it.  Step
+    k of every input and output table is a (rows, I) view, so the loop copies
+    no table.  The alpha table starts as q: column k holds q_k until step k
     reads it and writes alpha_k over it.  Returns one (alpha, gamma or None,
     gains, c, closed-loop factors) tuple per row.  The additive and
     multiplicative channels share every term, so they agree bit for bit when
@@ -151,7 +150,6 @@ def _channel(names, orders, a, b, q, r, factor=None, noise_on=()):
     # (N, rows, I) views: step k of each table is one (rows, I) block
     steps_b, steps_r, steps_alpha, steps_gain, steps_c = (
         v.transpose(2, 0, 1) for v in (b, r, alpha, gain, c))
-    sum_b = steps_b[:, :, None, :]
     steps_a = a.T[:, :, None]
     if factor is not None:
         steps_f = np.asarray(factor, dtype=float).T[:, :, None]
@@ -168,17 +166,15 @@ def _channel(names, orders, a, b, q, r, factor=None, noise_on=()):
             arg /= steps_r[k]
             eta = _per_row(_odd_root, arg, roots)
             np.divide(eta, 1.0 + eta * b_k, out=steps_c[k])
-            g = eta / (1.0 + np.matmul(sum_b[k], eta[:, :, None])[:, 0])
+            g = eta / (1.0 + np.add.reduce(b_k * eta, axis=1, keepdims=True))
             steps_gain[k] = g
-            clf_k = steps_a[k][:, 0] * (1.0 - np.matmul(sum_b[k], g[:, :, None])[:, 0, 0])
-            clf[:, k] = clf_k
-            # scalar powers, as a lone channel takes them: an array power
-            # rounds differently in the last bit
-            term = nxt * np.array([[v ** order] for v, order in zip(clf_k.tolist(), orders)])
+            clf_k = steps_a[k] * (1.0 - np.add.reduce(b_k * g, axis=1, keepdims=True))
+            clf[:, k] = clf_k[:, 0]
+            term = nxt * _per_row(even_power, clf_k, orders)
             if "closed_loop" in noise_on:
                 term *= steps_f[k]
             # column k of alpha still holds q_k here
-            alpha_k = steps_alpha[k] + steps_r[k] * _per_row(operator.pow, g * steps_a[k], orders)
+            alpha_k = steps_alpha[k] + steps_r[k] * _per_row(even_power, g * steps_a[k], orders)
             alpha_k += term
             if "alpha" in noise_on:
                 alpha_k += nxt * steps_f[k]
@@ -278,7 +274,7 @@ def stationarity_residual(
     a = sc.a_bar[k]
     b = sc.b_bar[:, k]
     u = -gains.mean_gain[:, k] * a
-    inner = a + b @ u
+    inner = a + np.add.reduce(b * u)
     t1 = sc.r_bar[i, k] * u[i] ** root
     t2 = table.alpha_bar[i, k + 1] * b[i] * inner ** root
     residual = _normalized(t1, t2)
@@ -294,7 +290,7 @@ def stationarity_residual(
     a_dev, b_dev = sc.deviation_dynamics
     a, b = a_dev[k], b_dev[:, k]
     v = -gains.dev_gain[:, k] * a
-    inner = a + b @ v
+    inner = a + np.add.reduce(b * v)
     t1 = sc.r_dev[i, k] * v[i] ** root
     t2 = table.alpha[i, k + 1] * m * b[i] * inner ** root
     return max(residual, _normalized(t1, t2))

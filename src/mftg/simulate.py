@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericDomainError, ResourceLimitError
+from .errors import CoefficientOverflowError, NumericDomainError, ResourceLimitError
 from .numerics import _odd_double_factorial, even_power
 from .recursion import CoefficientTable, GainSchedule
 from .scenario import Family, InitialLaw, Scenario
@@ -94,28 +94,30 @@ class CostBreakdown:
 
 def propagate_mean(sc: Scenario, gains: GainSchedule) -> MeanPath:
     """Exact closed-loop mean propagation through the dynamics."""
-    n, agents = sc.horizon, sc.agents
-    a_bar, b_bar = sc.a_bar, sc.b_bar
+    n, a_bar = sc.horizon, sc.a_bar
+    # step-major (N, I) tables: step k's controls and their push are rows
+    gain, b_bar = (np.ascontiguousarray(v.T) for v in (-gains.mean_gain * a_bar, sc.b_bar))
     x_bar = np.empty(n + 1)
-    u_bar = np.empty((agents, n))
+    u_bar = np.empty((n, sc.agents))
     x_bar[0] = sc.x0.mean
     for k in range(n):
-        u_bar[:, k] = -gains.mean_gain[:, k] * a_bar[k] * x_bar[k]
-        x_bar[k + 1] = a_bar[k] * x_bar[k] + b_bar[:, k] @ u_bar[:, k]
+        np.multiply(gain[k], x_bar[k], out=u_bar[k])
+        x_bar[k + 1] = a_bar[k] * x_bar[k] + np.add.reduce(b_bar[k] * u_bar[k])
+    u_bar = np.ascontiguousarray(u_bar.T)
     x_bar.setflags(write=False)
     u_bar.setflags(write=False)
     return MeanPath(x_bar=x_bar, u_bar=u_bar)
 
 
 def initial_central_moment(law: InitialLaw, order: int) -> float:
-    """E[(x0 - mean)**order] for an initial law, order even."""
+    """E[(x0 - mean)**order] for an initial law, order even (inf past the float range)."""
     if order < 2 or order % 2 != 0:
         raise ValueError(f"order must be even and >= 2, got {order}")
     if law.kind == "deterministic":
-        return (law.start_value() - law.mean) ** order
+        return float(even_power(law.start_value() - law.mean, order))
     if law.kind == "gaussian_around_mean":
-        return law.variance ** (order // 2) * _odd_double_factorial(order - 1)
-    return float(np.mean((law.samples - law.mean) ** order))
+        return float(even_power(law.variance, order // 2)) * _odd_double_factorial(order - 1)
+    return float(np.mean(even_power(law.samples - law.mean, order)))
 
 
 def _draw_paths(sc: Scenario, seed: int, lo: int, eps: np.ndarray) -> np.ndarray:
@@ -149,11 +151,13 @@ def _draw_paths(sc: Scenario, seed: int, lo: int, eps: np.ndarray) -> np.ndarray
 
 def _moment_sums(dev: np.ndarray, mo: int, out: np.ndarray):
     """Sums over the last (path) axis of dev**2 and dev**mo; dev**mo is
-    written to out."""
-    sq_sum = None if mo == 2 else np.einsum("...b,...b->...", dev, dev)
-    even_power(dev, mo, out=out)
-    mo_sum = out.sum(axis=-1)
-    return (mo_sum if sq_sum is None else sq_sum), mo_sum
+    written to out, as (dev**2)**(mo/2)."""
+    np.multiply(dev, dev, out=out)
+    sq_sum = np.add.reduce(out, axis=-1)
+    if mo == 2:
+        return sq_sum, sq_sum
+    even_power(out, mo // 2, out=out)
+    return sq_sum, np.add.reduce(out, axis=-1)
 
 
 def _run_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, x0: np.ndarray,
@@ -179,6 +183,8 @@ def _run_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, x0: np.ndarray
     g_dev, q_dev, r_dev = gains.dev_gain, sc.q_dev, sc.r_dev
     x_bar, u_bar = mean.x_bar, mean.u_bar
     a, b = sc.deviation_dynamics
+    gain = g_dev * a
+    push = np.add.reduce(np.ascontiguousarray((b * gain).T), axis=1)
     np.copyto(x, x0)
     np.subtract(x, x_bar[0], out=d)
     for k in range(n + 1):
@@ -190,8 +196,7 @@ def _run_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, x0: np.ndarray
             store[0][:, k] = x
         if k == n:
             break
-        gain = g_dev[:, k] * a[k]
-        np.multiply(gain[:, None], d, out=u)
+        np.multiply(gain[:, k, None], d, out=u)
         np.subtract(u_bar[:, k, None], u, out=u)
         np.subtract(u, u_bar[:, k, None], out=v)
         u_sum[k] += u.sum(axis=-1)
@@ -207,11 +212,10 @@ def _run_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, x0: np.ndarray
         # The dynamics split exactly into the mean recursion plus a
         # deviation channel; propagating the deviation and re-adding the
         # exact mean keeps zero-noise paths bit-identical to the mean path.
-        # The controls' push b.v is applied as a scalar times d rather than
-        # a matrix product, so each path's arithmetic does not depend on how
-        # many paths share its block.
+        # The controls -gain d push the state by push[k] d, so each path's
+        # arithmetic does not depend on how many paths share its block.
         np.multiply(d, a[k], out=x)
-        np.multiply(d, b[:, k] @ gain, out=tmp)
+        np.multiply(d, push[k], out=tmp)
         x -= tmp
         if family is Family.ADDITIVE:
             x += eps[k]
@@ -252,9 +256,7 @@ def _memory_plan(sc: Scenario, n_paths: int, store_cap: int) -> tuple[bool, int,
 
 def _mean_costs(sc: Scenario, mean: MeanPath):
     """Each agent's running state, running control and terminal cost on the
-    exact mean path.  The powers are even_power products and the sums
-    np.add.reduce over elementwise products, so neither a BLAS kernel nor
-    NumPy's SIMD pow sets their bits."""
+    exact mean path."""
     n, p2 = sc.horizon, 2 * sc.p
     xpow = even_power(mean.x_bar, p2)
     return (np.add.reduce(sc.q_bar[:, :n] * xpow[:n], axis=1),
@@ -371,6 +373,25 @@ def run_ensemble(
     )
 
 
+def predicted_cost(sc: Scenario, table: CoefficientTable, deviation: bool) -> np.ndarray:
+    """Each agent's cost-to-go at k = 0: the alpha_bar-weighted mean power,
+    plus with ``deviation`` the alpha-weighted initial deviation moment and
+    any gamma_bar constant.  A cost beyond the float range raises
+    CoefficientOverflowError: nothing priced from it could be finite."""
+    orders = [2 * sc.p, sc.moment_order] if deviation else [2 * sc.p]
+    with np.errstate(over="ignore"):
+        predicted = table.alpha_bar[:, 0] * even_power(sc.x0.mean, orders[0])
+        if deviation:
+            predicted = predicted + table.alpha[:, 0] * initial_central_moment(sc.x0, orders[1])
+            if table.gamma_bar is not None:
+                predicted = predicted + table.gamma_bar[:, 0]
+    if not np.all(np.isfinite(predicted)):
+        raise CoefficientOverflowError(
+            f"predicted cost of agent {np.argmin(np.isfinite(predicted)) + 1} overflows at "
+            f"the initial state (mean {sc.x0.mean:g}, cost orders {orders})")
+    return predicted
+
+
 def evaluate_cost(
     sc: Scenario,
     data: Ensemble | MeanPath,
@@ -379,16 +400,15 @@ def evaluate_cost(
     """Realized per-agent cost breakdown plus the predicted value.
 
     Mean terms always come from the exact mean path; deviation terms use the
-    ensemble's empirical moments about that mean.  The prediction is the
-    cost-to-go at k = 0: alpha_bar-weighted mean power, plus (stochastic
-    families) the alpha-weighted initial deviation moment and any gamma_bar
-    constant.
+    ensemble's empirical moments about that mean.  The prediction is
+    ``predicted_cost``, with the deviation terms for an ensemble.
     """
-    n, p2 = sc.horizon, 2 * sc.p
-    mean = data.mean if isinstance(data, Ensemble) else data
-    mean_parts = _mean_costs(sc, mean)
+    n = sc.horizon
+    ensemble = isinstance(data, Ensemble)
+    predicted = predicted_cost(sc, table, ensemble)
+    mean_parts = _mean_costs(sc, data.mean if ensemble else data)
     dev_parts = (np.zeros(sc.agents),) * 3
-    if isinstance(data, Ensemble):
+    if ensemble:
         mo = data.moment_order
         dev = data.dev_m2 if mo == 2 else data.dev_m2o
         u_dev = data.u_dev_m2 if mo == 2 else data.u_dev_m2o
@@ -400,19 +420,12 @@ def evaluate_cost(
     parts = np.stack([part for pair in zip(mean_parts, dev_parts) for part in pair], axis=1)
 
     out = []
-    for i, row in enumerate(parts.tolist()):
+    for i, (row, prediction) in enumerate(zip(parts.tolist(), predicted.tolist())):
         (run_state_mean, run_state_dev, run_control_mean, run_control_dev,
          terminal_mean, terminal_dev) = row
-        predicted = float(table.alpha_bar[i, 0]) * sc.x0.mean ** p2
         std_error = None
-        if isinstance(data, Ensemble):
-            predicted += float(table.alpha[i, 0]) * initial_central_moment(sc.x0, mo)
-            if table.gamma_bar is not None:
-                predicted += float(table.gamma_bar[i, 0])
-            if data.n_paths > 1:
-                std_error = float(
-                    np.std(data.path_cost[i], ddof=1) / np.sqrt(data.n_paths)
-                )
+        if ensemble and data.n_paths > 1:
+            std_error = float(np.std(data.path_cost[i], ddof=1) / np.sqrt(data.n_paths))
         total = (run_state_mean + run_state_dev + run_control_mean
                  + run_control_dev + terminal_mean + terminal_dev)
         out.append(CostBreakdown(
@@ -424,7 +437,7 @@ def evaluate_cost(
             terminal_mean=terminal_mean,
             terminal_dev=terminal_dev,
             total=total,
-            predicted=predicted,
+            predicted=prediction,
             std_error=std_error,
         ))
     return out

@@ -36,10 +36,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SchemaError
-from .numerics import noise_even_moment
+from .numerics import even_power, noise_even_moment
 from .recursion import CoefficientTable, GainSchedule, solve, stationarity_residual
 from .scenario import Family, Scenario
-from .simulate import initial_central_moment, propagate_mean
+from .simulate import initial_central_moment, predicted_cost, propagate_mean
 
 STATIONARITY_TOL = 1e-9
 BELLMAN_TOL = 1e-10
@@ -110,12 +110,6 @@ def _channels(sc: Scenario, gains: GainSchedule) -> list[tuple]:
     return channels
 
 
-def _coupling(b: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_j b_jk g_jk for every column k of two (I, K) tables, as one
-    stacked matmul with the bits of ``b[:, k] @ g[:, k]`` column by column."""
-    return np.matmul(b.T[:, None, :], g.T[:, :, None])[:, 0, 0]
-
-
 def _push_rows(sc: Scenario, steps: slice) -> np.ndarray:
     """The (3, K) deviation-moment push rows (lift, scale, shift) at
     ``steps`` of a stochastic scenario; see the module docstring."""
@@ -134,28 +128,19 @@ def _push(rows, clf, order: int, m):
     """E[d_{k+1}^order] from m = E[d_k^order] under the deviation
     closed-loop factor clf, given one step's push rows."""
     lift, scale, shift = rows
-    return (clf ** order + lift) * m * scale + shift
-
-
-def _scalar_pow(x: np.ndarray, order: int) -> np.ndarray:
-    """x ** order element by element through the scalar power (libm pow),
-    as the per-pair oracles took it: NumPy's array power may take a SIMD
-    kernel that rounds differently in the last bit, even at order 2."""
-    x = np.asarray(x, dtype=float)
-    return np.array([v ** order for v in x.flat]).reshape(x.shape)
+    return (even_power(clf, order) + lift) * m * scale + shift
 
 
 def _closed_loop(sc: Scenario, gains: GainSchedule, steps: slice):
     """The closed loop at K steps, from the gains and the raw data:
     (coupling, factor, push), where coupling and factor hold one (K,) row
     per channel and push is the (3, K) push rows, or None for the
-    deterministic family.
-
-    ``steps`` is a slice, so each table column stays a view with the
-    strides ``b[:, k]`` has, and the coupling sums keep its bits.
+    deterministic family.  Each step's coupling is summed along a
+    contiguous agent row, so it has the bits of the solver's.
     """
     channels = _channels(sc, gains)
-    coupling = np.array([_coupling(b[:, steps], g[:, steps]) for _, _, b, _, g in channels])
+    coupling = np.array([np.add.reduce(np.multiply(b.T[steps], g.T[steps], order="C"), axis=1)
+                         for _, _, b, _, g in channels])
     factor = np.array([a[steps] for _, a, *_ in channels]) * (1.0 - coupling)
     push = _push_rows(sc, steps) if sc.family.stochastic else None
     return coupling, factor, push
@@ -198,14 +183,15 @@ def _channel_costs(sc: Scenario, gains: GainSchedule, agent: int,
         if per_step:
             f[1 + k] = factors
         g, s = gains.mean_gain[agent, k], a_bar[k]
-        mean += q_bar[agent, k] * xb ** p2 + r_bar[agent, k] * (f * g * s * xb) ** p2
+        mean += (q_bar[agent, k] * even_power(xb, p2)
+                 + r_bar[agent, k] * even_power(f * g * s * xb, p2))
         xb = closed_loop(s, coupling[0, k], b_bar[agent, k] * g, f) * xb
         if stochastic:
             g, s = gains.dev_gain[agent, k], a_d[k]
-            dev += (q_dev[agent, k] + r_dev[agent, k] * (f * g * s) ** mo) * m
+            dev += (q_dev[agent, k] + r_dev[agent, k] * even_power(f * g * s, mo)) * m
             clf = closed_loop(s, coupling[1, k], b_d[agent, k] * g, f)
             m = _push(push[:, k], clf, mo, m)
-    mean += q_bar[agent, n] * xb ** p2
+    mean += q_bar[agent, n] * even_power(xb, p2)
     if not stochastic:
         return [("mean", mean)]
     dev += q_dev[agent, n] * m
@@ -288,9 +274,9 @@ def open_loop_jitter_test(
     for k in range(n):
         u = -gains.mean_gain[:, k][:, None] * (a_bar[k] * xb)[None, :]
         u[agent] = mean.u_bar[agent, k] + deltas[:, k]
-        cost += q_bar[agent, k] * xb ** p2 + r_bar[agent, k] * u[agent] ** p2
-        xb = a_bar[k] * xb + b_bar[:, k] @ u
-    cost += q_bar[agent, n] * xb ** p2
+        cost += q_bar[agent, k] * even_power(xb, p2) + r_bar[agent, k] * even_power(u[agent], p2)
+        xb = a_bar[k] * xb + np.add.reduce(b_bar[:, k, None] * u, axis=0)
+    cost += q_bar[agent, n] * even_power(xb, p2)
     return float(cost[0] - np.min(cost))
 
 
@@ -303,13 +289,12 @@ class OneStepSolution:
     """Numerically solved one-step equilibrium, in gain form.
 
     ``mean_value`` is each agent's full mean-channel cost at the fixed point
-    with the mean state at ``probe_mean``; ``dev_value`` the deviation-channel
-    cost with a unit initial deviation moment.
+    from the probe mean state; ``dev_value`` the deviation-channel cost with
+    a unit initial deviation moment.
     """
 
     mean_gain: np.ndarray
     mean_value: np.ndarray
-    probe_mean: float
     dev_gain: np.ndarray | None = None
     dev_value: np.ndarray | None = None
     converged: bool = True
@@ -429,7 +414,7 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
         raise ValueError("mean-gain recovery needs a nonzero dynamics coefficient")
 
     def mean_objective(i, u_i, u_other):
-        inner = a0 * xb + b0 @ u_other + b0[i] * u_i
+        inner = a0 * xb + np.add.reduce(b0 * u_other) + b0[i] * u_i
         return r_bar0[i] * u_i ** p2 + q_bar[i, 1] * inner ** p2
 
     def mean_br(i, u):
@@ -442,12 +427,12 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
         mean_br, agents, max_rounds, damping, tol
     )
     mean_gain = -u / (a0 * xb)
-    inner = a0 * xb + b0 @ u
-    mean_value = q_bar[:, 0] * xb ** p2 + r_bar0 * u ** p2 + q_bar[:, 1] * inner ** p2
+    inner = a0 * xb + np.add.reduce(b0 * u)
+    mean_value = q_bar[:, 0] * xb ** p2 + r_bar0 * even_power(u, p2) + q_bar[:, 1] * inner ** p2
 
     if not sc.family.stochastic:
         return OneStepSolution(mean_gain=mean_gain, mean_value=mean_value,
-                               probe_mean=xb, converged=converged)
+                               converged=converged)
 
     mo = sc.moment_order
     q_dev = sc.q_dev
@@ -458,7 +443,7 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
 
     def dev_objective(i, w_i, w_other):
         # One-step deviation cost with E[(x0 - xbar0)^mo] normalized to 1.
-        inner = a_d + b_d @ w_other + b_d[i] * w_i
+        inner = a_d + np.add.reduce(b_d * w_other) + b_d[i] * w_i
         return r_dev0[i] * w_i ** mo + q_dev[i, 1] * _push(push, inner, mo, 1.0)
 
     if a_d == 0.0:
@@ -474,13 +459,12 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
         dev_br, agents, max_rounds, damping, tol
     )
     dev_gain = -w / a_d
-    inner = a_d + b_d @ w
-    dev_value = q_dev[:, 0] + r_dev0 * w ** mo + q_dev[:, 1] * _push(push, inner, mo, 1.0)
+    inner = a_d + np.add.reduce(b_d * w)
+    dev_value = q_dev[:, 0] + r_dev0 * even_power(w, mo) + q_dev[:, 1] * _push(push, inner, mo, 1.0)
 
     return OneStepSolution(
         mean_gain=mean_gain,
         mean_value=mean_value,
-        probe_mean=xb,
         dev_gain=dev_gain,
         dev_value=dev_value,
         converged=converged and dev_converged,
@@ -521,7 +505,7 @@ def lq_reduction_check(sc: Scenario) -> LqReduction:
     worst = 0.0
     for k in range(n):
         nxt = table.alpha_bar[:, k + 1]
-        quad = nxt * b_bar[:, k] / (r_bar[:, k] + nxt * b_bar[:, k] ** 2)
+        quad = nxt * b_bar[:, k] / (r_bar[:, k] + nxt * even_power(b_bar[:, k], 2))
         gap = np.max(np.abs(quad - gains.c_bar[:, k]) / np.maximum(1.0, np.abs(quad)))
         worst = max(worst, float(gap))
     if sc.agents == 1:
@@ -560,15 +544,15 @@ def bellman_identity_check(
     x_bar, moment = (np.array(column, dtype=float) for column in zip(*probes))
     _, factor, push = _closed_loop(sc, gains, slice(k, k + 1))
     # (agent, probe) arrays
-    x_pow = _scalar_pow(x_bar, p2)
-    u_pow = _scalar_pow(gains.mean_gain[:, k, None] * sc.a_bar[k] * x_bar, p2)
+    x_pow = even_power(x_bar, p2)
+    u_pow = even_power(gains.mean_gain[:, k, None] * sc.a_bar[k] * x_bar, p2)
     value = table.alpha_bar[:, k, None] * x_pow
     stage = sc.q_bar[:, k, None] * x_pow + sc.r_bar[:, k, None] * u_pow
-    nxt = table.alpha_bar[:, k + 1, None] * _scalar_pow(factor[0, 0] * x_bar, p2)
+    nxt = table.alpha_bar[:, k + 1, None] * even_power(factor[0, 0] * x_bar, p2)
     if sc.family.stochastic:
         mo = sc.moment_order
         a_d = sc.deviation_dynamics[0][k]
-        r_v = sc.r_dev[:, k] * _scalar_pow(gains.dev_gain[:, k] * a_d, mo)
+        r_v = sc.r_dev[:, k] * even_power(gains.dev_gain[:, k] * a_d, mo)
         value += table.alpha[:, k, None] * moment
         stage += sc.q_dev[:, k, None] * moment + r_v[:, None] * moment
         nxt += table.alpha[:, k + 1, None] * _push(push[:, 0], factor[1, 0], mo, moment)
@@ -597,7 +581,7 @@ def _min_curvature(order: int, a, b, r, weight, gain) -> float:
     centre is masked out too.
     """
     w_eq = -gain * a
-    rest = a + _coupling(b, w_eq) - b * w_eq
+    rest = a + np.add.reduce(np.multiply(b.T, w_eq.T, order="C"), axis=1) - b * w_eq
     width = 2.0 * np.maximum(1.0, np.abs(w_eq))
     pivot = np.divide(-rest, b, out=np.zeros_like(rest), where=b != 0.0)
     grid = np.concatenate([
@@ -605,7 +589,7 @@ def _min_curvature(order: int, a, b, r, weight, gain) -> float:
         np.zeros_like(rest)[..., None], pivot[..., None],
     ], axis=-1)
     # (agent, step) tables against the (agent, step, sample) grid
-    r, b2_weight, rest, b = (v[..., None] for v in (r, weight * _scalar_pow(b, 2), rest, b))
+    r, b2_weight, rest, b = (v[..., None] for v in (r, weight * even_power(b, 2), rest, b))
     curvature = order * (order - 1) * (
         r * grid ** (order - 2) + b2_weight * (rest + b * grid) ** (order - 2)
     )
@@ -631,17 +615,9 @@ class VerificationReport:
 
     deviation: list[DeviationReport]
     stationarity_max: float
-    positivity_alpha_bar: bool
-    positivity_alpha: bool | None
-    positivity_gamma: bool | None
+    positivity_ok: bool
     convexity_min: float
     bellman_max_per_step: np.ndarray
-
-    @property
-    def positivity_ok(self) -> bool:
-        return (self.positivity_alpha_bar
-                and self.positivity_alpha is not False
-                and self.positivity_gamma is not False)
 
     @property
     def passed(self) -> bool:
@@ -680,7 +656,12 @@ def run_verification(
     grid: DeviationGrid | None = None,
     probes=None,
 ) -> VerificationReport:
-    """Run every oracle against a solved scenario and collect the evidence."""
+    """Run every oracle against a solved scenario and collect the evidence.
+
+    Each oracle prices costs from the initial state, so a cost-to-go beyond
+    the float range raises CoefficientOverflowError before any of them runs.
+    """
+    predicted_cost(sc, table, sc.family.stochastic)
     deviation = [unilateral_deviation_test(sc, gains, i, grid) for i in range(sc.agents)]
     stationarity = max(
         stationarity_residual(sc, table, gains, i, k)
@@ -689,15 +670,12 @@ def run_verification(
     bellman = np.array([
         bellman_identity_check(sc, table, gains, k, probes) for k in range(sc.horizon)
     ])
-    pos_alpha_bar = bool(np.all(table.alpha_bar > 0.0))
-    pos_alpha = None if table.alpha is None else bool(np.all(table.alpha > 0.0))
-    pos_gamma = None if table.gamma_bar is None else bool(np.all(table.gamma_bar >= 0.0))
+    positivity = (all(bool(np.all(t > 0.0)) for t in (table.alpha_bar, table.alpha) if t is not None)
+                  and (table.gamma_bar is None or bool(np.all(table.gamma_bar >= 0.0))))
     return VerificationReport(
         deviation=deviation,
         stationarity_max=float(stationarity),
-        positivity_alpha_bar=pos_alpha_bar,
-        positivity_alpha=pos_alpha,
-        positivity_gamma=pos_gamma,
+        positivity_ok=positivity,
         convexity_min=sample_convexity(sc, table, gains),
         bellman_max_per_step=bellman,
     )

@@ -110,6 +110,15 @@ class TestSolve:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: noise moment E[eps^4] at step 1 overflows for sigma 1e+100"]
 
+    def test_huge_moment_order_exit_4_at_once(self, tmp_path, capsys):
+        # (2o - 1)!! stops growing at its first infinite partial product, so
+        # this order overflows at once rather than after 1e20 factors.
+        doc = yaml.safe_load(Path(GEN).read_text())
+        doc["o"] = 10 ** 20
+        assert main(["solve", write_doc(tmp_path, doc), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: noise moment E[eps^200000000000000000000] at step 1 overflows for sigma 0.5"]
+
     def test_solve_manifest_hashes_reproduce(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["solve", DET, "--out", str(out1)])
@@ -320,6 +329,26 @@ class TestVerify:
         assert not (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("change, message", [
+    ({"p": 600},
+     "error: predicted cost of agent 1 overflows at the initial state (mean 5, "
+     "cost orders [1200, 4])"),
+    ({"o": 40, "noise": {"kind": "gaussian", "sigma": 0.01},
+      "initial": {"kind": "gaussian_around_mean", "mean": 1.0, "variance": 1.0e10}},
+     "error: predicted cost of agent 1 overflows at the initial state (mean 1, "
+     "cost orders [4, 80])"),
+], ids=["mean-power", "initial-moment"])
+def test_overflowing_cost_exit_4(tmp_path, capsys, command, change, message):
+    # Each solves, but a cost priced from the initial state overflows.
+    doc = yaml.safe_load(Path(GEN).read_text())
+    doc.update(change)
+    out = tmp_path / "o"
+    assert main([command, write_doc(tmp_path, doc), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
 class TestSweep:
     def test_p_sweep_blocks(self, tmp_path):
         out = tmp_path / "out"
@@ -347,6 +376,16 @@ class TestSweep:
         assert main(["sweep", ADD, "--out", str(out), "--sweep", "o=2,3"]) == 3
         assert "o is only valid" in capsys.readouterr().err
         assert not (out / "o=2" / "costs.csv").exists()
+
+    def test_overflowing_cost_fails_before_any_path(self, tmp_path, capsys):
+        doc = yaml.safe_load(Path(GEN).read_text())
+        doc.update(o=40, noise={"kind": "gaussian", "sigma": 0.01},
+                   initial={"kind": "gaussian_around_mean", "mean": 1.0, "variance": 1.0e10})
+        assert main(["sweep", write_doc(tmp_path, doc), "--sweep", "p=2",
+                     "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "sweep p=2 failed: predicted cost of agent 1 overflows at the initial state "
+            "(mean 1, cost orders [4, 80])"]
 
     def test_sweep_keeps_no_path_store(self, tmp_path, monkeypatch):
         """sweep writes no trajectories.csv, so its ensembles keep no store."""

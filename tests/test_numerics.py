@@ -1,3 +1,4 @@
+import ast
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from mftg import MissingMomentError, noise_even_moment, sample_convexity, solve
 from mftg.numerics import _odd_root, even_power
 from mftg.scenario import NoiseSpec
 from mftg.verify import _min_curvature
-from conftest import make_scenario
+from conftest import REPO, make_scenario
 
 
 def _roots(ys, m):
@@ -212,3 +213,43 @@ class TestConvexityScan:
             ones = np.ones((1, np.count_nonzero(at)))
             assert _min_curvature(2 * int(half), a[at], b[None, at], ones, ones,
                                   gain[None, at]) > 0.0
+
+
+# The one reduction that may use BLAS: it only steers the brute-force
+# oracle's iteration, and writes no number of its own.
+BLAS_ALLOWED = ("verify.py", "_iterate_best_responses")
+BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+
+
+def _blas_products(node, module=""):
+    """Line numbers of each ``@`` and each np.<BLAS_CALLS> name under node,
+    skipping the body of the allowed function."""
+    if isinstance(node, ast.FunctionDef) and (module, node.name) == BLAS_ALLOWED:
+        return []
+    found = []
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        found.append(node.lineno)
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy") and node.attr in BLAS_CALLS):
+        found.append(node.lineno)
+    for child in ast.iter_child_nodes(node):
+        found += _blas_products(child, module)
+    return found
+
+
+class TestOneRoundingRule:
+    """Agent and path sums are np.add.reduce of elementwise products, so no
+    output bit depends on which BLAS kernel the CPU gets."""
+
+    def test_detector_finds_each_form(self):
+        code = ("a @ b\nc @= d\nnp.dot(a, b)\nnumpy.einsum('i,i', a, b)\n"
+                "np.vdot(a, b); np.inner(a, b); np.tensordot(a, b); np.matmul(a, b)\n"
+                "np.add.reduce(a * b)\n")
+        assert _blas_products(ast.parse(code)) == [1, 2, 3, 4, 5, 5, 5, 5]
+
+    def test_no_blas_products_in_the_package(self):
+        sources = sorted((REPO / "src" / "mftg").glob("*.py"))
+        assert any(path.name == BLAS_ALLOWED[0] for path in sources)
+        found = {path.name: _blas_products(ast.parse(path.read_text()), path.name)
+                 for path in sources}
+        assert {name: lines for name, lines in found.items() if lines} == {}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mftg import CoefficientOverflowError, solve, stationarity_residual
-from mftg.numerics import _odd_root, noise_even_moment
+from mftg.numerics import _odd_root, even_power, noise_even_moment
 from mftg.recursion import _solve
 from mftg.verify import inject_gain_scaling
 from conftest import make_scenario, random_deterministic
@@ -302,13 +302,13 @@ def _lone_channel(order, a, b, q, r, moment=None, noise_on=()):
             arg = arg * moment[k]
         eta = _odd_root(arg / r[:, k], order - 1)
         c[:, k] = eta / (1.0 + eta * b[:, k])
-        g = eta / (1.0 + b[:, k] @ eta)
+        g = eta / (1.0 + np.add.reduce(b[:, k] * eta))
         gain[:, k] = g
-        clf[k] = a[k] * (1.0 - g @ b[:, k])
-        term = nxt * clf[k] ** order
+        clf[k] = a[k] * (1.0 - np.add.reduce(g * b[:, k]))
+        term = nxt * even_power(clf[k], order)
         if "closed_loop" in noise_on:
             term = term * moment[k]
-        alpha[:, k] = q[:, k] + r[:, k] * (g * a[k]) ** order + term
+        alpha[:, k] = q[:, k] + r[:, k] * even_power(g * a[k], order) + term
         if "alpha" in noise_on:
             alpha[:, k] += nxt * moment[k]
         if gamma is not None:
@@ -323,8 +323,8 @@ NOISE_ON = {"additive_variance_2p": ("gamma",), "multiplicative_variance_2p": ("
 class TestStackedLoop:
     @pytest.mark.parametrize("family", ["deterministic_2p", *NOISE_ON])
     def test_bit_identical_to_lone_channels(self, family):
-        # Up to 20 agents, so the b^T eta sums are long enough for BLAS to
-        # pick a blocked kernel when given contiguous rows.
+        # Up to 20 agents, so the b^T eta sums reach the eight-way unrolled
+        # part of NumPy's pairwise summation.
         rng = np.random.default_rng(31)
         for _ in range(12):
             agents = int(rng.integers(1, 21))

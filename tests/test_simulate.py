@@ -58,7 +58,7 @@ def _reference_chunk(sc, gains, mean, seed, lo, hi):
         gain = g_dev[:, k] * a[k]
         d = x[:, k] - mean.x_bar[k]
         u[:, :, k] = mean.u_bar[:, k][:, None] - gain[:, None] * d[None, :]
-        dev_next = a[k] * d - (b[:, k] @ gain) * d
+        dev_next = a[k] * d - np.add.reduce(b[:, k] * gain) * d
         if sc.family is Family.ADDITIVE:
             dev_next += eps[:, k]
         elif sc.family is Family.MULTIPLICATIVE:
@@ -73,10 +73,11 @@ def _reference_path_cost(sc, mean, x, u):
     """Per-path costs (I, B) from path-major paths (B, N+1) and controls
     (I, B, N), in the kernel's order: the stage costs r_k v_k**mo + q_k
     d_k**mo added for k = 0..N-1, then the terminal q_N d_N**mo, then the
-    mean terms."""
+    mean terms.  Each moment power is taken as (d**2)**(mo/2)."""
     n, mo, p2 = sc.horizon, sc.moment_order, 2 * sc.p
-    d_pow = even_power(x - mean.x_bar[None, :], mo)
-    v_pow = even_power(u - mean.u_bar[:, None, :], mo)
+    d = x - mean.x_bar[None, :]
+    v = u - mean.u_bar[:, None, :]
+    d_pow, v_pow = even_power(d * d, mo // 2), even_power(v * v, mo // 2)
     out = np.zeros((sc.agents, x.shape[0]))
     for k in range(n):
         out += sc.r_dev[:, k, None] * v_pow[:, :, k] + sc.q_dev[:, k, None] * d_pow[:, k]
@@ -124,7 +125,7 @@ class TestMeanPath:
         mean = propagate_mean(sc, gains)
         b = np.asarray(sc.b_bar)
         for k in range(sc.horizon):
-            step = sc.a_bar[k] * mean.x_bar[k] + b[:, k] @ mean.u_bar[:, k]
+            step = sc.a_bar[k] * mean.x_bar[k] + np.add.reduce(b[:, k] * mean.u_bar[:, k])
             assert mean.x_bar[k + 1] == step
 
     def test_closed_loop_factor_matches_dynamics_form(self, det_two_agent):
@@ -274,8 +275,8 @@ class TestEnsemble:
 
     def test_stats_are_exact_statistics_of_stored_paths(self, request):
         """Each block's step rows are summed over its paths, and the block
-        sums are added in block order.  The squared deviations are summed as
-        products when the moment order is above 2."""
+        sums are added in block order.  The moment powers are taken as
+        (dev**2)**(mo/2)."""
         for fixture in ("additive_two_agent", "general_two_agent"):
             sc = request.getfixturevalue(fixture)
             _, gains = solve(sc)
@@ -288,9 +289,9 @@ class TestEnsemble:
                 part = []
                 for z, dev in ((x, x - ens.mean.x_bar[:, None]),
                                (u, u - ens.mean.u_bar.T[:, :, None])):
-                    sq = ((dev * dev).sum(axis=-1) if mo == 2
-                          else np.einsum("...b,...b->...", dev, dev))
-                    part += [z.sum(axis=-1), sq, even_power(dev, mo).sum(axis=-1)]
+                    sq = dev * dev
+                    part += [z.sum(axis=-1), sq.sum(axis=-1),
+                             even_power(sq, mo // 2).sum(axis=-1)]
                 sums = part if sums is None else [acc + val for acc, val in zip(sums, part)]
             want = [s / ens.n_paths for s in sums[:3]] + [s.T / ens.n_paths for s in sums[3:]]
             for name, val in zip(STATISTICS, want):

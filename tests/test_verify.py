@@ -23,7 +23,7 @@ from mftg import (
     unilateral_deviation_test,
 )
 from mftg.errors import CoefficientOverflowError, SchemaError
-from mftg.numerics import noise_even_moment
+from mftg.numerics import even_power, noise_even_moment
 from mftg.recursion import _solve
 from mftg.scenario import Family
 from mftg.verify import _channels, _closed_loop, _min_curvature, _push
@@ -342,10 +342,10 @@ def _push_dev_moment(sc, k, clf, m):
     closed-loop factor clf, one family formula each."""
     mo = sc.moment_order
     if sc.family is Family.ADDITIVE:
-        return clf ** 2 * m + noise_even_moment(sc.noise, k + 1, 2)
+        return even_power(clf, 2) * m + noise_even_moment(sc.noise, k + 1, 2)
     if sc.family is Family.MULTIPLICATIVE:
-        return (clf ** 2 + noise_even_moment(sc.noise, k + 1, 2)) * m
-    return clf ** mo * m * noise_even_moment(sc.noise, k + 1, mo)
+        return (even_power(clf, 2) + noise_even_moment(sc.noise, k + 1, 2)) * m
+    return even_power(clf, mo) * m * noise_even_moment(sc.noise, k + 1, mo)
 
 
 def _min_curvature_per_pair(order, a, b, r, weight, gain):
@@ -356,7 +356,7 @@ def _min_curvature_per_pair(order, a, b, r, weight, gain):
         for i in range(len(w_eq)):
             if b[i, k] == 0.0:
                 continue
-            rest = a[k] + b[:, k] @ w_eq - b[i, k] * w_eq[i]
+            rest = a[k] + np.add.reduce(b[:, k] * w_eq) - b[i, k] * w_eq[i]
             width = 2.0 * max(1.0, abs(w_eq[i]))
             grid = np.concatenate([
                 np.linspace(w_eq[i] - width, w_eq[i] + width, 9),
@@ -366,7 +366,7 @@ def _min_curvature_per_pair(order, a, b, r, weight, gain):
                 grid = grid[grid != 0.0]
             curvature = order * (order - 1) * (
                 r[i, k] * grid ** (order - 2)
-                + weight[i, k] * b[i, k] ** 2 * (rest + b[i, k] * grid) ** (order - 2)
+                + weight[i, k] * even_power(b[i, k], 2) * (rest + b[i, k] * grid) ** (order - 2)
             )
             worst = min(worst, float(np.min(curvature)))
     return worst
