@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .csvformat import csv_rows
+from .csvformat import VECTOR_MIN_ROWS, csv_rows
 from .errors import (
     CoefficientOverflowError,
     ConfigSyntaxError,
@@ -98,17 +98,36 @@ def _write_text(path: Path, text: str) -> str:
     return _atomic_write(path, [text.encode("utf-8")])
 
 
-CSV_BLOCK_ROWS = 4096
+# 8-byte words a CSV block may take while it is formatted, counted as six
+# per column (a float field takes five or six): 4096 rows of five columns,
+# trajectories.csv for two agents.
+CSV_BLOCK_WORDS = 4096 * 30
+
+
+def _spans(units: int, unit_rows: int, columns: int):
+    """Ranges (lo, hi) that cut 0..units, units of `unit_rows` rows of
+    `columns` columns, into blocks of at most CSV_BLOCK_WORDS words (of one
+    unit, where a unit alone is larger).
+
+    Every block is full but the last, which takes units from the one before
+    it rather than fall below VECTOR_MIN_ROWS rows onto the scalar path.
+    """
+    most = max(1, CSV_BLOCK_WORDS // (6 * columns * unit_rows))
+    cuts = [*range(0, units, most), units]
+    if len(cuts) > 2:
+        cuts[-2] = min(cuts[-2], units - min(most, -(-VECTOR_MIN_ROWS // unit_rows)))
+    return zip(cuts, cuts[1:])
 
 
 def _csv_chunks(header: list[str], blocks, short):
     yield (",".join(header) + "\n").encode("utf-8")
-    period = short[0] if short else 1
-    step = max(1, CSV_BLOCK_ROWS // period) * period
+    written = 0
     for columns in blocks:
         rows = len(next(c for c in columns if c is not None))
-        for lo in range(0, rows, step):
-            yield csv_rows([None if c is None else c[lo:lo + step] for c in columns], short)
+        for lo, hi in _spans(rows, 1, len(header)):
+            yield csv_rows([None if c is None else c[lo:hi] for c in columns], short,
+                           written + lo)
+        written += rows
 
 
 def _write_csv(path: Path, header: list[str], blocks, short=None) -> str:
@@ -119,21 +138,24 @@ def _write_csv(path: Path, header: list[str], blocks, short=None) -> str:
     written with %d, float arrays with %.17g and text arrays as they are (they
     hold fixed tokens that need no quoting), byte for byte; see
     ``mftg.csvformat``.  With ``short=(period, keep)`` the last of every
-    `period` rows of a block (the terminal step, which has no controls) keeps
-    its first `keep` columns and leaves the rest empty; its values there are
-    never written.  Blocks are written a few thousand rows at a time.
+    `period` rows of the file (the terminal step, which has no controls)
+    keeps its first `keep` columns and leaves the rest empty; its values
+    there are never written.  Blocks are formatted at most CSV_BLOCK_WORDS
+    words at a time, cut anywhere, mid-period too.
     """
     return _atomic_write(path, _csv_chunks(header, blocks, short))
 
 
 def _write_manifest(out: Path, command: str, sc: Scenario, source: Path,
                     files: dict[str, str], extras: dict | None = None) -> None:
-    digest = hashlib.sha256(serialize_scenario(sc).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256()
+    # Hashed as it is generated: the canonical text is never held whole.
+    serialize_scenario(sc, lambda piece: digest.update(piece.encode("utf-8")))
     lines = [
         f"tool = mftg {__version__}",
         f"command = {command}",
         f"scenario = {source}",
-        f"scenario_digest = sha256:{digest}",
+        f"scenario_digest = sha256:{digest.hexdigest()}",
         f"seed = {sc.mc.seed}",
         f"created_utc = {datetime.now(timezone.utc).isoformat()}",
     ]
@@ -144,9 +166,10 @@ def _write_manifest(out: Path, command: str, sc: Scenario, source: Path,
     _write_text(out / "manifest.txt", "\n".join(lines) + "\n")
 
 
-def _by_step(values):
-    """Rows ordered by step, then agent, from an (agents, steps) table."""
-    return None if values is None else np.asarray(values).T.ravel()
+def _by_step(values, lo: int, hi: int):
+    """Rows ordered by step, then agent, of steps lo..hi-1 of an (agents,
+    steps) table."""
+    return None if values is None else np.asarray(values)[:, lo:hi].T.ravel()
 
 
 def _with_terminal(values):
@@ -162,29 +185,39 @@ COST_HEADER = ["agent", "run_state_mean", "run_state_dev", "run_control_mean",
                "predicted", "std_error"]
 
 
-def _coefficient_columns(sc: Scenario, table) -> list:
-    steps = np.repeat(np.arange(sc.horizon + 1), sc.agents)
-    agents = np.tile(np.arange(1, sc.agents + 1), sc.horizon + 1)
-    return [steps, agents, _by_step(table.alpha_bar), _by_step(table.alpha),
-            _by_step(table.gamma_bar)]
+def _agent_step_blocks(sc: Scenario, steps: int, columns: int):
+    """Step ranges of a file with a row per (step, agent), a block each,
+    with its k and agent columns."""
+    for lo, hi in _spans(steps, sc.agents, columns):
+        yield lo, hi, [np.repeat(np.arange(lo, hi), sc.agents),
+                       np.tile(np.arange(1, sc.agents + 1), hi - lo)]
 
 
-def _gain_columns(sc: Scenario, gains) -> list:
+def _coefficient_blocks(sc: Scenario, table):
+    for lo, hi, keys in _agent_step_blocks(sc, sc.horizon + 1, len(COEFFICIENT_HEADER)):
+        yield [*keys, *(_by_step(values, lo, hi)
+                        for values in (table.alpha_bar, table.alpha, table.gamma_bar))]
+
+
+def _gain_blocks(sc: Scenario, gains):
     dev = gains.dev_gain is not None
-    steps = np.repeat(np.arange(sc.horizon), sc.agents)
-    agents = np.tile(np.arange(1, sc.agents + 1), sc.horizon)
-    return [steps, agents, _by_step(gains.mean_gain), _by_step(gains.dev_gain),
-            _by_step(gains.c_bar), _by_step(gains.c) if dev else None,
-            np.repeat(gains.closed_loop_mean, sc.agents),
-            np.repeat(gains.closed_loop_dev, sc.agents) if dev else None]
+    for lo, hi, keys in _agent_step_blocks(sc, sc.horizon, len(GAIN_HEADER)):
+        yield [*keys, _by_step(gains.mean_gain, lo, hi), _by_step(gains.dev_gain, lo, hi),
+               _by_step(gains.c_bar, lo, hi), _by_step(gains.c, lo, hi) if dev else None,
+               np.repeat(gains.closed_loop_mean[lo:hi], sc.agents),
+               np.repeat(gains.closed_loop_dev[lo:hi], sc.agents) if dev else None]
 
 
 def _meanpath_header(agents: int) -> list[str]:
     return ["k", "x_bar"] + [f"u_bar_{i + 1}" for i in range(agents)]
 
 
-def _meanpath_columns(sc: Scenario, mean) -> list:
-    return [np.arange(sc.horizon + 1), mean.x_bar, *_with_terminal(mean.u_bar)]
+def _meanpath_blocks(sc: Scenario, mean):
+    rows = sc.horizon + 1
+    for lo, hi in _spans(rows, 1, sc.agents + 2):
+        u_bar = mean.u_bar[:, lo:hi]
+        yield [np.arange(lo, hi), mean.x_bar[lo:hi],
+               *(_with_terminal(u_bar) if hi == rows else u_bar)]
 
 
 def _cost_columns(breakdown) -> list:
@@ -197,11 +230,9 @@ def _cost_columns(breakdown) -> list:
 
 
 def _trajectory_blocks(sc: Scenario, ensemble):
-    """Columns of trajectories.csv, a few thousand rows at a time."""
+    """Columns of trajectories.csv, whole paths at a time."""
     rows = sc.horizon + 1
-    per_block = max(1, CSV_BLOCK_ROWS // rows)
-    for lo in range(0, ensemble.n_paths, per_block):
-        hi = min(lo + per_block, ensemble.n_paths)
+    for lo, hi in _spans(ensemble.n_paths, rows, 3 + sc.agents):
         yield [np.repeat(np.arange(lo, hi), rows), np.tile(np.arange(rows), hi - lo),
                ensemble.x[lo:hi].ravel(),
                *(u.ravel() for u in _with_terminal(ensemble.u[:, lo:hi]))]
@@ -210,8 +241,8 @@ def _trajectory_blocks(sc: Scenario, ensemble):
 def _write_solve_outputs(out: Path, sc: Scenario, table, gains) -> dict[str, str]:
     return {
         "coefficients.csv": _write_csv(out / "coefficients.csv", COEFFICIENT_HEADER,
-                                       [_coefficient_columns(sc, table)]),
-        "gains.csv": _write_csv(out / "gains.csv", GAIN_HEADER, [_gain_columns(sc, gains)]),
+                                       _coefficient_blocks(sc, table)),
+        "gains.csv": _write_csv(out / "gains.csv", GAIN_HEADER, _gain_blocks(sc, gains)),
     }
 
 
@@ -248,7 +279,7 @@ def cmd_simulate(args) -> int:
     mean = propagate_mean(sc, gains) if ensemble is None else ensemble.mean
     terminal = (sc.horizon + 1, 2)
     files = {"meanpath.csv": _write_csv(out / "meanpath.csv", _meanpath_header(sc.agents),
-                                        [_meanpath_columns(sc, mean)], terminal)}
+                                        _meanpath_blocks(sc, mean), terminal)}
     breakdown = evaluate_cost(sc, mean if ensemble is None else ensemble, table)
     if ensemble is not None:
         extras["paths"] = ensemble.n_paths
@@ -411,7 +442,7 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)
-    tables = {"coefficients": [], "gains": [], "meanpath": [], "costs": []}
+    runs = []
     failures = []
     terminal = (sc.horizon + 1, 2)
     for value in values:
@@ -421,10 +452,9 @@ def cmd_sweep(args) -> int:
             table, gains = solve(variant)
             files = _write_solve_outputs(run_dir, variant, table, gains)
             mean = propagate_mean(variant, gains)
-            meanpath = _meanpath_columns(variant, mean)
             files["meanpath.csv"] = _write_csv(run_dir / "meanpath.csv",
                                                _meanpath_header(variant.agents),
-                                               [meanpath], terminal)
+                                               _meanpath_blocks(variant, mean), terminal)
             if variant.family.stochastic and variant.mc.paths > 0:
                 predicted_cost(variant, table, True)  # before any path is drawn
                 ensemble = run_ensemble(variant, gains, store_cap=0)
@@ -439,19 +469,25 @@ def cmd_sweep(args) -> int:
             failures.append((value, exc))
             print(f"sweep {name}={value} failed: {exc}", file=sys.stderr)
             continue
-        for key, columns in (("coefficients", _coefficient_columns(variant, table)),
-                             ("gains", _gain_columns(variant, gains)),
-                             ("meanpath", meanpath), ("costs", costs)):
-            rows = len(columns[0])
-            tables[key].append([np.full(rows, name), np.full(rows, value), *columns])
+        runs.append((value, variant, table, gains, mean, costs))
+
+    def combined(key):
+        """The blocks of a combined file: each run's, after its name and value."""
+        for value, variant, table, gains, mean, costs in runs:
+            blocks = {"coefficients": _coefficient_blocks(variant, table),
+                      "gains": _gain_blocks(variant, gains),
+                      "meanpath": _meanpath_blocks(variant, mean), "costs": [costs]}[key]
+            for columns in blocks:
+                rows = len(columns[0])
+                yield [np.full(rows, name), np.full(rows, value), *columns]
 
     prefix = ["param", "value"]
     _write_csv(out / "sweep_coefficients.csv", prefix + COEFFICIENT_HEADER,
-               tables["coefficients"])
-    _write_csv(out / "sweep_gains.csv", prefix + GAIN_HEADER, tables["gains"])
+               combined("coefficients"))
+    _write_csv(out / "sweep_gains.csv", prefix + GAIN_HEADER, combined("gains"))
     _write_csv(out / "sweep_meanpath.csv", prefix + _meanpath_header(sc.agents),
-               tables["meanpath"], (sc.horizon + 1, 4))
-    _write_csv(out / "sweep_costs.csv", prefix + COST_HEADER, tables["costs"])
+               combined("meanpath"), (sc.horizon + 1, 4))
+    _write_csv(out / "sweep_costs.csv", prefix + COST_HEADER, combined("costs"))
     if failures:
         return _exit_code_for(failures[0][1])
     return EXIT_OK
@@ -459,7 +495,9 @@ def cmd_sweep(args) -> int:
 
 # Each expected failure class and its exit code; the first match wins.  An
 # OSError is a path the output cannot be written to (or a scenario file that
-# cannot be read), which is a usage error.
+# cannot be read), which is a usage error.  A FloatingPointError is a float
+# operation that overflowed or went invalid (`main` raises one for every
+# such operation the code does not expect), which is an overflow too.
 _EXIT_CODES = {
     ConfigSyntaxError: EXIT_PARSE,
     SchemaError: EXIT_PARSE,
@@ -467,6 +505,7 @@ _EXIT_CODES = {
     MissingMomentError: EXIT_VALIDATION,
     NumericDomainError: EXIT_VALIDATION,
     CoefficientOverflowError: EXIT_OVERFLOW,
+    FloatingPointError: EXIT_OVERFLOW,
     ResourceLimitError: EXIT_RESOURCE,
     OSError: EXIT_USAGE,
 }
@@ -486,6 +525,8 @@ def _error_lines(exc: Exception) -> list[str]:
         return [f"validation error [{diag.code}]: {diag.message}" for diag in exc.diagnostics]
     if isinstance(exc, MissingMomentError):
         return [f"validation error: {exc}"]
+    if isinstance(exc, FloatingPointError):
+        return [f"error: floating-point {exc}"]
     return [f"error: {exc}"]
 
 
@@ -556,7 +597,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # Never a silent inf or nan in an output: a float operation that
+        # overflows, divides by zero or goes invalid ends the run.
+        with np.errstate(all="raise", under="ignore"):
+            return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         for line in _error_lines(exc):
             print(line, file=sys.stderr)

@@ -237,16 +237,17 @@ def _scalar_text(column) -> list[str]:
     raise TypeError(f"no CSV format for dtype {column.dtype}")
 
 
-def _scalar_rows(columns, rows: int, short) -> bytes:
+def _scalar_rows(columns, rows: int, short, first: int) -> bytes:
     fields = [[""] * rows if c is None else _scalar_text(c) for c in columns]
     if short:
         period, keep = short
+        blank = [""] * len(range(first, rows, period))
         for f in fields[keep:]:
-            f[period - 1::period] = [""] * (rows // period)
+            f[first::period] = blank
     return ("\n".join(map(",".join, zip(*fields))) + "\n").encode("utf-8")
 
 
-def _vector_rows(columns, rows: int, short) -> bytes:
+def _vector_rows(columns, rows: int, short, first: int) -> bytes:
     t = _tables()
     words, starts, fallback = [], [], []
     for i, c in enumerate(columns):
@@ -277,21 +278,21 @@ def _vector_rows(columns, rows: int, short) -> bytes:
         words[idx, starts[i] + 1:starts[i] + 4] = text.view("<u8").reshape(-1, 3)
     if short:
         period, keep = short
-        blank = words[period - 1::period]
+        blank = words[first::period]
         blank[:, starts[keep]:] = 0
         blank[:, starts[keep:-1]] = ord(",")
     words[0, 0] &= ~_U8(0xFF)
     return words.tobytes().translate(None, b"\0") + b"\n"
 
 
-def csv_rows(columns, short=None) -> bytes:
+def csv_rows(columns, short=None, offset: int = 0) -> bytes:
     """The CSV rows of one block of columns, each ending in a newline.
 
     Integer columns are written as %d, float columns as %.17g and text
     columns as they are (text must not contain NUL).  With
     ``short=(period, keep)``, keep >= 1, every row whose index in the block
-    is period - 1 modulo period keeps its first `keep` fields and leaves the
-    rest empty.
+    plus `offset` (the block's first row in its file) is period - 1 modulo
+    period keeps its first `keep` fields and leaves the rest empty.
     """
     present = [c for c in columns if c is not None]
     rows = len(present[0])
@@ -299,6 +300,8 @@ def csv_rows(columns, short=None) -> bytes:
         return b""
     if short and not 1 <= short[1] <= len(columns):
         raise ValueError(f"short rows must keep 1..{len(columns)} fields, got {short[1]}")
+    # Index in the block of the first short row.
+    first = (short[0] - 1 - offset) % short[0] if short else 0
     if rows < VECTOR_MIN_ROWS:
-        return _scalar_rows(columns, rows, short)
-    return _vector_rows(columns, rows, short)
+        return _scalar_rows(columns, rows, short, first)
+    return _vector_rows(columns, rows, short, first)

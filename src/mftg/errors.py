@@ -38,4 +38,5 @@ class MissingMomentError(MftgError):
 
 
 class ResourceLimitError(MftgError):
-    """Requested Monte Carlo size exceeds the configured memory budget."""
+    """A scenario's tables or a requested Monte Carlo size exceed their
+    memory ceiling."""

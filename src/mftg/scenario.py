@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 import yaml
 
-from .errors import ConfigSyntaxError, SchemaError, ScenarioValidationError
+from .errors import ConfigSyntaxError, ResourceLimitError, SchemaError, ScenarioValidationError
 
 
 class Family(str, enum.Enum):
@@ -66,6 +66,10 @@ INITIAL_KINDS = ("deterministic", "gaussian_around_mean", "empirical_samples")
 # so a scenario written for another layout is rejected instead of silently
 # giving different numbers.
 STREAM_SCHEME = "block substream"
+# Ceiling on the entries of one per-(agent, step) table, checked before any
+# table is built: 400 MB of floats.  simulate.MAX_PATH_FLOATS is the ceiling
+# on Monte Carlo memory.
+MAX_TABLE_FLOATS = 50_000_000
 # Safe YAML loader: libyaml when available, several times faster on large
 # scenarios than the pure-Python fallback.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -405,6 +409,11 @@ def build_scenario(doc: dict) -> Scenario:
 
     if agents < 1 or horizon < 1:
         raise ScenarioValidationError(_sizes(agents, horizon, p))
+    if agents * (horizon + 1) > MAX_TABLE_FLOATS:
+        raise ResourceLimitError(
+            f"{agents} agents over {horizon} steps need tables of {agents * (horizon + 1)} "
+            f"entries, above the ceiling of {MAX_TABLE_FLOATS}"
+        )
     a_bar = _steps(dyn["a_bar"], horizon, "dynamics.a_bar")
     b_bar = _per_agent(dyn["b_bar"], agents, horizon, "dynamics.b_bar")
     a_dev = b_dev = None
@@ -692,65 +701,87 @@ def _yaml_scalar(value) -> str:
     return str(value)
 
 
-def _table_lines(table: np.ndarray, indent: str, out: list[str]) -> None:
-    """Append the block-style YAML lines of a non-empty 1-D or 2-D float
-    table; a 2-D table is a sequence of rows, each a nested sequence.
+# Table entries formatted at a time: the text held while a table is
+# serialized stays this size, however large the table.
+_TABLE_CHUNK = 1024
+
+
+def _table_text(part: np.ndarray, lo: int, width: int, sep: str, new_row: str) -> str:
+    """The YAML text of `part`, the entries from `lo` of a flattened table
+    with rows of `width`: each entry after the newline and dash of its
+    line, or of its row when it starts one.
 
     A run of equal bit patterns within a row (a scalar the loader
     broadcast, say) is formatted once and its line repeated; bit patterns
     keep 0.0 and -0.0 apart, which YAML writes differently.
     """
-    width = table.shape[-1]
-    if width == 0:  # rows of an empty horizon
-        out.append(f"{indent}- []\n" * len(table))
-        return
-    flat = table.reshape(-1)
-    bits = flat.view(np.int64)
-    starts = np.empty(flat.size, dtype=bool)
+    bits = part.view(np.int64)
+    starts = np.empty(part.size, dtype=bool)
+    starts[0] = True
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    starts[::width] = True  # runs never cross a row boundary
+    starts[-lo % width::width] = True  # runs never cross a row boundary
     at = np.flatnonzero(starts)
-    texts = list(map(_yaml_scalar, flat[at].tolist()))
+    texts = list(map(_yaml_scalar, part[at].tolist()))
+    counts = np.diff(at, append=part.size)
+    for j in np.flatnonzero(counts > 1).tolist():
+        texts[j] += (sep + texts[j]) * int(counts[j] - 1)
+    bounds = [0, *np.flatnonzero((at + lo) % width == 0).tolist(), len(texts)]
+    rows = [sep.join(texts[a:b]) for a, b in zip(bounds, bounds[1:])]
+    # An empty first row: the part starts a row rather than continuing one.
+    return (sep if rows[0] else "") + new_row.join(rows)
+
+
+def _table_lines(table: np.ndarray, indent: str):
+    """Yield the block-style YAML lines of a non-empty 1-D or 2-D float
+    table, _TABLE_CHUNK entries at a time, each line after its newline
+    rather than before; a 2-D table is a sequence of rows, each a nested
+    sequence."""
+    width = table.shape[-1]
     if table.ndim == 1:
         head = item = f"{indent}- "
     else:
         head, item = f"{indent}- - ", f"{indent}  - "
-    sep = "\n" + item
-    counts = np.diff(at, append=flat.size)
-    for j in np.flatnonzero(counts > 1).tolist():
-        texts[j] += (sep + texts[j]) * int(counts[j] - 1)
-    rows = np.flatnonzero(at % width == 0).tolist() + [len(texts)]
-    for lo, hi in zip(rows, rows[1:]):
-        out.append(head + sep.join(texts[lo:hi]) + "\n")
+    if width == 0:  # rows of an empty horizon
+        yield f"\n{indent}- []" * len(table)
+    flat = table.reshape(-1)
+    for lo in range(0, flat.size, _TABLE_CHUNK):
+        yield _table_text(flat[lo:lo + _TABLE_CHUNK], lo, width, "\n" + item, "\n" + head)
+    yield "\n"
 
 
-def _yaml_lines(doc: dict, indent: str, out: list[str]) -> None:
-    """Append the block-style YAML lines of a document mapping, keys sorted."""
+def _yaml_lines(doc: dict, indent: str):
+    """Yield the block-style YAML lines of a document mapping, keys sorted."""
     for key in sorted(doc):
         value = doc[key]
         if isinstance(value, dict) and value:
-            out.append(f"{indent}{key}:\n")
-            _yaml_lines(value, indent + "  ", out)
+            yield f"{indent}{key}:\n"
+            yield from _yaml_lines(value, indent + "  ")
         elif isinstance(value, np.ndarray) and len(value):
-            # A sequence under a key is not indented.
-            out.append(f"{indent}{key}:\n")
-            _table_lines(value, indent, out)
+            # A sequence under a key is not indented; its lines bring their
+            # newlines.
+            yield f"{indent}{key}:"
+            yield from _table_lines(value, indent)
         else:
-            out.append(f"{indent}{key}: {_yaml_scalar(value)}\n")
+            yield f"{indent}{key}: {_yaml_scalar(value)}\n"
 
 
-def serialize_scenario(sc: Scenario) -> str:
+def serialize_scenario(sc: Scenario, write=None) -> str | None:
     """Loss-free canonical YAML for a materialized scenario.
 
     The text of ``scenario_to_doc(sc)`` in block style with sorted keys,
     byte-identical to what PyYAML's ``safe_dump`` writes for that document
     (the tests keep PyYAML as the reference), but written directly from the
     scenario's arrays: one formatted line per run of equal bit patterns in
-    a row, repeated by string multiplication.
+    a row, repeated by string multiplication.  Without `write` the text is
+    returned; with it, the text is passed to ``write`` a piece at a time as
+    it is generated and never held whole, and None is returned.
     """
-    out: list[str] = []
-    _yaml_lines(_document(sc), "", out)
-    return "".join(out)
+    pieces = _yaml_lines(_document(sc), "")
+    if write is None:
+        return "".join(pieces)
+    for piece in pieces:
+        write(piece)
+    return None
 
 
 def with_params(sc: Scenario, **updates) -> Scenario:

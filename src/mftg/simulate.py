@@ -37,7 +37,8 @@ DEFAULT_STORE_CAP = 100_000
 # Paths per random-stream block; chunks are whole blocks (the last may be partial).
 CHUNK_SIZE = 4096
 # Ceiling on floats held at once: the per-path costs, the path store when
-# one is kept, the step rows, and the noise of every block in flight.
+# one is kept, the step rows, and the noise of every block in flight.  The
+# scenario's tables have their own, scenario.MAX_TABLE_FLOATS.
 MAX_PATH_FLOATS = 400_000_000
 
 

@@ -1,14 +1,23 @@
+import contextlib
+import copy
 import csv
+import hashlib
+import io
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mftg.cli
 import mftg.simulate
+from mftg import load_scenario_file, propagate_mean, serialize_scenario, solve
 from mftg.cli import main
-from conftest import SCENARIOS, scenario_doc
+from conftest import SCENARIOS, make_scenario, scenario_doc
 
 DET = str(SCENARIOS / "deterministic_two_agent.yaml")
 ADD = str(SCENARIOS / "additive_two_agent.yaml")
@@ -415,3 +424,141 @@ def test_out_naming_a_file_exit_1(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
     assert out.read_text() == "a regular file\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify"])
+@pytest.mark.parametrize("horizon", [10 ** 30, 2 ** 62, 10 ** 12])
+def test_huge_horizon_exit_5_before_any_table(tmp_path, capsys, command, horizon):
+    doc = yaml.safe_load(Path(DET).read_text())
+    doc["horizon"] = horizon
+    out = tmp_path / "o"
+    assert main([command, write_doc(tmp_path, doc), "--out", str(out)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: 2 agents over {horizon} steps")
+    assert not out.exists()
+
+
+def test_float_overflow_exit_4(tmp_path, capsys):
+    # The gains cancel a huge a_bar only to roundoff, so the simulated
+    # deviations leave the float range; nothing is written with an inf.
+    doc = yaml.safe_load(Path(ADD).read_text())
+    doc["dynamics"]["a_bar"] = 1e30
+    out = tmp_path / "o"
+    assert main(["simulate", write_doc(tmp_path, doc), "--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    # The operation NumPy names (square or multiply) depends on its version.
+    assert len(err) == 1 and err[0].startswith("error: floating-point overflow encountered in ")
+    assert not (out / "ensemble_stats.csv").exists()
+
+
+# One field of a shipped scenario deleted or replaced by one of these.
+_DELETE = object()
+_NEAR_VALID = [_DELETE, None, True, False, "x", "1", [], {}, -1, -0.5, 0, 0.0, 10 ** 30,
+               2 ** 62, 10 ** 12, math.inf, -math.inf, math.nan, 5e-324, 1e-310]
+
+
+def _fields(node, path=()):
+    """The path of every mapping entry and list item of a document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+_SHIPPED = {path.name: yaml.safe_load(path.read_text())
+            for path in sorted(SCENARIOS.glob("*.yaml"))}
+_SHIPPED_FIELDS = [(name, field) for name, doc in _SHIPPED.items() for field in _fields(doc)]
+# stderr lines a run may print, by exit code.
+_STDERR = {0: ("warning:",), 6: ("verification failed:",)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.sampled_from(_SHIPPED_FIELDS), st.sampled_from(_NEAR_VALID),
+       st.sampled_from(["solve", "simulate", "verify"]))
+def test_near_valid_documents_end_in_an_exit_code(tmp_path_factory, field, value, command):
+    name, path = field
+    doc = copy.deepcopy(_SHIPPED[name])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    tmp = tmp_path_factory.mktemp("near_valid")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, write_doc(tmp, doc), "--out", str(tmp / "o")])
+    assert code in range(7)
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith(_STDERR.get(code, ("error:", "validation error")))
+               for line in lines), lines
+
+
+def wide_scenario(horizon, agents=20):
+    """The shape of the `wide` benchmark scenario: a drift per step and a
+    scalar per agent for every other table."""
+    rng = np.random.default_rng(horizon)
+
+    def draw(lo, hi, size):
+        return [float(v) for v in rng.uniform(lo, hi, size)]
+
+    return make_scenario(
+        family="general_moment_2o2p", agents=agents, horizon=horizon, p=2, o=2,
+        a_bar=draw(0.95, 1.05, horizon), b_bar=draw(0.5, 1.5, agents),
+        a_dev=draw(0.85, 0.95, horizon), b_dev=draw(0.5, 1.5, agents),
+        q_bar=draw(1.0, 5.0, agents), r_bar=draw(1.0, 5.0, agents),
+        q_dev=draw(1.0, 3.0, agents), r_dev=draw(1.0, 3.0, agents),
+        noise={"kind": "gaussian", "sigma": 0.5},
+        initial={"mean": 5.0, "kind": "gaussian_around_mean", "variance": 1.0},
+        mc={"paths": 0, "seed": 1},
+    )
+
+
+def traced_peak(write):
+    """Bytes that `write()` allocates at its peak, above what it found."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestOutputMemory:
+    @pytest.fixture(scope="class")
+    def peaks(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("memory")
+        peaks = {}
+        for horizon in (1000, 4000):
+            sc = wide_scenario(horizon)
+            table, gains = solve(sc)
+            mean = propagate_mean(sc, gains)
+            peaks[horizon] = {
+                "manifest": traced_peak(lambda: mftg.cli._write_manifest(
+                    out, "solve", sc, Path("wide.yaml"), {})),
+                "gains.csv": traced_peak(lambda: mftg.cli._write_csv(
+                    out / "gains.csv", mftg.cli.GAIN_HEADER, mftg.cli._gain_blocks(sc, gains))),
+                "meanpath.csv": traced_peak(lambda: mftg.cli._write_csv(
+                    out / "meanpath.csv", mftg.cli._meanpath_header(sc.agents),
+                    mftg.cli._meanpath_blocks(sc, mean), (horizon + 1, 2))),
+            }
+        return peaks
+
+    @pytest.mark.parametrize("output", ["manifest", "gains.csv", "meanpath.csv"])
+    def test_peak_does_not_grow_with_the_horizon(self, peaks, output):
+        assert peaks[4000][output] <= 1.25 * peaks[1000][output], peaks
+
+    def test_manifest_keeps_no_copy_of_the_scenario_text(self, peaks):
+        # The canonical text is 3 MB at N = 1000, and its bytes as much again.
+        assert peaks[1000]["manifest"] < 1_000_000, peaks
+
+
+@pytest.mark.parametrize("name", [*_SHIPPED, "wide"])
+def test_streamed_digest_hashes_the_canonical_text(tmp_path, name):
+    sc = wide_scenario(1000) if name == "wide" else load_scenario_file(SCENARIOS / name)
+    mftg.cli._write_manifest(tmp_path, "solve", sc, Path(name), {})
+    digest = hashlib.sha256(serialize_scenario(sc).encode("utf-8")).hexdigest()
+    assert f"\nscenario_digest = sha256:{digest}\n" in (tmp_path / "manifest.txt").read_text()

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mftg.cli
 from mftg import csvformat
-from mftg.cli import CSV_BLOCK_ROWS, _csv_chunks
+from mftg.cli import _csv_chunks, _spans
 from mftg.csvformat import csv_rows
 
 _CONVERSIONS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
@@ -22,20 +23,22 @@ def reference_chunks(header, blocks, short):
     """The per-row writer: one ``%`` format per row."""
     yield ",".join(header) + "\n"
     period, keep = short or (1, 0)
-    step = max(1, CSV_BLOCK_ROWS // period) * period
+    written = 0
     for columns in blocks:
         present = [c for c in columns if c is not None]
         fields = ["" if c is None else _CONVERSIONS[c.dtype.kind] for c in columns]
         row_format = ",".join(fields) + "\n"
         short_format = ",".join(fields[:keep]) + "," * (len(fields) - keep) + "\n"
         short_values = sum(c is not None for c in columns[:keep])
-        for lo in range(0, len(present[0]), step):
-            rows = list(zip(*(c[lo:lo + step].tolist() for c in present)))
-            lines = [row_format % row for row in rows]
-            if short:
-                lines[period - 1::period] = [short_format % row[:short_values]
-                                             for row in rows[period - 1::period]]
-            yield "".join(lines)
+        rows = list(zip(*(c.tolist() for c in present)))
+        lines = [row_format % row for row in rows]
+        if short:
+            # The last of every `period` rows of the file is short.
+            first = (period - 1 - written) % period
+            lines[first::period] = [short_format % row[:short_values]
+                                    for row in rows[first::period]]
+        written += len(rows)
+        yield "".join(lines)
 
 
 @pytest.fixture(params=["vector", "scalar", "default"])
@@ -135,7 +138,8 @@ class TestColumns:
 
     def test_short_rows_across_blocks(self, path):
         # Trajectory-like blocks: 11 rows per path, 372 paths per block, and
-        # one block longer than CSV_BLOCK_ROWS that is written in pieces.
+        # one block longer than CSV_BLOCK_WORDS allows, written in pieces
+        # cut mid-period.
         rng = np.random.default_rng(13)
         blocks = []
         for paths in (372, 5, 800):
@@ -155,8 +159,50 @@ class TestColumns:
         assert_same(blocks)
         assert_same([b[:4] for b in blocks], (10, 4))
 
+    def test_split_mid_period(self, path, monkeypatch):
+        # Blocks of 250 rows cut the 11-row periods anywhere, and the file
+        # keeps the bytes of one block.  Last, a 131-row block between longer
+        # ones: at the default break-even, scalar and vector blocks alternate.
+        rng = np.random.default_rng(23)
+        rows = 1200
+        columns = [np.repeat(np.arange(rows // 12), 12)[:rows], None, rng.standard_normal(rows),
+                   np.where(np.arange(rows) % 11 == 10, np.nan, rng.standard_normal(rows)),
+                   np.arange(rows) - 600]
+        whole = b"".join(_csv_chunks(["a", "b", "c", "d", "e"], [columns], (11, 2)))
+        monkeypatch.setattr(mftg.cli, "CSV_BLOCK_WORDS", 250 * 6 * 5)
+        split = list(_csv_chunks(["a", "b", "c", "d", "e"], [columns], (11, 2)))
+        assert len(split) == 1 + 5
+        assert b"".join(split) == whole
+        assert_same([columns], (11, 2))
+        three = [columns[0], columns[2], columns[3]]
+        assert_same([three, [c[:131] for c in three], three], (11, 1))
+
+    def test_offset_moves_the_short_rows(self, path):
+        rng = np.random.default_rng(29)
+        columns = [np.arange(400), rng.standard_normal(400), rng.standard_normal(400)]
+        whole = csv_rows(columns, (7, 1))
+        for cut in (1, 6, 7, 160, 200, 399):
+            assert (csv_rows([c[:cut] for c in columns], (7, 1))
+                    + csv_rows([c[cut:] for c in columns], (7, 1), cut)) == whole
+
     def test_empty_block(self, path):
         assert_same([[np.arange(0), np.zeros(0)], [np.arange(3), np.ones(3)]])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.integers(0, 10 ** 5), st.integers(1, 300), st.integers(1, 60))
+def test_spans_are_full_blocks_with_a_vector_tail(units, unit_rows, columns):
+    most = max(1, mftg.cli.CSV_BLOCK_WORDS // (6 * columns * unit_rows))
+    spans = list(_spans(units, unit_rows, columns))
+    edges = [0] + [hi for _, hi in spans]
+    assert spans == list(zip(edges, edges[1:])) and edges[-1] == units
+    assert len(spans) == -(-units // most)
+    sizes = [hi - lo for lo, hi in spans]
+    assert all(0 < size <= most for size in sizes)
+    assert all(size == most for size in sizes[:-2])
+    if len(sizes) > 1:
+        # The last block is on the vector path whenever a full one is.
+        assert sizes[-1] * unit_rows >= min(most * unit_rows, csvformat.VECTOR_MIN_ROWS)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)

@@ -282,3 +282,20 @@ class TestRoundTrip:
         once = serialize_scenario(additive_two_agent)
         twice = serialize_scenario(load_scenario(once))
         assert once == twice
+
+    def test_text_does_not_depend_on_the_chunk(self, monkeypatch, general_two_agent):
+        # Pieces cut runs, rows and tables anywhere; zeros of both signs
+        # keep their own runs.
+        rng = np.random.default_rng(31)
+        mixed = make_scenario(agents=3, horizon=5, a_bar=[0.0, -0.0, -0.0, 1.5, 0.0],
+                              b_bar=[[0.0, -0.0, 2.0, 2.0, 2.0], 1.0,
+                                     [float(v) for v in rng.standard_normal(5)]])
+        for sc in (general_two_agent, mixed):
+            want = serialize_scenario(sc)
+            assert load_scenario(want) == sc
+            for chunk in (1, 2, 3, 4, 5, 6, 7, 11):
+                monkeypatch.setattr(mftg_scenario, "_TABLE_CHUNK", chunk)
+                assert serialize_scenario(sc) == want
+                pieces = []
+                assert serialize_scenario(sc, pieces.append) is None
+                assert "".join(pieces) == want
