@@ -11,21 +11,22 @@ closed-loop factor that drives the coefficient recursion one step back.
 
 The channels differ only in their moment order (2p for the mean, 2 for the
 additive and multiplicative deviation, 2o for the general-moment deviation),
-their dynamics and weight rows, and where the per-step noise moment enters:
-the general-moment family puts it on the best-response argument and on the
-closed-loop term, the multiplicative family folds it into alpha, and the
-additive family accumulates it in the constant gamma_bar.
+their dynamics and weight rows (``Scenario.channels``), and, for the
+deviation channel, the ``Family.noise_slot`` where the per-step noise moment
+enters: a scale multiplies the best-response argument and the closed-loop
+term, a lift adds alpha_{k+1} times the moment to alpha, and a shift
+accumulates that product in the constant gamma_bar.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoefficientOverflowError
-from .numerics import _odd_root, even_power, noise_even_moment
-from .scenario import Family, Scenario, _freeze
+from .numerics import _odd_root, even_power
+from .scenario import PUSH_SLOTS, Scenario, _freeze
 
 OVERFLOW_LIMIT = 1e300
 
@@ -107,25 +108,23 @@ def _per_row(kernel, x: np.ndarray, orders) -> np.ndarray:
     return out
 
 
-def _channel(names, orders, a, b, q, r, factor=None, noise_on=()):
-    """The backward channels ``names``, stacked one row each, in one loop
-    over k.
+def _channel(names, channels, slot=None, moments=None):
+    """The backward ``channels``, (order, a, b, q, r) each, stacked one row
+    each, in one loop over k.
 
-    Row j has even moment order ``orders[j]``, dynamics ``a[j]`` (N) and
-    ``b[j]`` (I x N), and weights ``q[j]`` (I x N+1) and ``r[j]`` (I x N).
-    ``factor[j]`` (N) is row j's per-step noise moment E[eps_{k+1}^order];
-    ``noise_on`` names where it enters: "gain" scales each best-response
-    argument, "closed_loop" scales the closed-loop term of alpha, "alpha"
-    adds alpha_{k+1} * factor to alpha, and "gamma" accumulates the same
-    product in a separate constant.  A row without noise carries one neutral
-    factor for every placement: 1 when the placements scale ("gain",
-    "closed_loop"), 0 when they add ("alpha", "gamma"), which leaves its
-    arithmetic that of a noise-free channel bit for bit.  That needs the
-    placements to be all of one kind, as they are in every family.
+    Row j has even moment order ``order``, dynamics ``a`` (N) and ``b``
+    (I x N), and weights ``q`` (I x N+1) and ``r`` (I x N).  ``moments[j]``
+    (N) is row j's per-step noise moment E[eps_{k+1}^order], and ``slot``
+    (see Family) says where it enters: "scale" multiplies each best-response
+    argument and the closed-loop term of alpha, "lift" adds
+    alpha_{k+1} * moment to alpha, and "shift" accumulates the same product
+    in a separate constant.  A row without noise carries the slot's neutral
+    value (PUSH_SLOTS), which leaves its arithmetic that of a noise-free
+    channel bit for bit.
 
     Per step, eta_i is the signed (order-1)-th root of
-    alpha_{k+1,i} b_i / r_i (times the factor on "gain"); agent i's best
-    response is c_i = eta_i / (1 + eta_i b_i).  The coupling matrix
+    alpha_{k+1,i} b_i / r_i (times a scale); agent i's best response is
+    c_i = eta_i / (1 + eta_i b_i).  The coupling matrix
     diag(1 / (1 + eta_i b_i)) + c b^T has the Sherman-Morrison solution
     g = eta / (1 + b^T eta).  With alpha, r and the moment non-negative,
     eta_i b_i >= 0, so both denominators are at least 1.
@@ -140,10 +139,11 @@ def _channel(names, orders, a, b, q, r, factor=None, noise_on=()):
     multiplicative channels share every term, so they agree bit for bit when
     the moment vanishes.
     """
+    orders, a, b, q, r = zip(*channels)
     a, b, r = (np.asarray(v, dtype=float) for v in (a, b, r))
     alpha = np.array(q, dtype=float)
     rows, agents, n = b.shape
-    gamma = np.zeros_like(alpha) if "gamma" in noise_on else None
+    gamma = np.zeros_like(alpha) if slot == "shift" else None
     gain = np.empty((rows, agents, n))
     c = np.empty((rows, agents, n))
     clf = np.empty((rows, n))
@@ -151,8 +151,8 @@ def _channel(names, orders, a, b, q, r, factor=None, noise_on=()):
     steps_b, steps_r, steps_alpha, steps_gain, steps_c = (
         v.transpose(2, 0, 1) for v in (b, r, alpha, gain, c))
     steps_a = a.T[:, :, None]
-    if factor is not None:
-        steps_f = np.asarray(factor, dtype=float).T[:, :, None]
+    if slot is not None:
+        steps_m = np.asarray(moments, dtype=float).T[:, :, None]
     roots = [order - 1 for order in orders]
 
     nxt = steps_alpha[n]
@@ -161,8 +161,8 @@ def _channel(names, orders, a, b, q, r, factor=None, noise_on=()):
         for k in range(n - 1, -1, -1):
             b_k = steps_b[k]
             arg = nxt * b_k
-            if "gain" in noise_on:
-                arg *= steps_f[k]
+            if slot == "scale":
+                arg *= steps_m[k]
             arg /= steps_r[k]
             eta = _per_row(_odd_root, arg, roots)
             np.divide(eta, 1.0 + eta * b_k, out=steps_c[k])
@@ -171,15 +171,15 @@ def _channel(names, orders, a, b, q, r, factor=None, noise_on=()):
             clf_k = steps_a[k] * (1.0 - np.add.reduce(b_k * g, axis=1, keepdims=True))
             clf[:, k] = clf_k[:, 0]
             term = nxt * _per_row(even_power, clf_k, orders)
-            if "closed_loop" in noise_on:
-                term *= steps_f[k]
+            if slot == "scale":
+                term *= steps_m[k]
             # column k of alpha still holds q_k here
             alpha_k = steps_alpha[k] + steps_r[k] * _per_row(even_power, g * steps_a[k], orders)
             alpha_k += term
-            if "alpha" in noise_on:
-                alpha_k += nxt * steps_f[k]
+            if slot == "lift":
+                alpha_k += nxt * steps_m[k]
             if gamma is not None:
-                gamma[:, :, k] = gamma[:, :, k + 1] + nxt * steps_f[k]
+                gamma[:, :, k] = gamma[:, :, k + 1] + nxt * steps_m[k]
             _check_overflow(names, k, alpha_k, arg)
             steps_alpha[k] = alpha_k
             nxt = alpha_k
@@ -188,70 +188,25 @@ def _channel(names, orders, a, b, q, r, factor=None, noise_on=()):
             for j in range(rows)]
 
 
-# Where each family's per-step noise moment enters the deviation channel (see
-# _channel).  The general-moment deviation pushforward satisfies
-#     E[(x' - xbar')^{2o}] = (closed-loop dev factor)^{2o}
-#                            * E[(x - xbar)^{2o}] * E[eps'^{2o}],
-# so that family carries the order-2o moment on the best-response argument
-# and on the closed-loop term; the one-step value identity and the
-# brute-force oracle in mftg.verify confirm that placement.
-_NOISE_ON = {
-    Family.DETERMINISTIC: (),
-    Family.ADDITIVE: ("gamma",),
-    Family.MULTIPLICATIVE: ("alpha",),
-    Family.GENERAL_MOMENT: ("gain", "closed_loop"),
-}
-
-
-def _solve(sc: Scenario, noise_on=()) -> tuple[CoefficientTable, GainSchedule]:
-    """The mean channel and (stochastic families) the deviation channel, in
-    one stacked backward loop, with the noise moment placed as ``noise_on``
-    says."""
-    names, orders = ["alpha_bar"], [2 * sc.p]
-    a, b, q, r = [sc.a_bar], [sc.b_bar], [sc.q_bar], [sc.r_bar]
-    factor = None
-    if sc.family.stochastic:
-        dev_a, dev_b = sc.deviation_dynamics
-        order = sc.moment_order
-        names.append("alpha")
-        orders.append(order)
-        a.append(dev_a)
-        b.append(dev_b)
-        q.append(sc.q_dev)
-        r.append(sc.r_dev)
-        scales = {"gain", "closed_loop"} & set(noise_on)
-        assert not (scales and {"alpha", "gamma"} & set(noise_on)), noise_on
-        neutral = 1.0 if scales else 0.0
-        factor = [[neutral] * sc.horizon,
-                  [noise_even_moment(sc.noise, k + 1, order) for k in range(sc.horizon)]]
-    channels = _channel(names, orders, a, b, q, r, factor, noise_on)
-
-    alpha_bar, _, mean_gain, c_bar, clf_mean = channels[0]
-    table = CoefficientTable(alpha_bar=_freeze(alpha_bar))
-    gains = GainSchedule(
-        mean_gain=_freeze(mean_gain),
-        c_bar=_freeze(c_bar),
-        closed_loop_mean=_freeze(clf_mean),
-    )
-    if not sc.family.stochastic:
-        return table, gains
-
-    alpha, gamma, dev_gain, c, clf_dev = channels[1]
-    table = replace(table, alpha=_freeze(alpha), gamma_bar=_freeze(gamma))
-    gains = replace(
-        gains,
-        dev_gain=_freeze(dev_gain),
-        c=_freeze(c),
-        closed_loop_dev=_freeze(clf_dev),
-    )
-    return table, gains
-
-
 def solve(sc: Scenario) -> tuple[CoefficientTable, GainSchedule]:
-    """Coefficient tables and gains of the scenario's family: alpha_bar for
-    every family, plus alpha for the stochastic ones and gamma_bar for
-    additive noise."""
-    return _solve(sc, _NOISE_ON[sc.family])
+    """Coefficient tables and gains: alpha_bar for every family, plus alpha
+    for the stochastic ones and gamma_bar for a shift slot.  The mean
+    channel and (stochastic families) the deviation channel run in one
+    stacked backward loop, the mean row with its slot's neutral value."""
+    slot = sc.family.noise_slot
+    moments = None
+    if slot is not None:
+        moments = [np.full(sc.horizon, PUSH_SLOTS[slot]), sc.noise_moments]
+    channels = sc.channels
+    names = ["alpha_bar", "alpha"][:len(channels)]
+    rows = [[_freeze(v) for v in row] for row in _channel(names, channels, slot, moments)]
+    alpha_bar, _, mean_gain, c_bar, clf_mean = rows[0]
+    if len(rows) == 1:
+        return (CoefficientTable(alpha_bar),
+                GainSchedule(mean_gain, c_bar, clf_mean))
+    alpha, gamma, dev_gain, c, clf_dev = rows[1]
+    return (CoefficientTable(alpha_bar, alpha, gamma),
+            GainSchedule(mean_gain, c_bar, clf_mean, dev_gain, c, clf_dev))
 
 
 def _normalized(t1: float, t2: float) -> float:
@@ -264,33 +219,24 @@ def stationarity_residual(
     sc: Scenario, table: CoefficientTable, gains: GainSchedule, i: int, k: int
 ) -> float:
     """First-order-condition residual of agent i at step k, normalized by the
-    largest term.
+    largest term, worst over the channels.
 
     The mean channel is probed at unit mean state; the deviation channel
-    (when present) at unit deviation.  Zero at the computed gains up to
-    roundoff; grows quickly when a gain is perturbed.
+    (when present) at unit deviation, with a scale slot's noise moment on
+    the next-step coefficient.  Zero at the computed gains up to roundoff;
+    grows quickly when a gain is perturbed.
     """
-    root = 2 * sc.p - 1
-    a = sc.a_bar[k]
-    b = sc.b_bar[:, k]
-    u = -gains.mean_gain[:, k] * a
-    inner = a + np.add.reduce(b * u)
-    t1 = sc.r_bar[i, k] * u[i] ** root
-    t2 = table.alpha_bar[i, k + 1] * b[i] * inner ** root
-    residual = _normalized(t1, t2)
-
-    if gains.dev_gain is None:
-        return residual
-
-    # Only the general-moment family carries the noise moment on the argument
-    # of the best response.  The variance families have m = 1 and root = 1,
-    # which round nothing: x * 1.0 and x ** 1 are x.
-    root = sc.moment_order - 1
-    m = noise_even_moment(sc.noise, k + 1, root + 1) if sc.family is Family.GENERAL_MOMENT else 1.0
-    a_dev, b_dev = sc.deviation_dynamics
-    a, b = a_dev[k], b_dev[:, k]
-    v = -gains.dev_gain[:, k] * a
-    inner = a + np.add.reduce(b * v)
-    t1 = sc.r_dev[i, k] * v[i] ** root
-    t2 = table.alpha[i, k + 1] * m * b[i] * inner ** root
-    return max(residual, _normalized(t1, t2))
+    # The mean channel and a lift or shift slot scale by 1.0, which rounds
+    # nothing: x * 1.0 is x.
+    scales = [1.0, sc.noise_moments[k] if sc.family.noise_slot == "scale" else 1.0]
+    residuals = []
+    for (order, a, b, _, r), alpha, gain, scale in zip(
+            sc.channels, (table.alpha_bar, table.alpha), (gains.mean_gain, gains.dev_gain), scales):
+        root = order - 1
+        a, b = a[k], b[:, k]
+        u = -gain[:, k] * a
+        inner = a + np.add.reduce(b * u)
+        t1 = r[i, k] * u[i] ** root
+        t2 = alpha[i, k + 1] * scale * b[i] * inner ** root
+        residuals.append(_normalized(t1, t2))
+    return max(residuals)

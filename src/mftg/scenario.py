@@ -24,6 +24,7 @@ Key shapes:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -31,6 +32,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigSyntaxError, ResourceLimitError, SchemaError, ScenarioValidationError
+from .numerics import noise_even_moment
 
 
 class Family(str, enum.Enum):
@@ -43,6 +45,18 @@ class Family(str, enum.Enum):
     GENERAL_MOMENT: noise scales the whole deviation channel (state and
         control deviations with their own coefficients); 2o-moment deviation
         costs alongside 2p mean costs.
+
+    The stochastic families differ only in where the step-(k+1) noise moment
+    E[eps^mo] enters the one-step push of the deviation moment d = x - xbar,
+
+        E[d_{k+1}^mo] = (clf_k^mo + lift_k) * E[d_k^mo] * scale_k + shift_k,
+
+    with clf_k the deviation channel's closed-loop factor.  ``noise_slot``
+    names that place: additive noise is a shift, multiplicative noise a
+    lift, and the general-moment family a scale, which puts the order-2o
+    moment on both the best response and the closed-loop term; the one-step
+    value identity and the brute-force oracle in mftg.verify confirm each
+    placement.  The other two slots hold their PUSH_SLOTS neutral value.
     """
 
     DETERMINISTIC = "deterministic_2p"
@@ -58,6 +72,17 @@ class Family(str, enum.Enum):
     def uses_dev_dynamics(self) -> bool:
         return self is Family.GENERAL_MOMENT
 
+    @property
+    def noise_slot(self) -> str | None:
+        """The push slot that carries the noise moment; None without noise."""
+        return _NOISE_SLOT.get(self)
+
+
+_NOISE_SLOT = {Family.ADDITIVE: "shift", Family.MULTIPLICATIVE: "lift",
+               Family.GENERAL_MOMENT: "scale"}
+# The deviation-moment push slots, in the order of the push formula (see
+# Family), each with the neutral value a slot without noise holds.
+PUSH_SLOTS = {"lift": 0.0, "scale": 1.0, "shift": 0.0}
 
 NOISE_KINDS = ("gaussian", "rademacher", "uniform", "explicit_moments")
 INITIAL_KINDS = ("deterministic", "gaussian_around_mean", "empirical_samples")
@@ -177,6 +202,25 @@ class Scenario(_FieldEquality):
         if self.family.uses_dev_dynamics:
             return self.a_dev, self.b_dev
         return self.a_bar, self.b_bar
+
+    @functools.cached_property
+    def channels(self) -> tuple[tuple, ...]:
+        """(order, a, b, q, r) of the mean channel and, for the stochastic
+        families, of the deviation channel: a is (N,), b and r (I, N), and
+        q (I, N+1)."""
+        mean = (2 * self.p, self.a_bar, self.b_bar, self.q_bar, self.r_bar)
+        if not self.family.stochastic:
+            return (mean,)
+        return mean, (self.moment_order, *self.deviation_dynamics, self.q_dev, self.r_dev)
+
+    @functools.cached_property
+    def noise_moments(self) -> np.ndarray | None:
+        """The read-only (N,) row of E[eps_{k+1}^mo], k = 0..N-1, built once
+        per scenario; None for the deterministic family."""
+        if not self.family.stochastic:
+            return None
+        return _freeze(np.array([noise_even_moment(self.noise, k + 1, self.moment_order)
+                                 for k in range(self.horizon)]))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import CoefficientOverflowError, NumericDomainError, ResourceLimitError
 from .numerics import _odd_double_factorial, even_power
 from .recursion import CoefficientTable, GainSchedule
-from .scenario import Family, InitialLaw, Scenario
+from .scenario import InitialLaw, Scenario
 
 DEFAULT_STORE_CAP = 100_000
 # Paths per random-stream block; chunks are whole blocks (the last may be partial).
@@ -178,7 +178,7 @@ def _run_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, x0: np.ndarray
     scratch row (I, B).  A kept store gets each step's rows written into its
     views store = (x (B, N+1), u (I, B, N)).
     """
-    n, family, mo = sc.horizon, sc.family, sc.moment_order
+    n, slot, mo = sc.horizon, sc.family.noise_slot, sc.moment_order
     x, d, d_pow, tmp, u, v, stage = rows
     x_sum, d2_sum, dmo_sum, u_sum, v2_sum, vmo_sum = sums
     g_dev, q_dev, r_dev = gains.dev_gain, sc.q_dev, sc.r_dev
@@ -218,9 +218,10 @@ def _run_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, x0: np.ndarray
         np.multiply(d, a[k], out=x)
         np.multiply(d, push[k], out=tmp)
         x -= tmp
-        if family is Family.ADDITIVE:
+        # The noise enters in the family's push slot, path by path.
+        if slot == "shift":
             x += eps[k]
-        elif family is Family.MULTIPLICATIVE:
+        elif slot == "lift":
             np.multiply(d, eps[k], out=tmp)
             x += tmp
         else:

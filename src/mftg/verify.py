@@ -18,11 +18,10 @@ clf_k = a_k (1 - s_k), and the deviation-moment push as three per-step rows
 
     E[d_{k+1}^mo] = (clf_k^mo + lift_k) * E[d_k^mo] * scale_k + shift_k.
 
-The stochastic families differ only in those rows, with E[eps^mo] the
-step-(k+1) noise moment: additive noise shifts the pushed moment by it,
-multiplicative noise lifts clf^2 by it, and the general-moment family
-scales the pushed moment by it.  ``_push_rows`` holds that table, the one
-place here that tells the noise families apart.
+The stochastic families differ only in those rows: E[eps^mo], the
+step-(k+1) noise moment, fills the family's ``Family.noise_slot`` and the
+other two rows hold their neutral values.  ``_push_rows`` builds them from
+the slot and ``Scenario.noise_moments``; nothing here names a family.
 
 Scope: the deviation tests perturb within the linear-feedback class the
 equilibrium lives in (plus an open-loop jitter smoke test); they certify no
@@ -36,14 +35,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SchemaError
-from .numerics import even_power, noise_even_moment
+from .numerics import even_power
 from .recursion import CoefficientTable, GainSchedule, solve, stationarity_residual
-from .scenario import Family, Scenario
+from .scenario import PUSH_SLOTS, Scenario
 from .simulate import initial_central_moment, predicted_cost, propagate_mean
 
 STATIONARITY_TOL = 1e-9
 BELLMAN_TOL = 1e-10
 DEVIATION_TOL = 1e-9
+LQ_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -100,28 +100,12 @@ class DeviationReport:
     equilibrium_cost: float
 
 
-def _channels(sc: Scenario, gains: GainSchedule) -> list[tuple]:
-    """(order, a, b, r, gain) of the mean channel and, for the stochastic
-    families, of the deviation channel: a is (N,), the rest (I, N)."""
-    channels = [(2 * sc.p, sc.a_bar, sc.b_bar, sc.r_bar, gains.mean_gain)]
-    if sc.family.stochastic:
-        a, b = sc.deviation_dynamics
-        channels.append((sc.moment_order, a, b, sc.r_dev, gains.dev_gain))
-    return channels
-
-
 def _push_rows(sc: Scenario, steps: slice) -> np.ndarray:
     """The (3, K) deviation-moment push rows (lift, scale, shift) at
     ``steps`` of a stochastic scenario; see the module docstring."""
-    noise = np.array([noise_even_moment(sc.noise, k + 1, sc.moment_order)
-                      for k in range(sc.horizon)[steps]])
-    zero, one = np.zeros_like(noise), np.ones_like(noise)
-    rows = {
-        Family.ADDITIVE: (zero, one, noise),
-        Family.MULTIPLICATIVE: (noise, one, zero),
-        Family.GENERAL_MOMENT: (zero, noise, zero),
-    }[sc.family]
-    return np.array(rows)
+    moments = sc.noise_moments[steps]
+    return np.array([moments if slot == sc.family.noise_slot else np.full_like(moments, neutral)
+                     for slot, neutral in PUSH_SLOTS.items()])
 
 
 def _push(rows, clf, order: int, m):
@@ -138,10 +122,10 @@ def _closed_loop(sc: Scenario, gains: GainSchedule, steps: slice):
     deterministic family.  Each step's coupling is summed along a
     contiguous agent row, so it has the bits of the solver's.
     """
-    channels = _channels(sc, gains)
+    channels = list(zip(sc.channels, (gains.mean_gain, gains.dev_gain)))
     coupling = np.array([np.add.reduce(np.multiply(b.T[steps], g.T[steps], order="C"), axis=1)
-                         for _, _, b, _, g in channels])
-    factor = np.array([a[steps] for _, a, *_ in channels]) * (1.0 - coupling)
+                         for (_, _, b, _, _), g in channels])
+    factor = np.array([a[steps] for (_, a, *_), _ in channels]) * (1.0 - coupling)
     push = _push_rows(sc, steps) if sc.family.stochastic else None
     return coupling, factor, push
 
@@ -259,7 +243,7 @@ def open_loop_jitter_test(
     """Smoke test: random open-loop jitter of one agent's control sequence on
     the deterministic family must not beat the equilibrium.  Returns the
     margin (equilibrium cost minus best jittered cost)."""
-    if sc.family is not Family.DETERMINISTIC:
+    if sc.family.stochastic:
         raise ValueError("open-loop jitter smoke test covers the deterministic family")
     n = sc.horizon
     p2 = 2 * sc.p
@@ -512,7 +496,7 @@ def lq_reduction_check(sc: Scenario) -> LqReduction:
         riccati = _scalar_riccati(sc.a_bar, b_bar[0], sc.q_bar[0, :n], sc.q_bar[0, n], r_bar[0])
         gap = np.max(np.abs(riccati - table.alpha_bar[0]) / np.maximum(1.0, np.abs(riccati)))
         worst = max(worst, float(gap))
-    return LqReduction(passed=worst <= 1e-12, max_discrepancy=worst)
+    return LqReduction(passed=worst <= LQ_TOL, max_discrepancy=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +589,9 @@ def sample_convexity(sc: Scenario, table: CoefficientTable, gains: GainSchedule)
     weights = [table.alpha_bar[:, 1:]]
     if sc.family.stochastic:
         weights.append(table.alpha[:, 1:] * _push_rows(sc, slice(None))[1])
+    gain_tables = (gains.mean_gain, gains.dev_gain)
     return min(_min_curvature(order, a, b, r, weight, gain)
-               for (order, a, b, r, gain), weight in zip(_channels(sc, gains), weights))
+               for (order, a, b, _, r), gain, weight in zip(sc.channels, gain_tables, weights))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ import yaml
 
 import mftg.scenario
 from mftg import load_scenario
+from mftg.numerics import _odd_root, even_power, noise_even_moment
+from mftg.recursion import CoefficientTable, GainSchedule
+from mftg.scenario import Family
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -100,3 +103,56 @@ def one_step_unit():
 
 def assert_close(actual, expected, rtol=0.0, atol=0.0):
     np.testing.assert_allclose(actual, expected, rtol=rtol, atol=atol)
+
+
+# Where each stochastic family's noise moment enters the deviation channel,
+# in the tests' own words, independent of the solver's Family.noise_slot:
+# "gain" scales the best-response argument, "closed_loop" the closed-loop
+# term, "alpha" adds alpha_{k+1} times the moment, and "gamma" accumulates
+# that product in a separate constant.
+NOISE_ON = {"additive_variance_2p": ("gamma",), "multiplicative_variance_2p": ("alpha",),
+            "general_moment_2o2p": ("gain", "closed_loop")}
+
+
+def lone_channel(order, a, b, q, r, moment=None, noise_on=()):
+    """Reference: one backward channel on its own, one loop per channel."""
+    a, b, q, r = (np.asarray(v, dtype=float) for v in (a, b, q, r))
+    agents, n = r.shape
+    alpha = np.empty((agents, n + 1))
+    alpha[:, n] = q[:, n]
+    gamma = np.zeros((agents, n + 1)) if "gamma" in noise_on else None
+    gain, c, clf = np.empty((agents, n)), np.empty((agents, n)), np.empty(n)
+    for k in range(n - 1, -1, -1):
+        nxt = alpha[:, k + 1]
+        arg = nxt * b[:, k]
+        if "gain" in noise_on:
+            arg = arg * moment[k]
+        eta = _odd_root(arg / r[:, k], order - 1)
+        c[:, k] = eta / (1.0 + eta * b[:, k])
+        g = eta / (1.0 + np.add.reduce(b[:, k] * eta))
+        gain[:, k] = g
+        clf[k] = a[k] * (1.0 - np.add.reduce(g * b[:, k]))
+        term = nxt * even_power(clf[k], order)
+        if "closed_loop" in noise_on:
+            term = term * moment[k]
+        alpha[:, k] = q[:, k] + r[:, k] * even_power(g * a[k], order) + term
+        if "alpha" in noise_on:
+            alpha[:, k] += nxt * moment[k]
+        if gamma is not None:
+            gamma[:, k] = gamma[:, k + 1] + nxt * moment[k]
+    return alpha, gamma, gain, c, clf
+
+
+def lone_solve(sc, noise_on):
+    """Reference solve of a stochastic scenario from lone channels, with the
+    deviation channel's noise moment placed as ``noise_on`` says; a wrong
+    placement gives a negative control.  Returns (table, gains)."""
+    general = sc.family is Family.GENERAL_MOMENT
+    a, b = (sc.a_dev, sc.b_dev) if general else (sc.a_bar, sc.b_bar)
+    moment = [noise_even_moment(sc.noise, k + 1, sc.moment_order) for k in range(sc.horizon)]
+    alpha_bar, _, mean_gain, c_bar, clf_mean = lone_channel(
+        2 * sc.p, sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar)
+    alpha, gamma, dev_gain, c, clf_dev = lone_channel(
+        sc.moment_order, a, b, sc.q_dev, sc.r_dev, moment, noise_on)
+    return (CoefficientTable(alpha_bar, alpha, gamma),
+            GainSchedule(mean_gain, c_bar, clf_mean, dev_gain, c, clf_dev))

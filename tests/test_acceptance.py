@@ -23,10 +23,9 @@ from mftg import (
     solve,
     unilateral_deviation_test,
 )
-from mftg.recursion import _solve
 from mftg.verify import _min_curvature
 from mftg.cli import main
-from conftest import SCENARIOS, make_scenario, random_deterministic
+from conftest import SCENARIOS, lone_solve, make_scenario, random_deterministic
 
 DET = SCENARIOS / "deterministic_two_agent.yaml"
 ADD = SCENARIOS / "additive_two_agent.yaml"
@@ -195,10 +194,11 @@ def test_criterion_8_convexity_of_power_law_objectives():
 def test_criterion_9_moment_factor_arbitration():
     sc = load_scenario_file(GEN)
     assert sc.o == 2 and sc.noise.kind == "gaussian"
-    # negative control: the private solver without the closed-loop factor
+    # negative control: the lone-channel reference without the closed-loop
+    # factor
     residuals = {}
     for name, (table, gains) in (("shipped", solve(sc)),
-                                 ("without", _solve(sc, noise_on=("gain",)))):
+                                 ("without", lone_solve(sc, noise_on=("gain",)))):
         residuals[name] = max(bellman_identity_check(sc, table, gains, k)
                               for k in range(sc.horizon))
     exactly_one = residuals["shipped"] <= 1e-10 and residuals["without"] > 1e-10

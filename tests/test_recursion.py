@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from mftg import CoefficientOverflowError, solve, stationarity_residual
-from mftg.numerics import _odd_root, even_power, noise_even_moment
-from mftg.recursion import _solve
 from mftg.verify import inject_gain_scaling
-from conftest import make_scenario, random_deterministic
+from conftest import NOISE_ON, lone_channel, lone_solve, make_scenario, random_deterministic
 
 
 class TestDeterministic:
@@ -211,9 +209,10 @@ class TestGeneralMoment:
         np.testing.assert_array_equal(g_gen.mean_gain, g_det.mean_gain)
 
     def test_noise_factor_switch_changes_alpha(self, general_two_agent):
-        # negative control: the private solver without the closed-loop factor
+        # negative control: the lone-channel reference without the
+        # closed-loop factor
         on, _ = solve(general_two_agent)
-        off, _ = _solve(general_two_agent, noise_on=("gain",))
+        off, _ = lone_solve(general_two_agent, noise_on=("gain",))
         assert not np.array_equal(on.alpha, off.alpha)
 
 
@@ -287,39 +286,6 @@ class TestSharedStructure:
         np.testing.assert_allclose(gains.mean_gain, gains.dev_gain, rtol=1e-12)
 
 
-def _lone_channel(order, a, b, q, r, moment=None, noise_on=()):
-    """Reference: one backward channel on its own, one loop per channel."""
-    a, b, q, r = (np.asarray(v, dtype=float) for v in (a, b, q, r))
-    agents, n = r.shape
-    alpha = np.empty((agents, n + 1))
-    alpha[:, n] = q[:, n]
-    gamma = np.zeros((agents, n + 1)) if "gamma" in noise_on else None
-    gain, c, clf = np.empty((agents, n)), np.empty((agents, n)), np.empty(n)
-    for k in range(n - 1, -1, -1):
-        nxt = alpha[:, k + 1]
-        arg = nxt * b[:, k]
-        if "gain" in noise_on:
-            arg = arg * moment[k]
-        eta = _odd_root(arg / r[:, k], order - 1)
-        c[:, k] = eta / (1.0 + eta * b[:, k])
-        g = eta / (1.0 + np.add.reduce(b[:, k] * eta))
-        gain[:, k] = g
-        clf[k] = a[k] * (1.0 - np.add.reduce(g * b[:, k]))
-        term = nxt * even_power(clf[k], order)
-        if "closed_loop" in noise_on:
-            term = term * moment[k]
-        alpha[:, k] = q[:, k] + r[:, k] * even_power(g * a[k], order) + term
-        if "alpha" in noise_on:
-            alpha[:, k] += nxt * moment[k]
-        if gamma is not None:
-            gamma[:, k] = gamma[:, k + 1] + nxt * moment[k]
-    return alpha, gamma, gain, c, clf
-
-
-NOISE_ON = {"additive_variance_2p": ("gamma",), "multiplicative_variance_2p": ("alpha",),
-            "general_moment_2o2p": ("gain", "closed_loop")}
-
-
 class TestStackedLoop:
     @pytest.mark.parametrize("family", ["deterministic_2p", *NOISE_ON])
     def test_bit_identical_to_lone_channels(self, family):
@@ -344,23 +310,18 @@ class TestStackedLoop:
                               b_dev=[coef(horizon) for _ in range(agents)])
             sc = make_scenario(**kwargs)
             table, gains = solve(sc)
-            mean = _lone_channel(2 * sc.p, sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar)
+            mean = lone_channel(2 * sc.p, sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar)
             got = (table.alpha_bar, None, gains.mean_gain, gains.c_bar,
                    gains.closed_loop_mean)
             for want, have in zip(mean, got):
                 np.testing.assert_array_equal(have, want)
             if family == "deterministic_2p":
                 continue
-            a, b = ((sc.a_dev, sc.b_dev) if family == "general_moment_2o2p"
-                    else (sc.a_bar, sc.b_bar))
-            moment = [noise_even_moment(sc.noise, k + 1, sc.moment_order)
-                      for k in range(horizon)]
-            dev = _lone_channel(sc.moment_order, a, b, sc.q_dev, sc.r_dev, moment,
-                                NOISE_ON[family])
-            got = (table.alpha, table.gamma_bar, gains.dev_gain, gains.c,
-                   gains.closed_loop_dev)
-            for want, have in zip(dev, got):
-                np.testing.assert_array_equal(have, want)
+            want_table, want_gains = lone_solve(sc, NOISE_ON[family])
+            for name in ("alpha", "gamma_bar"):
+                np.testing.assert_array_equal(getattr(table, name), getattr(want_table, name))
+            for name in ("dev_gain", "c", "closed_loop_dev"):
+                np.testing.assert_array_equal(getattr(gains, name), getattr(want_gains, name))
 
 
 class TestStationarity:

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import importlib.util
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ from mftg import (
     validate,
     with_params,
 )
+from mftg import numerics, run_verification, solve
+from mftg.scenario import load_scenario_file
+from mftg.verify import DeviationGrid, stationarity_residual
 from conftest import LOADERS, REPO, SCENARIOS, load_with, make_scenario, scenario_doc
 
 
@@ -299,3 +304,89 @@ class TestRoundTrip:
                 pieces = []
                 assert serialize_scenario(sc, pieces.append) is None
                 assert "".join(pieces) == want
+
+
+# ---------------------------------------------------------------------------
+# each noise family is described once, in scenario.py
+
+
+STOCHASTIC_MEMBERS = {f.name for f in Family if f.stochastic} | {f.value for f in Family
+                                                                 if f.stochastic}
+
+
+def _family_names(tree):
+    """Line numbers where tree names a stochastic Family member, as
+    Family.NAME (also qualified, as module.Family.NAME), Family["NAME"] or
+    Family("value")."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base, key = node.value, node.attr
+        elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            base, key = node.value, node.slice.value
+        elif (isinstance(node, ast.Call) and len(node.args) == 1
+              and isinstance(node.args[0], ast.Constant)):
+            base, key = node.func, node.args[0].value
+        else:
+            continue
+        name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+        if name == "Family" and key in STOCHASTIC_MEMBERS:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+class TestOneNoiseDescription:
+    """Each stochastic family's noise is stated once, next to Family: its
+    push slot and each scenario's moment row.  The solver, the simulator
+    and the oracles read those and never branch on the family."""
+
+    def test_detector_finds_each_form(self):
+        code = ("Family.ADDITIVE\nscenario.Family.MULTIPLICATIVE\nx is Family.GENERAL_MOMENT\n"
+                "{Family.ADDITIVE: 1}\nFamily['MULTIPLICATIVE']\nFamily('general_moment_2o2p')\n"
+                "Family.DETERMINISTIC; sc.family.stochastic; Family('deterministic_2p')\n"
+                "noise_slot == 'scale'; other.ADDITIVE\n")
+        assert _family_names(ast.parse(code)) == [1, 2, 3, 4, 5, 6]
+
+    def test_family_names_only_in_scenario(self):
+        sources = sorted((REPO / "src" / "mftg").glob("*.py"))
+        assert any(path.name == "scenario.py" for path in sources)
+        found = {path.name: _family_names(ast.parse(path.read_text()))
+                 for path in sources if path.name != "scenario.py"}
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    def test_each_stochastic_family_has_one_slot(self):
+        slots = {f: f.noise_slot for f in Family if f.stochastic}
+        assert sorted(slots.values()) == sorted(mftg_scenario.PUSH_SLOTS)
+        assert Family.DETERMINISTIC.noise_slot is None
+
+    def test_moment_row_is_read_only_and_kept(self, general_two_agent, det_two_agent):
+        sc = general_two_agent
+        row = sc.noise_moments
+        assert row is sc.noise_moments
+        assert row.shape == (sc.horizon,) and not row.flags.writeable
+        want = [numerics.noise_even_moment(sc.noise, k + 1, sc.moment_order)
+                for k in range(sc.horizon)]
+        np.testing.assert_array_equal(row, want)
+        assert det_two_agent.noise_moments is None
+
+    def test_moment_row_is_built_once(self, monkeypatch):
+        # solve, run_verification and the per-pair stationarity sweep of
+        # bench/wide.py on one scenario object compute each moment once.
+        original = numerics.noise_even_moment
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "mftg" or name.startswith("mftg.")) and \
+                    getattr(module, "noise_even_moment", None) is original:
+                monkeypatch.setattr(module, "noise_even_moment", counting)
+        sc = load_scenario_file(SCENARIOS / "general_moment_two_agent.yaml")
+        table, gains = solve(sc)
+        assert run_verification(sc, table, gains, grid=DeviationGrid(points=5)).passed
+        max(stationarity_residual(sc, table, gains, i, k)
+            for i in range(sc.agents) for k in range(sc.horizon))
+        solve(sc)
+        assert 0 < len(calls) <= sc.horizon

@@ -24,10 +24,9 @@ from mftg import (
 )
 from mftg.errors import CoefficientOverflowError, SchemaError
 from mftg.numerics import even_power, noise_even_moment
-from mftg.recursion import _solve
 from mftg.scenario import Family
-from mftg.verify import _channels, _closed_loop, _min_curvature, _push
-from conftest import SCENARIOS, make_scenario, random_deterministic
+from mftg.verify import _closed_loop, _min_curvature, _push
+from conftest import SCENARIOS, lone_solve, make_scenario, random_deterministic
 from test_properties import scenario_docs
 
 
@@ -284,11 +283,11 @@ class TestBellmanIdentity:
         # Gaussian noise with o=2 separates the two candidate recursions:
         # only the one carrying the order-2o moment satisfies the identity.
         sc = general_two_agent
-        # The negative control is the private solver without the closed-loop
-        # factor.
+        # The negative control is the lone-channel reference without the
+        # closed-loop factor.
         residuals = {}
         for shipped, (table, gains) in ((True, solve(sc)),
-                                        (False, _solve(sc, noise_on=("gain",)))):
+                                        (False, lone_solve(sc, noise_on=("gain",)))):
             residuals[shipped] = max(bellman_identity_check(sc, table, gains, k)
                                      for k in range(sc.horizon))
         assert residuals[True] <= 1e-10
@@ -384,7 +383,8 @@ def _assert_layer_matches_references(sc):
                         for k in range(sc.horizon)])
         np.testing.assert_array_equal(got, want)
         weights.append(table.alpha[:, 1:] * push[1])
-    for (order, a, b, r, gain), weight in zip(_channels(sc, gains), weights):
+    for (order, a, b, _, r), gain, weight in zip(sc.channels, (gains.mean_gain, gains.dev_gain),
+                                                 weights):
         np.testing.assert_array_equal(_min_curvature(order, a, b, r, weight, gain),
                                       _min_curvature_per_pair(order, a, b, r, weight, gain))
 
