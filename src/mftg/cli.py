@@ -259,7 +259,7 @@ def cmd_simulate(args) -> int:
     sc = load_scenario_file(args.scenario)
     table, gains = solve(sc)
     out = Path(args.out)
-    extras = {"paths": 0, "threads": args.threads}
+    extras = {"paths": 0}
 
     paths = args.paths if args.paths is not None else sc.mc.paths
     ensemble = None
@@ -274,8 +274,7 @@ def cmd_simulate(args) -> int:
     else:
         # Keep the paths only when trajectories.csv will be written from them.
         store_cap = min(DEFAULT_STORE_CAP, TRAJECTORY_ROW_LIMIT // (sc.horizon + 1))
-        ensemble = run_ensemble(sc, gains, paths=paths, seed=args.seed, threads=args.threads,
-                                store_cap=store_cap)
+        ensemble = run_ensemble(sc, gains, paths=paths, seed=args.seed, store_cap=store_cap)
     mean = propagate_mean(sc, gains) if ensemble is None else ensemble.mean
     terminal = (sc.horizon + 1, 2)
     files = {"meanpath.csv": _write_csv(out / "meanpath.csv", _meanpath_header(sc.agents),
@@ -569,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--paths", type=_nonnegative_type, default=None,
                        help="Monte Carlo paths")
     p_sim.add_argument("--seed", type=_seed_type, default=None, help="master seed")
-    p_sim.add_argument("--threads", type=_positive_type, default=1, help="worker threads")
+    p_sim.add_argument("--threads", type=_positive_type, default=1,
+                       help="accepted for compatibility; ignored")
     p_sim.add_argument("--plot", action="store_true", help="write SVG plots")
     p_sim.set_defaults(func=cmd_simulate)
 

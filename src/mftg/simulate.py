@@ -5,8 +5,7 @@ recursion, so it is propagated deterministically and the feedback laws
 consume this model mean, never an ensemble average (using empirical means
 would couple paths).  Monte Carlo paths are drawn in fixed blocks of
 CHUNK_SIZE paths, each from its own substream derived from (seed, block
-index), which makes ensembles reproducible bit for bit regardless of which
-thread draws a block.
+index), which makes ensembles reproducible bit for bit.
 
 Each block is propagated one step at a time and each step is reduced as
 soon as it is made: its path sums of the states, the controls and their
@@ -14,16 +13,14 @@ deviations' squares and moment powers are added to the run's running sums,
 and each path's stage cost is added to that path's cost, in a fixed order
 of elementwise operations.  The step rows are then reused for the next
 step, so a block holds its noise draw (N x B floats) and a few (I, B) rows,
-whatever the horizon.  The calling thread propagates and reduces the blocks
-in block order; helper threads only draw the noise of the next blocks
-ahead of it.  A run that keeps its paths (up to the store cap) also writes
-each step's rows into the store, so its statistics have the same bits as a
-streamed run's.
+whatever the horizon.  Blocks are drawn, propagated and reduced one at a
+time, in block order.  A run that keeps its paths (up to the store cap)
+also writes each step's rows into the store, so its statistics have the
+same bits as a streamed run's.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +34,8 @@ DEFAULT_STORE_CAP = 100_000
 # Paths per random-stream block; chunks are whole blocks (the last may be partial).
 CHUNK_SIZE = 4096
 # Ceiling on floats held at once: the per-path costs, the path store when
-# one is kept, the step rows, and the noise of every block in flight.  The
-# scenario's tables have their own, scenario.MAX_TABLE_FLOATS.
+# one is kept, the step rows, and the block being drawn.  The scenario's
+# tables have their own, scenario.MAX_TABLE_FLOATS.
 MAX_PATH_FLOATS = 400_000_000
 
 
@@ -234,16 +231,16 @@ def _run_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, x0: np.ndarray
 
 def _memory_plan(sc: Scenario, n_paths: int, store_cap: int) -> tuple[bool, int, int]:
     """Whether a run keeps its path store, the floats it holds throughout,
-    and the floats each block in flight holds, counted against
+    and the floats the block being drawn holds, counted against
     MAX_PATH_FLOATS.
 
     A run holds the per-path costs (before and after the mean terms), the
-    running path sums of its statistics, the step rows the calling thread
-    propagates each block in (four of B floats and three of I x B), and the
-    path store when it keeps one.  A block in flight holds its initial
-    states, the initial-law draw of a full block, and its noise, in both
-    layouts while it is drawn.  A run keeps its store only when the store
-    fits beside what it holds throughout and one block in flight.
+    running path sums of its statistics, the step rows each block is
+    propagated in (four of B floats and three of I x B), and the path store
+    when it keeps one.  A block holds its initial states, the initial-law
+    draw of a full block, and its noise, in both layouts while it is drawn.
+    A run keeps its store only when the store fits beside what it holds
+    throughout and one block.
     """
     n, agents = sc.horizon, sc.agents
     width = min(CHUNK_SIZE, n_paths)
@@ -272,20 +269,14 @@ def run_ensemble(
     *,
     paths: int | None = None,
     seed: int | None = None,
-    threads: int = 1,
     store_cap: int = DEFAULT_STORE_CAP,
 ) -> Ensemble:
     """Simulate a seeded closed-loop ensemble and collect its statistics.
 
-    Paths are processed in the fixed blocks their random streams are keyed
-    by.  The calling thread propagates and reduces the blocks in block
-    order, while up to threads - 1 helper threads draw the noise of the
-    next blocks ahead of it: the draw runs mostly without the GIL, while the
-    step loop needs it between its short NumPy calls, so a second thread
-    propagating blocks would mostly wait for it.  Threads decide only when
-    a block is drawn, never how statistics are reduced, so results are
-    identical for any thread count.  No more blocks are in flight than
-    MAX_PATH_FLOATS has room for.
+    Paths are drawn, propagated and reduced in the fixed blocks their
+    random streams are keyed by, one block at a time in block order.  A run
+    that does not fit MAX_PATH_FLOATS with one block raises
+    ResourceLimitError.
     """
     if not sc.family.stochastic:
         raise ValueError("deterministic scenarios have no ensemble; use propagate_mean")
@@ -300,8 +291,7 @@ def run_ensemble(
     n, agents = sc.horizon, sc.agents
 
     store, held, per_block = _memory_plan(sc, n_paths, store_cap)
-    in_flight = min(threads, (MAX_PATH_FLOATS - held) // per_block)
-    if in_flight < 1:
+    if held + per_block > MAX_PATH_FLOATS:
         raise ResourceLimitError(
             f"{n_paths} paths need {held + per_block} floats with one block in "
             f"flight, above the in-memory budget of {MAX_PATH_FLOATS}"
@@ -309,7 +299,6 @@ def run_ensemble(
 
     mean = propagate_mean(sc, gains)
     mo = sc.moment_order
-    starts = range(0, n_paths, CHUNK_SIZE)
     path_cost_dev = np.zeros((agents, n_paths))
     x_store = np.empty((n_paths, n + 1)) if store else None
     u_store = np.empty((agents, n_paths, n)) if store else None
@@ -319,29 +308,13 @@ def run_ensemble(
     width = min(CHUNK_SIZE, n_paths)
     rows = [np.empty(width) for _ in range(4)] + [np.empty((agents, width)) for _ in range(3)]
 
-    def draw(lo: int):
-        eps = np.empty((n, min(CHUNK_SIZE, n_paths - lo)))
-        return _draw_paths(sc, seed, lo, eps), eps
-
-    def propagate(lo: int, x0: np.ndarray, eps: np.ndarray) -> None:
-        hi = lo + eps.shape[1]
+    for lo in range(0, n_paths, CHUNK_SIZE):
+        hi = min(lo + CHUNK_SIZE, n_paths)
+        eps = np.empty((n, hi - lo))
+        x0 = _draw_paths(sc, seed, lo, eps)
         _run_block(sc, gains, mean, x0, eps, sums, path_cost_dev[:, lo:hi],
                    [row[..., :hi - lo] for row in rows],
                    (x_store[lo:hi], u_store[:, lo:hi]) if store else None)
-
-    ahead = min(in_flight, len(starts)) - 1
-    if ahead == 0:
-        for lo in starts:
-            propagate(lo, *draw(lo))
-    else:
-        with ThreadPoolExecutor(max_workers=ahead) as pool:
-            drawn = [pool.submit(draw, lo) for lo in starts[:ahead]]
-            for i, lo in enumerate(starts):
-                x0, eps = drawn[i].result()
-                drawn[i] = None
-                if i + ahead < len(starts):
-                    drawn.append(pool.submit(draw, starts[i + ahead]))
-                propagate(lo, x0, eps)
 
     emp_mean, dev_m2, dev_m2o = (s / n_paths for s in sums[:3])
     # Control sums are step-major (N, I); the statistics are (I, N).

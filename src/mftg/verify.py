@@ -44,6 +44,7 @@ STATIONARITY_TOL = 1e-9
 BELLMAN_TOL = 1e-10
 DEVIATION_TOL = 1e-9
 LQ_TOL = 1e-12
+BEST_RESPONSE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +237,15 @@ def inject_gain_scaling(
     return replace(gains, mean_gain=mean_gain)
 
 
-def open_loop_jitter_test(
-    sc: Scenario, gains: GainSchedule, agent: int,
-    n_jitter: int = 64, scale: float | None = None, seed: int = 0,
-) -> float:
+# Open-loop jitter: JITTER_COUNT Gaussian control sequences from a fixed
+# seed, with a standard deviation of JITTER_SCALE times the agent's largest
+# mean control (at least 1).
+JITTER_COUNT = 64
+JITTER_SCALE = 0.1
+JITTER_SEED = 0
+
+
+def open_loop_jitter_test(sc: Scenario, gains: GainSchedule, agent: int) -> float:
     """Smoke test: random open-loop jitter of one agent's control sequence on
     the deterministic family must not beat the equilibrium.  Returns the
     margin (equilibrium cost minus best jittered cost)."""
@@ -249,12 +255,11 @@ def open_loop_jitter_test(
     p2 = 2 * sc.p
     a_bar, b_bar, q_bar, r_bar = sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar
     mean = propagate_mean(sc, gains)
-    if scale is None:
-        scale = 0.1 * max(1.0, float(np.max(np.abs(mean.u_bar[agent]))))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0x70C1]))
-    deltas = np.vstack([np.zeros(n), rng.normal(0.0, scale, (n_jitter, n))])
-    xb = np.full(n_jitter + 1, float(sc.x0.mean))
-    cost = np.zeros(n_jitter + 1)
+    scale = JITTER_SCALE * max(1.0, float(np.max(np.abs(mean.u_bar[agent]))))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[JITTER_SEED, 0x70C1]))
+    deltas = np.vstack([np.zeros(n), rng.normal(0.0, scale, (JITTER_COUNT, n))])
+    xb = np.full(JITTER_COUNT + 1, float(sc.x0.mean))
+    cost = np.zeros(JITTER_COUNT + 1)
     for k in range(n):
         u = -gains.mean_gain[:, k][:, None] * (a_bar[k] * xb)[None, :]
         u[agent] = mean.u_bar[agent, k] + deltas[:, k]
@@ -329,8 +334,14 @@ def _minimize_convex(f, rough: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _iterate_best_responses(br, agents: int, max_rounds: int, damping: float,
-                            tol: float):
+# Best-response rounds: at most BEST_RESPONSE_ROUNDS, each moving every
+# control BEST_RESPONSE_DAMPING of the way to its best response, until no
+# control moves more than BEST_RESPONSE_TOL.
+BEST_RESPONSE_ROUNDS = 100
+BEST_RESPONSE_DAMPING = 0.5
+
+
+def _iterate_best_responses(br, agents: int):
     """Damped best-response rounds with reduced-rank extrapolation.
 
     Strong cross-agent coupling pushes the damped iteration's linear rate
@@ -345,11 +356,11 @@ def _iterate_best_responses(br, agents: int, max_rounds: int, damping: float,
     window = [u.copy()]
     depth = agents + 2
     converged = False
-    for _ in range(max_rounds):
+    for _ in range(BEST_RESPONSE_ROUNDS):
         previous = u.copy()
         for i in range(agents):
-            u[i] = (1.0 - damping) * u[i] + damping * br(i, u)
-        if np.max(np.abs(u - previous)) <= tol:
+            u[i] = (1.0 - BEST_RESPONSE_DAMPING) * u[i] + BEST_RESPONSE_DAMPING * br(i, u)
+        if np.max(np.abs(u - previous)) <= BEST_RESPONSE_TOL:
             converged = True
             break
         window.append(u.copy())
@@ -374,8 +385,7 @@ def _iterate_best_responses(br, agents: int, max_rounds: int, damping: float,
     return u, converged
 
 
-def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
-                         damping: float = 0.5, tol: float = 1e-10) -> OneStepSolution:
+def brute_force_one_step(sc: Scenario) -> OneStepSolution:
     """Solve a one-step instance by per-agent numeric best responses.
 
     Each agent's objective is assembled from the raw dynamics and cost
@@ -407,9 +417,7 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
         scale = max(abs(a0 * xb), 2.0 * float(np.max(np.abs(u))))
         return _minimize_convex(lambda t: mean_objective(i, t, others), rough=scale)
 
-    u, converged = _iterate_best_responses(
-        mean_br, agents, max_rounds, damping, tol
-    )
+    u, converged = _iterate_best_responses(mean_br, agents)
     mean_gain = -u / (a0 * xb)
     inner = a0 * xb + np.add.reduce(b0 * u)
     mean_value = q_bar[:, 0] * xb ** p2 + r_bar0 * even_power(u, p2) + q_bar[:, 1] * inner ** p2
@@ -439,9 +447,7 @@ def brute_force_one_step(sc: Scenario, max_rounds: int = 100,
         scale = max(abs(a_d), 2.0 * float(np.max(np.abs(w))))
         return _minimize_convex(lambda t: dev_objective(i, t, others), rough=scale)
 
-    w, dev_converged = _iterate_best_responses(
-        dev_br, agents, max_rounds, damping, tol
-    )
+    w, dev_converged = _iterate_best_responses(dev_br, agents)
     dev_gain = -w / a_d
     inner = a_d + np.add.reduce(b_d * w)
     dev_value = q_dev[:, 0] + r_dev0 * even_power(w, mo) + q_dev[:, 1] * _push(push, inner, mo, 1.0)

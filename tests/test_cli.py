@@ -201,13 +201,20 @@ class TestSimulate:
         assert (outs[1] / "ensemble_stats.csv").read_bytes() == first
 
     def test_thread_count_does_not_change_output(self, tmp_path):
-        blobs = []
+        """--threads is accepted and ignored: every file has the same bytes,
+        the manifest too once its created_utc line is dropped."""
+        outputs = []
         for threads in ("1", "2", "8"):
             out = tmp_path / f"t{threads}"
             assert main(["simulate", ADD, "--out", str(out), "--paths", "5000",
                          "--seed", "11", "--threads", threads]) == 0
-            blobs.append((out / "ensemble_stats.csv").read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            files["manifest.txt"] = b"".join(
+                line for line in files["manifest.txt"].splitlines(keepends=True)
+                if not line.startswith(b"created_utc = "))
+            outputs.append(files)
+        assert "ensemble_stats.csv" in outputs[0]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_plots_written(self, tmp_path):
         out = tmp_path / "out"

@@ -218,29 +218,12 @@ class TestEnsemble:
                 gap = abs(ens.u_mean[i, k] - ens.mean.u_bar[i, k])
                 assert gap <= 5 * se + 1e-12
 
-    def test_bit_identical_reruns_and_thread_invariance(self, additive_two_agent):
+    def test_bit_identical_reruns(self, additive_two_agent):
         sc = additive_two_agent
         _, gains = solve(sc)
-        runs = [run_ensemble(sc, gains, paths=6000, seed=9, threads=t)
-                for t in (1, 2, 3, 8)]
-        again = run_ensemble(sc, gains, paths=6000, seed=9)
-        for ens in runs[1:] + [again]:
-            np.testing.assert_array_equal(ens.x, runs[0].x)
-            np.testing.assert_array_equal(ens.u, runs[0].u)
-            np.testing.assert_array_equal(ens.emp_mean, runs[0].emp_mean)
-            np.testing.assert_array_equal(ens.path_cost, runs[0].path_cost)
-
-    @pytest.mark.parametrize("fixture", ["additive_two_agent", "general_two_agent"])
-    def test_streamed_thread_invariance(self, fixture, request):
-        # 9000 paths: two full blocks and a partial one, reduced without a store.
-        sc = request.getfixturevalue(fixture)
-        _, gains = solve(sc)
-        runs = [run_ensemble(sc, gains, paths=9000, seed=9, threads=t, store_cap=100)
-                for t in (1, 2, 3, 8)]
-        assert runs[0].x is None
-        for ens in runs[1:]:
-            for name in STATISTICS + ("path_cost",):
-                np.testing.assert_array_equal(getattr(ens, name), getattr(runs[0], name))
+        first, again = (run_ensemble(sc, gains, paths=6000, seed=9) for _ in range(2))
+        for name in STATISTICS + ("path_cost", "x", "u"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(first, name))
 
     def test_streaming_mode_matches_stored_statistics(self, request):
         # One path, one row into the second block, and two full blocks plus
@@ -249,15 +232,13 @@ class TestEnsemble:
             sc = request.getfixturevalue(fixture)
             _, gains = solve(sc)
             for paths in (1, 4097, 9000):
-                for threads in (1, 2):
-                    stored = run_ensemble(sc, gains, paths=paths, seed=4, threads=threads)
-                    streamed = run_ensemble(sc, gains, paths=paths, seed=4, threads=threads,
-                                            store_cap=0)
-                    assert stored.x is not None and streamed.x is None
-                    for name in STATISTICS + ("path_cost",):
-                        np.testing.assert_array_equal(
-                            getattr(streamed, name), getattr(stored, name),
-                            err_msg=f"{fixture} {paths} paths {threads} threads {name}")
+                stored = run_ensemble(sc, gains, paths=paths, seed=4)
+                streamed = run_ensemble(sc, gains, paths=paths, seed=4, store_cap=0)
+                assert stored.x is not None and streamed.x is None
+                for name in STATISTICS + ("path_cost",):
+                    np.testing.assert_array_equal(
+                        getattr(streamed, name), getattr(stored, name),
+                        err_msg=f"{fixture} {paths} paths {name}")
 
     @pytest.mark.parametrize("fixture", ["additive_two_agent", "multiplicative_two_agent",
                                          "general_two_agent"])
@@ -318,33 +299,10 @@ class TestEnsemble:
         with pytest.raises(ResourceLimitError):
             run_ensemble(additive_two_agent, gains, paths=10 ** 12)
 
-    def test_memory_budget_limits_workers(self, additive_two_agent, monkeypatch):
-        """A budget of held + n blocks lets n blocks be in flight: the one
-        the calling thread propagates and n - 1 drawn ahead by helpers."""
-        sc = additive_two_agent
-        _, gains = solve(sc)
-        want = run_ensemble(sc, gains, paths=9000, seed=9, store_cap=100)
-        _, held, per_block = mftg.simulate._memory_plan(sc, 9000, 100)
-        pools = []
-
-        class RecordingPool(mftg.simulate.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(mftg.simulate, "ThreadPoolExecutor", RecordingPool)
-        for blocks in (1, 2):
-            monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + blocks * per_block)
-            got = run_ensemble(sc, gains, paths=9000, seed=9, threads=8, store_cap=100)
-            for name in STATISTICS + ("path_cost",):
-                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        # One block in flight is drawn in the calling thread; two start one helper.
-        assert pools == [1]
-
     def test_store_kept_exactly_when_it_fits_beside_one_worker(self, additive_two_agent,
                                                                  monkeypatch):
-        """At a budget of held + store + one block in flight the run keeps
-        its store; one float less streams it, with the same statistics bits."""
+        """At a budget of held + store + one block the run keeps its store;
+        one float less streams it, with the same statistics bits."""
         sc = additive_two_agent
         _, gains = solve(sc)
         _, held, per_block = mftg.simulate._memory_plan(sc, 20000, 0)
@@ -360,12 +318,15 @@ class TestEnsemble:
             np.testing.assert_array_equal(getattr(streamed, name), getattr(kept, name))
 
     def test_budget_below_one_block_exits_5(self, additive_two_agent, monkeypatch, tmp_path):
+        """A budget of held + one block streams the run; one float less exits 5."""
         sc = additive_two_agent
         _, held, per_block = mftg.simulate._memory_plan(sc, 9000, 0)
-        monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + per_block - 1)
         _, gains = solve(sc)
+        monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + per_block)
+        assert run_ensemble(sc, gains, paths=9000).x is None
+        monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + per_block - 1)
         with pytest.raises(ResourceLimitError):
-            run_ensemble(sc, gains, paths=9000, threads=8)
+            run_ensemble(sc, gains, paths=9000)
         out = tmp_path / "out"
         assert main(["simulate", str(SCENARIOS / "additive_two_agent.yaml"), "--out", str(out),
                      "--paths", "9000", "--threads", "8"]) == 5
@@ -414,7 +375,7 @@ class TestEnsemble:
         monkeypatch.setattr(mftg.simulate, "_draw_paths", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="block 3"):
-            run_ensemble(sc, gains, paths=5 * CHUNK_SIZE, seed=1, threads=2, store_cap=0)
+            run_ensemble(sc, gains, paths=5 * CHUNK_SIZE, seed=1, store_cap=0)
         assert threading.active_count() == before
 
     def test_gaussian_initial_law_and_rademacher_noise(self):
@@ -450,7 +411,7 @@ def test_block_kernel_matches_reference(family, o, noise, initial):
     _, gains = solve(sc)
     for paths, blocks in ((10_000, ((0, 4096), (4096, 8192), (8192, 10_000))),
                           (1, ((0, 1),))):
-        ens = run_ensemble(sc, gains, paths=paths, seed=6, threads=2)
+        ens = run_ensemble(sc, gains, paths=paths, seed=6)
         for lo, hi in blocks:
             x, u = _reference_chunk(sc, gains, ens.mean, 6, lo, hi)
             np.testing.assert_array_equal(ens.x[lo:hi], x)
