@@ -7,16 +7,18 @@ would couple paths).  Monte Carlo paths are drawn in fixed blocks of
 CHUNK_SIZE paths, each from its own substream derived from (seed, block
 index), which makes ensembles reproducible bit for bit.
 
-Each block is propagated one step at a time and each step is reduced as
-soon as it is made: its path sums of the states, the controls and their
-deviations' squares and moment powers are added to the run's running sums,
-and each path's stage cost is added to that path's cost, in a fixed order
-of elementwise operations.  The step rows are then reused for the next
-step, so a block holds its noise draw (N x B floats) and a few (I, B) rows,
-whatever the horizon.  Blocks are drawn, propagated and reduced one at a
-time, in block order.  A run that keeps its paths (up to the store cap)
-also writes each step's rows into the store, so its statistics have the
-same bits as a streamed run's.
+Paths are propagated in slabs of up to SLAB_BLOCKS whole blocks (a partial
+last block is a slab of its own), one step at a time, and each step is
+reduced as soon as it is made: each block's path sums of the states, the
+controls and their deviations' squares and moment powers are kept for the
+step, and each path's stage cost is added to that path's cost, in a fixed
+order of elementwise operations.  After the last step the block sums are
+added to the run's running sums in block order, so the statistics have
+the same bits for any slab width.  The step rows are reused for the next
+step, so a slab holds its noise (N x slab floats) and a few (I, slab)
+rows, whatever the horizon.  A run that keeps its paths (up to the store
+cap) also writes each step's rows into the store, so its statistics have
+the same bits as a streamed run's.
 """
 
 from __future__ import annotations
@@ -33,9 +35,13 @@ from .scenario import InitialLaw, Scenario
 DEFAULT_STORE_CAP = 100_000
 # Paths per random-stream block; chunks are whole blocks (the last may be partial).
 CHUNK_SIZE = 4096
+# Whole blocks propagated together: wider step rows cut the per-call cost
+# of the step loop.  Two to four blocks ran fastest at 102,400 paths;
+# wider slabs fall out of cache.
+SLAB_BLOCKS = 4
 # Ceiling on floats held at once: the per-path costs, the path store when
-# one is kept, the step rows, and the block being drawn.  The scenario's
-# tables have their own, scenario.MAX_TABLE_FLOATS.
+# one is kept, the step rows and noise of a slab, and the block being
+# drawn.  The scenario's tables have their own, scenario.MAX_TABLE_FLOATS.
 MAX_PATH_FLOATS = 400_000_000
 
 
@@ -118,15 +124,18 @@ def initial_central_moment(law: InitialLaw, order: int) -> float:
     return float(np.mean(even_power(law.samples - law.mean, order)))
 
 
-def _draw_paths(sc: Scenario, seed: int, lo: int, eps: np.ndarray) -> np.ndarray:
+def _draw_paths(sc: Scenario, seed: int, lo: int, out: tuple) -> np.ndarray:
     """Initial states of paths lo..lo+B-1 of one block, with their scaled
-    noise written step-major into eps (N, B).
+    noise written step-major into out = (eps (N, B), draw).
 
-    lo must start a block.  The block's substream first draws a full block
-    of initial states (when the law is random), then one noise row per
-    path as a single draw, so a partial last block yields the first rows of
-    a full one and the first n paths of any ensemble are the same.
+    draw is a path-major buffer of at least (B, N) floats that a Gaussian
+    draw is made in and reused for every block.  lo must start a block.
+    The block's substream first draws a full block of initial states (when
+    the law is random), then one noise row per path as a single draw, so a
+    partial last block yields the first rows of a full one and the first n
+    paths of any ensemble are the same.
     """
+    eps, draw = out
     rows, n = eps.shape[1], sc.horizon
     law = sc.x0
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), lo // CHUNK_SIZE]))
@@ -138,7 +147,7 @@ def _draw_paths(sc: Scenario, seed: int, lo: int, eps: np.ndarray) -> np.ndarray
         x0 = law.samples[rng.integers(0, len(law.samples), CHUNK_SIZE)[:rows]]
     kind = sc.noise.kind
     if kind == "gaussian":
-        raw = rng.standard_normal((rows, n))
+        raw = rng.standard_normal(out=draw[:rows])
     elif kind == "rademacher":
         raw = 2.0 * rng.integers(0, 2, (rows, n)) - 1.0
     else:
@@ -147,49 +156,68 @@ def _draw_paths(sc: Scenario, seed: int, lo: int, eps: np.ndarray) -> np.ndarray
     return x0
 
 
-def _moment_sums(dev: np.ndarray, mo: int, out: np.ndarray):
-    """Sums over the last (path) axis of dev**2 and dev**mo; dev**mo is
-    written to out, as (dev**2)**(mo/2)."""
+def _slabs(n_paths: int, blocks: int):
+    """(lo, hi, blocks) of each slab in path order: up to `blocks` whole
+    blocks, and the partial last block, if any, alone."""
+    whole = n_paths - n_paths % CHUNK_SIZE
+    for lo in range(0, whole, blocks * CHUNK_SIZE):
+        hi = min(lo + blocks * CHUNK_SIZE, whole)
+        yield lo, hi, (hi - lo) // CHUNK_SIZE
+    if whole < n_paths:
+        yield whole, n_paths, 1
+
+
+def _moment_sums(dev: np.ndarray, mo: int, out: np.ndarray, blocks: int,
+                 sq_sums: np.ndarray, mo_sums: np.ndarray) -> None:
+    """Sums of dev**2 and dev**mo over each block's paths (the last axis,
+    cut into `blocks` equal runs) into sq_sums and mo_sums; dev**mo is
+    written to out, as (dev**2)**(mo/2).  With mo == 2 only sq_sums is
+    written: the caller passes one buffer for both."""
     np.multiply(dev, dev, out=out)
-    sq_sum = np.add.reduce(out, axis=-1)
-    if mo == 2:
-        return sq_sum, sq_sum
-    even_power(out, mo // 2, out=out)
-    return sq_sum, np.add.reduce(out, axis=-1)
+    per_block = out.reshape(out.shape[:-1] + (blocks, -1))
+    np.add.reduce(per_block, axis=-1, out=sq_sums)
+    if mo > 2:
+        even_power(out, mo // 2, out=out)
+        np.add.reduce(per_block, axis=-1, out=mo_sums)
 
 
-def _run_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, x0: np.ndarray,
-               eps: np.ndarray, sums: list, cost: np.ndarray, rows: list,
+def _run_block(sc: Scenario, feedback: tuple, mean: MeanPath, eps: np.ndarray,
+               blocks: int, rows: list, parts: list, sums: list, cost: np.ndarray,
                store: tuple | None) -> None:
-    """Propagate one block of B paths from its initial states x0 and its
-    step-major noise eps (N, B), one step at a time, and reduce each step
-    as soon as it is made.
+    """Propagate a slab of `blocks` equal blocks of paths from the initial
+    states in rows[0] and the step-major noise eps (N, P), one step at a
+    time, and reduce each step as soon as it is made.  feedback = (gain
+    (I, N), push (N)): the controls -gain d and the push they give the
+    state.
 
-    Each step's path sums of x, d**2, d**mo (d = x - x_bar) and of u, v**2,
-    v**mo (v = u - u_bar) are added into sums, and each path's deviation
-    cost is added into cost (I, B) in a fixed order: the stage costs
-    r_k * v_k**mo + q_k * d_k**mo for k = 0..N-1 in step order, then the
-    terminal q_N * d_N**mo.  That arithmetic is elementwise, so each path's
-    cost has the same bits for any block size.  rows are the step rows the
-    block is propagated in: x, d, d**mo and a scratch row (B), and u, v and a
-    scratch row (I, B).  A kept store gets each step's rows written into its
-    views store = (x (B, N+1), u (I, B, N)).
+    Each step's sums over each block's paths of x, d**2, d**mo (d = x -
+    x_bar) and of u, v**2, v**mo (v = u - u_bar) go to that step's row of
+    parts, (N+1, blocks) and (N, I, blocks) buffers (with mo == 2 the d**2
+    and d**mo buffers are one, as are the v**2 and v**mo ones); after the
+    last step they are added into sums block by block, in block order.
+    Each path's deviation cost is added into cost (I, P) in a fixed order:
+    the stage costs r_k * v_k**mo + q_k * d_k**mo for k = 0..N-1 in step
+    order, then the terminal q_N * d_N**mo.  That arithmetic is
+    elementwise, so each path's cost, like each block sum, has the same
+    bits for any slab width.  rows are the step rows the slab is propagated
+    in: x, d, d**mo and a scratch row (P), and u, v and a scratch row
+    (I, P).  A kept store gets each step's rows written into its views
+    store = (x (P, N+1), u (I, P, N)).
     """
     n, slot, mo = sc.horizon, sc.family.noise_slot, sc.moment_order
     x, d, d_pow, tmp, u, v, stage = rows
-    x_sum, d2_sum, dmo_sum, u_sum, v2_sum, vmo_sum = sums
-    g_dev, q_dev, r_dev = gains.dev_gain, sc.q_dev, sc.r_dev
+    x_part, d2_part, dmo_part, u_part, v2_part, vmo_part = (p[..., :blocks] for p in parts)
+    gain, push = feedback
+    q_dev, r_dev = sc.q_dev, sc.r_dev
     x_bar, u_bar = mean.x_bar, mean.u_bar
-    a, b = sc.deviation_dynamics
-    gain = g_dev * a
-    push = np.add.reduce(np.ascontiguousarray((b * gain).T), axis=1)
-    np.copyto(x, x0)
+    a = sc.deviation_dynamics[0]
+    # (..., blocks, B) views of the rows summed per block
+    x_blocks = x.reshape(blocks, -1)
+    u_blocks = u.reshape(sc.agents, blocks, -1)
     np.subtract(x, x_bar[0], out=d)
     for k in range(n + 1):
-        x_sum[k] += x.sum()
-        d2, dmo = _moment_sums(d, mo, d_pow)
-        d2_sum[k] += d2
-        dmo_sum[k] += dmo
+        np.add.reduce(x_blocks, axis=-1, out=x_part[k])
+        _moment_sums(d, mo, d_pow, blocks, d2_part[k], dmo_part[k])
         if store:
             store[0][:, k] = x
         if k == n:
@@ -197,10 +225,8 @@ def _run_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, x0: np.ndarray
         np.multiply(gain[:, k, None], d, out=u)
         np.subtract(u_bar[:, k, None], u, out=u)
         np.subtract(u, u_bar[:, k, None], out=v)
-        u_sum[k] += u.sum(axis=-1)
-        v2, vmo = _moment_sums(v, mo, stage)
-        v2_sum[k] += v2
-        vmo_sum[k] += vmo
+        np.add.reduce(u_blocks, axis=-1, out=u_part[k])
+        _moment_sums(v, mo, stage, blocks, v2_part[k], vmo_part[k])
         if store:
             store[1][:, :, k] = u
         stage *= r_dev[:, k, None]
@@ -211,7 +237,7 @@ def _run_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, x0: np.ndarray
         # deviation channel; propagating the deviation and re-adding the
         # exact mean keeps zero-noise paths bit-identical to the mean path.
         # The controls -gain d push the state by push[k] d, so each path's
-        # arithmetic does not depend on how many paths share its block.
+        # arithmetic does not depend on how many paths share its slab.
         np.multiply(d, a[k], out=x)
         np.multiply(d, push[k], out=tmp)
         x -= tmp
@@ -227,30 +253,77 @@ def _run_block(sc: Scenario, gains: GainSchedule, mean: MeanPath, x0: np.ndarray
         np.subtract(x, x_bar[k + 1], out=d)
     np.multiply(q_dev[:, n, None], d_pow, out=stage)
     cost += stage
+    for j in range(blocks):
+        for total, part in zip(sums, parts):
+            total += part[..., j]
 
 
-def _memory_plan(sc: Scenario, n_paths: int, store_cap: int) -> tuple[bool, int, int]:
+def _run_slabs(sc: Scenario, gains: GainSchedule, mean: MeanPath, seed: int,
+               n_paths: int, blocks: int, sums: list, cost: np.ndarray,
+               store: tuple | None) -> None:
+    """Draw, propagate and reduce n_paths paths in slabs of up to `blocks`
+    whole blocks, in block order, into sums, cost (I, n_paths) and store =
+    (x, u) when one is kept.  The slab buffers are freed on return."""
+    n, agents = sc.horizon, sc.agents
+    a, b = sc.deviation_dynamics
+    gain = gains.dev_gain * a
+    feedback = (gain, np.add.reduce(np.ascontiguousarray((b * gain).T), axis=1))
+    # Each slab's per-block step sums of the statistics in sums.
+    parts = ([np.empty((n + 1, blocks)) for _ in range(3)]
+             + [np.empty((n, agents, blocks)) for _ in range(3)])
+    if sc.moment_order == 2:
+        parts[2], parts[5] = parts[1], parts[4]
+    width = min(blocks * CHUNK_SIZE, n_paths)
+    rows = [np.empty(width) for _ in range(4)] + [np.empty(agents * width) for _ in range(3)]
+    noise = np.empty(n * width)
+    # Only a Gaussian draw has an out= form.
+    draw = np.empty((min(CHUNK_SIZE, n_paths), n)) if sc.noise.kind == "gaussian" else None
+    for lo, hi, count in _slabs(n_paths, blocks):
+        size = hi - lo
+        eps = noise[:n * size].reshape(n, size)
+        slab = [row[:size] for row in rows[:4]] + [row[:agents * size].reshape(agents, size)
+                                                   for row in rows[4:]]
+        for start in range(lo, hi, CHUNK_SIZE):
+            cols = slice(start - lo, min(start + CHUNK_SIZE, hi) - lo)
+            slab[0][cols] = _draw_paths(sc, seed, start, (eps[:, cols], draw))
+        _run_block(sc, feedback, mean, eps, count, slab, parts, sums, cost[:, lo:hi],
+                   (store[0][lo:hi], store[1][:, lo:hi]) if store else None)
+
+
+def _memory_plan(sc: Scenario, n_paths: int, store_cap: int,
+                 max_blocks: int = SLAB_BLOCKS) -> tuple[bool, int, int, int]:
     """Whether a run keeps its path store, the floats it holds throughout,
-    and the floats the block being drawn holds, counted against
-    MAX_PATH_FLOATS.
+    the floats each block's draw adds, and the blocks per slab, counted
+    against MAX_PATH_FLOATS.
 
-    A run holds the per-path costs (before and after the mean terms), the
-    running path sums of its statistics, the step rows each block is
-    propagated in (four of B floats and three of I x B), and the path store
-    when it keeps one.  A block holds its initial states, the initial-law
-    draw of a full block, and its noise, in both layouts while it is drawn.
-    A run keeps its store only when the store fits beside what it holds
-    throughout and one block.
+    A run holds the per-path costs; the path-major draw buffer (N floats
+    per path of a block); the step-major noise and step rows of its widest
+    slab (N + 4 floats and three of I per path); its tables of at most
+    (N+1) x (I+1) floats: the running path sums of its three state and
+    three control statistics, a slab's per-block step sums of the same,
+    the feedback gains and the mean path; and the path store when it keeps
+    one.  A block's draw adds its initial states and the initial-law draw
+    of a full block.  A run keeps its store only when the store fits
+    beside one-block slabs; it then propagates the widest slab of up to
+    max_blocks blocks that fits.
     """
     n, agents = sc.horizon, sc.agents
-    width = min(CHUNK_SIZE, n_paths)
-    held = (2 * agents * n_paths + 3 * (n + 1 + agents * n)
-            + width * (4 + 3 * agents))
-    per_block = width * (2 * n + 1) + CHUNK_SIZE
+    draw = min(CHUNK_SIZE, n_paths)
     store_floats = n_paths * (n + 1 + agents * n)
+
+    def held(blocks):
+        width = min(blocks * CHUNK_SIZE, n_paths)
+        tables = (3 + 3 * blocks + 2) * (n + 1) * (agents + 1)
+        return agents * n_paths + draw * n + width * (n + 4 + 3 * agents) + tables
+
+    per_block = draw + CHUNK_SIZE
     store = (n_paths <= store_cap
-             and held + store_floats + per_block <= MAX_PATH_FLOATS)
-    return store, (held + store_floats if store else held), per_block
+             and held(1) + store_floats + per_block <= MAX_PATH_FLOATS)
+    kept = store_floats if store else 0
+    most = min(max_blocks, max(1, n_paths // CHUNK_SIZE))
+    blocks = next((blocks for blocks in range(most, 1, -1)
+                   if held(blocks) + kept + per_block <= MAX_PATH_FLOATS), 1)
+    return store, held(blocks) + kept, per_block, blocks
 
 
 def _mean_costs(sc: Scenario, mean: MeanPath):
@@ -273,9 +346,9 @@ def run_ensemble(
 ) -> Ensemble:
     """Simulate a seeded closed-loop ensemble and collect its statistics.
 
-    Paths are drawn, propagated and reduced in the fixed blocks their
-    random streams are keyed by, one block at a time in block order.  A run
-    that does not fit MAX_PATH_FLOATS with one block raises
+    Paths are drawn in the fixed blocks their random streams are keyed by,
+    and propagated and reduced in slabs of whole blocks, in block order.  A
+    run that does not fit MAX_PATH_FLOATS with one-block slabs raises
     ResourceLimitError.
     """
     if not sc.family.stochastic:
@@ -290,31 +363,23 @@ def run_ensemble(
     seed = sc.mc.seed if seed is None else int(seed)
     n, agents = sc.horizon, sc.agents
 
-    store, held, per_block = _memory_plan(sc, n_paths, store_cap)
+    store, held, per_block, blocks = _memory_plan(sc, n_paths, store_cap)
     if held + per_block > MAX_PATH_FLOATS:
         raise ResourceLimitError(
-            f"{n_paths} paths need {held + per_block} floats with one block in "
-            f"flight, above the in-memory budget of {MAX_PATH_FLOATS}"
+            f"{n_paths} paths need {held + per_block} floats with one-block slabs, "
+            f"above the in-memory budget of {MAX_PATH_FLOATS}"
         )
 
     mean = propagate_mean(sc, gains)
     mo = sc.moment_order
-    path_cost_dev = np.zeros((agents, n_paths))
+    path_cost = np.zeros((agents, n_paths))
     x_store = np.empty((n_paths, n + 1)) if store else None
     u_store = np.empty((agents, n_paths, n)) if store else None
     # Running path sums: x, d**2, d**mo per step (N+1), then u, v**2, v**mo
     # step-major (N, I).  Each block's step sums are added in block order.
     sums = [np.zeros(n + 1) for _ in range(3)] + [np.zeros((n, agents)) for _ in range(3)]
-    width = min(CHUNK_SIZE, n_paths)
-    rows = [np.empty(width) for _ in range(4)] + [np.empty((agents, width)) for _ in range(3)]
-
-    for lo in range(0, n_paths, CHUNK_SIZE):
-        hi = min(lo + CHUNK_SIZE, n_paths)
-        eps = np.empty((n, hi - lo))
-        x0 = _draw_paths(sc, seed, lo, eps)
-        _run_block(sc, gains, mean, x0, eps, sums, path_cost_dev[:, lo:hi],
-                   [row[..., :hi - lo] for row in rows],
-                   (x_store[lo:hi], u_store[:, lo:hi]) if store else None)
+    _run_slabs(sc, gains, mean, seed, n_paths, blocks, sums, path_cost,
+               (x_store, u_store) if store else None)
 
     emp_mean, dev_m2, dev_m2o = (s / n_paths for s in sums[:3])
     # Control sums are step-major (N, I); the statistics are (I, N).
@@ -324,7 +389,7 @@ def run_ensemble(
     # Mean cost terms are path-independent constants; add them so that the
     # per-path costs average to the full realized cost.
     state, control, terminal = _mean_costs(sc, mean)
-    path_cost = path_cost_dev + (state + control + terminal)[:, None]
+    path_cost += (state + control + terminal)[:, None]
 
     arrays = [emp_mean, dev_m2, dev_m2o, u_mean, u_dev_m2, u_dev_m2o, path_cost]
     if store:

@@ -17,7 +17,7 @@ from mftg import (
 from mftg.cli import main
 from mftg.numerics import even_power
 from mftg.scenario import Family, InitialLaw
-from mftg.simulate import CHUNK_SIZE
+from mftg.simulate import CHUNK_SIZE, SLAB_BLOCKS
 from conftest import SCENARIOS, make_scenario, random_deterministic
 
 STATISTICS = ("emp_mean", "dev_m2", "dev_m2o", "u_mean", "u_dev_m2", "u_dev_m2o")
@@ -89,6 +89,32 @@ def _reference_path_cost(sc, mean, x, u):
         + sc.q_bar[:, n] * x_pow[n]
     )
     return out + mean_const[:, None]
+
+
+def _reference_run(sc, gains, seed, paths):
+    """A run made one block at a time from the path-major references: each
+    block's paths, controls and per-path costs, and its step sums of x,
+    d**2, d**mo, u, v**2 and v**mo added to the running sums in block
+    order.  Returns the Ensemble fields it checks, by name."""
+    mean = propagate_mean(sc, gains)
+    mo = sc.moment_order
+    sums, xs, us, costs = [0.0] * 6, [], [], []
+    for lo in range(0, paths, CHUNK_SIZE):
+        x, u = _reference_chunk(sc, gains, mean, seed, lo, min(lo + CHUNK_SIZE, paths))
+        xs.append(x)
+        us.append(u)
+        costs.append(_reference_path_cost(sc, mean, x, u))
+        steps_x = np.ascontiguousarray(x.T)
+        steps_u = np.ascontiguousarray(u.transpose(2, 0, 1))
+        part = []
+        for z, dev in ((steps_x, steps_x - mean.x_bar[:, None]),
+                       (steps_u, steps_u - mean.u_bar.T[:, :, None])):
+            sq = dev * dev
+            part += [z.sum(axis=-1), sq.sum(axis=-1), even_power(sq, mo // 2).sum(axis=-1)]
+        sums = [acc + val for acc, val in zip(sums, part)]
+    stats = [s / paths for s in sums[:3]] + [s.T / paths for s in sums[3:]]
+    return dict(zip(STATISTICS, stats), path_cost=np.concatenate(costs, axis=1),
+                x=np.concatenate(xs), u=np.concatenate(us, axis=1))
 
 
 def _kernel_case(family, o, noise, initial):
@@ -305,7 +331,7 @@ class TestEnsemble:
         one float less streams it, with the same statistics bits."""
         sc = additive_two_agent
         _, gains = solve(sc)
-        _, held, per_block = mftg.simulate._memory_plan(sc, 20000, 0)
+        _, held, per_block, _ = mftg.simulate._memory_plan(sc, 20000, 0, 1)
         store = 20000 * (sc.horizon + 1 + sc.agents * sc.horizon)
         budget = held + store + per_block
         monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", budget)
@@ -318,12 +344,19 @@ class TestEnsemble:
             np.testing.assert_array_equal(getattr(streamed, name), getattr(kept, name))
 
     def test_budget_below_one_block_exits_5(self, additive_two_agent, monkeypatch, tmp_path):
-        """A budget of held + one block streams the run; one float less exits 5."""
+        """A budget of held + one block streams the run in one-block slabs,
+        with the same bits as two-block slabs; one float less exits 5."""
         sc = additive_two_agent
-        _, held, per_block = mftg.simulate._memory_plan(sc, 9000, 0)
+        _, held, per_block, _ = mftg.simulate._memory_plan(sc, 9000, 0, 1)
         _, gains = solve(sc)
+        assert mftg.simulate._memory_plan(sc, 9000, 0)[3] == 2
+        wide = run_ensemble(sc, gains, paths=9000)
         monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + per_block)
-        assert run_ensemble(sc, gains, paths=9000).x is None
+        assert mftg.simulate._memory_plan(sc, 9000, 0)[3] == 1
+        narrow = run_ensemble(sc, gains, paths=9000)
+        assert narrow.x is None
+        for name in STATISTICS + ("path_cost",):
+            np.testing.assert_array_equal(getattr(narrow, name), getattr(wide, name))
         monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + per_block - 1)
         with pytest.raises(ResourceLimitError):
             run_ensemble(sc, gains, paths=9000)
@@ -331,18 +364,30 @@ class TestEnsemble:
         assert main(["simulate", str(SCENARIOS / "additive_two_agent.yaml"), "--out", str(out),
                      "--paths", "9000", "--threads", "8"]) == 5
 
+    def test_memory_plan_takes_the_widest_slab_that_fits(self, additive_two_agent,
+                                                         monkeypatch):
+        sc = additive_two_agent
+        paths = 25 * CHUNK_SIZE
+        assert mftg.simulate._memory_plan(sc, paths, 0)[3] == SLAB_BLOCKS
+        _, held, per_block, _ = mftg.simulate._memory_plan(sc, paths, 0, 2)
+        monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + per_block)
+        assert mftg.simulate._memory_plan(sc, paths, 0)[1:] == (held, per_block, 2)
+        monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + per_block - 1)
+        assert mftg.simulate._memory_plan(sc, paths, 0)[3] == 1
+
     def test_block_memory_does_not_grow_with_agents_times_horizon(self):
         """A streamed block holds its noise and a few (I, B) rows: at I=8,
         N=400 the traced peak stays under what _memory_plan counts, and
-        beyond the noise that count grows with I x N only by the
-        statistics' running sums."""
+        beyond the noise that count grows with I x N only by the run's
+        tables: the statistics' running sums, one slab's per-block step
+        sums, the feedback gains and the mean path."""
         def scenario(agents, horizon):
             return make_scenario(family="additive_variance_2p", agents=agents,
                                  horizon=horizon, a_bar=0.9, b_bar=[0.5] * agents,
                                  noise={"kind": "gaussian", "sigma": 0.5})
 
         def count(agents, horizon):
-            _, held, per_block = mftg.simulate._memory_plan(
+            _, held, per_block, _ = mftg.simulate._memory_plan(
                 scenario(agents, horizon), CHUNK_SIZE, 0)
             return held + per_block
 
@@ -357,10 +402,12 @@ class TestEnsemble:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * count(8, 400)
-        # The noise is N x B floats, in both layouts while it is drawn.
+        # The noise is N x B floats, step-major in the slab and path-major
+        # in the draw buffer.
         noise = 2 * CHUNK_SIZE * 200
-        assert count(8, 400) - count(8, 200) <= noise + 3 * (8 + 1) * 200
-        assert count(8, 400) - count(8, 200) - count(4, 400) + count(4, 200) <= 3 * 4 * 200
+        # Eight tables of a float per agent and step, and one per step.
+        assert count(8, 400) - count(8, 200) <= noise + 8 * (8 + 1) * 200
+        assert count(8, 400) - count(8, 200) - count(4, 400) + count(4, 200) <= 8 * 4 * 200
 
     def test_draw_error_surfaces_and_leaves_no_thread(self, additive_two_agent, monkeypatch):
         sc = additive_two_agent
@@ -418,6 +465,29 @@ def test_block_kernel_matches_reference(family, o, noise, initial):
             np.testing.assert_array_equal(ens.u[:, lo:hi], u)
             np.testing.assert_array_equal(ens.path_cost[:, lo:hi],
                                           _reference_path_cost(sc, ens.mean, x, u))
+
+
+S = SLAB_BLOCKS * CHUNK_SIZE
+
+
+@pytest.mark.parametrize("paths", [1, 4095, 4096, 4097, S - 1, S, S + 1, 2 * S + 4097, 102_400])
+@pytest.mark.parametrize("fixture", ["additive_two_agent", "multiplicative_two_agent",
+                                     "general_two_agent"])
+def test_slabs_match_one_block_reference(fixture, paths, request):
+    """Slabs of whole blocks, stored and streamed, give every statistic,
+    per-path cost, path and control the bits of a run made one block at a
+    time."""
+    sc = request.getfixturevalue(fixture)
+    _, gains = solve(sc)
+    want = _reference_run(sc, gains, 4, paths)
+    stored = run_ensemble(sc, gains, paths=paths, seed=4, store_cap=paths)
+    streamed = run_ensemble(sc, gains, paths=paths, seed=4, store_cap=0)
+    assert streamed.x is None and streamed.u is None
+    for name, value in want.items():
+        np.testing.assert_array_equal(getattr(stored, name), value, err_msg=f"stored {name}")
+        if name not in ("x", "u"):
+            np.testing.assert_array_equal(getattr(streamed, name), value,
+                                          err_msg=f"streamed {name}")
 
 
 class TestCostEvaluation:
