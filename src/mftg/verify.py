@@ -31,6 +31,8 @@ profitable deviation inside that class, not over all measurable policies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -600,6 +602,19 @@ def sample_convexity(sc: Scenario, table: CoefficientTable, gains: GainSchedule)
                for (order, a, b, _, r), gain, weight in zip(sc.channels, gain_tables, weights))
 
 
+class Check(NamedTuple):
+    """One verdict: a value against its tolerance, every field but
+    ``passed`` as the text report.csv writes (agent and step may be empty)."""
+
+    section: str
+    metric: str
+    agent: str
+    step: str
+    value: str
+    tolerance: str
+    passed: bool
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Aggregate pass/fail evidence for one solved scenario."""
@@ -611,32 +626,39 @@ class VerificationReport:
     bellman_max_per_step: np.ndarray
 
     @property
+    def checks(self) -> list[Check]:
+        """The verdict table, one row per decision in report.csv order.
+        Each value is compared with its tolerance here and nowhere else."""
+        return [
+            *(Check("deviation", "margin", str(d.agent + 1), "", f"{d.margin:.17g}",
+                    f"{d.tolerance:.17g}", d.passed) for d in self.deviation),
+            Check("stationarity", "max_residual", "", "", f"{self.stationarity_max:.17g}",
+                  f"{STATIONARITY_TOL:g}", self.stationarity_max <= STATIONARITY_TOL),
+            Check("positivity", "tables_positive", "", "", str(self.positivity_ok).lower(),
+                  "true", bool(self.positivity_ok)),
+            Check("convexity", "sampled_min", "", "", f"{self.convexity_min:.17g}",
+                  "> 0", self.convexity_min > 0.0),
+            *(Check("bellman", "residual", "", str(k), f"{value:.17g}", f"{BELLMAN_TOL:g}",
+                    bool(value <= BELLMAN_TOL))
+              for k, value in enumerate(self.bellman_max_per_step)),
+        ]
+
+    @property
     def passed(self) -> bool:
-        return (
-            all(report.passed for report in self.deviation)
-            and self.stationarity_max <= STATIONARITY_TOL
-            and self.positivity_ok
-            and self.convexity_min > 0.0
-            and float(np.max(self.bellman_max_per_step)) <= BELLMAN_TOL
-        )
+        return all(check.passed for check in self.checks)
 
     def failures(self) -> list[str]:
+        """One line per failing section: its first failing row, and how
+        many of its rows fail."""
         out = []
-        for report in self.deviation:
-            if not report.passed:
-                out.append(
-                    f"deviation margin {report.margin:.3e} above tolerance "
-                    f"{report.tolerance:.3e} for agent {report.agent + 1} ({report.worst_mode})"
-                )
-        if self.stationarity_max > STATIONARITY_TOL:
-            out.append(f"stationarity residual {self.stationarity_max:.3e} above {STATIONARITY_TOL:g}")
-        if not self.positivity_ok:
-            out.append("coefficient positivity violated")
-        if not self.convexity_min > 0.0:
-            out.append(f"sampled convexity minimum {self.convexity_min:.3e} not positive")
-        bellman = float(np.max(self.bellman_max_per_step))
-        if bellman > BELLMAN_TOL:
-            out.append(f"cost-to-go identity residual {bellman:.3e} above {BELLMAN_TOL:g}")
+        for _, rows in groupby(self.checks, key=lambda check: check.section):
+            rows = list(rows)
+            failed = [check for check in rows if not check.passed]
+            if failed:
+                c = failed[0]
+                where = f" for agent {c.agent}" if c.agent else f" at step {c.step}" if c.step else ""
+                out.append(f"{c.section} {c.metric} {c.value} (tolerance {c.tolerance}){where}: "
+                           f"{len(failed)} of {len(rows)} rows fail")
         return out
 
 

@@ -4,9 +4,11 @@
 simulate --plot, verify and sweep --sweep p=2,3 write for each shipped
 scenario.  manifest.txt is hashed without its created_utc line, the only
 line that differs between two runs.  A change that moves any output byte
-must update the pinned hashes and say why.
+must update the pinned hashes and say why.  `FAILING_VERIFY` pins the
+same two verify files of a run that fails.
 """
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -14,6 +16,9 @@ from pathlib import Path
 import pytest
 
 from mftg.cli import main
+from mftg.recursion import solve
+from mftg.scenario import load_scenario_file
+from mftg.verify import inject_gain_scaling, run_verification
 from conftest import REPO
 
 GOLDEN = json.loads((Path(__file__).with_name("golden_sha256.json")).read_text())
@@ -49,3 +54,43 @@ def run_command(command: str, scenario: str, out: Path) -> dict[str, str]:
 def test_output_bytes(tmp_path, monkeypatch, scenario, command):
     monkeypatch.chdir(REPO)
     assert run_command(command, scenario, tmp_path / "out") == GOLDEN[scenario][command]
+
+
+# SHA-256 of report.csv and summary.txt of `verify --inject-gain 1:*:1.2`,
+# which fails every shipped scenario, and the sections that fail it.
+FAILING_VERIFY = {
+    "additive_two_agent": (
+        "90cc7be2f8913af9c951569be60cdadf8d9003b3a584fcf26d5c6f3c6ab8f38d",
+        "4b05a11a379ee0fb1aa1f687746fbba08730a02f6783a096a359bad01952385a"),
+    "deterministic_two_agent": (
+        "da9ac96139e85259fa130652e2bcb3390ff8716aafae652ef6651a354a6034fe",
+        "4bc4e91b69229c314bb1fe12841366ac665ae49c87f5478ca70bbff4a8ef0621"),
+    "general_moment_two_agent": (
+        "862f27a7c2798fe3780624ef6e82c51e31127a4f0dc48f275e2a19f10d378189",
+        "fca20b45e14b3cfb9981442b8959fc6abe3c34640afe79e68ce1e18ae2e4fd63"),
+    "multiplicative_two_agent": (
+        "e937f1c0e4bb643b84fc17375c205dc1b35ceacf51e7e71be982497e218ae44a",
+        "76d954091ad4a3e56889e90d0d251d8f074f92b0351b20e36347f5f843374353"),
+}
+FAILING_SECTIONS = ["deviation", "stationarity", "bellman"]
+
+
+@pytest.mark.parametrize("scenario", sorted(FAILING_VERIFY))
+def test_failing_verify_bytes(tmp_path, monkeypatch, capsys, scenario):
+    monkeypatch.chdir(REPO)
+    out = tmp_path / "out"
+    assert main(["verify", f"scenarios/{scenario}.yaml", "--out", str(out),
+                 "--inject-gain", "1:*:1.2"]) == 6
+    hashes = output_hashes(out)
+    assert (hashes["report.csv"], hashes["summary.txt"]) == FAILING_VERIFY[scenario]
+    with open(out / "report.csv", newline="") as handle:
+        rows = [list(row.values()) for row in csv.DictReader(handle)]
+    sc = load_scenario_file(f"scenarios/{scenario}.yaml")
+    table, gains = solve(sc)
+    report = run_verification(sc, table, inject_gain_scaling(gains, 0, None, 1.2))
+    assert rows == [[*check[:6], "pass" if check.passed else "fail"] for check in report.checks]
+    failing = [section for section, *_, status in rows if status == "fail"]
+    assert list(dict.fromkeys(failing)) == FAILING_SECTIONS
+    err = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("verification failed: ") for line in err)
+    assert [line.split()[2] for line in err] == FAILING_SECTIONS

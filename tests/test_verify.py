@@ -310,6 +310,32 @@ class TestAggregateReport:
         assert not report.passed
         assert any("deviation margin" in msg for msg in report.failures())
 
+    def test_passed_reads_the_verdict_table(self, det_two_agent):
+        table, gains = solve(det_two_agent)
+        for schedule in (gains, inject_gain_scaling(gains, 0, None, 1.2)):
+            report = run_verification(det_two_agent, table, schedule, grid=SMALL_GRID)
+            assert report.passed == all(check.passed for check in report.checks)
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("stationarity", "stationarity_max", 2e-9),
+        ("positivity", "positivity_ok", False),
+        ("convexity", "convexity_min", 0.0),
+        ("bellman", "bellman_max_per_step", 2e-10),  # at step 2 only
+    ])
+    def test_each_section_fails_alone(self, det_two_agent, section, field, value):
+        table, gains = solve(det_two_agent)
+        report = run_verification(det_two_agent, table, gains, grid=SMALL_GRID)
+        assert report.passed
+        if section == "bellman":
+            value = np.where(np.arange(det_two_agent.horizon) == 2, value,
+                             report.bellman_max_per_step)
+        broken = replace(report, **{field: value})
+        assert not broken.passed
+        failures = broken.failures()
+        assert len(failures) == 1 and failures[0].startswith(f"{section} ")
+        assert [(check.section, check.step) for check in broken.checks if not check.passed] \
+            == [(section, "2" if section == "bellman" else "")]
+
     def test_single_power_objectives_verify(self):
         # a_bar = 0 (p = 2) and zero general-moment noise (o = 2) leave
         # single even powers centred at 0: strictly convex, with zero
