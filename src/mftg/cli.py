@@ -41,7 +41,14 @@ from .scenario import (
     serialize_scenario,
     with_params,
 )
-from .simulate import DEFAULT_STORE_CAP, evaluate_cost, predicted_cost, propagate_mean, run_ensemble
+from .simulate import (
+    DEFAULT_STORE_CAP,
+    MAX_PATH_FLOATS,
+    evaluate_cost,
+    predicted_cost,
+    propagate_mean,
+    run_ensemble,
+)
 from .svgplot import line_plot
 from .verify import Check, DeviationGrid, inject_gain_scaling, run_verification
 
@@ -345,22 +352,28 @@ def _parse_injection(spec: str, sc: Scenario):
 
 def cmd_verify(args) -> int:
     sc = load_scenario_file(args.scenario)
+    # Each size option is checked before anything is built: the scan holds
+    # (modes, factors) tables and the cost-to-go identity (agent, probe) ones.
+    grid = _parse_grid(args.grid)
+    if grid.points * (sc.horizon + 1) > MAX_PATH_FLOATS:
+        raise ResourceLimitError(f"--grid {grid.points} points over {sc.horizon} steps exceed "
+                                 f"the in-memory budget of {MAX_PATH_FLOATS} table entries")
+    probes = None
+    if args.probes is not None:
+        if args.probes < 1:
+            raise SchemaError(f"--probes must be at least 1, got {args.probes}")
+        if args.probes * sc.agents > MAX_PATH_FLOATS:
+            raise ResourceLimitError(f"--probes {args.probes} for {sc.agents} agents exceed the "
+                                     f"in-memory budget of {MAX_PATH_FLOATS} table entries")
+        # (mean, moment) rows, drawn alternately from one stream
+        probes = np.random.default_rng(12345).uniform([-3.0, 0.0], [3.0, 4.0],
+                                                      size=(args.probes, 2))
     table, gains = solve(sc)
     injected = None
     if args.inject_gain:
         agent, step, factor = _parse_injection(args.inject_gain, sc)
         gains = inject_gain_scaling(gains, agent, step, factor)
         injected = args.inject_gain
-    grid = _parse_grid(args.grid)
-    probes = None
-    if args.probes is not None:
-        if args.probes < 1:
-            raise SchemaError(f"--probes must be at least 1, got {args.probes}")
-        rng = np.random.default_rng(12345)
-        probes = tuple(
-            (float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, 4.0)))
-            for _ in range(args.probes)
-        )
     report = run_verification(sc, table, gains, grid=grid, probes=probes)
 
     out = Path(args.out)

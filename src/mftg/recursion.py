@@ -194,9 +194,7 @@ def solve(sc: Scenario) -> tuple[CoefficientTable, GainSchedule]:
     channel and (stochastic families) the deviation channel run in one
     stacked backward loop, the mean row with its slot's neutral value."""
     slot = sc.family.noise_slot
-    moments = None
-    if slot is not None:
-        moments = [np.full(sc.horizon, PUSH_SLOTS[slot]), sc.noise_moments]
+    moments = None if slot is None else sc.push_rows[:, list(PUSH_SLOTS).index(slot)]
     channels = sc.channels
     names = ["alpha_bar", "alpha"][:len(channels)]
     rows = [[_freeze(v) for v in row] for row in _channel(names, channels, slot, moments)]
@@ -222,16 +220,16 @@ def stationarity_residual(
     largest term, worst over the channels.
 
     The mean channel is probed at unit mean state; the deviation channel
-    (when present) at unit deviation, with a scale slot's noise moment on
-    the next-step coefficient.  Zero at the computed gains up to roundoff;
+    (when present) at unit deviation.  Each channel's next-step coefficient
+    carries its ``Scenario.push_rows`` scale row: the noise moment of a
+    scale slot, 1 otherwise.  Zero at the computed gains up to roundoff;
     grows quickly when a gain is perturbed.
     """
-    # The mean channel and a lift or shift slot scale by 1.0, which rounds
-    # nothing: x * 1.0 is x.
-    scales = [1.0, sc.noise_moments[k] if sc.family.noise_slot == "scale" else 1.0]
+    # A neutral scale row is 1.0, which rounds nothing: x * 1.0 is x.
     residuals = []
     for (order, a, b, _, r), alpha, gain, scale in zip(
-            sc.channels, (table.alpha_bar, table.alpha), (gains.mean_gain, gains.dev_gain), scales):
+            sc.channels, (table.alpha_bar, table.alpha), (gains.mean_gain, gains.dev_gain),
+            sc.push_rows[:, 1, k]):
         root = order - 1
         a, b = a[k], b[:, k]
         u = -gain[:, k] * a

@@ -57,6 +57,8 @@ class Family(str, enum.Enum):
     moment on both the best response and the closed-loop term; the one-step
     value identity and the brute-force oracle in mftg.verify confirm each
     placement.  The other two slots hold their PUSH_SLOTS neutral value.
+    The mean channel is the same push of its moment xbar^2p with all three
+    slots neutral; ``Scenario.push_rows`` holds every channel's rows.
     """
 
     DETERMINISTIC = "deterministic_2p"
@@ -221,6 +223,19 @@ class Scenario(_FieldEquality):
             return None
         return _freeze(np.array([noise_even_moment(self.noise, k + 1, self.moment_order)
                                  for k in range(self.horizon)]))
+
+    @functools.cached_property
+    def push_rows(self) -> np.ndarray:
+        """The read-only (channels, 3, N) push rows (lift, scale, shift) of
+        each channel in ``channels``, built once per scenario: the
+        deviation channel's noise slot holds ``noise_moments``, and every
+        other row holds its PUSH_SLOTS neutral value, the mean channel's
+        all three."""
+        rows = np.empty((len(self.channels), len(PUSH_SLOTS), self.horizon))
+        rows[:] = np.array(list(PUSH_SLOTS.values()))[:, None]
+        if self.family.stochastic:
+            rows[1, list(PUSH_SLOTS).index(self.family.noise_slot)] = self.noise_moments
+        return _freeze(rows)
 
 
 @dataclass(frozen=True)

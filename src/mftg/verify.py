@@ -1,27 +1,29 @@
 """Independent correctness oracles for solved scenarios.
 
 Nothing here reuses the backward-recursion formulas: deviation tests price
-perturbed policies by propagating the mean and the deviation moment forward
-exactly, the one-step solver minimizes each agent's objective numerically
-from the raw problem data, the quadratic reduction is checked against a
-separately coded scalar Riccati recursion, and the one-step value identity
-is evaluated with the same exact moment pushforward, recomputed from the
-gains.  These oracles are what certify the solver.
+perturbed policies by pushing each channel's moment forward exactly, the
+one-step solver minimizes each agent's objective numerically from the raw
+problem data, the quadratic reduction is checked against a separately coded
+scalar Riccati recursion, and the one-step value identity is evaluated with
+the same exact moment push, recomputed from the gains.  These oracles are
+what certify the solver.
 
-The oracles read the closed loop from one layer, ``_closed_loop``, built
-from the gains and the raw scenario data only: never from ``alpha`` and
-never from the solver's ``closed_loop_*`` audit fields, which a gain
-injection leaves stale.  For the steps asked for, it gives each channel's
-coupling sum s_k = sum_j b_jk g_jk, its closed-loop factor
-clf_k = a_k (1 - s_k), and the deviation-moment push as three per-step rows
-(lift, scale, shift):
+Every oracle runs one body per channel of ``Scenario.channels``.  A channel
+of order o carries a moment m: x_bar^2p for the mean, E[d^mo] of the
+deviation d = x - x_bar for the deviation.  It is pushed one step by the
+channel's rows (lift, scale, shift) in ``Scenario.push_rows``,
 
-    E[d_{k+1}^mo] = (clf_k^mo + lift_k) * E[d_k^mo] * scale_k + shift_k.
+    m_{k+1} = (clf_k^o + lift_k) * m_k * scale_k + shift_k,
 
-The stochastic families differ only in those rows: E[eps^mo], the
-step-(k+1) noise moment, fills the family's ``Family.noise_slot`` and the
-other two rows hold their neutral values.  ``_push_rows`` builds them from
-the slot and ``Scenario.noise_moments``; nothing here names a family.
+where the stochastic families put E[eps^mo], the step-(k+1) noise moment,
+in the family's ``Family.noise_slot``, and every other row, the mean
+channel's three among them, holds its neutral value.  Nothing here names a
+family or branches on the channel.
+
+The closed-loop factor clf_k = a_k (1 - sum_j b_jk g_jk) comes from one
+layer, ``_closed_loop``, built from the gains and the raw scenario data
+only: never from ``alpha`` and never from the solver's ``closed_loop_*``
+audit fields, which a gain injection leaves stale.
 
 Scope: the deviation tests perturb within the linear-feedback class the
 equilibrium lives in (plus an open-loop jitter smoke test); they certify no
@@ -39,7 +41,7 @@ import numpy as np
 from .errors import SchemaError
 from .numerics import even_power
 from .recursion import CoefficientTable, GainSchedule, solve, stationarity_residual
-from .scenario import PUSH_SLOTS, Scenario
+from .scenario import Scenario
 from .simulate import initial_central_moment, predicted_cost, propagate_mean
 
 STATIONARITY_TOL = 1e-9
@@ -103,17 +105,9 @@ class DeviationReport:
     equilibrium_cost: float
 
 
-def _push_rows(sc: Scenario, steps: slice) -> np.ndarray:
-    """The (3, K) deviation-moment push rows (lift, scale, shift) at
-    ``steps`` of a stochastic scenario; see the module docstring."""
-    moments = sc.noise_moments[steps]
-    return np.array([moments if slot == sc.family.noise_slot else np.full_like(moments, neutral)
-                     for slot, neutral in PUSH_SLOTS.items()])
-
-
 def _push(rows, clf, order: int, m):
-    """E[d_{k+1}^order] from m = E[d_k^order] under the deviation
-    closed-loop factor clf, given one step's push rows."""
+    """A channel's next moment from m under the closed-loop factor clf,
+    given its push rows (lift, scale, shift) at one step or at several."""
     lift, scale, shift = rows
     return (even_power(clf, order) + lift) * m * scale + shift
 
@@ -121,68 +115,86 @@ def _push(rows, clf, order: int, m):
 def _closed_loop(sc: Scenario, gains: GainSchedule, steps: slice):
     """The closed loop at K steps, from the gains and the raw data:
     (coupling, factor, push), where coupling and factor hold one (K,) row
-    per channel and push is the (3, K) push rows, or None for the
-    deterministic family.  Each step's coupling is summed along a
-    contiguous agent row, so it has the bits of the solver's.
+    per channel and push is each channel's (3, K) push rows.  Each step's
+    coupling is summed along a contiguous agent row, so it has the bits of
+    the solver's.
     """
     channels = list(zip(sc.channels, (gains.mean_gain, gains.dev_gain)))
     coupling = np.array([np.add.reduce(np.multiply(b.T[steps], g.T[steps], order="C"), axis=1)
                          for (_, _, b, _, _), g in channels])
     factor = np.array([a[steps] for (_, a, *_), _ in channels]) * (1.0 - coupling)
-    push = _push_rows(sc, steps) if sc.family.stochastic else None
-    return coupling, factor, push
+    return coupling, factor, sc.push_rows[:, :, steps]
+
+
+def _initial_moments(sc: Scenario) -> list[float]:
+    """Each channel's moment at step 0: x0.mean^2p, then E[d_0^mo], taken
+    only with a deviation channel, as ``predicted_cost`` takes it."""
+    moments = [float(even_power(sc.x0.mean, 2 * sc.p))]
+    if sc.family.stochastic:
+        moments.append(initial_central_moment(sc.x0, sc.moment_order))
+    return moments
 
 
 def _channel_costs(sc: Scenario, gains: GainSchedule, agent: int,
                    factors: np.ndarray, per_step: bool) -> list[tuple[str, np.ndarray]]:
     """Exact cost of ``agent`` in each channel, per mode and factor.
 
-    Every perturbed policy stays linear in the state, so the mean follows
-    its exact recursion and the deviation channel is carried by its moment
-    m_k = E[d_k^mo].  Costs are (modes, factors) arrays: row 0 scales the
-    agent's gain at every step, row 1 + k at step k only.  The deviation
-    channel (stochastic families) is scanned with its own gain, because the
-    two channels' costs are separable.
+    Every perturbed policy stays linear in the state, so each channel is
+    carried by its moment m_k (x_bar^2p for the mean, E[d_k^mo] for the
+    deviation), which its push rows move one step; the channels' costs are
+    separable, so each is scanned with its own gain.  Costs are (modes,
+    factors) arrays: row 0 scales the agent's gain at every step, row 1 + k
+    at step k only.
+
+    Row 0 is one forward pass; its factor-1 column gives each step's
+    equilibrium moment and prefix cost.  Row 1 + k is that prefix, plus the
+    perturbed stage cost, plus the equilibrium cost-to-go of the perturbed
+    next moment, A_{k+1} m + B_{k+1}.  The tails A and B are taken backward
+    from the gains and the raw data, never from ``alpha``, which an injected
+    gain leaves stale.
     """
     n = sc.horizon
-    shape = (1 + n if per_step else 1, factors.size)
-    p2 = 2 * sc.p
-    mo = sc.moment_order
-    a_bar, b_bar, q_bar, r_bar = sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar
-    stochastic = sc.family.stochastic
-    coupling, _, push = _closed_loop(sc, gains, slice(None))
-    if stochastic:
-        a_d, b_d = sc.deviation_dynamics
-        q_dev, r_dev = sc.q_dev, sc.r_dev
-        m = np.full(shape, initial_central_moment(sc.x0, mo))
-        dev = np.zeros(shape)
-    xb = np.full(shape, float(sc.x0.mean))
-    mean = np.zeros(shape)
+    eq = factors.size // 2
+    coupling, factor, push = _closed_loop(sc, gains, slice(None))
+    out = []
+    for (order, a, b, q, r), gain, m0, rows, c, clf_eq, name in zip(
+            sc.channels, (gains.mean_gain, gains.dev_gain), _initial_moments(sc), push,
+            coupling, factor, ("mean", "deviation")):
+        g, q, r, b_g = gain[agent], q[agent], r[agent], b[agent] * gain[agent]
 
-    def closed_loop(a, b_g_sum, b_g, f):
-        # a (1 - sum_j b_j g_j) with the agent's b_j g_j scaled by f; written
-        # around f - 1 so the factor-1 column is the equilibrium loop exactly
-        return a - a * (b_g_sum + b_g * (f - 1.0))
+        def stage(k, f):
+            return q[k] + r[k] * even_power(f * g[k] * a[k], order)
 
-    for k in range(n):
-        f = np.ones(shape)
-        f[0] = factors
-        if per_step:
-            f[1 + k] = factors
-        g, s = gains.mean_gain[agent, k], a_bar[k]
-        mean += (q_bar[agent, k] * even_power(xb, p2)
-                 + r_bar[agent, k] * even_power(f * g * s * xb, p2))
-        xb = closed_loop(s, coupling[0, k], b_bar[agent, k] * g, f) * xb
-        if stochastic:
-            g, s = gains.dev_gain[agent, k], a_d[k]
-            dev += (q_dev[agent, k] + r_dev[agent, k] * even_power(f * g * s, mo)) * m
-            clf = closed_loop(s, coupling[1, k], b_d[agent, k] * g, f)
-            m = _push(push[:, k], clf, mo, m)
-    mean += q_bar[agent, n] * even_power(xb, p2)
-    if not stochastic:
-        return [("mean", mean)]
-    dev += q_dev[agent, n] * m
-    return [("mean", mean), ("deviation", dev)]
+        def next_moment(k, f, m):
+            # a (1 - sum_j b_j g_j) with the agent's b_j g_j scaled by f; written
+            # around f - 1 so the factor-1 column is the equilibrium loop exactly
+            clf = a[k] - a[k] * (c[k] + b_g[k] * (f - 1.0))
+            return _push(rows[:, k], clf, order, m)
+
+        cost = np.zeros(factors.size)
+        m = np.full(factors.size, m0)
+        m_eq, prefix = np.empty(n), np.empty(n)
+        for k in range(n):
+            m_eq[k], prefix[k] = m[eq], cost[eq]
+            cost += stage(k, factors) * m
+            m = next_moment(k, factors, m)
+        cost += q[n] * m
+        if not per_step:
+            out.append((name, cost[None]))
+            continue
+        tail, constant = np.empty(n + 1), np.zeros(n + 1)
+        tail[n] = q[n]
+        grow = (even_power(clf_eq, order) + rows[0]) * rows[1]
+        stage_eq = stage(np.arange(n), 1.0)
+        for k in range(n - 1, -1, -1):
+            tail[k] = stage_eq[k] + grow[k] * tail[k + 1]
+            constant[k] = constant[k + 1] + tail[k + 1] * rows[2, k]
+        steps, f = np.arange(n)[:, None], factors[None, :]
+        m_k = m_eq[:, None]
+        per_step_cost = (prefix[:, None] + stage(steps, f) * m_k
+                         + tail[1:, None] * next_moment(steps, f, m_k) + constant[1:, None])
+        out.append((name, np.vstack([cost, per_step_cost])))
+    return out
 
 
 def unilateral_deviation_test(
@@ -390,77 +402,41 @@ def _iterate_best_responses(br, agents: int):
 def brute_force_one_step(sc: Scenario) -> OneStepSolution:
     """Solve a one-step instance by per-agent numeric best responses.
 
-    Each agent's objective is assembled from the raw dynamics and cost
-    definitions (never from the recursion formulas) and minimized by
-    bisection on the sign of its complex-step slope; best responses are
-    iterated with damping until the controls stop moving.  Gains are
-    recovered by dividing out the probe states, so the mean probe must be
-    nonzero.
+    Each agent's objective is assembled per channel from the raw dynamics
+    and cost definitions (never from the recursion formulas): its control
+    per unit state w is priced with the channel's push of its probe moment,
+    x0.mean^2p (1 when the mean is 0) for the mean and 1 for the deviation,
+    and minimized by bisection on the sign of its complex-step slope; best
+    responses are iterated with damping until the controls stop moving.
+    Gains are recovered as -w / a.
     """
     if sc.horizon != 1:
         raise ValueError("brute_force_one_step requires a one-step instance")
-    agents = sc.agents
-    p2 = 2 * sc.p
-    a0 = sc.a_bar[0]
-    b0 = sc.b_bar[:, 0]
-    r_bar0 = sc.r_bar[:, 0]
-    q_bar = sc.q_bar
-    xb = sc.x0.mean if sc.x0.mean != 0.0 else 1.0
-    if a0 == 0.0:
-        raise ValueError("mean-gain recovery needs a nonzero dynamics coefficient")
+    moments = [even_power(sc.x0.mean if sc.x0.mean != 0.0 else 1.0, 2 * sc.p), 1.0]
+    solved, converged = [], []
+    for (order, a, b, q, r), rows, m, name in zip(
+            sc.channels, sc.push_rows[:, :, 0], moments, ("mean", "deviation")):
+        a, b, r = a[0], b[:, 0], r[:, 0]
+        if a == 0.0:
+            raise ValueError(f"{name}-gain recovery needs a nonzero dynamics coefficient")
 
-    def mean_objective(i, u_i, u_other):
-        inner = a0 * xb + np.add.reduce(b0 * u_other) + b0[i] * u_i
-        return r_bar0[i] * u_i ** p2 + q_bar[i, 1] * inner ** p2
+        def objective(i, w_i, w_other):
+            clf = a + np.add.reduce(b * w_other) + b[i] * w_i
+            return r[i] * w_i ** order * m + q[i, 1] * _push(rows, clf, order, m)
 
-    def mean_br(i, u):
-        others = u.copy()
-        others[i] = 0.0
-        scale = max(abs(a0 * xb), 2.0 * float(np.max(np.abs(u))))
-        return _minimize_convex(lambda t: mean_objective(i, t, others), rough=scale)
+        def best_response(i, w):
+            others = w.copy()
+            others[i] = 0.0
+            scale = max(abs(a), 2.0 * float(np.max(np.abs(w))))
+            return _minimize_convex(lambda t: objective(i, t, others), rough=scale)
 
-    u, converged = _iterate_best_responses(mean_br, agents)
-    mean_gain = -u / (a0 * xb)
-    inner = a0 * xb + np.add.reduce(b0 * u)
-    mean_value = q_bar[:, 0] * xb ** p2 + r_bar0 * even_power(u, p2) + q_bar[:, 1] * inner ** p2
-
-    if not sc.family.stochastic:
-        return OneStepSolution(mean_gain=mean_gain, mean_value=mean_value,
-                               converged=converged)
-
-    mo = sc.moment_order
-    q_dev = sc.q_dev
-    r_dev0 = sc.r_dev[:, 0]
-    a_dev, b_dev = sc.deviation_dynamics
-    a_d, b_d = a_dev[0], b_dev[:, 0]
-    push = _push_rows(sc, slice(0, 1))[:, 0]
-
-    def dev_objective(i, w_i, w_other):
-        # One-step deviation cost with E[(x0 - xbar0)^mo] normalized to 1.
-        inner = a_d + np.add.reduce(b_d * w_other) + b_d[i] * w_i
-        return r_dev0[i] * w_i ** mo + q_dev[i, 1] * _push(push, inner, mo, 1.0)
-
-    if a_d == 0.0:
-        raise ValueError("deviation-gain recovery needs a nonzero deviation coefficient")
-
-    def dev_br(i, w):
-        others = w.copy()
-        others[i] = 0.0
-        scale = max(abs(a_d), 2.0 * float(np.max(np.abs(w))))
-        return _minimize_convex(lambda t: dev_objective(i, t, others), rough=scale)
-
-    w, dev_converged = _iterate_best_responses(dev_br, agents)
-    dev_gain = -w / a_d
-    inner = a_d + np.add.reduce(b_d * w)
-    dev_value = q_dev[:, 0] + r_dev0 * even_power(w, mo) + q_dev[:, 1] * _push(push, inner, mo, 1.0)
-
-    return OneStepSolution(
-        mean_gain=mean_gain,
-        mean_value=mean_value,
-        dev_gain=dev_gain,
-        dev_value=dev_value,
-        converged=converged and dev_converged,
-    )
+        w, ok = _iterate_best_responses(best_response, sc.agents)
+        clf = a + np.add.reduce(b * w)
+        value = (q[:, 0] + r * even_power(w, order)) * m + q[:, 1] * _push(rows, clf, order, m)
+        solved += [-w / a, value]
+        converged.append(ok)
+    # gain then value of each channel: the field order of OneStepSolution
+    return OneStepSolution(*solved, converged=all(converged))
 
 
 # ---------------------------------------------------------------------------
@@ -522,32 +498,29 @@ def bellman_identity_check(
 ) -> float:
     """Max residual of the one-step cost-to-go identity at step k.
 
-    For each probe state (mean, deviation moment), the cost-to-go must equal
-    the equilibrium stage cost plus the cost-to-go of the exactly pushed
-    forward state.  Pushforward factors are recomputed from the gains, and
-    the noise enters through its exact moments, so residuals beyond roundoff
-    indicate a recursion that prices the noise wrongly.
+    For each probe state (mean, deviation moment), the channels carry the
+    moments (mean^2p, deviation moment), and the cost-to-go must equal the
+    equilibrium stage cost plus the cost-to-go of the exactly pushed
+    moments.  Pushforward factors are recomputed from the gains, and the
+    noise enters through its exact moments, so residuals beyond roundoff
+    indicate a recursion that prices the noise wrongly.  ``probes`` is a
+    sequence of (mean, moment) pairs or a (P, 2) array.
     """
     if probes is None:
         probes = DEFAULT_PROBES
     if len(probes) == 0:
         raise SchemaError("the cost-to-go identity needs at least one probe state")
-    p2 = 2 * sc.p
-    x_bar, moment = (np.array(column, dtype=float) for column in zip(*probes))
+    x_bar, moment = np.array(probes, dtype=float).T
     _, factor, push = _closed_loop(sc, gains, slice(k, k + 1))
-    # (agent, probe) arrays
-    x_pow = even_power(x_bar, p2)
-    u_pow = even_power(gains.mean_gain[:, k, None] * sc.a_bar[k] * x_bar, p2)
-    value = table.alpha_bar[:, k, None] * x_pow
-    stage = sc.q_bar[:, k, None] * x_pow + sc.r_bar[:, k, None] * u_pow
-    nxt = table.alpha_bar[:, k + 1, None] * even_power(factor[0, 0] * x_bar, p2)
-    if sc.family.stochastic:
-        mo = sc.moment_order
-        a_d = sc.deviation_dynamics[0][k]
-        r_v = sc.r_dev[:, k] * even_power(gains.dev_gain[:, k] * a_d, mo)
-        value += table.alpha[:, k, None] * moment
-        stage += sc.q_dev[:, k, None] * moment + r_v[:, None] * moment
-        nxt += table.alpha[:, k + 1, None] * _push(push[:, 0], factor[1, 0], mo, moment)
+    # (agent, probe) arrays, summed over the channels
+    value = stage = nxt = 0.0
+    for (order, a, _, q, r), alpha, gain, clf, rows, m in zip(
+            sc.channels, (table.alpha_bar, table.alpha), (gains.mean_gain, gains.dev_gain),
+            factor[:, 0], push[:, :, 0], (even_power(x_bar, 2 * sc.p), moment)):
+        value = value + alpha[:, k, None] * m
+        u_pow = even_power(gain[:, k, None] * a[k], order)
+        stage = stage + q[:, k, None] * m + r[:, k, None] * u_pow * m
+        nxt = nxt + alpha[:, k + 1, None] * _push(rows, clf, order, m)
     if table.gamma_bar is not None:
         value += table.gamma_bar[:, k, None]
         nxt += table.gamma_bar[:, k + 1, None]
@@ -591,15 +564,13 @@ def _min_curvature(order: int, a, b, r, weight, gain) -> float:
 
 def sample_convexity(sc: Scenario, table: CoefficientTable, gains: GainSchedule) -> float:
     """Minimum sampled second derivative of the per-agent best-response
-    objectives of every channel.  The deviation channel's next-step weight
-    is alpha_{k+1} times the push's scale row, the noise moment that the
-    general-moment family puts on its best response (1 otherwise)."""
-    weights = [table.alpha_bar[:, 1:]]
-    if sc.family.stochastic:
-        weights.append(table.alpha[:, 1:] * _push_rows(sc, slice(None))[1])
-    gain_tables = (gains.mean_gain, gains.dev_gain)
-    return min(_min_curvature(order, a, b, r, weight, gain)
-               for (order, a, b, _, r), gain, weight in zip(sc.channels, gain_tables, weights))
+    objectives of every channel.  A channel's next-step weight is
+    alpha_{k+1} times its push's scale row: the noise moment that the
+    general-moment family puts on its best response, 1 otherwise."""
+    return min(_min_curvature(order, a, b, r, alpha[:, 1:] * scale, gain)
+               for (order, a, b, _, r), alpha, gain, (_, scale, _) in zip(
+                   sc.channels, (table.alpha_bar, table.alpha),
+                   (gains.mean_gain, gains.dev_gain), sc.push_rows))
 
 
 class Check(NamedTuple):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import mftg.cli
 import mftg.simulate
-from mftg import load_scenario_file, propagate_mean, serialize_scenario, solve
+from mftg import DeviationGrid, load_scenario_file, propagate_mean, serialize_scenario, solve
 from mftg.cli import main
 from conftest import SCENARIOS, make_scenario, scenario_doc
 
@@ -331,6 +331,41 @@ class TestVerify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "--probes" in err[0]
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("option", ["grid", "grid-huge", "probes"])
+    def test_size_options_past_the_budget_exit_5(self, tmp_path, capsys, monkeypatch, option):
+        # Just past the budget, and the --grid of a bug report; either is
+        # refused before the scenario is solved or any table is built.
+        def unreachable(sc):
+            raise AssertionError("solve reached past a size check")
+
+        monkeypatch.setattr(mftg.cli, "solve", unreachable)
+        sc = load_scenario_file(ADD)
+        budget = mftg.simulate.MAX_PATH_FLOATS
+        points = budget // (sc.horizon + 1) + 1
+        size = {"grid": f"--grid={points + 1 - points % 2}x0.2",
+                "grid-huge": "--grid=100000000000001x0.2",
+                "probes": f"--probes={budget // sc.agents + 1}"}[option]
+        out = tmp_path / "out"
+        assert main(["verify", ADD, "--out", str(out), size]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --{option.split('-')[0]} ")
+        assert str(budget) in err[0]
+        assert not out.exists()
+
+    def test_probe_states_keep_their_stream(self, tmp_path):
+        # The probe rows are drawn in one call; they are the pairs that one
+        # uniform draw per coordinate, mean first, gives.
+        rng = np.random.default_rng(12345)
+        want = [(rng.uniform(-3.0, 3.0), rng.uniform(0.0, 4.0)) for _ in range(7)]
+        sc = load_scenario_file(MULT)
+        table, gains = solve(sc)
+        report = mftg.cli.run_verification(sc, table, gains, grid=DeviationGrid(points=3),
+                                           probes=want)
+        out = tmp_path / "out"
+        assert main(["verify", MULT, "--out", str(out), "--grid=3x0.2", "--probes=7"]) == 0
+        rows = [row for row in read_csv(out / "report.csv") if row["section"] == "bellman"]
+        assert [row["value"] for row in rows] == [f"{v:.17g}" for v in report.bellman_max_per_step]
 
     def test_bad_injection_spec_exit_2(self, tmp_path):
         assert main(["verify", DET, "--out", str(tmp_path / "o"),

@@ -60,16 +60,16 @@ def test_output_bytes(tmp_path, monkeypatch, scenario, command):
 # which fails every shipped scenario, and the sections that fail it.
 FAILING_VERIFY = {
     "additive_two_agent": (
-        "90cc7be2f8913af9c951569be60cdadf8d9003b3a584fcf26d5c6f3c6ab8f38d",
+        "c6dec92686fa02f8eae40a9b7e4c31b92672a648515192f95c506c5c8eaa4506",
         "4b05a11a379ee0fb1aa1f687746fbba08730a02f6783a096a359bad01952385a"),
     "deterministic_two_agent": (
-        "da9ac96139e85259fa130652e2bcb3390ff8716aafae652ef6651a354a6034fe",
+        "93333ce7ede6c7a2f3e5b94db5c46616563fc0aa4d5ad6ebff6edaac73a24837",
         "4bc4e91b69229c314bb1fe12841366ac665ae49c87f5478ca70bbff4a8ef0621"),
     "general_moment_two_agent": (
-        "862f27a7c2798fe3780624ef6e82c51e31127a4f0dc48f275e2a19f10d378189",
+        "83e7327c990a0087ac27b3974f2c805fc52f93feb9641149f2ce4c31ca447a56",
         "fca20b45e14b3cfb9981442b8959fc6abe3c34640afe79e68ce1e18ae2e4fd63"),
     "multiplicative_two_agent": (
-        "e937f1c0e4bb643b84fc17375c205dc1b35ceacf51e7e71be982497e218ae44a",
+        "47c7e3011ff17183e3fc9bcf9e02eb7f12c940a9d431a19b9597ba063b75b68c",
         "76d954091ad4a3e56889e90d0d251d8f074f92b0351b20e36347f5f843374353"),
 }
 FAILING_SECTIONS = ["deviation", "stationarity", "bellman"]

@@ -51,10 +51,10 @@ def _per_agent(draw, elements, agents, n):
 
 
 @st.composite
-def scenario_docs(draw):
+def scenario_docs(draw, max_horizon=30):
     family = draw(st.sampled_from(FAMILIES))
     agents = draw(st.integers(1, 8))
-    n = draw(st.integers(1, 30))
+    n = draw(st.integers(1, max_horizon))
     doc = {
         "family": family,
         "agents": agents,

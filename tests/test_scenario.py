@@ -369,6 +369,27 @@ class TestOneNoiseDescription:
         np.testing.assert_array_equal(row, want)
         assert det_two_agent.noise_moments is None
 
+    @pytest.mark.parametrize("fixture", ["additive_two_agent", "multiplicative_two_agent",
+                                         "general_two_agent"])
+    def test_push_rows_put_the_moments_in_the_deviation_slot(self, fixture, request):
+        sc = request.getfixturevalue(fixture)
+        rows = sc.push_rows
+        assert rows is sc.push_rows and not rows.flags.writeable
+        assert rows.shape == (2, 3, sc.horizon)
+        neutral = np.array(list(mftg_scenario.PUSH_SLOTS.values()))[:, None]
+        np.testing.assert_array_equal(rows[0], np.broadcast_to(neutral, (3, sc.horizon)))
+        slot = list(mftg_scenario.PUSH_SLOTS).index(sc.family.noise_slot)
+        np.testing.assert_array_equal(rows[1, slot], sc.noise_moments)
+        others = [j for j in range(3) if j != slot]
+        np.testing.assert_array_equal(rows[1, others],
+                                      np.broadcast_to(neutral[others], (2, sc.horizon)))
+
+    def test_deterministic_push_rows_have_one_neutral_channel(self, det_two_agent):
+        rows = det_two_agent.push_rows
+        assert rows.shape == (1, 3, det_two_agent.horizon)
+        assert [set(row) for row in rows[0].tolist()] == \
+            [{value} for value in mftg_scenario.PUSH_SLOTS.values()]
+
     def test_moment_row_is_built_once(self, monkeypatch):
         # solve, run_verification and the per-pair stationarity sweep of
         # bench/wide.py on one scenario object compute each moment once.

@@ -25,9 +25,11 @@ from mftg import (
 from mftg.errors import CoefficientOverflowError, SchemaError
 from mftg.numerics import even_power, noise_even_moment
 from mftg.scenario import Family
-from mftg.verify import _closed_loop, _min_curvature, _push
+from mftg.simulate import initial_central_moment
+from mftg.verify import _channel_costs, _closed_loop, _min_curvature, _push
 from conftest import SCENARIOS, lone_solve, make_scenario, random_deterministic
 from test_properties import scenario_docs
+from test_variants import EXPLICIT_GENERAL
 
 
 SMALL_GRID = DeviationGrid(points=41, span=0.2, per_step=True)
@@ -405,10 +407,10 @@ def _assert_layer_matches_references(sc):
         moments = np.array([0.0, 0.5, 2.0])
         want = np.array([[_push_dev_moment(sc, k, factor[1, k], m) for m in moments]
                          for k in range(sc.horizon)])
-        got = np.array([_push(push[:, k], factor[1, k], sc.moment_order, moments)
+        got = np.array([_push(push[1, :, k], factor[1, k], sc.moment_order, moments)
                         for k in range(sc.horizon)])
         np.testing.assert_array_equal(got, want)
-        weights.append(table.alpha[:, 1:] * push[1])
+        weights.append(table.alpha[:, 1:] * push[1, 1])
     for (order, a, b, _, r), gain, weight in zip(sc.channels, (gains.mean_gain, gains.dev_gain),
                                                  weights):
         np.testing.assert_array_equal(_min_curvature(order, a, b, r, weight, gain),
@@ -455,3 +457,126 @@ class TestClosedLoopLayer:
         want = sc.a_bar * (1.0 - np.sum(sc.b_bar * corrupted.mean_gain, axis=0))
         np.testing.assert_allclose(factor[0], want, rtol=1e-14)
         assert not np.any(factor[0] == gains.closed_loop_mean)
+
+
+# ---------------------------------------------------------------------------
+# the deviation scan against a forward replay of every row
+
+
+def _replay_channel_costs(sc, gains, agent, factors):
+    """Reference: each channel's (1 + N, factors) scan costs, every row
+    replayed forward from the initial state, O(N^2) per factor.  The mean
+    is carried as the state, the deviation as its moment."""
+    n = sc.horizon
+    shape = (1 + n, factors.size)
+    p2 = 2 * sc.p
+    mo = sc.moment_order
+    a_bar, b_bar, q_bar, r_bar = sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar
+    stochastic = sc.family.stochastic
+    coupling = [np.add.reduce(b_bar * gains.mean_gain, axis=0)]
+    if stochastic:
+        a_d, b_d = sc.deviation_dynamics
+        coupling.append(np.add.reduce(b_d * gains.dev_gain, axis=0))
+        q_dev, r_dev = sc.q_dev, sc.r_dev
+        m = np.full(shape, initial_central_moment(sc.x0, mo))
+        dev = np.zeros(shape)
+    xb = np.full(shape, float(sc.x0.mean))
+    mean = np.zeros(shape)
+
+    def closed_loop(a, b_g_sum, b_g, f):
+        return a - a * (b_g_sum + b_g * (f - 1.0))
+
+    for k in range(n):
+        f = np.ones(shape)
+        f[0] = factors
+        f[1 + k] = factors
+        g, s = gains.mean_gain[agent, k], a_bar[k]
+        mean += (q_bar[agent, k] * even_power(xb, p2)
+                 + r_bar[agent, k] * even_power(f * g * s * xb, p2))
+        xb = closed_loop(s, coupling[0][k], b_bar[agent, k] * g, f) * xb
+        if stochastic:
+            g, s = gains.dev_gain[agent, k], a_d[k]
+            dev += (q_dev[agent, k] + r_dev[agent, k] * even_power(f * g * s, mo)) * m
+            clf = closed_loop(s, coupling[1][k], b_d[agent, k] * g, f)
+            m = _push_dev_moment(sc, k, clf, m)
+    mean += q_bar[agent, n] * even_power(xb, p2)
+    if not stochastic:
+        return [("mean", mean)]
+    dev += q_dev[agent, n] * m
+    return [("mean", mean), ("deviation", dev)]
+
+
+def _gain_variants(sc):
+    """The equilibrium gains, every mean gain scaled by 1.2, and (with a
+    deviation channel) every deviation gain scaled by 1.3."""
+    _, gains = solve(sc)
+    variants = [gains, inject_gain_scaling(gains, 0, None, 1.2)]
+    if gains.dev_gain is not None:
+        variants.append(replace(gains, dev_gain=gains.dev_gain * 1.3))
+    return variants
+
+
+def _assert_scan_matches_replay(sc, grid=SMALL_GRID):
+    factors = grid.factors()
+    for gains in _gain_variants(sc):
+        for agent in range(sc.agents):
+            got = _channel_costs(sc, gains, agent, factors, True)
+            want = _replay_channel_costs(sc, gains, agent, factors)
+            assert [name for name, _ in got] == [name for name, _ in want]
+            for (name, cost), (_, reference) in zip(got, want):
+                np.testing.assert_allclose(cost, reference, rtol=1e-12, atol=0.0,
+                                           err_msg=f"{name} channel, agent {agent}")
+
+
+class TestScanAgainstReplay:
+    @pytest.mark.parametrize("name", ["deterministic_two_agent", "additive_two_agent",
+                                      "multiplicative_two_agent", "general_moment_two_agent"])
+    def test_shipped_scenarios(self, name):
+        _assert_scan_matches_replay(load_scenario((SCENARIOS / f"{name}.yaml").read_text()),
+                                    DeviationGrid())
+
+    def test_explicit_general_moments(self):
+        _assert_scan_matches_replay(make_scenario(**EXPLICIT_GENERAL, initial={
+            "mean": 3.0, "kind": "gaussian_around_mean", "variance": 1.0}))
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(scenario_docs(max_horizon=12))
+    def test_bounded_draws(self, doc):
+        sc = load_scenario(yaml.safe_dump(doc))
+        try:
+            solve(sc)
+        except CoefficientOverflowError:
+            return
+        _assert_scan_matches_replay(sc)
+
+
+SHIPPED = ["deterministic_two_agent", "additive_two_agent", "multiplicative_two_agent",
+           "general_moment_two_agent"]
+
+
+class TestSingleStepCorruption:
+    """A gain corrupted at one step is found by that step's row.  Only the
+    first steps are checked: the mean state decays, so the cost is flat in
+    the gains of later steps."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_mean_gain(self, name, step):
+        sc = load_scenario((SCENARIOS / f"{name}.yaml").read_text())
+        _, gains = solve(sc)
+        for agent in range(sc.agents):
+            corrupted = inject_gain_scaling(gains, agent, step, 1.2)
+            report = unilateral_deviation_test(sc, corrupted, agent)
+            assert not report.passed, (agent, report)
+            assert report.worst_mode == f"mean step {step}", (agent, report)
+
+    @pytest.mark.parametrize("name", SHIPPED[1:])
+    def test_deviation_gain(self, name):
+        sc = load_scenario((SCENARIOS / f"{name}.yaml").read_text())
+        _, gains = solve(sc)
+        for agent in range(sc.agents):
+            dev_gain = np.array(gains.dev_gain)
+            dev_gain[agent, 1] *= 1.2
+            report = unilateral_deviation_test(sc, replace(gains, dev_gain=dev_gain), agent)
+            assert not report.passed, (agent, report)
+            assert report.worst_mode == "deviation step 1", (agent, report)
