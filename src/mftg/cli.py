@@ -322,14 +322,18 @@ def _write_plots(out: Path, sc: Scenario, table, mean, ensemble) -> dict[str, st
     return {name: _write_text(out / name, svg) for name, svg in plots}
 
 
-def _parse_grid(spec: str | None) -> DeviationGrid:
-    if not spec:
-        return DeviationGrid()
-    try:
-        points_str, span_str = spec.lower().split("x")
-        return DeviationGrid(points=int(points_str), span=float(span_str))
-    except ValueError:
-        raise SchemaError(f"--grid expects POINTSxSPAN, e.g. 101x0.2, got {spec!r}")
+def _parse_grid(spec: str | None, horizon: int) -> DeviationGrid:
+    points, span = DeviationGrid.points, DeviationGrid.span
+    if spec:
+        try:
+            points_str, span_str = spec.lower().split("x")
+            points, span = int(points_str), float(span_str)
+        except ValueError:
+            raise SchemaError(f"--grid expects POINTSxSPAN, e.g. 101x0.2, got {spec!r}")
+    if points * (horizon + 1) > MAX_PATH_FLOATS:
+        raise ResourceLimitError(f"--grid {points} points over {horizon} steps exceed "
+                                 f"the in-memory budget of {MAX_PATH_FLOATS} table entries")
+    return DeviationGrid(points=points, span=span)
 
 
 def _parse_injection(spec: str, sc: Scenario):
@@ -352,12 +356,9 @@ def _parse_injection(spec: str, sc: Scenario):
 
 def cmd_verify(args) -> int:
     sc = load_scenario_file(args.scenario)
-    # Each size option is checked before anything is built: the scan holds
-    # (modes, factors) tables and the cost-to-go identity (agent, probe) ones.
-    grid = _parse_grid(args.grid)
-    if grid.points * (sc.horizon + 1) > MAX_PATH_FLOATS:
-        raise ResourceLimitError(f"--grid {grid.points} points over {sc.horizon} steps exceed "
-                                 f"the in-memory budget of {MAX_PATH_FLOATS} table entries")
+    # Each size option is checked before anything is built, the grid's factors
+    # too: the scan holds (modes, factors) tables, the identity (agent, probe) ones.
+    grid = _parse_grid(args.grid, sc.horizon)
     probes = None
     if args.probes is not None:
         if args.probes < 1:
@@ -393,7 +394,7 @@ def cmd_verify(args) -> int:
             f"{dev.uniform_argmin_factor:.4f}, {dev.worst_mode}) "
             f"{word['deviation', str(dev.agent + 1)]}"
         )
-    lines.append(f"stationarity max residual: {report.stationarity_max:.3e}")
+    lines.append(f"stationarity max residual: {float(np.max(report.stationarity)):.3e}")
     lines.append(f"positivity: {word['positivity', '']}")
     lines.append(f"convexity sampled min: {report.convexity_min:.6g}")
     lines.append(f"cost-to-go identity max residual: {float(np.max(report.bellman_max_per_step)):.3e}")

@@ -8,6 +8,7 @@ agents' controls; the coupling matrix that ties those relations together is
 a diagonal plus a rank-one term, so the simultaneous gains have the closed
 form g = eta / (1 + b^T eta) and need no linear solve.  The gains give the
 closed-loop factor that drives the coefficient recursion one step back.
+``stationarity_residual`` checks the gains over whole tables, per unit of a.
 
 The channels differ only in their moment order (2p for the mean, 2 for the
 additive and multiplicative deviation, 2o for the general-moment deviation),
@@ -207,34 +208,28 @@ def solve(sc: Scenario) -> tuple[CoefficientTable, GainSchedule]:
             GainSchedule(mean_gain, c_bar, clf_mean, dev_gain, c, clf_dev))
 
 
-def _normalized(t1: float, t2: float) -> float:
-    top = abs(t1 + t2)
-    bottom = max(abs(t1), abs(t2))
-    return 0.0 if bottom == 0.0 else top / bottom
+def stationarity_residual(sc: Scenario, table: CoefficientTable, gains: GainSchedule,
+                          i: int | slice = slice(None), k: int | slice = slice(None)):
+    """First-order-condition residual |t1 + t2| / max(|t1|, |t2|) (0 where both
+    terms are), worst over the channels: the (agent, step) table indexed
+    [i, k], so a float for one pair, of which only step k is computed.
 
-
-def stationarity_residual(
-    sc: Scenario, table: CoefficientTable, gains: GainSchedule, i: int, k: int
-) -> float:
-    """First-order-condition residual of agent i at step k, normalized by the
-    largest term, worst over the channels.
-
-    The mean channel is probed at unit mean state; the deviation channel
-    (when present) at unit deviation.  Each channel's next-step coefficient
-    carries its ``Scenario.push_rows`` scale row: the noise moment of a
-    scale slot, 1 otherwise.  Zero at the computed gains up to roundoff;
-    grows quickly when a gain is perturbed.
+    At unit state agent i's condition is t1 + t2 = 0, t1 = r_i u_i^(o-1) and
+    t2 = alpha_{k+1,i} s_k b_i (a + sum_j b_j u_j)^(o-1) with u_j = -g_j a and
+    s_k the ``Scenario.push_rows`` scale row.  Both carry a^(o-1), which
+    cancels, so they are taken per unit of a, as u/a = -g and
+    1 - sum_j b_j g_j (summed along a contiguous agent row, as in the solver),
+    and cannot underflow with a.  Zero at the computed gains up to roundoff.
     """
-    # A neutral scale row is 1.0, which rounds nothing: x * 1.0 is x.
+    steps = np.arange(sc.horizon)[k]
     residuals = []
-    for (order, a, b, _, r), alpha, gain, scale in zip(
+    for (order, _, b, _, r), alpha, gain, scale in zip(
             sc.channels, (table.alpha_bar, table.alpha), (gains.mean_gain, gains.dev_gain),
-            sc.push_rows[:, 1, k]):
-        root = order - 1
-        a, b = a[k], b[:, k]
-        u = -gain[:, k] * a
-        inner = a + np.add.reduce(b * u)
-        t1 = r[i, k] * u[i] ** root
-        t2 = alpha[i, k + 1] * scale * b[i] * inner ** root
-        residuals.append(_normalized(t1, t2))
-    return max(residuals)
+            sc.push_rows[:, 1, steps]):
+        b, g = b[:, steps], gain[:, steps]
+        coupling = np.add.reduce(np.multiply(b.T, g.T, order="C"), axis=-1)
+        t1 = -r[:, steps] * even_power(g, order - 1)
+        t2 = alpha[:, steps + 1] * scale * b * even_power(1.0 - coupling, order - 1)
+        top, bottom = np.abs(t1 + t2), np.maximum(np.abs(t1), np.abs(t2))
+        residuals.append(np.divide(top, bottom, out=np.zeros_like(top), where=bottom != 0.0))
+    return np.maximum.reduce(residuals)[i]

@@ -23,7 +23,9 @@ family or branches on the channel.
 The closed-loop factor clf_k = a_k (1 - sum_j b_jk g_jk) comes from one
 layer, ``_closed_loop``, built from the gains and the raw scenario data
 only: never from ``alpha`` and never from the solver's ``closed_loop_*``
-audit fields, which a gain injection leaves stale.
+audit fields, which a gain injection leaves stale.  The first-order
+conditions are one whole-table ``stationarity_residual`` call, per unit of
+the dynamics coefficient; its verdict row names the worst agent and step.
 
 Scope: the deviation tests perturb within the linear-feedback class the
 equilibrium lives in (plus an open-loop jitter smoke test); they certify no
@@ -64,7 +66,7 @@ class DeviationGrid:
     time.  The uniform mode scales every step at once, the per-step mode
     (when enabled) perturbs one step at a time.  ``points`` must be odd and
     at least 3, so the grid holds the equilibrium factor 1 exactly at its
-    middle index.
+    middle index, and the factors must not round together.
     """
 
     points: int = 101
@@ -76,6 +78,9 @@ class DeviationGrid:
             raise SchemaError(f"deviation grid needs an odd point count >= 3, got {self.points}")
         if not 0.0 < self.span < float("inf"):
             raise SchemaError(f"deviation grid span must be positive and finite, got {self.span}")
+        if not np.all(np.diff(self.factors()) > 0.0):
+            raise SchemaError(f"deviation grid factors {self.points}x{self.span:g} are not "
+                              "strictly increasing")
 
     def factors(self) -> np.ndarray:
         factors = np.linspace(1.0 - self.span, 1.0 + self.span, self.points)
@@ -591,7 +596,7 @@ class VerificationReport:
     """Aggregate pass/fail evidence for one solved scenario."""
 
     deviation: list[DeviationReport]
-    stationarity_max: float
+    stationarity: np.ndarray  # the (agent, step) residual table
     positivity_ok: bool
     convexity_min: float
     bellman_max_per_step: np.ndarray
@@ -600,11 +605,13 @@ class VerificationReport:
     def checks(self) -> list[Check]:
         """The verdict table, one row per decision in report.csv order.
         Each value is compared with its tolerance here and nowhere else."""
+        worst = np.unravel_index(np.argmax(self.stationarity), self.stationarity.shape)
         return [
             *(Check("deviation", "margin", str(d.agent + 1), "", f"{d.margin:.17g}",
                     f"{d.tolerance:.17g}", d.passed) for d in self.deviation),
-            Check("stationarity", "max_residual", "", "", f"{self.stationarity_max:.17g}",
-                  f"{STATIONARITY_TOL:g}", self.stationarity_max <= STATIONARITY_TOL),
+            Check("stationarity", "max_residual", str(worst[0] + 1), str(worst[1]),
+                  f"{self.stationarity[worst]:.17g}", f"{STATIONARITY_TOL:g}",
+                  bool(self.stationarity[worst] <= STATIONARITY_TOL)),
             Check("positivity", "tables_positive", "", "", str(self.positivity_ok).lower(),
                   "true", bool(self.positivity_ok)),
             Check("convexity", "sampled_min", "", "", f"{self.convexity_min:.17g}",
@@ -627,7 +634,8 @@ class VerificationReport:
             failed = [check for check in rows if not check.passed]
             if failed:
                 c = failed[0]
-                where = f" for agent {c.agent}" if c.agent else f" at step {c.step}" if c.step else ""
+                where = f" for agent {c.agent}" if c.agent else ""
+                where += f" at step {c.step}" if c.step else ""
                 out.append(f"{c.section} {c.metric} {c.value} (tolerance {c.tolerance}){where}: "
                            f"{len(failed)} of {len(rows)} rows fail")
         return out
@@ -647,10 +655,6 @@ def run_verification(
     """
     predicted_cost(sc, table, sc.family.stochastic)
     deviation = [unilateral_deviation_test(sc, gains, i, grid) for i in range(sc.agents)]
-    stationarity = max(
-        stationarity_residual(sc, table, gains, i, k)
-        for i in range(sc.agents) for k in range(sc.horizon)
-    )
     bellman = np.array([
         bellman_identity_check(sc, table, gains, k, probes) for k in range(sc.horizon)
     ])
@@ -658,7 +662,7 @@ def run_verification(
                   and (table.gamma_bar is None or bool(np.all(table.gamma_bar >= 0.0))))
     return VerificationReport(
         deviation=deviation,
-        stationarity_max=float(stationarity),
+        stationarity=stationarity_residual(sc, table, gains),
         positivity_ok=positivity,
         convexity_min=sample_convexity(sc, table, gains),
         bellman_max_per_step=bellman,

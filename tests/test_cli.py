@@ -320,6 +320,44 @@ class TestVerify:
         assert main(["verify", DET, "--out", str(tmp_path / "o"),
                      f"--grid={spec}"]) == 2
 
+    @pytest.mark.parametrize("spec", ["3x1e-300", "5x1e-17", "101x1e-15"])
+    def test_collapsed_grid_exit_2(self, tmp_path, capsys, spec):
+        # Every factor rounds to 1.0, so every margin would read 0 and even a
+        # corrupted gain would pass the scan.
+        out = tmp_path / "o"
+        assert main(["verify", ADD, "--out", str(out), f"--grid={spec}",
+                     "--inject-gain", "1:*:1.5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: deviation grid factors")
+        assert "not strictly increasing" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, injection, status, where", [
+        *((path, "2:3:1.2", "fail", ("2", "3")) for path in (DET, ADD, MULT, GEN)),
+        # p = 4 and a tiny a_bar: at unit state both terms of the residual
+        # carry a_bar^7, which underflows
+        (1.0e-45, None, "pass", None),
+        (1.0e-46, "1:1:1.01", "fail", ("1", "1")),
+    ], ids=["deterministic", "additive", "multiplicative", "general-moment",
+            "tiny-a-solved", "tiny-a-injected"])
+    def test_stationarity_row_names_the_worst_pair(self, tmp_path, capsys, scenario,
+                                                   injection, status, where):
+        if isinstance(scenario, float):
+            scenario = write_doc(tmp_path, scenario_doc(
+                agents=2, horizon=3, p=4, a_bar=scenario, b_bar=[0.8, -1.1], q_bar=1.3,
+                r_bar=[0.9, 1.4], initial={"mean": 1.0}))
+        out = tmp_path / "out"
+        injected = ["--inject-gain", injection] if injection else []
+        assert main(["verify", scenario, "--out", str(out), *injected]) == \
+            (0 if status == "pass" else 6)
+        row, = [row for row in read_csv(out / "report.csv") if row["section"] == "stationarity"]
+        assert row["status"] == status
+        if where:
+            assert (row["agent"], row["step"]) == where
+            assert (f"verification failed: stationarity max_residual {row['value']} (tolerance "
+                    f"1e-09) for agent {where[0]} at step {where[1]}: 1 of 1 rows fail") \
+                in capsys.readouterr().err.splitlines()
+
     @pytest.mark.parametrize("option", ["--paths=5", "--seed=3"])
     def test_retired_replay_options_exit_1(self, tmp_path, option):
         assert main(["verify", ADD, "--out", str(tmp_path / "o"), option]) == 1

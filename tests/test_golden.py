@@ -60,16 +60,16 @@ def test_output_bytes(tmp_path, monkeypatch, scenario, command):
 # which fails every shipped scenario, and the sections that fail it.
 FAILING_VERIFY = {
     "additive_two_agent": (
-        "c6dec92686fa02f8eae40a9b7e4c31b92672a648515192f95c506c5c8eaa4506",
+        "e7913784698eb2d5e81dabe60c448c3f447b0796705242dfdfcafbcff39fec5d",
         "4b05a11a379ee0fb1aa1f687746fbba08730a02f6783a096a359bad01952385a"),
     "deterministic_two_agent": (
-        "93333ce7ede6c7a2f3e5b94db5c46616563fc0aa4d5ad6ebff6edaac73a24837",
+        "e949e6e38a1ed3ec4bbf8b3e81ea731776c963f95f2b4a26ffd19967f2b39f40",
         "4bc4e91b69229c314bb1fe12841366ac665ae49c87f5478ca70bbff4a8ef0621"),
     "general_moment_two_agent": (
-        "83e7327c990a0087ac27b3974f2c805fc52f93feb9641149f2ce4c31ca447a56",
+        "714d612343d4afd8d6055f90986be570e9f7fc4ee85fcd1722d58896ebd06145",
         "fca20b45e14b3cfb9981442b8959fc6abe3c34640afe79e68ce1e18ae2e4fd63"),
     "multiplicative_two_agent": (
-        "47c7e3011ff17183e3fc9bcf9e02eb7f12c940a9d431a19b9597ba063b75b68c",
+        "188e34d54ee9d88a8d1b9e66ee703a5a9c24f080a7c2b2223fc031f768b86a74",
         "76d954091ad4a3e56889e90d0d251d8f074f92b0351b20e36347f5f843374353"),
 }
 FAILING_SECTIONS = ["deviation", "stationarity", "bellman"]

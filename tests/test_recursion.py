@@ -324,7 +324,37 @@ class TestStackedLoop:
                 np.testing.assert_array_equal(getattr(gains, name), getattr(want_gains, name))
 
 
+def _pair_residual(sc, table, gains, i, k):
+    """Reference: agent i's residual at step k alone, at unit state, with the
+    dynamics coefficient kept in both terms."""
+    residuals = []
+    for (order, a, b, _, r), alpha, gain, scale in zip(
+            sc.channels, (table.alpha_bar, table.alpha), (gains.mean_gain, gains.dev_gain),
+            sc.push_rows[:, 1, k]):
+        u = -gain[:, k] * a[k]
+        inner = a[k] + np.add.reduce(b[:, k] * u)
+        t1 = r[i, k] * u[i] ** (order - 1)
+        t2 = alpha[i, k + 1] * scale * b[i, k] * inner ** (order - 1)
+        bottom = max(abs(t1), abs(t2))
+        residuals.append(0.0 if bottom == 0.0 else abs(t1 + t2) / bottom)
+    return max(residuals)
+
+
 class TestStationarity:
+    def test_table_matches_pair_reference(self, det_two_agent, additive_two_agent,
+                                          multiplicative_two_agent, general_two_agent):
+        # a != 0 throughout, so the reference's a^(o-1) factor cancels too
+        for sc in (det_two_agent, additive_two_agent, multiplicative_two_agent,
+                   general_two_agent, make_scenario(agents=3, horizon=4, p=3, a_bar=-0.7,
+                                                    b_bar=[1.2, -0.5, 0.8])):
+            table, gains = solve(sc)
+            for schedule in (gains, inject_gain_scaling(gains, 0, None, 1.2),
+                             inject_gain_scaling(gains, 1, 3, 0.9)):
+                want = [[_pair_residual(sc, table, schedule, i, k) for k in range(sc.horizon)]
+                        for i in range(sc.agents)]
+                np.testing.assert_allclose(stationarity_residual(sc, table, schedule), want,
+                                           rtol=1e-12, atol=1e-13, err_msg=str(sc.family))
+
     def test_zero_at_solution(self, one_step_unit):
         table, gains = solve(one_step_unit)
         assert stationarity_residual(one_step_unit, table, gains, 0, 0) <= 1e-12
@@ -339,6 +369,18 @@ class TestStationarity:
                 for i in range(sc.agents) for k in range(sc.horizon)
             )
             assert worst <= 1e-9
+
+    def test_pairs_index_the_whole_table(self, multiplicative_two_agent):
+        sc = multiplicative_two_agent
+        table, gains = solve(sc)
+        for schedule in (gains, inject_gain_scaling(gains, 1, 3, 1.2)):
+            whole = stationarity_residual(sc, table, schedule)
+            assert whole.shape == (sc.agents, sc.horizon)
+            pairs = [[stationarity_residual(sc, table, schedule, i, k) for k in range(sc.horizon)]
+                     for i in range(sc.agents)]
+            assert all(isinstance(value, float) for row in pairs for value in row)
+            np.testing.assert_array_equal(whole, pairs)
+        assert np.unravel_index(np.argmax(whole), whole.shape) == (1, 3)
 
     def test_perturbed_gains_detected(self, one_step_unit):
         table, gains = solve(one_step_unit)

@@ -302,7 +302,8 @@ class TestAggregateReport:
             table, gains = solve(sc)
             report = run_verification(sc, table, gains, grid=SMALL_GRID)
             assert report.passed, report.failures()
-            assert report.stationarity_max <= 1e-9
+            assert report.stationarity.shape == (sc.agents, sc.horizon)
+            assert np.max(report.stationarity) <= 1e-9
             assert report.convexity_min > 0.0
 
     def test_report_fails_with_injected_corruption(self, det_two_agent):
@@ -319,7 +320,7 @@ class TestAggregateReport:
             assert report.passed == all(check.passed for check in report.checks)
 
     @pytest.mark.parametrize("section, field, value", [
-        ("stationarity", "stationarity_max", 2e-9),
+        ("stationarity", "stationarity", 2e-9),  # agent 2 at step 2 only
         ("positivity", "positivity_ok", False),
         ("convexity", "convexity_min", 0.0),
         ("bellman", "bellman_max_per_step", 2e-10),  # at step 2 only
@@ -328,6 +329,10 @@ class TestAggregateReport:
         table, gains = solve(det_two_agent)
         report = run_verification(det_two_agent, table, gains, grid=SMALL_GRID)
         assert report.passed
+        where = {"stationarity": ("2", "2"), "bellman": ("", "2")}.get(section, ("", ""))
+        if section == "stationarity":
+            value = np.where((np.arange(det_two_agent.agents)[:, None] == 1)
+                             & (np.arange(det_two_agent.horizon) == 2), value, report.stationarity)
         if section == "bellman":
             value = np.where(np.arange(det_two_agent.horizon) == 2, value,
                              report.bellman_max_per_step)
@@ -335,8 +340,8 @@ class TestAggregateReport:
         assert not broken.passed
         failures = broken.failures()
         assert len(failures) == 1 and failures[0].startswith(f"{section} ")
-        assert [(check.section, check.step) for check in broken.checks if not check.passed] \
-            == [(section, "2" if section == "bellman" else "")]
+        assert [(check.section, check.agent, check.step)
+                for check in broken.checks if not check.passed] == [(section, *where)]
 
     def test_single_power_objectives_verify(self):
         # a_bar = 0 (p = 2) and zero general-moment noise (o = 2) leave
