@@ -9,16 +9,17 @@ index), which makes ensembles reproducible bit for bit.
 
 Paths are propagated in slabs of up to SLAB_BLOCKS whole blocks (a partial
 last block is a slab of its own), one step at a time, and each step is
-reduced as soon as it is made: each block's path sums of the states, the
-controls and their deviations' squares and moment powers are kept for the
-step, and each path's stage cost is added to that path's cost, in a fixed
-order of elementwise operations.  After the last step the block sums are
-added to the run's running sums in block order, so the statistics have
-the same bits for any slab width.  The step rows are reused for the next
-step, so a slab holds its noise (N x slab floats) and a few (I, slab)
-rows, whatever the horizon.  A run that keeps its paths (up to the store
-cap) also writes each step's rows into the store, so its statistics have
-the same bits as a streamed run's.
+reduced as soon as it is made into the four statistics a run reports:
+each block's path sums of the state x, its deviation's square d**2 and
+moment power d**mo, and the controls' deviation moment power v**mo are
+kept for the step, and each path's stage cost is added to that path's
+cost, in a fixed order of elementwise operations.  After the last step the
+block sums are added to the run's running sums in block order, so the
+statistics have the same bits for any slab width.  The step rows are
+reused for the next step, so a slab holds its noise (N x slab floats) and
+a few (I, slab) rows, whatever the horizon.  A run that keeps its paths
+(up to the store cap) also writes each step's rows into the store, so its
+statistics have the same bits as a streamed run's.
 """
 
 from __future__ import annotations
@@ -57,23 +58,23 @@ class MeanPath:
 class Ensemble:
     """Simulated trajectories and their per-step statistics.
 
-    ``emp_mean`` is the plain path average; ``dev_m2`` / ``dev_m2o`` are the
-    mean squared / 2o-power deviations from the exact model mean (the
-    quantity the coefficient recursions price, which matters when the
-    initial law puts its atom away from the declared mean).  ``path_cost``
+    ``emp_mean`` is the plain path average of the state; ``dev_m2`` /
+    ``dev_m2o`` are its mean squared / mo-power deviations from the exact
+    model mean (the quantity the coefficient recursions price, which
+    matters when the initial law puts its atom away from the declared
+    mean), and ``u_dev_m2o`` (I, N) is the controls' mean mo-power
+    deviation from the exact mean controls, mo the scenario's moment order.
+    With mo = 2, ``dev_m2o`` has the bits of ``dev_m2``.  ``path_cost``
     holds each agent's realized cost per path, mean terms included.  The
     raw path and control matrices are kept only below the storage cap.
     """
 
     n_paths: int
     seed: int
-    moment_order: int
     mean: MeanPath
     emp_mean: np.ndarray
     dev_m2: np.ndarray
     dev_m2o: np.ndarray
-    u_mean: np.ndarray
-    u_dev_m2: np.ndarray
     u_dev_m2o: np.ndarray
     path_cost: np.ndarray
     x: np.ndarray | None = None
@@ -167,20 +168,6 @@ def _slabs(n_paths: int, blocks: int):
         yield whole, n_paths, 1
 
 
-def _moment_sums(dev: np.ndarray, mo: int, out: np.ndarray, blocks: int,
-                 sq_sums: np.ndarray, mo_sums: np.ndarray) -> None:
-    """Sums of dev**2 and dev**mo over each block's paths (the last axis,
-    cut into `blocks` equal runs) into sq_sums and mo_sums; dev**mo is
-    written to out, as (dev**2)**(mo/2).  With mo == 2 only sq_sums is
-    written: the caller passes one buffer for both."""
-    np.multiply(dev, dev, out=out)
-    per_block = out.reshape(out.shape[:-1] + (blocks, -1))
-    np.add.reduce(per_block, axis=-1, out=sq_sums)
-    if mo > 2:
-        even_power(out, mo // 2, out=out)
-        np.add.reduce(per_block, axis=-1, out=mo_sums)
-
-
 def _run_block(sc: Scenario, feedback: tuple, mean: MeanPath, eps: np.ndarray,
                blocks: int, rows: list, parts: list, sums: list, cost: np.ndarray,
                store: tuple | None) -> None:
@@ -191,33 +178,40 @@ def _run_block(sc: Scenario, feedback: tuple, mean: MeanPath, eps: np.ndarray,
     state.
 
     Each step's sums over each block's paths of x, d**2, d**mo (d = x -
-    x_bar) and of u, v**2, v**mo (v = u - u_bar) go to that step's row of
-    parts, (N+1, blocks) and (N, I, blocks) buffers (with mo == 2 the d**2
-    and d**mo buffers are one, as are the v**2 and v**mo ones); after the
-    last step they are added into sums block by block, in block order.
-    Each path's deviation cost is added into cost (I, P) in a fixed order:
-    the stage costs r_k * v_k**mo + q_k * d_k**mo for k = 0..N-1 in step
-    order, then the terminal q_N * d_N**mo.  That arithmetic is
-    elementwise, so each path's cost, like each block sum, has the same
-    bits for any slab width.  rows are the step rows the slab is propagated
-    in: x, d, d**mo and a scratch row (P), and u, v and a scratch row
-    (I, P).  A kept store gets each step's rows written into its views
-    store = (x (P, N+1), u (I, P, N)).
+    x_bar) and v**mo (v = u - u_bar) go to that step's row of parts,
+    (N+1, blocks) and (N, I, blocks) buffers (with mo == 2 the d**2 and
+    d**mo buffers are one); after the last step they are added into sums
+    block by block, in block order.  Each moment power is taken as
+    (dev**2)**(mo/2).  Each path's deviation cost is added into cost (I, P)
+    in a fixed order: the stage costs r_k * v_k**mo + q_k * d_k**mo for
+    k = 0..N-1 in step order, then the terminal q_N * d_N**mo.  That
+    arithmetic is elementwise, so each path's cost, like each block sum,
+    has the same bits for any slab width.  rows are the step rows the slab
+    is propagated in: x, d, d**mo and a scratch row (P), and u, v and
+    v**mo, which becomes the stage cost (I, P).  A kept store gets each
+    step's rows written into its views store = (x (P, N+1), u (I, P, N)).
     """
     n, slot, mo = sc.horizon, sc.family.noise_slot, sc.moment_order
     x, d, d_pow, tmp, u, v, stage = rows
-    x_part, d2_part, dmo_part, u_part, v2_part, vmo_part = (p[..., :blocks] for p in parts)
+    x_part, d2_part, dmo_part, vmo_part = (p[..., :blocks] for p in parts)
     gain, push = feedback
     q_dev, r_dev = sc.q_dev, sc.r_dev
     x_bar, u_bar = mean.x_bar, mean.u_bar
     a = sc.deviation_dynamics[0]
+    # The squares go to scratch rows when mo > 2, so that even_power never
+    # copies its input: d**2 to tmp, and v**2 to u once u is stored.
+    d_sq, v_sq = (d_pow, stage) if mo == 2 else (tmp, u)
     # (..., blocks, B) views of the rows summed per block
-    x_blocks = x.reshape(blocks, -1)
-    u_blocks = u.reshape(sc.agents, blocks, -1)
+    x_blocks, sq_blocks, d_blocks = (row.reshape(blocks, -1) for row in (x, d_sq, d_pow))
+    v_blocks = stage.reshape(sc.agents, blocks, -1)
     np.subtract(x, x_bar[0], out=d)
     for k in range(n + 1):
         np.add.reduce(x_blocks, axis=-1, out=x_part[k])
-        _moment_sums(d, mo, d_pow, blocks, d2_part[k], dmo_part[k])
+        np.multiply(d, d, out=d_sq)
+        np.add.reduce(sq_blocks, axis=-1, out=d2_part[k])
+        if mo > 2:
+            even_power(d_sq, mo // 2, out=d_pow)
+            np.add.reduce(d_blocks, axis=-1, out=dmo_part[k])
         if store:
             store[0][:, k] = x
         if k == n:
@@ -225,10 +219,12 @@ def _run_block(sc: Scenario, feedback: tuple, mean: MeanPath, eps: np.ndarray,
         np.multiply(gain[:, k, None], d, out=u)
         np.subtract(u_bar[:, k, None], u, out=u)
         np.subtract(u, u_bar[:, k, None], out=v)
-        np.add.reduce(u_blocks, axis=-1, out=u_part[k])
-        _moment_sums(v, mo, stage, blocks, v2_part[k], vmo_part[k])
         if store:
             store[1][:, :, k] = u
+        np.multiply(v, v, out=v_sq)
+        if mo > 2:
+            even_power(v_sq, mo // 2, out=stage)
+        np.add.reduce(v_blocks, axis=-1, out=vmo_part[k])
         stage *= r_dev[:, k, None]
         np.multiply(q_dev[:, k, None], d_pow, out=v)
         stage += v
@@ -269,10 +265,9 @@ def _run_slabs(sc: Scenario, gains: GainSchedule, mean: MeanPath, seed: int,
     gain = gains.dev_gain * a
     feedback = (gain, np.add.reduce(np.ascontiguousarray((b * gain).T), axis=1))
     # Each slab's per-block step sums of the statistics in sums.
-    parts = ([np.empty((n + 1, blocks)) for _ in range(3)]
-             + [np.empty((n, agents, blocks)) for _ in range(3)])
+    parts = [np.empty((n + 1, blocks)) for _ in range(3)] + [np.empty((n, agents, blocks))]
     if sc.moment_order == 2:
-        parts[2], parts[5] = parts[1], parts[4]
+        parts[2] = parts[1]
     width = min(blocks * CHUNK_SIZE, n_paths)
     rows = [np.empty(width) for _ in range(4)] + [np.empty(agents * width) for _ in range(3)]
     noise = np.empty(n * width)
@@ -298,14 +293,17 @@ def _memory_plan(sc: Scenario, n_paths: int, store_cap: int,
 
     A run holds the per-path costs; the path-major draw buffer (N floats
     per path of a block); the step-major noise and step rows of its widest
-    slab (N + 4 floats and three of I per path); its tables of at most
-    (N+1) x (I+1) floats: the running path sums of its three state and
-    three control statistics, a slab's per-block step sums of the same,
-    the feedback gains and the mean path; and the path store when it keeps
-    one.  A block's draw adds its initial states and the initial-law draw
-    of a full block.  A run keeps its store only when the store fits
-    beside one-block slabs; it then propagates the widest slab of up to
-    max_blocks blocks that fits.
+    slab (N + 4 floats and three of I per path); the running path sums of
+    its four statistics, x, d**2 and d**mo (N+1 floats each) and v**mo
+    (N x I), and a slab's per-block step sums of the same; two tables of at
+    most (N+1) x (I+1) floats, the feedback gains and the mean path;
+    NumPy's ufunc buffers, up to np.getbufsize() floats for each of a
+    call's three operands, which narrow or transposed rows can take (a
+    step's (I, 1) columns against (I, P) rows, the transposed noise draw);
+    and the path store when it keeps one.  A block's draw adds its initial
+    states and the initial-law draw of a full block.  A run keeps its store
+    only when the store fits beside one-block slabs; it then propagates the
+    widest slab of up to max_blocks blocks that fits.
     """
     n, agents = sc.horizon, sc.agents
     draw = min(CHUNK_SIZE, n_paths)
@@ -313,8 +311,9 @@ def _memory_plan(sc: Scenario, n_paths: int, store_cap: int,
 
     def held(blocks):
         width = min(blocks * CHUNK_SIZE, n_paths)
-        tables = (3 + 3 * blocks + 2) * (n + 1) * (agents + 1)
-        return agents * n_paths + draw * n + width * (n + 4 + 3 * agents) + tables
+        tables = (1 + blocks) * (3 * (n + 1) + n * agents) + 2 * (n + 1) * (agents + 1)
+        return (agents * n_paths + draw * n + width * (n + 4 + 3 * agents) + tables
+                + 3 * np.getbufsize())
 
     per_block = draw + CHUNK_SIZE
     store = (n_paths <= store_cap
@@ -371,27 +370,25 @@ def run_ensemble(
         )
 
     mean = propagate_mean(sc, gains)
-    mo = sc.moment_order
     path_cost = np.zeros((agents, n_paths))
     x_store = np.empty((n_paths, n + 1)) if store else None
     u_store = np.empty((agents, n_paths, n)) if store else None
-    # Running path sums: x, d**2, d**mo per step (N+1), then u, v**2, v**mo
+    # Running path sums: x, d**2, d**mo per step (N+1), then v**mo
     # step-major (N, I).  Each block's step sums are added in block order.
-    sums = [np.zeros(n + 1) for _ in range(3)] + [np.zeros((n, agents)) for _ in range(3)]
+    sums = [np.zeros(n + 1) for _ in range(3)] + [np.zeros((n, agents))]
     _run_slabs(sc, gains, mean, seed, n_paths, blocks, sums, path_cost,
                (x_store, u_store) if store else None)
 
     emp_mean, dev_m2, dev_m2o = (s / n_paths for s in sums[:3])
-    # Control sums are step-major (N, I); the statistics are (I, N).
-    u_mean, u_dev_m2, u_dev_m2o = (np.ascontiguousarray(s.T) / n_paths
-                                   for s in sums[3:])
+    # The control sums are step-major (N, I); the statistic is (I, N).
+    u_dev_m2o = np.ascontiguousarray(sums[3].T) / n_paths
 
     # Mean cost terms are path-independent constants; add them so that the
     # per-path costs average to the full realized cost.
     state, control, terminal = _mean_costs(sc, mean)
     path_cost += (state + control + terminal)[:, None]
 
-    arrays = [emp_mean, dev_m2, dev_m2o, u_mean, u_dev_m2, u_dev_m2o, path_cost]
+    arrays = [emp_mean, dev_m2, dev_m2o, u_dev_m2o, path_cost]
     if store:
         arrays += [x_store, u_store]
     for arr in arrays:
@@ -399,13 +396,10 @@ def run_ensemble(
     return Ensemble(
         n_paths=n_paths,
         seed=seed,
-        moment_order=mo,
         mean=mean,
         emp_mean=emp_mean,
         dev_m2=dev_m2,
         dev_m2o=dev_m2o,
-        u_mean=u_mean,
-        u_dev_m2=u_dev_m2,
         u_dev_m2o=u_dev_m2o,
         path_cost=path_cost,
         x=x_store,
@@ -449,11 +443,9 @@ def evaluate_cost(
     mean_parts = _mean_costs(sc, data.mean if ensemble else data)
     dev_parts = (np.zeros(sc.agents),) * 3
     if ensemble:
-        mo = data.moment_order
-        dev = data.dev_m2 if mo == 2 else data.dev_m2o
-        u_dev = data.u_dev_m2 if mo == 2 else data.u_dev_m2o
+        dev = data.dev_m2o
         dev_parts = (np.add.reduce(sc.q_dev[:, :n] * dev[:n], axis=1),
-                     np.add.reduce(sc.r_dev * u_dev, axis=1),
+                     np.add.reduce(sc.r_dev * data.u_dev_m2o, axis=1),
                      sc.q_dev[:, n] * dev[n])
     # One row per agent: the state, control and terminal terms, each as
     # mean then deviation part.

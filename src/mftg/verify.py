@@ -26,6 +26,7 @@ only: never from ``alpha`` and never from the solver's ``closed_loop_*``
 audit fields, which a gain injection leaves stale.  The first-order
 conditions are one whole-table ``stationarity_residual`` call, per unit of
 the dynamics coefficient; its verdict row names the worst agent and step.
+The convexity scan is taken per unit of that coefficient too.
 
 Scope: the deviation tests perturb within the linear-feedback class the
 equilibrium lives in (plus an open-loop jitter smoke test); they certify no
@@ -537,12 +538,17 @@ def bellman_identity_check(
 # convexity sampling and the aggregate report
 
 
-def _min_curvature(order: int, a, b, r, weight, gain) -> float:
+def _min_curvature(order: int, b, r, weight, gain) -> float:
     """Minimum sampled second derivative, over agents and steps, of the
     one-step objectives r*w**order + weight*(rest + b*w)**order of one
     channel at unit state, where ``weight`` is alpha_{k+1} times any noise
     moment the channel carries.  Samples lie around the equilibrium control
     and at the points where either curvature term vanishes.
+
+    The control w = -g a and rest = a (1 - sum_j b_j g_j + b g) both carry
+    the dynamics coefficient a, which scales the curvature by a**(order-2):
+    no change of sign, but an underflow for tiny a.  So w, rest and the
+    samples are taken per unit of a, as w/a = -g and rest/a.
 
     The whole (agent, step, sample) table is one array expression.  Agents
     with b = 0 have no best-response problem and are masked out.  When rest
@@ -550,8 +556,8 @@ def _min_curvature(order: int, a, b, r, weight, gain) -> float:
     strictly convex, although its curvature vanishes at the centre, so the
     centre is masked out too.
     """
-    w_eq = -gain * a
-    rest = a + np.add.reduce(np.multiply(b.T, w_eq.T, order="C"), axis=1) - b * w_eq
+    w_eq = -gain
+    rest = 1.0 + np.add.reduce(np.multiply(b.T, w_eq.T, order="C"), axis=1) - b * w_eq
     width = 2.0 * np.maximum(1.0, np.abs(w_eq))
     pivot = np.divide(-rest, b, out=np.zeros_like(rest), where=b != 0.0)
     grid = np.concatenate([
@@ -572,8 +578,8 @@ def sample_convexity(sc: Scenario, table: CoefficientTable, gains: GainSchedule)
     objectives of every channel.  A channel's next-step weight is
     alpha_{k+1} times its push's scale row: the noise moment that the
     general-moment family puts on its best response, 1 otherwise."""
-    return min(_min_curvature(order, a, b, r, alpha[:, 1:] * scale, gain)
-               for (order, a, b, _, r), alpha, gain, (_, scale, _) in zip(
+    return min(_min_curvature(order, b, r, alpha[:, 1:] * scale, gain)
+               for (order, _, b, _, r), alpha, gain, (_, scale, _) in zip(
                    sc.channels, (table.alpha_bar, table.alpha),
                    (gains.mean_gain, gains.dev_gain), sc.push_rows))
 

@@ -170,22 +170,22 @@ def test_criterion_7_zero_noise_reductions():
 
 
 def test_criterion_8_convexity_of_power_law_objectives():
-    # 1000 one-agent objectives w**2p + (rest + b w)**2p, whose rest term is
-    # the state coefficient a, with random a, b and equilibrium control, as
-    # the steps of one table per p, through the verify convexity sampler.
-    # Its samples include the two points where a term's curvature vanishes,
-    # 0 and -rest/b, which cannot coincide while rest != 0.
+    # 1000 one-agent objectives w**2p + (rest + b w)**2p, with random b and
+    # equilibrium gain, as the steps of one table per p, through the verify
+    # convexity sampler.  It takes them per unit of the state coefficient,
+    # so the rest term is 1.  Its samples include the two points where a
+    # term's curvature vanishes, 0 and -rest/b, which cannot coincide while
+    # rest != 0.
     rng = np.random.default_rng(8)
     draws = 1000
     p = rng.integers(1, 6, draws)
-    a = rng.uniform(0.1, 3.0, draws) * rng.choice([-1.0, 1.0], draws)
     b = rng.uniform(0.1, 3.0, draws) * rng.choice([-1.0, 1.0], draws)
     gain = rng.uniform(-2.0, 2.0, draws)
     worst = np.inf
     for half in np.unique(p):
         at = p == half
         ones = np.ones((1, np.count_nonzero(at)))
-        worst = min(worst, _min_curvature(2 * int(half), a[at], b[None, at], ones, ones,
+        worst = min(worst, _min_curvature(2 * int(half), b[None, at], ones, ones,
                                           gain[None, at]))
     _criterion(8, f"1000 random power-law objectives: sampled second "
                   f"derivative stays positive (min {worst:.3e})", worst > 0.0)

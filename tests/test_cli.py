@@ -358,6 +358,20 @@ class TestVerify:
                     f"1e-09) for agent {where[0]} at step {where[1]}: 1 of 1 rows fail") \
                 in capsys.readouterr().err.splitlines()
 
+    @pytest.mark.parametrize("injection", [None, "1:*:1.2"])
+    def test_convexity_is_scale_free(self, tmp_path, injection):
+        # At unit state the curvature carries a_bar^(2p-2): with a_bar 1e-294
+        # it underflowed to 0 and failed a correct solve.  Per unit of a it
+        # reads as at a_bar 1, and an injected gain still fails the run.
+        doc = yaml.safe_load(Path(DET).read_text())
+        doc["dynamics"]["a_bar"] = 1.0e-294
+        out = tmp_path / "out"
+        injected = ["--inject-gain", injection] if injection else []
+        assert main(["verify", write_doc(tmp_path, doc), "--out", str(out), *injected]) == \
+            (6 if injection else 0)
+        row, = [row for row in read_csv(out / "report.csv") if row["section"] == "convexity"]
+        assert row["status"] == "pass" and float(row["value"]) > 1.0
+
     @pytest.mark.parametrize("option", ["--paths=5", "--seed=3"])
     def test_retired_replay_options_exit_1(self, tmp_path, option):
         assert main(["verify", ADD, "--out", str(tmp_path / "o"), option]) == 1
@@ -549,13 +563,26 @@ def _fields(node, path=()):
 _SHIPPED = {path.name: yaml.safe_load(path.read_text())
             for path in sorted(SCENARIOS.glob("*.yaml"))}
 _SHIPPED_FIELDS = [(name, field) for name, doc in _SHIPPED.items() for field in _fields(doc)]
-# stderr lines a run may print, by exit code.
-_STDERR = {0: ("warning:",), 6: ("verification failed:",)}
+# stderr lines a run may print, by exit code; a sweep also names each
+# value that failed, and a usage error (exit 1) prints the usage first.
+_ERRORS = ("error:", "validation error", "sweep ")
+_STDERR = {0: ("warning:",), 1: _ERRORS + ("usage: mftg", " ", "mftg "),
+           6: ("verification failed:",)}
+
+
+def _assert_documented_exit(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(7)
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith(_STDERR.get(code, _ERRORS)) for line in lines), lines
+    return code, lines
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(st.sampled_from(_SHIPPED_FIELDS), st.sampled_from(_NEAR_VALID),
-       st.sampled_from(["solve", "simulate", "verify"]))
+       st.sampled_from([("solve",), ("simulate",), ("verify",), ("sweep", "--sweep", "p=1,2")]))
 def test_near_valid_documents_end_in_an_exit_code(tmp_path_factory, field, value, command):
     name, path = field
     doc = copy.deepcopy(_SHIPPED[name])
@@ -567,13 +594,37 @@ def test_near_valid_documents_end_in_an_exit_code(tmp_path_factory, field, value
     else:
         node[path[-1]] = value
     tmp = tmp_path_factory.mktemp("near_valid")
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main([command, write_doc(tmp, doc), "--out", str(tmp / "o")])
-    assert code in range(7)
-    lines = err.getvalue().splitlines()
-    assert all(line.startswith(_STDERR.get(code, ("error:", "validation error")))
-               for line in lines), lines
+    _assert_documented_exit([command[0], write_doc(tmp, doc), "--out", str(tmp / "o"),
+                             *command[1:]])
+
+
+# Each option with the command that takes it and the small, valid options
+# it is given after, so that a run stays cheap.  A later option wins.
+_OPTIONS = {
+    "--paths": ("simulate", "--paths=64"), "--seed": ("simulate", "--paths=64"),
+    "--threads": ("simulate", "--paths=64"), "--grid": ("verify", "--grid=5x0.2"),
+    "--probes": ("verify", "--grid=5x0.2"), "--inject-gain": ("verify", "--grid=5x0.2"),
+    "--sweep": ("sweep", "--sweep=p=2"),
+}
+# "\u0663" is an Arabic-Indic three, which int() reads as 3.
+_ODD_VALUES = ["", " ", "x", "-1", "0", "1", "+2", " 7", "1.5", "1e3", "0x10", "1_000", "\u0663",
+               "nan", "inf", "-inf", "1e300", "18446744073709551615", "18446744073709551616",
+               "1000000000000", "3x0.2", "101x1e-300", "5x1e308", "1:1:1", "2:*:1.2",
+               "*:*:*", "0:0:1", "1:99:1", "1:0:nan", "1:*:1e308", "p=", "p=0", "p=-1",
+               "o=1,2", "p=1,,2", "q=1", "=", "p=1e3", "p=2,x"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(st.sampled_from(sorted(_OPTIONS)), st.sampled_from(_ODD_VALUES),
+       st.sampled_from(sorted(_SHIPPED)))
+def test_odd_option_values_end_in_an_exit_code(tmp_path_factory, option, value, scenario):
+    # --threads is ignored; keep even its ignored value small.
+    if option == "--threads" and value.strip().lstrip("+").isdigit():
+        value = str(min(int(value), 2))
+    command, base = _OPTIONS[option]
+    tmp = tmp_path_factory.mktemp("odd_option")
+    _assert_documented_exit([command, str(SCENARIOS / scenario), "--out", str(tmp / "o"),
+                             base, f"{option}={value}"])
 
 
 def wide_scenario(horizon, agents=20):

@@ -66,8 +66,8 @@ FAILING_VERIFY = {
         "e949e6e38a1ed3ec4bbf8b3e81ea731776c963f95f2b4a26ffd19967f2b39f40",
         "4bc4e91b69229c314bb1fe12841366ac665ae49c87f5478ca70bbff4a8ef0621"),
     "general_moment_two_agent": (
-        "714d612343d4afd8d6055f90986be570e9f7fc4ee85fcd1722d58896ebd06145",
-        "fca20b45e14b3cfb9981442b8959fc6abe3c34640afe79e68ce1e18ae2e4fd63"),
+        "2bbfb6453fa7fd9ecd3fd472080348994652fd6bae3ff3829c63c89e8ef5009e",
+        "fb98db2e842850c78d236e82dd455f12046489ac9c1f0b6f9a83a9ffb568839c"),
     "multiplicative_two_agent": (
         "188e34d54ee9d88a8d1b9e66ee703a5a9c24f080a7c2b2223fc031f768b86a74",
         "76d954091ad4a3e56889e90d0d251d8f074f92b0351b20e36347f5f843374353"),

@@ -199,19 +199,18 @@ class TestConvexityScan:
 
     def test_positive_on_random_draws(self):
         # 1000 one-agent objectives w**2p + (rest + b w)**2p, as the steps of
-        # one table per p; the samples include both points where a term's
-        # curvature vanishes, 0 and -rest/b, which cannot coincide while
-        # rest != 0.
+        # one table per p, taken per unit of the state coefficient (rest =
+        # 1); the samples include both points where a term's curvature
+        # vanishes, 0 and -rest/b, which cannot coincide while rest != 0.
         rng = np.random.default_rng(99)
         draws = 1000
         p = rng.integers(1, 6, draws)
-        a = rng.uniform(0.1, 3.0, draws) * rng.choice([-1.0, 1.0], draws)
         b = rng.uniform(0.1, 3.0, draws) * rng.choice([-1.0, 1.0], draws)
         gain = rng.uniform(-2.0, 2.0, draws)
         for half in np.unique(p):
             at = p == half
             ones = np.ones((1, np.count_nonzero(at)))
-            assert _min_curvature(2 * int(half), a[at], b[None, at], ones, ones,
+            assert _min_curvature(2 * int(half), b[None, at], ones, ones,
                                   gain[None, at]) > 0.0
 
 

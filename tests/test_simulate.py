@@ -17,10 +17,10 @@ from mftg import (
 from mftg.cli import main
 from mftg.numerics import even_power
 from mftg.scenario import Family, InitialLaw
-from mftg.simulate import CHUNK_SIZE, SLAB_BLOCKS
+from mftg.simulate import CHUNK_SIZE, SLAB_BLOCKS, predicted_cost
 from conftest import SCENARIOS, make_scenario, random_deterministic
 
-STATISTICS = ("emp_mean", "dev_m2", "dev_m2o", "u_mean", "u_dev_m2", "u_dev_m2o")
+STATISTICS = ("emp_mean", "dev_m2", "dev_m2o", "u_dev_m2o")
 
 
 # A path-major block kernel, kept as the reference of run_ensemble's
@@ -91,41 +91,47 @@ def _reference_path_cost(sc, mean, x, u):
     return out + mean_const[:, None]
 
 
+def _block_sums(sc, mean, x, u):
+    """One block's step sums over its paths (B, N+1) and controls
+    (I, B, N): x, d**2 and d**mo per step, and v**mo step-major (N, I),
+    each moment power taken as (dev**2)**(mo/2)."""
+    half = sc.moment_order // 2
+    steps_x = np.ascontiguousarray(x.T)
+    dev_x = steps_x - mean.x_bar[:, None]
+    dev_u = np.ascontiguousarray(u.transpose(2, 0, 1)) - mean.u_bar.T[:, :, None]
+    sq_x, sq_u = dev_x * dev_x, dev_u * dev_u
+    return [steps_x.sum(axis=-1), sq_x.sum(axis=-1), even_power(sq_x, half).sum(axis=-1),
+            even_power(sq_u, half).sum(axis=-1)]
+
+
 def _reference_run(sc, gains, seed, paths):
     """A run made one block at a time from the path-major references: each
     block's paths, controls and per-path costs, and its step sums of x,
-    d**2, d**mo, u, v**2 and v**mo added to the running sums in block
-    order.  Returns the Ensemble fields it checks, by name."""
+    d**2, d**mo and v**mo added to the running sums in block order.
+    Returns the Ensemble fields it checks, by name."""
     mean = propagate_mean(sc, gains)
-    mo = sc.moment_order
-    sums, xs, us, costs = [0.0] * 6, [], [], []
+    sums, xs, us, costs = [0.0] * 4, [], [], []
     for lo in range(0, paths, CHUNK_SIZE):
         x, u = _reference_chunk(sc, gains, mean, seed, lo, min(lo + CHUNK_SIZE, paths))
         xs.append(x)
         us.append(u)
         costs.append(_reference_path_cost(sc, mean, x, u))
-        steps_x = np.ascontiguousarray(x.T)
-        steps_u = np.ascontiguousarray(u.transpose(2, 0, 1))
-        part = []
-        for z, dev in ((steps_x, steps_x - mean.x_bar[:, None]),
-                       (steps_u, steps_u - mean.u_bar.T[:, :, None])):
-            sq = dev * dev
-            part += [z.sum(axis=-1), sq.sum(axis=-1), even_power(sq, mo // 2).sum(axis=-1)]
+        part = _block_sums(sc, mean, x, u)
         sums = [acc + val for acc, val in zip(sums, part)]
-    stats = [s / paths for s in sums[:3]] + [s.T / paths for s in sums[3:]]
+    stats = [s / paths for s in sums[:3]] + [sums[3].T / paths]
     return dict(zip(STATISTICS, stats), path_cost=np.concatenate(costs, axis=1),
                 x=np.concatenate(xs), u=np.concatenate(us, axis=1))
 
 
-def _kernel_case(family, o, noise, initial):
+def _kernel_case(family, o, noise, initial, horizon=5):
     general = family == "general_moment_2o2p"
     return make_scenario(
-        family=family, agents=3, horizon=5, p=2, o=o,
-        a_bar=[1.1, 0.9, 1.0, 0.8, 1.2], b_bar=[0.5, -0.7, 1.0],
+        family=family, agents=3, horizon=horizon, p=2, o=o,
+        a_bar=np.resize([1.1, 0.9, 1.0, 0.8, 1.2], horizon).tolist(), b_bar=[0.5, -0.7, 1.0],
         q_bar=[4.0, 5.0, 3.0], r_bar=[6.0, 7.0, 2.0],
         q_dev=[2.0, 3.0, 1.5], r_dev=[2.0, 1.0, 0.5],
         a_dev=0.9 if general else None, b_dev=[1.0, 0.8, -0.6] if general else None,
-        noise={"kind": noise, "sigma": [0.3, 0.5, 0.7, 0.4, 0.6]},
+        noise={"kind": noise, "sigma": np.resize([0.3, 0.5, 0.7, 0.4, 0.6], horizon).tolist()},
         initial=initial,
     )
 
@@ -238,10 +244,14 @@ class TestEnsemble:
         sc = additive_two_agent
         _, gains = solve(sc)
         ens = run_ensemble(sc, gains, paths=4000)
+        # The run keeps its paths: the control means and their spread come
+        # from the stored controls (I, paths, N).
+        u_mean = ens.u.mean(axis=1)
+        u_dev_m2 = np.mean((ens.u - ens.mean.u_bar[:, None, :]) ** 2, axis=1)
         for i in range(sc.agents):
             for k in range(sc.horizon):
-                se = np.sqrt(ens.u_dev_m2[i, k] / ens.n_paths)
-                gap = abs(ens.u_mean[i, k] - ens.mean.u_bar[i, k])
+                se = np.sqrt(u_dev_m2[i, k] / ens.n_paths)
+                gap = abs(u_mean[i, k] - ens.mean.u_bar[i, k])
                 assert gap <= 5 * se + 1e-12
 
     def test_bit_identical_reruns(self, additive_two_agent):
@@ -288,19 +298,12 @@ class TestEnsemble:
             sc = request.getfixturevalue(fixture)
             _, gains = solve(sc)
             ens = run_ensemble(sc, gains, paths=9000, seed=2)
-            mo = sc.moment_order
             sums = None
             for lo in range(0, ens.n_paths, CHUNK_SIZE):
-                x = np.ascontiguousarray(ens.x[lo:lo + CHUNK_SIZE].T)
-                u = np.ascontiguousarray(ens.u[:, lo:lo + CHUNK_SIZE].transpose(2, 0, 1))
-                part = []
-                for z, dev in ((x, x - ens.mean.x_bar[:, None]),
-                               (u, u - ens.mean.u_bar.T[:, :, None])):
-                    sq = dev * dev
-                    part += [z.sum(axis=-1), sq.sum(axis=-1),
-                             even_power(sq, mo // 2).sum(axis=-1)]
+                part = _block_sums(sc, ens.mean, ens.x[lo:lo + CHUNK_SIZE],
+                                   ens.u[:, lo:lo + CHUNK_SIZE])
                 sums = part if sums is None else [acc + val for acc, val in zip(sums, part)]
-            want = [s / ens.n_paths for s in sums[:3]] + [s.T / ens.n_paths for s in sums[3:]]
+            want = [s / ens.n_paths for s in sums[:3]] + [sums[3].T / ens.n_paths]
             for name, val in zip(STATISTICS, want):
                 np.testing.assert_array_equal(getattr(ens, name), val,
                                               err_msg=f"{fixture} {name}")
@@ -488,6 +491,93 @@ def test_slabs_match_one_block_reference(fixture, paths, request):
         if name not in ("x", "u"):
             np.testing.assert_array_equal(getattr(streamed, name), value,
                                           err_msg=f"streamed {name}")
+
+
+def _enumerated_draws(sc):
+    """A stand-in for simulate._draw_paths whose ensemble is the whole
+    support of a Rademacher noise law and a finite initial law: path j
+    starts at initial sample j // 2**N and takes the sign of bit k of
+    j % 2**N at step k.  Returns it with the number of paths."""
+    n, law = sc.horizon, sc.x0
+    starts = law.samples if law.kind == "empirical_samples" else np.array([law.start_value()])
+    bits = np.arange(n)[:, None]
+
+    def draw(_sc, _seed, lo, out):
+        eps = out[0]
+        path = lo + np.arange(eps.shape[1])
+        signs = 1.0 - 2.0 * (((path % 2 ** n)[None, :] >> bits) & 1)
+        np.multiply(signs, sc.noise.sigma[:, None], out=eps)
+        return starts[path >> n].astype(float)
+
+    return draw, len(starts) << n
+
+
+def _exact_moments(sc, gains, order):
+    """E[d_k**order] (k = 0..N) and E[v_k**order] (I, N) of the deviation
+    channel, pushed step by step through the closed loop under Rademacher
+    noise (E[eps**j] = sigma**j), from the initial law's central moment."""
+    a, b = sc.deviation_dynamics
+    gain = gains.dev_gain * a
+    clf = a - np.add.reduce(b * gain, axis=0)
+    noise = sc.noise.sigma ** order
+    m = [initial_central_moment(sc.x0, order)]
+    for k in range(sc.horizon):
+        if sc.family is Family.ADDITIVE:
+            m.append(clf[k] ** 2 * m[k] + noise[k])
+        elif sc.family is Family.MULTIPLICATIVE:
+            m.append((clf[k] ** 2 + noise[k]) * m[k])
+        else:
+            m.append(clf[k] ** order * m[k] * noise[k])
+    m = np.array(m)
+    return m, gain ** order * m[:-1]
+
+
+# The enumeration test's relative bound: roundoff only.  In a survey of its
+# eight cases and 800 random draws (N <= 10, up to three agents and five
+# initial samples), the worst gap was 7.8e-16 for a cost and 5.5e-15 for a
+# moment.
+EXACT_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("initial", [
+    {"mean": 2.0, "kind": "deterministic", "atom": 2.5},
+    {"mean": 2.0, "kind": "empirical_samples", "samples": [1.0, 2.5, 3.0, 0.5, 2.25]},
+], ids=["atom", "five_samples"])
+@pytest.mark.parametrize("family,o", [
+    ("additive_variance_2p", None),
+    ("multiplicative_variance_2p", None),
+    ("general_moment_2o2p", 2),
+    ("general_moment_2o2p", 3),
+])
+def test_enumerated_ensemble_is_exact(family, o, initial, monkeypatch):
+    """Over every noise sign sequence times every initial sample, each
+    with equal weight, the ensemble average is the exact expectation: the
+    realized cost equals predicted_cost, and the deviation statistics the
+    moments pushed through the closed loop, up to roundoff.  The 1,024 or
+    5,120 paths are one or two blocks of run_ensemble's own kernel.
+
+    The kernel carries each path as x_bar + d and each control as
+    u_bar + v, so its roundoff in a moment of order j is relative to
+    |x_bar|**j (|u_bar|**j) plus the moment."""
+    sc = _kernel_case(family, o, "rademacher", initial, horizon=10)
+    table, gains = solve(sc)
+    draw, paths = _enumerated_draws(sc)
+    monkeypatch.setattr(mftg.simulate, "_draw_paths", draw)
+    ens = run_ensemble(sc, gains, paths=paths, store_cap=0)
+
+    def close(got, want, what, mean_power=0.0):
+        gap = np.max(np.abs(got - want) / (np.abs(want) + mean_power))
+        assert gap <= EXACT_RTOL, f"{what}: relative gap {gap:.3g}"
+
+    predicted = predicted_cost(sc, table, True)
+    close(np.mean(ens.path_cost, axis=1), predicted, "mean path cost")
+    close(np.array([b.total for b in evaluate_cost(sc, ens, table)]), predicted, "total")
+    mo = sc.moment_order
+    x_bar, u_bar = np.abs(ens.mean.x_bar), np.abs(ens.mean.u_bar)
+    close(ens.dev_m2, _exact_moments(sc, gains, 2)[0], "dev_m2", x_bar ** 2)
+    dev, u_dev = _exact_moments(sc, gains, mo)
+    close(ens.dev_m2o, dev, "dev_m2o", x_bar ** mo)
+    close(ens.u_dev_m2o, u_dev, "u_dev_m2o", u_bar ** mo)
 
 
 class TestCostEvaluation:

@@ -380,15 +380,16 @@ def _push_dev_moment(sc, k, clf, m):
     return even_power(clf, mo) * m * noise_even_moment(sc.noise, k + 1, mo)
 
 
-def _min_curvature_per_pair(order, a, b, r, weight, gain):
-    """Reference: the convexity sampler as one loop over (step, agent)."""
+def _min_curvature_per_pair(order, b, r, weight, gain):
+    """Reference: the convexity sampler as one loop over (step, agent), per
+    unit of the dynamics coefficient."""
     worst = np.inf
-    for k in range(len(a)):
-        w_eq = -gain[:, k] * a[k]
+    for k in range(b.shape[1]):
+        w_eq = -gain[:, k]
         for i in range(len(w_eq)):
             if b[i, k] == 0.0:
                 continue
-            rest = a[k] + np.add.reduce(b[:, k] * w_eq) - b[i, k] * w_eq[i]
+            rest = 1.0 + np.add.reduce(b[:, k] * w_eq) - b[i, k] * w_eq[i]
             width = 2.0 * max(1.0, abs(w_eq[i]))
             grid = np.concatenate([
                 np.linspace(w_eq[i] - width, w_eq[i] + width, 9),
@@ -416,10 +417,10 @@ def _assert_layer_matches_references(sc):
                         for k in range(sc.horizon)])
         np.testing.assert_array_equal(got, want)
         weights.append(table.alpha[:, 1:] * push[1, 1])
-    for (order, a, b, _, r), gain, weight in zip(sc.channels, (gains.mean_gain, gains.dev_gain),
+    for (order, _, b, _, r), gain, weight in zip(sc.channels, (gains.mean_gain, gains.dev_gain),
                                                  weights):
-        np.testing.assert_array_equal(_min_curvature(order, a, b, r, weight, gain),
-                                      _min_curvature_per_pair(order, a, b, r, weight, gain))
+        np.testing.assert_array_equal(_min_curvature(order, b, r, weight, gain),
+                                      _min_curvature_per_pair(order, b, r, weight, gain))
 
 
 class TestClosedLoopLayer:
