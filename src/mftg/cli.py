@@ -356,26 +356,16 @@ def _parse_injection(spec: str, sc: Scenario):
 
 def cmd_verify(args) -> int:
     sc = load_scenario_file(args.scenario)
-    # Each size option is checked before anything is built, the grid's factors
-    # too: the scan holds (modes, factors) tables, the identity (agent, probe) ones.
+    # The grid, factors included, is checked before anything is built: the
+    # scan holds (modes, factors) tables.
     grid = _parse_grid(args.grid, sc.horizon)
-    probes = None
-    if args.probes is not None:
-        if args.probes < 1:
-            raise SchemaError(f"--probes must be at least 1, got {args.probes}")
-        if args.probes * sc.agents > MAX_PATH_FLOATS:
-            raise ResourceLimitError(f"--probes {args.probes} for {sc.agents} agents exceed the "
-                                     f"in-memory budget of {MAX_PATH_FLOATS} table entries")
-        # (mean, moment) rows, drawn alternately from one stream
-        probes = np.random.default_rng(12345).uniform([-3.0, 0.0], [3.0, 4.0],
-                                                      size=(args.probes, 2))
     table, gains = solve(sc)
     injected = None
     if args.inject_gain:
         agent, step, factor = _parse_injection(args.inject_gain, sc)
         gains = inject_gain_scaling(gains, agent, step, factor)
         injected = args.inject_gain
-    report = run_verification(sc, table, gains, grid=grid, probes=probes)
+    report = run_verification(sc, table, gains, grid=grid)
 
     out = Path(args.out)
     checks = report.checks
@@ -568,8 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="equilibrium and identity checks")
     common(p_ver)
     p_ver.add_argument("--grid", default=None, help="deviation grid POINTSxSPAN")
-    p_ver.add_argument("--probes", type=int, default=None,
-                       help="random probe states for the cost-to-go identity")
     p_ver.add_argument("--inject-gain", default=None, metavar="AGENT:STEP:FACTOR",
                        help="test hook: scale one agent's mean gain (STEP '*' = all)")
     p_ver.set_defaults(func=cmd_verify)

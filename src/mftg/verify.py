@@ -26,11 +26,16 @@ only: never from ``alpha`` and never from the solver's ``closed_loop_*``
 audit fields, which a gain injection leaves stale.  The first-order
 conditions are one whole-table ``stationarity_residual`` call, per unit of
 the dynamics coefficient; its verdict row names the worst agent and step.
-The convexity scan is taken per unit of that coefficient too.
+The convexity scan is taken per unit of that coefficient too.  The one-step
+value identity is one whole-table ``bellman_identity_check`` call on the
+12 fixed probe states: it is affine in each channel's moment, so a nonzero
+defect cannot vanish on them.
 
 Scope: the deviation tests perturb within the linear-feedback class the
 equilibrium lives in (plus an open-loop jitter smoke test); they certify no
 profitable deviation inside that class, not over all measurable policies.
+They price absolute costs: at a tiny dynamics coefficient every cost after
+step 0 underflows, and only the stationarity row sees a corrupted gain.
 """
 
 from __future__ import annotations
@@ -105,10 +110,13 @@ class DeviationReport:
     agent: int
     margin: float
     tolerance: float
-    passed: bool
     uniform_argmin_factor: float
     worst_mode: str
     equilibrium_cost: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin <= self.tolerance)  # a NaN margin fails
 
 
 def _push(rows, clf, order: int, m):
@@ -118,12 +126,12 @@ def _push(rows, clf, order: int, m):
     return (even_power(clf, order) + lift) * m * scale + shift
 
 
-def _closed_loop(sc: Scenario, gains: GainSchedule, steps: slice):
-    """The closed loop at K steps, from the gains and the raw data:
-    (coupling, factor, push), where coupling and factor hold one (K,) row
-    per channel and push is each channel's (3, K) push rows.  Each step's
-    coupling is summed along a contiguous agent row, so it has the bits of
-    the solver's.
+def _closed_loop(sc: Scenario, gains: GainSchedule, steps):
+    """The closed loop at K steps (a slice or an index array), from the
+    gains and the raw data: (coupling, factor, push), where coupling and
+    factor hold one (K,) row per channel and push is each channel's (3, K)
+    push rows.  Each step's coupling is summed along a contiguous agent
+    row, so it has the bits of the solver's.
     """
     channels = list(zip(sc.channels, (gains.mean_gain, gains.dev_gain)))
     coupling = np.array([np.add.reduce(np.multiply(b.T[steps], g.T[steps], order="C"), axis=1)
@@ -231,7 +239,6 @@ def unilateral_deviation_test(
         agent=agent,
         margin=margin,
         tolerance=tol,
-        passed=margin <= tol,
         uniform_argmin_factor=argmin,
         worst_mode=mode,
         equilibrium_cost=eq_cost,
@@ -493,16 +500,14 @@ def lq_reduction_check(sc: Scenario) -> LqReduction:
 # one-step value identity
 
 
-DEFAULT_PROBES = tuple(
-    (x_bar, moment) for x_bar in (-2.0, -0.5, 1.0, 3.0) for moment in (0.0, 0.5, 2.0)
-)
+DEFAULT_PROBES = tuple((x, m) for x in (-2.0, -0.5, 1.0, 3.0) for m in (0.0, 0.5, 2.0))
 
 
-def bellman_identity_check(
-    sc: Scenario, table: CoefficientTable, gains: GainSchedule, k: int,
-    probes=None,
-) -> float:
-    """Max residual of the one-step cost-to-go identity at step k.
+def bellman_identity_check(sc: Scenario, table: CoefficientTable, gains: GainSchedule,
+                           k: int | slice = slice(None), probes=None):
+    """Per-step max residual, over agents and probe states, of the one-step
+    cost-to-go identity: a (steps,) array, or a float for one step k, of
+    which only step k is computed.
 
     For each probe state (mean, deviation moment), the channels carry the
     moments (mean^2p, deviation moment), and the cost-to-go must equal the
@@ -510,28 +515,38 @@ def bellman_identity_check(
     moments.  Pushforward factors are recomputed from the gains, and the
     noise enters through its exact moments, so residuals beyond roundoff
     indicate a recursion that prices the noise wrongly.  ``probes`` is a
-    sequence of (mean, moment) pairs or a (P, 2) array.
+    sequence of (mean, moment) pairs or a (P, 2) array.  The whole table
+    takes one probe state at a time, into a running maximum that keeps a
+    NaN; one step takes them all at once, as a row against its column.
     """
-    if probes is None:
-        probes = DEFAULT_PROBES
+    probes = DEFAULT_PROBES if probes is None else probes
     if len(probes) == 0:
         raise SchemaError("the cost-to-go identity needs at least one probe state")
+    steps = range(sc.horizon)[k]
+    one = isinstance(steps, int)
+    cols = slice(steps, steps + 1) if one else np.array(steps)  # one step's columns as views
+    _, factor, push = _closed_loop(sc, gains, cols)
+    # per channel, the (agent, step) tables that no probe state changes
+    channels = [(order, alpha[:, cols], q[:, cols],
+                 r[:, cols] * even_power(gain[:, cols] * a[cols], order),
+                 alpha[:, 1:][:, cols], clf, rows)
+                for (order, a, _, q, r), alpha, gain, clf, rows in zip(
+                    sc.channels, (table.alpha_bar, table.alpha),
+                    (gains.mean_gain, gains.dev_gain), factor, push)]
     x_bar, moment = np.array(probes, dtype=float).T
-    _, factor, push = _closed_loop(sc, gains, slice(k, k + 1))
-    # (agent, probe) arrays, summed over the channels
-    value = stage = nxt = 0.0
-    for (order, a, _, q, r), alpha, gain, clf, rows, m in zip(
-            sc.channels, (table.alpha_bar, table.alpha), (gains.mean_gain, gains.dev_gain),
-            factor[:, 0], push[:, :, 0], (even_power(x_bar, 2 * sc.p), moment)):
-        value = value + alpha[:, k, None] * m
-        u_pow = even_power(gain[:, k, None] * a[k], order)
-        stage = stage + q[:, k, None] * m + r[:, k, None] * u_pow * m
-        nxt = nxt + alpha[:, k + 1, None] * _push(rows, clf, order, m)
-    if table.gamma_bar is not None:
-        value += table.gamma_bar[:, k, None]
-        nxt += table.gamma_bar[:, k + 1, None]
-    residual = np.abs(value - (stage + nxt)) / np.maximum(np.abs(value), 1.0)
-    return float(np.max(residual))
+    worst = 0.0
+    for mean, dev in [(x_bar, moment)] if one else zip(x_bar, moment):
+        value = stage = nxt = 0.0
+        for (order, alpha, q, r_u_pow, alpha_next, clf, rows), m in zip(
+                channels, (even_power(mean, 2 * sc.p), dev)):
+            value = value + alpha * m
+            stage = stage + q * m + r_u_pow * m
+            nxt = nxt + alpha_next * _push(rows, clf, order, m)
+        if table.gamma_bar is not None:
+            value += table.gamma_bar[:, cols]
+            nxt += table.gamma_bar[:, 1:][:, cols]
+        worst = np.maximum(worst, np.abs(value - (stage + nxt)) / np.maximum(np.abs(value), 1.0))
+    return float(np.max(worst)) if one else np.max(worst, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +667,6 @@ def run_verification(
     table: CoefficientTable,
     gains: GainSchedule,
     grid: DeviationGrid | None = None,
-    probes=None,
 ) -> VerificationReport:
     """Run every oracle against a solved scenario and collect the evidence.
 
@@ -661,9 +675,6 @@ def run_verification(
     """
     predicted_cost(sc, table, sc.family.stochastic)
     deviation = [unilateral_deviation_test(sc, gains, i, grid) for i in range(sc.agents)]
-    bellman = np.array([
-        bellman_identity_check(sc, table, gains, k, probes) for k in range(sc.horizon)
-    ])
     positivity = (all(bool(np.all(t > 0.0)) for t in (table.alpha_bar, table.alpha) if t is not None)
                   and (table.gamma_bar is None or bool(np.all(table.gamma_bar >= 0.0))))
     return VerificationReport(
@@ -671,5 +682,5 @@ def run_verification(
         stationarity=stationarity_residual(sc, table, gains),
         positivity_ok=positivity,
         convexity_min=sample_convexity(sc, table, gains),
-        bellman_max_per_step=bellman,
+        bellman_max_per_step=bellman_identity_check(sc, table, gains),
     )

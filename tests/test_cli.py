@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import mftg.cli
 import mftg.simulate
-from mftg import DeviationGrid, load_scenario_file, propagate_mean, serialize_scenario, solve
+from mftg import load_scenario_file, propagate_mean, serialize_scenario, solve
 from mftg.cli import main
 from conftest import SCENARIOS, make_scenario, scenario_doc
 
@@ -372,19 +372,12 @@ class TestVerify:
         row, = [row for row in read_csv(out / "report.csv") if row["section"] == "convexity"]
         assert row["status"] == "pass" and float(row["value"]) > 1.0
 
-    @pytest.mark.parametrize("option", ["--paths=5", "--seed=3"])
+    @pytest.mark.parametrize("option", ["--paths=5", "--seed=3", "--probes=7"])
     def test_retired_replay_options_exit_1(self, tmp_path, option):
         assert main(["verify", ADD, "--out", str(tmp_path / "o"), option]) == 1
+        assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("probes", ["0", "-1"])
-    def test_nonpositive_probes_exit_2(self, tmp_path, capsys, probes):
-        out = tmp_path / "out"
-        assert main(["verify", MULT, "--out", str(out), f"--probes={probes}"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "--probes" in err[0]
-        assert not (out / "report.csv").exists()
-
-    @pytest.mark.parametrize("option", ["grid", "grid-huge", "probes"])
+    @pytest.mark.parametrize("option", ["grid", "grid-huge"])
     def test_size_options_past_the_budget_exit_5(self, tmp_path, capsys, monkeypatch, option):
         # Just past the budget, and the --grid of a bug report; either is
         # refused before the scenario is solved or any table is built.
@@ -396,28 +389,13 @@ class TestVerify:
         budget = mftg.simulate.MAX_PATH_FLOATS
         points = budget // (sc.horizon + 1) + 1
         size = {"grid": f"--grid={points + 1 - points % 2}x0.2",
-                "grid-huge": "--grid=100000000000001x0.2",
-                "probes": f"--probes={budget // sc.agents + 1}"}[option]
+                "grid-huge": "--grid=100000000000001x0.2"}[option]
         out = tmp_path / "out"
         assert main(["verify", ADD, "--out", str(out), size]) == 5
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: --{option.split('-')[0]} ")
         assert str(budget) in err[0]
         assert not out.exists()
-
-    def test_probe_states_keep_their_stream(self, tmp_path):
-        # The probe rows are drawn in one call; they are the pairs that one
-        # uniform draw per coordinate, mean first, gives.
-        rng = np.random.default_rng(12345)
-        want = [(rng.uniform(-3.0, 3.0), rng.uniform(0.0, 4.0)) for _ in range(7)]
-        sc = load_scenario_file(MULT)
-        table, gains = solve(sc)
-        report = mftg.cli.run_verification(sc, table, gains, grid=DeviationGrid(points=3),
-                                           probes=want)
-        out = tmp_path / "out"
-        assert main(["verify", MULT, "--out", str(out), "--grid=3x0.2", "--probes=7"]) == 0
-        rows = [row for row in read_csv(out / "report.csv") if row["section"] == "bellman"]
-        assert [row["value"] for row in rows] == [f"{v:.17g}" for v in report.bellman_max_per_step]
 
     def test_bad_injection_spec_exit_2(self, tmp_path):
         assert main(["verify", DET, "--out", str(tmp_path / "o"),
@@ -603,7 +581,7 @@ def test_near_valid_documents_end_in_an_exit_code(tmp_path_factory, field, value
 _OPTIONS = {
     "--paths": ("simulate", "--paths=64"), "--seed": ("simulate", "--paths=64"),
     "--threads": ("simulate", "--paths=64"), "--grid": ("verify", "--grid=5x0.2"),
-    "--probes": ("verify", "--grid=5x0.2"), "--inject-gain": ("verify", "--grid=5x0.2"),
+    "--inject-gain": ("verify", "--grid=5x0.2"),
     "--sweep": ("sweep", "--sweep=p=2"),
 }
 # "\u0663" is an Arabic-Indic three, which int() reads as 3.

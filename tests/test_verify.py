@@ -26,7 +26,7 @@ from mftg.errors import CoefficientOverflowError, SchemaError
 from mftg.numerics import even_power, noise_even_moment
 from mftg.scenario import Family
 from mftg.simulate import initial_central_moment
-from mftg.verify import _channel_costs, _closed_loop, _min_curvature, _push
+from mftg.verify import BELLMAN_TOL, _channel_costs, _closed_loop, _min_curvature, _push
 from conftest import SCENARIOS, lone_solve, make_scenario, random_deterministic
 from test_properties import scenario_docs
 from test_variants import EXPLICIT_GENERAL
@@ -272,13 +272,29 @@ class TestBellmanIdentity:
         with pytest.raises(SchemaError):
             bellman_identity_check(multiplicative_two_agent, table, gains, 0, probes=())
 
+    @pytest.mark.parametrize("name", ["deterministic_two_agent", "additive_two_agent",
+                                      "multiplicative_two_agent", "general_moment_two_agent"])
+    def test_steps_index_the_whole_table(self, name):
+        sc = load_scenario((SCENARIOS / f"{name}.yaml").read_text())
+        table, gains = solve(sc)
+        for schedule in (gains, inject_gain_scaling(gains, 1, 3, 1.2)):
+            whole = bellman_identity_check(sc, table, schedule)
+            steps = [bellman_identity_check(sc, table, schedule, k) for k in range(sc.horizon)]
+            assert all(type(value) is float for value in steps)
+            assert np.array(steps).tobytes() == whole.tobytes()
+        # a NaN gain fails its own step's row and no other
+        mean_gain = np.array(gains.mean_gain)
+        mean_gain[0, 2] = np.nan
+        whole = bellman_identity_check(sc, table, replace(gains, mean_gain=mean_gain))
+        assert [not value <= BELLMAN_TOL for value in whole] == \
+            [k == 2 for k in range(sc.horizon)]
+
     def test_all_families_below_tolerance(self, additive_two_agent,
                                           multiplicative_two_agent,
                                           general_two_agent):
         for sc in (additive_two_agent, multiplicative_two_agent, general_two_agent):
             table, gains = solve(sc)
-            worst = max(bellman_identity_check(sc, table, gains, k)
-                        for k in range(sc.horizon))
+            worst = np.max(bellman_identity_check(sc, table, gains))
             assert worst <= 1e-10, sc.family
 
     def test_arbitrates_noise_factor_placement(self, general_two_agent):
@@ -290,8 +306,7 @@ class TestBellmanIdentity:
         residuals = {}
         for shipped, (table, gains) in ((True, solve(sc)),
                                         (False, lone_solve(sc, noise_on=("gain",)))):
-            residuals[shipped] = max(bellman_identity_check(sc, table, gains, k)
-                                     for k in range(sc.horizon))
+            residuals[shipped] = np.max(bellman_identity_check(sc, table, gains))
         assert residuals[True] <= 1e-10
         assert residuals[False] > 1e-3
 
@@ -320,6 +335,7 @@ class TestAggregateReport:
             assert report.passed == all(check.passed for check in report.checks)
 
     @pytest.mark.parametrize("section, field, value", [
+        ("deviation", "deviation", 1.0),  # agent 1's margin only
         ("stationarity", "stationarity", 2e-9),  # agent 2 at step 2 only
         ("positivity", "positivity_ok", False),
         ("convexity", "convexity_min", 0.0),
@@ -329,7 +345,11 @@ class TestAggregateReport:
         table, gains = solve(det_two_agent)
         report = run_verification(det_two_agent, table, gains, grid=SMALL_GRID)
         assert report.passed
-        where = {"stationarity": ("2", "2"), "bellman": ("", "2")}.get(section, ("", ""))
+        where = {"deviation": ("1", ""), "stationarity": ("2", "2"),
+                 "bellman": ("", "2")}.get(section, ("", ""))
+        if section == "deviation":
+            # a stored verdict would keep the pass of the replaced margin
+            value = [replace(d, margin=value) if d.agent == 0 else d for d in report.deviation]
         if section == "stationarity":
             value = np.where((np.arange(det_two_agent.agents)[:, None] == 1)
                              & (np.arange(det_two_agent.horizon) == 2), value, report.stationarity)
