@@ -8,17 +8,18 @@ CHUNK_SIZE paths, each from its own substream derived from (seed, block
 index), which makes ensembles reproducible bit for bit.
 
 Paths are propagated in slabs of up to SLAB_BLOCKS whole blocks (a partial
-last block is a slab of its own), one step at a time, and each step is
-reduced as soon as it is made into the four statistics a run reports:
-each block's path sums of the state x, its deviation's square d**2 and
-moment power d**mo, and the controls' deviation moment power v**mo are
-kept for the step, and each path's stage cost is added to that path's
-cost, in a fixed order of elementwise operations.  After the last step the
-block sums are added to the run's running sums in block order, so the
-statistics have the same bits for any slab width.  The step rows are
-reused for the next step, so a slab holds its noise (N x slab floats) and
-a few (I, slab) rows, whatever the horizon.  A run that keeps its paths
-(up to the store cap) also writes each step's rows into the store, so its
+last block is a slab of its own), one step at a time, each path as its
+deviation d = x - x_bar alone and its controls as v = u - u_bar: the split
+the coefficient recursions price.  Each step is reduced as soon as it is
+made into the four statistics a run reports: each block's path sums of the
+state x = x_bar + d, of d**2 and d**mo, and of v**mo are kept for the
+step, and each path's stage cost is added to that path's cost, in a fixed
+order of elementwise operations.  After the last step the block sums are
+added to the run's running sums in block order, so the statistics have
+the same bits for any slab width.  The step rows are reused for the next
+step, so a slab holds its noise (N x slab floats) and two (I, slab) rows,
+whatever the horizon.  A run that keeps its paths (up to the store cap)
+also writes each step's x and u = u_bar + v into the store, so its
 statistics have the same bits as a streamed run's.
 """
 
@@ -58,13 +59,13 @@ class MeanPath:
 class Ensemble:
     """Simulated trajectories and their per-step statistics.
 
-    ``emp_mean`` is the plain path average of the state; ``dev_m2`` /
-    ``dev_m2o`` are its mean squared / mo-power deviations from the exact
-    model mean (the quantity the coefficient recursions price, which
-    matters when the initial law puts its atom away from the declared
-    mean), and ``u_dev_m2o`` (I, N) is the controls' mean mo-power
-    deviation from the exact mean controls, mo the scenario's moment order.
-    With mo = 2, ``dev_m2o`` has the bits of ``dev_m2``.  ``path_cost``
+    ``emp_mean`` is the plain path average of the stored states; ``dev_m2``
+    / ``dev_m2o`` are the mean square / mo-th power of each path's carried
+    deviation d from the exact model mean (what the coefficient recursions
+    price, which matters when the initial law puts its atom away from the
+    declared mean), and ``u_dev_m2o`` (I, N) the mean mo-th power of the
+    controls' deviation v from the exact mean controls, mo the scenario's
+    moment order.  With mo = 2, ``dev_m2o`` has the bits of ``dev_m2``.  ``path_cost``
     holds each agent's realized cost per path, mean terms included.  The
     raw path and control matrices are kept only below the storage cap.
     """
@@ -173,54 +174,52 @@ def _run_block(sc: Scenario, feedback: tuple, mean: MeanPath, eps: np.ndarray,
                store: tuple | None) -> None:
     """Propagate a slab of `blocks` equal blocks of paths from the initial
     states in rows[0] and the step-major noise eps (N, P), one step at a
-    time, and reduce each step as soon as it is made.  feedback = (gain
-    (I, N), push (N)): the controls -gain d and the push they give the
-    state.
+    time, and reduce each step as soon as it is made.  feedback = (-gain
+    (I, N), push (N)): the controls' deviation v = -gain d and the push
+    they give the state.  Each path is carried as its deviation d from
+    x_bar; x = x_bar + d is formed only for its sum and the store, and
+    u = u_bar + v only for the store.
 
-    Each step's sums over each block's paths of x, d**2, d**mo (d = x -
-    x_bar) and v**mo (v = u - u_bar) go to that step's row of parts,
-    (N+1, blocks) and (N, I, blocks) buffers (with mo == 2 the d**2 and
-    d**mo buffers are one); after the last step they are added into sums
-    block by block, in block order.  Each moment power is taken as
-    (dev**2)**(mo/2).  Each path's deviation cost is added into cost (I, P)
-    in a fixed order: the stage costs r_k * v_k**mo + q_k * d_k**mo for
-    k = 0..N-1 in step order, then the terminal q_N * d_N**mo.  That
-    arithmetic is elementwise, so each path's cost, like each block sum,
-    has the same bits for any slab width.  rows are the step rows the slab
-    is propagated in: x, d, d**mo and a scratch row (P), and u, v and
-    v**mo, which becomes the stage cost (I, P).  A kept store gets each
-    step's rows written into its views store = (x (P, N+1), u (I, P, N)).
+    Each step's sums over each block's paths of x, d**2, d**mo and v**mo
+    go to that step's row of parts, (N+1, blocks) and (N, I, blocks)
+    buffers (with mo == 2 the d**2 and d**mo buffers are one); after the
+    last step they are added into sums block by block, in block order.
+    Each moment power is taken as (dev**2)**(mo/2).  Each path's deviation
+    cost is added into cost (I, P) in a fixed order: the stage costs
+    r_k * v_k**mo + q_k * d_k**mo for k = 0..N-1 in step order, then the
+    terminal q_N * d_N**mo.  That arithmetic is elementwise, so each path's
+    cost, like each block sum, has the same bits for any slab width.  rows
+    are the step rows: x, d, d**mo and a scratch row (P), and v and v**mo,
+    which becomes the stage cost (I, P).  A kept store gets each step's x
+    and u written into its views store = (x (P, N+1), u (I, P, N)).
     """
     n, slot, mo = sc.horizon, sc.family.noise_slot, sc.moment_order
-    x, d, d_pow, tmp, u, v, stage = rows
+    x, d, d_pow, tmp, v, stage = rows
     x_part, d2_part, dmo_part, vmo_part = (p[..., :blocks] for p in parts)
-    gain, push = feedback
+    neg_gain, push = feedback
     q_dev, r_dev = sc.q_dev, sc.r_dev
     x_bar, u_bar = mean.x_bar, mean.u_bar
     a = sc.deviation_dynamics[0]
-    # The squares go to scratch rows when mo > 2, so that even_power never
-    # copies its input: d**2 to tmp, and v**2 to u once u is stored.
-    d_sq, v_sq = (d_pow, stage) if mo == 2 else (tmp, u)
+    # With mo > 2 the squares go to tmp and to v, so even_power never copies.
+    d_sq, v_sq = (d_pow, stage) if mo == 2 else (tmp, v)
     # (..., blocks, B) views of the rows summed per block
     x_blocks, sq_blocks, d_blocks = (row.reshape(blocks, -1) for row in (x, d_sq, d_pow))
     v_blocks = stage.reshape(sc.agents, blocks, -1)
     np.subtract(x, x_bar[0], out=d)
     for k in range(n + 1):
         np.add.reduce(x_blocks, axis=-1, out=x_part[k])
+        if store:
+            store[0][:, k] = x
         np.multiply(d, d, out=d_sq)
         np.add.reduce(sq_blocks, axis=-1, out=d2_part[k])
         if mo > 2:
             even_power(d_sq, mo // 2, out=d_pow)
             np.add.reduce(d_blocks, axis=-1, out=dmo_part[k])
-        if store:
-            store[0][:, k] = x
         if k == n:
             break
-        np.multiply(gain[:, k, None], d, out=u)
-        np.subtract(u_bar[:, k, None], u, out=u)
-        np.subtract(u, u_bar[:, k, None], out=v)
+        np.multiply(neg_gain[:, k, None], d, out=v)
         if store:
-            store[1][:, :, k] = u
+            np.add(u_bar[:, k, None], v, out=store[1][:, :, k])
         np.multiply(v, v, out=v_sq)
         if mo > 2:
             even_power(v_sq, mo // 2, out=stage)
@@ -229,24 +228,22 @@ def _run_block(sc: Scenario, feedback: tuple, mean: MeanPath, eps: np.ndarray,
         np.multiply(q_dev[:, k, None], d_pow, out=v)
         stage += v
         cost += stage
-        # The dynamics split exactly into the mean recursion plus a
-        # deviation channel; propagating the deviation and re-adding the
-        # exact mean keeps zero-noise paths bit-identical to the mean path.
-        # The controls -gain d push the state by push[k] d, so each path's
-        # arithmetic does not depend on how many paths share its slab.
-        np.multiply(d, a[k], out=x)
+        # The dynamics split exactly into the mean recursion plus this
+        # deviation channel, so zero-noise paths stay at d = 0, on the mean
+        # path.  Each path's arithmetic does not depend on how many paths
+        # share its slab; the noise enters in the family's push slot.
         np.multiply(d, push[k], out=tmp)
-        x -= tmp
-        # The noise enters in the family's push slot, path by path.
+        if slot == "lift":
+            np.multiply(d, eps[k], out=x)
+        d *= a[k]
+        d -= tmp
         if slot == "shift":
-            x += eps[k]
+            d += eps[k]
         elif slot == "lift":
-            np.multiply(d, eps[k], out=tmp)
-            x += tmp
+            d += x
         else:
-            x *= eps[k]
-        x += x_bar[k + 1]
-        np.subtract(x, x_bar[k + 1], out=d)
+            d *= eps[k]
+        np.add(d, x_bar[k + 1], out=x)
     np.multiply(q_dev[:, n, None], d_pow, out=stage)
     cost += stage
     for j in range(blocks):
@@ -263,13 +260,14 @@ def _run_slabs(sc: Scenario, gains: GainSchedule, mean: MeanPath, seed: int,
     n, agents = sc.horizon, sc.agents
     a, b = sc.deviation_dynamics
     gain = gains.dev_gain * a
-    feedback = (gain, np.add.reduce(np.ascontiguousarray((b * gain).T), axis=1))
+    push = np.add.reduce(np.ascontiguousarray((b * gain).T), axis=1)
+    feedback = (np.negative(gain, out=gain), push)
     # Each slab's per-block step sums of the statistics in sums.
     parts = [np.empty((n + 1, blocks)) for _ in range(3)] + [np.empty((n, agents, blocks))]
     if sc.moment_order == 2:
         parts[2] = parts[1]
     width = min(blocks * CHUNK_SIZE, n_paths)
-    rows = [np.empty(width) for _ in range(4)] + [np.empty(agents * width) for _ in range(3)]
+    rows = [np.empty(width) for _ in range(4)] + [np.empty(agents * width) for _ in range(2)]
     noise = np.empty(n * width)
     # Only a Gaussian draw has an out= form.
     draw = np.empty((min(CHUNK_SIZE, n_paths), n)) if sc.noise.kind == "gaussian" else None
@@ -293,7 +291,7 @@ def _memory_plan(sc: Scenario, n_paths: int, store_cap: int,
 
     A run holds the per-path costs; the path-major draw buffer (N floats
     per path of a block); the step-major noise and step rows of its widest
-    slab (N + 4 floats and three of I per path); the running path sums of
+    slab (N + 4 floats and two of I per path); the running path sums of
     its four statistics, x, d**2 and d**mo (N+1 floats each) and v**mo
     (N x I), and a slab's per-block step sums of the same; two tables of at
     most (N+1) x (I+1) floats, the feedback gains and the mean path;
@@ -312,7 +310,7 @@ def _memory_plan(sc: Scenario, n_paths: int, store_cap: int,
     def held(blocks):
         width = min(blocks * CHUNK_SIZE, n_paths)
         tables = (1 + blocks) * (3 * (n + 1) + n * agents) + 2 * (n + 1) * (agents + 1)
-        return (agents * n_paths + draw * n + width * (n + 4 + 3 * agents) + tables
+        return (agents * n_paths + draw * n + width * (n + 4 + 2 * agents) + tables
                 + 3 * np.getbufsize())
 
     per_block = draw + CHUNK_SIZE

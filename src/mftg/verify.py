@@ -26,10 +26,11 @@ only: never from ``alpha`` and never from the solver's ``closed_loop_*``
 audit fields, which a gain injection leaves stale.  The first-order
 conditions are one whole-table ``stationarity_residual`` call, per unit of
 the dynamics coefficient; its verdict row names the worst agent and step.
-The convexity scan is taken per unit of that coefficient too.  The one-step
-value identity is one whole-table ``bellman_identity_check`` call on the
-12 fixed probe states: it is affine in each channel's moment, so a nonzero
-defect cannot vanish on them.
+The convexity scan is taken per unit of that coefficient too, one
+(agent, step) table per sample.  The one-step value identity is one
+whole-table ``bellman_identity_check`` call on the 12 fixed probe states,
+one (agent, step) table per state: it is affine in each channel's moment,
+so a nonzero defect cannot vanish on them.
 
 Scope: the deviation tests perturb within the linear-feedback class the
 equilibrium lives in (plus an open-loop jitter smoke test); they certify no
@@ -41,7 +42,7 @@ step 0 underflows, and only the stationarity row sees a corrupted gain.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import chain, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -565,27 +566,28 @@ def _min_curvature(order: int, b, r, weight, gain) -> float:
     no change of sign, but an underflow for tiny a.  So w, rest and the
     samples are taken per unit of a, as w/a = -g and rest/a.
 
-    The whole (agent, step, sample) table is one array expression.  Agents
-    with b = 0 have no best-response problem and are masked out.  When rest
-    or weight is zero the objective is a single even power centred at 0:
-    strictly convex, although its curvature vanishes at the centre, so the
-    centre is masked out too.
+    Each sample is one (agent, step) table, folded into a running
+    np.minimum, so no (agent, step, sample) table is held.  The first nine
+    are np.linspace(w - width, w + width, 9) entry for entry: start + j *
+    step, and the end point itself.  Agents with b = 0 have no best-response
+    problem and are masked out.  When rest or weight is zero the objective
+    is a single even power centred at 0: strictly convex, although its
+    curvature vanishes at the centre, so the centre is masked out too.
     """
     w_eq = -gain
     rest = 1.0 + np.add.reduce(np.multiply(b.T, w_eq.T, order="C"), axis=1) - b * w_eq
     width = 2.0 * np.maximum(1.0, np.abs(w_eq))
     pivot = np.divide(-rest, b, out=np.zeros_like(rest), where=b != 0.0)
-    grid = np.concatenate([
-        np.linspace(w_eq - width, w_eq + width, 9, axis=-1),
-        np.zeros_like(rest)[..., None], pivot[..., None],
-    ], axis=-1)
-    # (agent, step) tables against the (agent, step, sample) grid
-    r, b2_weight, rest, b = (v[..., None] for v in (r, weight * even_power(b, 2), rest, b))
-    curvature = order * (order - 1) * (
-        r * grid ** (order - 2) + b2_weight * (rest + b * grid) ** (order - 2)
-    )
-    centre = ((rest == 0.0) | (weight[..., None] == 0.0)) & (grid == 0.0)
-    return float(np.min(np.where((b == 0.0) | centre, np.inf, curvature)))
+    start, stop = w_eq - width, w_eq + width
+    step = (stop - start) / 8
+    b2_weight, flat = weight * even_power(b, 2), (rest == 0.0) | (weight == 0.0)
+    lowest = np.full_like(rest, np.inf)
+    for w in chain((j * step + start for j in range(8)), (stop, 0.0, pivot)):
+        curvature = order * (order - 1) * (
+            r * w ** (order - 2) + b2_weight * (rest + b * w) ** (order - 2))
+        np.minimum(lowest, np.where((b == 0.0) | (flat & (w == 0.0)), np.inf, curvature),
+                   out=lowest)
+    return float(np.min(lowest))
 
 
 def sample_convexity(sc: Scenario, table: CoefficientTable, gains: GainSchedule) -> float:
