@@ -322,7 +322,7 @@ def _write_plots(out: Path, sc: Scenario, table, mean, ensemble) -> dict[str, st
     return {name: _write_text(out / name, svg) for name, svg in plots}
 
 
-def _parse_grid(spec: str | None, horizon: int) -> DeviationGrid:
+def _parse_grid(spec: str | None, sc: Scenario) -> DeviationGrid:
     points, span = DeviationGrid.points, DeviationGrid.span
     if spec:
         try:
@@ -330,9 +330,10 @@ def _parse_grid(spec: str | None, horizon: int) -> DeviationGrid:
             points, span = int(points_str), float(span_str)
         except ValueError:
             raise SchemaError(f"--grid expects POINTSxSPAN, e.g. 101x0.2, got {spec!r}")
-    if points * (horizon + 1) > MAX_PATH_FLOATS:
-        raise ResourceLimitError(f"--grid {points} points over {horizon} steps exceed "
-                                 f"the in-memory budget of {MAX_PATH_FLOATS} table entries")
+    if points * max(sc.agents, sc.horizon + 1) > MAX_PATH_FLOATS:
+        raise ResourceLimitError(f"--grid {points} points over {sc.agents} agents and "
+                                 f"{sc.horizon} steps exceed the in-memory budget of "
+                                 f"{MAX_PATH_FLOATS} table entries")
     return DeviationGrid(points=points, span=span)
 
 
@@ -357,8 +358,8 @@ def _parse_injection(spec: str, sc: Scenario):
 def cmd_verify(args) -> int:
     sc = load_scenario_file(args.scenario)
     # The grid, factors included, is checked before anything is built: the
-    # scan holds (modes, factors) tables.
-    grid = _parse_grid(args.grid, sc.horizon)
+    # scan holds (agent, factor) tables.
+    grid = _parse_grid(args.grid, sc)
     table, gains = solve(sc)
     injected = None
     if args.inject_gain:
@@ -588,3 +589,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

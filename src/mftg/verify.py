@@ -23,7 +23,8 @@ family or branches on the channel.
 The closed-loop factor clf_k = a_k (1 - sum_j b_jk g_jk) comes from one
 layer, ``_closed_loop``, built from the gains and the raw scenario data
 only: never from ``alpha`` and never from the solver's ``closed_loop_*``
-audit fields, which a gain injection leaves stale.  The first-order
+audit fields, which a gain injection leaves stale.  The deviation scan is
+one pass over every agent, on (agent, factor) tables.  The first-order
 conditions are one whole-table ``stationarity_residual`` call, per unit of
 the dynamics coefficient; its verdict row names the worst agent and step.
 The convexity scan is taken per unit of that coefficient too, one
@@ -150,100 +151,93 @@ def _initial_moments(sc: Scenario) -> list[float]:
     return moments
 
 
-def _channel_costs(sc: Scenario, gains: GainSchedule, agent: int,
-                   factors: np.ndarray, per_step: bool) -> list[tuple[str, np.ndarray]]:
-    """Exact cost of ``agent`` in each channel, per mode and factor.
+def _channel_costs(sc: Scenario, gains: GainSchedule, agents: np.ndarray,
+                   factors: np.ndarray, per_step: bool):
+    """Exact costs of ``agents`` in each channel, per mode and factor.
 
     Every perturbed policy stays linear in the state, so each channel is
     carried by its moment m_k (x_bar^2p for the mean, E[d_k^mo] for the
     deviation), which its push rows move one step; the channels' costs are
-    separable, so each is scanned with its own gain.  Costs are (modes,
-    factors) arrays: row 0 scales the agent's gain at every step, row 1 + k
-    at step k only.
+    separable, so each is scanned with its own gain.  Yields (channel, k,
+    costs), costs an (agent, factor) table: with ``per_step``, the mode
+    scaling each agent's gain at step k only, for k = 0..N-1, then k = None,
+    the mode scaling it at every step.
 
-    Row 0 is one forward pass; its factor-1 column gives each step's
-    equilibrium moment and prefix cost.  Row 1 + k is that prefix, plus the
-    perturbed stage cost, plus the equilibrium cost-to-go of the perturbed
-    next moment, A_{k+1} m + B_{k+1}.  The tails A and B are taken backward
-    from the gains and the raw data, never from ``alpha``, which an injected
-    gain leaves stale.
+    One forward loop carries the k = None mode; its factor-1 column gives
+    each step's equilibrium moment and prefix cost.  Mode k is that prefix,
+    plus the perturbed stage cost, plus the equilibrium cost-to-go of the
+    perturbed next moment, A_{k+1} m + B_{k+1}.  The (agent, N+1) tails A
+    and B are taken backward from the gains and the raw data, never from
+    ``alpha``, which an injected gain leaves stale.
     """
     n = sc.horizon
     eq = factors.size // 2
     coupling, factor, push = _closed_loop(sc, gains, slice(None))
-    out = []
     for (order, a, b, q, r), gain, m0, rows, c, clf_eq, name in zip(
             sc.channels, (gains.mean_gain, gains.dev_gain), _initial_moments(sc), push,
             coupling, factor, ("mean", "deviation")):
-        g, q, r, b_g = gain[agent], q[agent], r[agent], b[agent] * gain[agent]
+        g, q, r, b_g = gain[agents], q[agents], r[agents], b[agents] * gain[agents]
 
-        def stage(k, f):
-            return q[k] + r[k] * even_power(f * g[k] * a[k], order)
+        def stage(steps, f):
+            return q[:, steps] + r[:, steps] * even_power(f * g[:, steps] * a[steps], order)
 
-        def next_moment(k, f, m):
+        if per_step:
+            tail, constant = np.empty((agents.size, n + 1)), np.zeros((agents.size, n + 1))
+            tail[:, n] = q[:, n]
+            grow = (even_power(clf_eq, order) + rows[0]) * rows[1]
+            stage_eq = stage(slice(n), 1.0)
+            for k in range(n - 1, -1, -1):
+                tail[:, k] = stage_eq[:, k] + grow[k] * tail[:, k + 1]
+                constant[:, k] = constant[:, k + 1] + tail[:, k + 1] * rows[2, k]
+        cost = np.zeros((agents.size, factors.size))
+        m = np.full_like(cost, m0)
+        for k in range(n):
+            step_cost = stage(slice(k, k + 1), factors)
             # a (1 - sum_j b_j g_j) with the agent's b_j g_j scaled by f; written
             # around f - 1 so the factor-1 column is the equilibrium loop exactly
-            clf = a[k] - a[k] * (c[k] + b_g[k] * (f - 1.0))
-            return _push(rows[:, k], clf, order, m)
-
-        cost = np.zeros(factors.size)
-        m = np.full(factors.size, m0)
-        m_eq, prefix = np.empty(n), np.empty(n)
-        for k in range(n):
-            m_eq[k], prefix[k] = m[eq], cost[eq]
-            cost += stage(k, factors) * m
-            m = next_moment(k, factors, m)
-        cost += q[n] * m
-        if not per_step:
-            out.append((name, cost[None]))
-            continue
-        tail, constant = np.empty(n + 1), np.zeros(n + 1)
-        tail[n] = q[n]
-        grow = (even_power(clf_eq, order) + rows[0]) * rows[1]
-        stage_eq = stage(np.arange(n), 1.0)
-        for k in range(n - 1, -1, -1):
-            tail[k] = stage_eq[k] + grow[k] * tail[k + 1]
-            constant[k] = constant[k + 1] + tail[k + 1] * rows[2, k]
-        steps, f = np.arange(n)[:, None], factors[None, :]
-        m_k = m_eq[:, None]
-        per_step_cost = (prefix[:, None] + stage(steps, f) * m_k
-                         + tail[1:, None] * next_moment(steps, f, m_k) + constant[1:, None])
-        out.append((name, np.vstack([cost, per_step_cost])))
-    return out
+            clf = a[k] - a[k] * (c[k] + b_g[:, k, None] * (factors - 1.0))
+            if per_step:
+                m_eq = m[:, eq, None]
+                yield name, k, (cost[:, eq, None] + step_cost * m_eq
+                                + tail[:, k + 1, None] * _push(rows[:, k], clf, order, m_eq)
+                                + constant[:, k + 1, None])
+            cost += step_cost * m
+            m = _push(rows[:, k], clf, order, m)
+        cost += q[:, n, None] * m
+        yield name, None, cost
 
 
 def unilateral_deviation_test(
-    sc: Scenario, gains: GainSchedule, agent: int, grid: DeviationGrid | None = None
-) -> DeviationReport:
+    sc: Scenario, gains: GainSchedule, agent: int | slice, grid: DeviationGrid | None = None
+) -> DeviationReport | list[DeviationReport]:
     """Scan multiplicative perturbations of one agent's gains, all other
-    agents held at equilibrium, and report the best cost improvement found.
+    agents held at equilibrium, and report the best cost improvement found:
+    one report for an agent index, a list in agent order for a slice.
 
     Each channel's gain is scanned on its own, so the mean channel's
-    curvature cannot hide an error in the deviation gain.
+    curvature cannot hide an error in the deviation gain.  A channel's
+    (agent, mode) margins are reduced by argmax: the uniform mode wins a
+    tie, the first NaN wins, and a later channel wins only with a larger
+    margin.
     """
+    agents = np.arange(sc.agents)[agent]
     grid = grid or DeviationGrid()
-    factors = grid.factors()
-    eq = grid.points // 2
-    channels = _channel_costs(sc, gains, agent, factors, grid.per_step)
-    eq_cost = sum(float(cost[0, eq]) for _, cost in channels)
-    tol = DEVIATION_TOL * max(abs(eq_cost), 1e-12)
-    worst = None
-    for name, cost in channels:
-        margins = cost[:, eq] - cost.min(axis=1)
-        row = int(np.argmax(margins))
-        if worst is None or margins[row] > worst[0]:
-            mode = "uniform" if row == 0 else f"step {row - 1}"
-            argmin = float(factors[np.argmin(cost[0])])
-            worst = (float(margins[row]), f"{name} {mode}", argmin)
-    margin, mode, argmin = worst
-    return DeviationReport(
-        agent=agent,
-        margin=margin,
-        tolerance=tol,
-        uniform_argmin_factor=argmin,
-        worst_mode=mode,
-        equilibrium_cost=eq_cost,
-    )
+    factors, eq = grid.factors(), grid.points // 2
+    margins = np.empty((agents.size, 1 + sc.horizon if grid.per_step else 1))
+    eq_cost, worst = 0.0, [None] * agents.size
+    for name, k, cost in _channel_costs(sc, gains, agents.reshape(-1), factors, grid.per_step):
+        margins[:, 0 if k is None else 1 + k] = cost[:, eq] - cost.min(axis=1)
+        if k is not None:
+            continue
+        eq_cost = eq_cost + cost[:, eq]
+        argmin = factors[np.argmin(cost, axis=1)]
+        for j, row in enumerate(np.argmax(margins, axis=1)):
+            if worst[j] is None or margins[j, row] > worst[j][0]:
+                mode = "uniform" if row == 0 else f"step {row - 1}"
+                worst[j] = (float(margins[j, row]), f"{name} {mode}", float(argmin[j]))
+    reports = [DeviationReport(int(i), margin, DEVIATION_TOL * max(abs(c), 1e-12), argmin, mode, c)
+               for i, c, (margin, mode, argmin) in zip(agents.flat, eq_cost.tolist(), worst)]
+    return reports if agents.ndim else reports[0]
 
 
 def inject_gain_scaling(
@@ -676,7 +670,7 @@ def run_verification(
     the float range raises CoefficientOverflowError before any of them runs.
     """
     predicted_cost(sc, table, sc.family.stochastic)
-    deviation = [unilateral_deviation_test(sc, gains, i, grid) for i in range(sc.agents)]
+    deviation = unilateral_deviation_test(sc, gains, slice(None), grid)
     positivity = (all(bool(np.all(t > 0.0)) for t in (table.alpha_bar, table.alpha) if t is not None)
                   and (table.gamma_bar is None or bool(np.all(table.gamma_bar >= 0.0))))
     return VerificationReport(

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -397,6 +400,23 @@ class TestVerify:
         assert str(budget) in err[0]
         assert not out.exists()
 
+    def test_grid_past_the_budget_over_agents_exit_5(self, tmp_path, capsys, monkeypatch):
+        # The scan holds (agent, factor) tables: with more agents than steps,
+        # the agents bound the grid.
+        def unreachable(sc):
+            raise AssertionError("solve reached past a size check")
+
+        monkeypatch.setattr(mftg.cli, "solve", unreachable)
+        budget = 101 * 3
+        monkeypatch.setattr(mftg.cli, "MAX_PATH_FLOATS", budget)
+        path = write_doc(tmp_path, scenario_doc(agents=8, horizon=2))
+        out = tmp_path / "out"
+        assert main(["verify", path, "--out", str(out), "--grid=101x0.2"]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --grid 101 points over 8 agents ")
+        assert str(budget) in err[0]
+        assert not out.exists()
+
     def test_bad_injection_spec_exit_2(self, tmp_path):
         assert main(["verify", DET, "--out", str(tmp_path / "o"),
                      "--inject-gain", "9:*:1.2"]) == 2
@@ -634,6 +654,22 @@ def traced_peak(write):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # `python -m mftg.cli` is the entry point without an install.
+    env = {**os.environ, "PYTHONPATH": str(Path(mftg.cli.__file__).parents[1])}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "mftg.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    out = tmp_path / "out"
+    solved = run("solve", DET, "--out", str(out))
+    assert solved.returncode == 0, solved.stderr
+    assert (out / "manifest.txt").is_file()
+    usage = run("solve")
+    assert usage.returncode == 1 and usage.stderr.startswith("usage:")
 
 
 class TestOutputMemory:

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -542,11 +543,22 @@ def _gain_variants(sc):
     return variants
 
 
+def _scan_tables(sc, gains, factors):
+    """Each channel's (agent, 1 + N, factors) scan costs, built from the
+    yielded (agent, factors) tables: row 0 uniform, row 1 + k step k."""
+    tables = {}
+    for name, k, cost in _channel_costs(sc, gains, np.arange(sc.agents), factors, True):
+        table = tables.setdefault(name, np.empty((sc.agents, 1 + sc.horizon, factors.size)))
+        table[:, 0 if k is None else 1 + k] = cost
+    return list(tables.items())
+
+
 def _assert_scan_matches_replay(sc, grid=SMALL_GRID):
     factors = grid.factors()
     for gains in _gain_variants(sc):
+        tables = _scan_tables(sc, gains, factors)
         for agent in range(sc.agents):
-            got = _channel_costs(sc, gains, agent, factors, True)
+            got = [(name, table[agent]) for name, table in tables]
             want = _replay_channel_costs(sc, gains, agent, factors)
             assert [name for name, _ in got] == [name for name, _ in want]
             for (name, cost), (_, reference) in zip(got, want):
@@ -606,3 +618,36 @@ class TestSingleStepCorruption:
             report = unilateral_deviation_test(sc, replace(gains, dev_gain=dev_gain), agent)
             assert not report.passed, (agent, report)
             assert report.worst_mode == "deviation step 1", (agent, report)
+
+
+class TestWholeTableScan:
+    """``slice(None)`` scans every agent in one pass, and holds (agent,
+    factor) tables only."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_reports_equal_the_per_agent_calls(self, name):
+        sc = load_scenario((SCENARIOS / f"{name}.yaml").read_text())
+        _, gains = solve(sc)
+        for variant in (gains, inject_gain_scaling(gains, 0, None, 1.2),
+                        inject_gain_scaling(gains, 0, 2, float("nan"))):
+            reports = unilateral_deviation_test(sc, variant, slice(None))
+            assert [report.agent for report in reports] == list(range(sc.agents))
+            assert [repr(report) for report in reports] == [
+                repr(unilateral_deviation_test(sc, variant, agent)) for agent in range(sc.agents)]
+        assert np.isnan(reports[0].margin) and not reports[0].passed
+
+    def test_no_agent_step_factor_table(self):
+        sc = make_scenario(family="general_moment_2o2p", agents=8, horizon=400, o=2, a_bar=0.9,
+                           a_dev=0.9, noise={"kind": "gaussian", "sigma": 0.5},
+                           initial={"mean": 2.0, "kind": "gaussian_around_mean",
+                                    "variance": 1.0})
+        _, gains = solve(sc)
+        grid = DeviationGrid()
+        tracemalloc.start()
+        try:
+            unilateral_deviation_test(sc, gains, slice(None), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = sc.agents * sc.horizon * grid.points * np.dtype(float).itemsize
+        assert peak < table / 2, (peak, table)
