@@ -45,14 +45,9 @@ from .simulate import (
 from .verify import (
     DeviationGrid,
     DeviationReport,
-    LqReduction,
-    OneStepSolution,
     VerificationReport,
     bellman_identity_check,
-    brute_force_one_step,
     inject_gain_scaling,
-    lq_reduction_check,
-    open_loop_jitter_test,
     run_verification,
     sample_convexity,
     unilateral_deviation_test,

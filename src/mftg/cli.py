@@ -273,6 +273,9 @@ def cmd_simulate(args) -> int:
         # Keep the paths only when trajectories.csv will be written from them.
         store_cap = min(DEFAULT_STORE_CAP, TRAJECTORY_ROW_LIMIT // (sc.horizon + 1))
         ensemble = run_ensemble(sc, gains, paths=paths, seed=args.seed, store_cap=store_cap)
+        if ensemble.x is None and paths <= store_cap:
+            print("warning: the path store does not fit the in-memory budget; "
+                  "trajectories.csv not written", file=sys.stderr)
     mean = propagate_mean(sc, gains) if ensemble is None else ensemble.mean
     terminal = (sc.horizon + 1, 2)
     files = {"meanpath.csv": _write_csv(out / "meanpath.csv", _meanpath_header(sc.agents),

@@ -8,7 +8,8 @@ elementwise product, never a BLAS product (``@``, ``np.dot``, ``np.matmul``,
 ``np.einsum``), and every integer array power is ``even_power``, never a
 SIMD ``pow`` through ``**``.  Products and NumPy's own reductions round alike
 on every CPU.  Along a contiguous last axis the sum is NumPy's pairwise sum,
-so each row of a stacked table sums to the bits of that row alone.
+so each row of a stacked table sums to the bits of that row alone;
+``agent_sum`` is that sum over agents, one contiguous row per step.
 """
 
 from __future__ import annotations
@@ -80,6 +81,14 @@ def even_power(x, m: int, out: np.ndarray | None = None):
             return out
         out *= out
         shift -= 1
+
+
+def agent_sum(x, y):
+    """Sum over agents of x * y, for (I,) or (I, K) tables: the products of
+    each step laid out as one contiguous agent row and summed along it, so
+    a step has the same bits alone as in a whole table.  Returns a scalar
+    or a (K,) row."""
+    return np.add.reduce(np.multiply(x.T, y.T, order="C"), axis=-1)
 
 
 def noise_even_moment(spec, k: int, order: int) -> float:

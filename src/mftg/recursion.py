@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoefficientOverflowError
-from .numerics import _odd_root, even_power
+from .numerics import _odd_root, agent_sum, even_power
 from .scenario import PUSH_SLOTS, Scenario, _freeze
 
 OVERFLOW_LIMIT = 1e300
@@ -218,7 +218,7 @@ def stationarity_residual(sc: Scenario, table: CoefficientTable, gains: GainSche
     t2 = alpha_{k+1,i} s_k b_i (a + sum_j b_j u_j)^(o-1) with u_j = -g_j a and
     s_k the ``Scenario.push_rows`` scale row.  Both carry a^(o-1), which
     cancels, so they are taken per unit of a, as u/a = -g and
-    1 - sum_j b_j g_j (summed along a contiguous agent row, as in the solver),
+    1 - sum_j b_j g_j (``agent_sum``, with the bits of the solver's sum),
     and cannot underflow with a.  Zero at the computed gains up to roundoff.
     """
     steps = np.arange(sc.horizon)[k]
@@ -227,7 +227,7 @@ def stationarity_residual(sc: Scenario, table: CoefficientTable, gains: GainSche
             sc.channels, (table.alpha_bar, table.alpha), (gains.mean_gain, gains.dev_gain),
             sc.push_rows[:, 1, steps]):
         b, g = b[:, steps], gain[:, steps]
-        coupling = np.add.reduce(np.multiply(b.T, g.T, order="C"), axis=-1)
+        coupling = agent_sum(b, g)
         t1 = -r[:, steps] * even_power(g, order - 1)
         t2 = alpha[:, steps + 1] * scale * b * even_power(1.0 - coupling, order - 1)
         top, bottom = np.abs(t1 + t2), np.maximum(np.abs(t1), np.abs(t2))

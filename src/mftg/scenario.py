@@ -55,10 +55,11 @@ class Family(str, enum.Enum):
     names that place: additive noise is a shift, multiplicative noise a
     lift, and the general-moment family a scale, which puts the order-2o
     moment on both the best response and the closed-loop term; the one-step
-    value identity and the brute-force oracle in mftg.verify confirm each
-    placement.  The other two slots hold their PUSH_SLOTS neutral value.
-    The mean channel is the same push of its moment xbar^2p with all three
-    slots neutral; ``Scenario.push_rows`` holds every channel's rows.
+    value identity in mftg.verify and the brute-force oracle in
+    tests/oracles.py confirm each placement.  The other two slots hold
+    their PUSH_SLOTS neutral value.  The mean channel is the same push of
+    its moment xbar^2p with all three slots neutral; ``Scenario.push_rows``
+    holds every channel's rows.
     """
 
     DETERMINISTIC = "deterministic_2p"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoefficientOverflowError, NumericDomainError, ResourceLimitError
-from .numerics import _odd_double_factorial, even_power
+from .numerics import _odd_double_factorial, agent_sum, even_power
 from .recursion import CoefficientTable, GainSchedule
 from .scenario import InitialLaw, Scenario
 
@@ -260,7 +260,7 @@ def _run_slabs(sc: Scenario, gains: GainSchedule, mean: MeanPath, seed: int,
     n, agents = sc.horizon, sc.agents
     a, b = sc.deviation_dynamics
     gain = gains.dev_gain * a
-    push = np.add.reduce(np.ascontiguousarray((b * gain).T), axis=1)
+    push = agent_sum(b, gain)
     feedback = (np.negative(gain, out=gain), push)
     # Each slab's per-block step sums of the statistics in sums.
     parts = [np.empty((n + 1, blocks)) for _ in range(3)] + [np.empty((n, agents, blocks))]

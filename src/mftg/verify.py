@@ -1,12 +1,15 @@
 """Independent correctness oracles for solved scenarios.
 
-Nothing here reuses the backward-recursion formulas: deviation tests price
-perturbed policies by pushing each channel's moment forward exactly, the
-one-step solver minimizes each agent's objective numerically from the raw
-problem data, the quadratic reduction is checked against a separately coded
-scalar Riccati recursion, and the one-step value identity is evaluated with
-the same exact moment push, recomputed from the gains.  These oracles are
-what certify the solver.
+``run_verification`` reports five sections, and nothing here reuses the
+backward-recursion formulas: the unilateral-deviation scan prices
+perturbed policies by pushing each channel's moment forward exactly; the
+first-order conditions are checked at the solved gains; the coefficient
+tables must be positive; the best-response objectives are sampled for
+convexity; and the one-step value identity is evaluated with the same
+exact moment push, recomputed from the gains.  These oracles are what
+certify the solver.  Two references that only the tests run, a
+brute-force one-step solver and a scalar Riccati recursion, live in
+tests/oracles.py.
 
 Every oracle runs one body per channel of ``Scenario.channels``.  A channel
 of order o carries a moment m: x_bar^2p for the mean, E[d^mo] of the
@@ -34,10 +37,10 @@ one (agent, step) table per state: it is affine in each channel's moment,
 so a nonzero defect cannot vanish on them.
 
 Scope: the deviation tests perturb within the linear-feedback class the
-equilibrium lives in (plus an open-loop jitter smoke test); they certify no
-profitable deviation inside that class, not over all measurable policies.
-They price absolute costs: at a tiny dynamics coefficient every cost after
-step 0 underflows, and only the stationarity row sees a corrupted gain.
+equilibrium lives in; they certify no profitable deviation inside that
+class, not over all measurable policies.  They price absolute costs: at a
+tiny dynamics coefficient every cost after step 0 underflows, and only the
+stationarity row sees a corrupted gain.
 """
 
 from __future__ import annotations
@@ -49,16 +52,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SchemaError
-from .numerics import even_power
-from .recursion import CoefficientTable, GainSchedule, solve, stationarity_residual
+from .numerics import agent_sum, even_power
+from .recursion import CoefficientTable, GainSchedule, stationarity_residual
 from .scenario import Scenario
-from .simulate import initial_central_moment, predicted_cost, propagate_mean
+from .simulate import initial_central_moment, predicted_cost
 
 STATIONARITY_TOL = 1e-9
 BELLMAN_TOL = 1e-10
 DEVIATION_TOL = 1e-9
-LQ_TOL = 1e-12
-BEST_RESPONSE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +134,10 @@ def _closed_loop(sc: Scenario, gains: GainSchedule, steps):
     gains and the raw data: (coupling, factor, push), where coupling and
     factor hold one (K,) row per channel and push is each channel's (3, K)
     push rows.  Each step's coupling is summed along a contiguous agent
-    row, so it has the bits of the solver's.
+    row (``agent_sum``), so it has the bits of the solver's.
     """
     channels = list(zip(sc.channels, (gains.mean_gain, gains.dev_gain)))
-    coupling = np.array([np.add.reduce(np.multiply(b.T[steps], g.T[steps], order="C"), axis=1)
-                         for (_, _, b, _, _), g in channels])
+    coupling = np.array([agent_sum(b[:, steps], g[:, steps]) for (_, _, b, _, _), g in channels])
     factor = np.array([a[steps] for (_, a, *_), _ in channels]) * (1.0 - coupling)
     return coupling, factor, sc.push_rows[:, :, steps]
 
@@ -259,238 +259,6 @@ def inject_gain_scaling(
     return replace(gains, mean_gain=mean_gain)
 
 
-# Open-loop jitter: JITTER_COUNT Gaussian control sequences from a fixed
-# seed, with a standard deviation of JITTER_SCALE times the agent's largest
-# mean control (at least 1).
-JITTER_COUNT = 64
-JITTER_SCALE = 0.1
-JITTER_SEED = 0
-
-
-def open_loop_jitter_test(sc: Scenario, gains: GainSchedule, agent: int) -> float:
-    """Smoke test: random open-loop jitter of one agent's control sequence on
-    the deterministic family must not beat the equilibrium.  Returns the
-    margin (equilibrium cost minus best jittered cost)."""
-    if sc.family.stochastic:
-        raise ValueError("open-loop jitter smoke test covers the deterministic family")
-    n = sc.horizon
-    p2 = 2 * sc.p
-    a_bar, b_bar, q_bar, r_bar = sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar
-    mean = propagate_mean(sc, gains)
-    scale = JITTER_SCALE * max(1.0, float(np.max(np.abs(mean.u_bar[agent]))))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[JITTER_SEED, 0x70C1]))
-    deltas = np.vstack([np.zeros(n), rng.normal(0.0, scale, (JITTER_COUNT, n))])
-    xb = np.full(JITTER_COUNT + 1, float(sc.x0.mean))
-    cost = np.zeros(JITTER_COUNT + 1)
-    for k in range(n):
-        u = -gains.mean_gain[:, k][:, None] * (a_bar[k] * xb)[None, :]
-        u[agent] = mean.u_bar[agent, k] + deltas[:, k]
-        cost += q_bar[agent, k] * even_power(xb, p2) + r_bar[agent, k] * even_power(u[agent], p2)
-        xb = a_bar[k] * xb + np.add.reduce(b_bar[:, k, None] * u, axis=0)
-    cost += q_bar[agent, n] * even_power(xb, p2)
-    return float(cost[0] - np.min(cost))
-
-
-# ---------------------------------------------------------------------------
-# brute-force one-step best responses
-
-
-@dataclass(frozen=True)
-class OneStepSolution:
-    """Numerically solved one-step equilibrium, in gain form.
-
-    ``mean_value`` is each agent's full mean-channel cost at the fixed point
-    from the probe mean state; ``dev_value`` the deviation-channel cost with
-    a unit initial deviation moment.
-    """
-
-    mean_gain: np.ndarray
-    mean_value: np.ndarray
-    dev_gain: np.ndarray | None = None
-    dev_value: np.ndarray | None = None
-    converged: bool = True
-
-
-def _minimize_convex(f, rough: float) -> float:
-    """Minimizer of a smooth strictly convex scalar objective, to within a
-    few ulps.
-
-    Minima located from function values alone stall near sqrt(eps), because
-    f is flat there.  The sign of the slope stays right much closer in, so
-    the slope is taken instead, as the complex-step derivative
-    Im f(t + ih) / h of the same objective: exact to roundoff for these
-    polynomial objectives, with no difference of nearby values.  The bracket
-    starts at +-max(1, |rough|) and grows fourfold until the slope changes
-    sign; bisection on the slope's sign then halves it to the float spacing
-    (or to eps times the starting radius around a minimizer at zero).
-    """
-    def slope(t: float) -> float:
-        return f(complex(t, 1e-20 * max(1.0, abs(t)))).imag
-
-    radius = max(1.0, abs(rough))
-    lo, hi = -radius, radius
-    for _ in range(60):
-        if slope(lo) <= 0.0:
-            break
-        lo, hi = 4.0 * lo, lo
-    else:
-        raise RuntimeError("minimizer bracket expansion failed")
-    for _ in range(60):
-        if slope(hi) >= 0.0:
-            break
-        lo, hi = hi, 4.0 * hi
-    else:
-        raise RuntimeError("minimizer bracket expansion failed")
-    floor = np.finfo(float).eps * radius
-    while hi - lo > floor:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        s = slope(mid)
-        if s == 0.0:
-            return mid
-        if s > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-# Best-response rounds: at most BEST_RESPONSE_ROUNDS, each moving every
-# control BEST_RESPONSE_DAMPING of the way to its best response, until no
-# control moves more than BEST_RESPONSE_TOL.
-BEST_RESPONSE_ROUNDS = 100
-BEST_RESPONSE_DAMPING = 0.5
-
-
-def _iterate_best_responses(br, agents: int):
-    """Damped best-response rounds with reduced-rank extrapolation.
-
-    Strong cross-agent coupling pushes the damped iteration's linear rate
-    toward 1, so after every window of agents + 2 iterates the sequence is
-    extrapolated: the convex combination of window iterates that minimizes
-    the combined displacement is the exact fixed point when the response map
-    is affine, and a sharp improvement otherwise.  Safeguards fall back to
-    the plain iterate when the window's Gram system is degenerate.
-    Returns (controls, converged).
-    """
-    u = np.zeros(agents)
-    window = [u.copy()]
-    depth = agents + 2
-    converged = False
-    for _ in range(BEST_RESPONSE_ROUNDS):
-        previous = u.copy()
-        for i in range(agents):
-            u[i] = (1.0 - BEST_RESPONSE_DAMPING) * u[i] + BEST_RESPONSE_DAMPING * br(i, u)
-        if np.max(np.abs(u - previous)) <= BEST_RESPONSE_TOL:
-            converged = True
-            break
-        window.append(u.copy())
-        if len(window) == depth:
-            iterates = np.array(window)
-            diffs = np.diff(iterates, axis=0)
-            # Weights c with sum 1 minimizing ||sum_i c_i diff_i||: solved on
-            # the sum-zero subspace so an exactly annihilating combination
-            # (the affine case) is found rather than approximated.
-            m1 = depth - 1
-            base = np.full(m1, 1.0 / m1)
-            sum_zero = np.vstack([np.eye(m1 - 1), -np.ones((1, m1 - 1))])
-            lhs = diffs.T @ sum_zero
-            rhs = -diffs.T @ base
-            y, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-            c = base + sum_zero @ y
-            candidate = c @ iterates[:-1]
-            scale = 1.0 + float(np.max(np.abs(iterates)))
-            if np.all(np.isfinite(candidate)) and np.max(np.abs(candidate)) < 1e8 * scale:
-                u = candidate
-            window = [u.copy()]
-    return u, converged
-
-
-def brute_force_one_step(sc: Scenario) -> OneStepSolution:
-    """Solve a one-step instance by per-agent numeric best responses.
-
-    Each agent's objective is assembled per channel from the raw dynamics
-    and cost definitions (never from the recursion formulas): its control
-    per unit state w is priced with the channel's push of its probe moment,
-    x0.mean^2p (1 when the mean is 0) for the mean and 1 for the deviation,
-    and minimized by bisection on the sign of its complex-step slope; best
-    responses are iterated with damping until the controls stop moving.
-    Gains are recovered as -w / a.
-    """
-    if sc.horizon != 1:
-        raise ValueError("brute_force_one_step requires a one-step instance")
-    moments = [even_power(sc.x0.mean if sc.x0.mean != 0.0 else 1.0, 2 * sc.p), 1.0]
-    solved, converged = [], []
-    for (order, a, b, q, r), rows, m, name in zip(
-            sc.channels, sc.push_rows[:, :, 0], moments, ("mean", "deviation")):
-        a, b, r = a[0], b[:, 0], r[:, 0]
-        if a == 0.0:
-            raise ValueError(f"{name}-gain recovery needs a nonzero dynamics coefficient")
-
-        def objective(i, w_i, w_other):
-            clf = a + np.add.reduce(b * w_other) + b[i] * w_i
-            return r[i] * w_i ** order * m + q[i, 1] * _push(rows, clf, order, m)
-
-        def best_response(i, w):
-            others = w.copy()
-            others[i] = 0.0
-            scale = max(abs(a), 2.0 * float(np.max(np.abs(w))))
-            return _minimize_convex(lambda t: objective(i, t, others), rough=scale)
-
-        w, ok = _iterate_best_responses(best_response, sc.agents)
-        clf = a + np.add.reduce(b * w)
-        value = (q[:, 0] + r * even_power(w, order)) * m + q[:, 1] * _push(rows, clf, order, m)
-        solved += [-w / a, value]
-        converged.append(ok)
-    # gain then value of each channel: the field order of OneStepSolution
-    return OneStepSolution(*solved, converged=all(converged))
-
-
-# ---------------------------------------------------------------------------
-# quadratic (p = 1) reduction
-
-
-@dataclass(frozen=True)
-class LqReduction:
-    passed: bool
-    max_discrepancy: float
-
-
-def _scalar_riccati(a, b, q_run, q_term, r) -> np.ndarray:
-    """Textbook scalar finite-horizon Riccati recursion, coded independently."""
-    n = len(a)
-    value = np.empty(n + 1)
-    value[n] = q_term
-    for k in range(n - 1, -1, -1):
-        nxt = value[k + 1]
-        gain = a[k] * nxt * b[k] / (r[k] + b[k] * nxt * b[k])
-        value[k] = q_run[k] + a[k] * nxt * a[k] - gain * b[k] * nxt * a[k]
-    return value
-
-
-def lq_reduction_check(sc: Scenario) -> LqReduction:
-    """For p = 1, the odd-root gain formula must collapse to the quadratic
-    one, and (single agent) the mean coefficients must follow the scalar
-    Riccati recursion."""
-    if sc.p != 1:
-        raise ValueError("lq_reduction_check requires p = 1")
-    table, gains = solve(sc)
-    n = sc.horizon
-    b_bar, r_bar = sc.b_bar, sc.r_bar
-    worst = 0.0
-    for k in range(n):
-        nxt = table.alpha_bar[:, k + 1]
-        quad = nxt * b_bar[:, k] / (r_bar[:, k] + nxt * even_power(b_bar[:, k], 2))
-        gap = np.max(np.abs(quad - gains.c_bar[:, k]) / np.maximum(1.0, np.abs(quad)))
-        worst = max(worst, float(gap))
-    if sc.agents == 1:
-        riccati = _scalar_riccati(sc.a_bar, b_bar[0], sc.q_bar[0, :n], sc.q_bar[0, n], r_bar[0])
-        gap = np.max(np.abs(riccati - table.alpha_bar[0]) / np.maximum(1.0, np.abs(riccati)))
-        worst = max(worst, float(gap))
-    return LqReduction(passed=worst <= LQ_TOL, max_discrepancy=worst)
-
-
 # ---------------------------------------------------------------------------
 # one-step value identity
 
@@ -510,16 +278,15 @@ def bellman_identity_check(sc: Scenario, table: CoefficientTable, gains: GainSch
     moments.  Pushforward factors are recomputed from the gains, and the
     noise enters through its exact moments, so residuals beyond roundoff
     indicate a recursion that prices the noise wrongly.  ``probes`` is a
-    sequence of (mean, moment) pairs or a (P, 2) array.  The whole table
-    takes one probe state at a time, into a running maximum that keeps a
-    NaN; one step takes them all at once, as a row against its column.
+    sequence of (mean, moment) pairs or a (P, 2) array.  The probe states
+    are taken one at a time, each an (agent, step) table, into a running
+    maximum that keeps a NaN; one step k is that table's column k alone.
     """
     probes = DEFAULT_PROBES if probes is None else probes
     if len(probes) == 0:
         raise SchemaError("the cost-to-go identity needs at least one probe state")
-    steps = range(sc.horizon)[k]
-    one = isinstance(steps, int)
-    cols = slice(steps, steps + 1) if one else np.array(steps)  # one step's columns as views
+    steps = np.arange(sc.horizon)[k]
+    cols = np.atleast_1d(steps)
     _, factor, push = _closed_loop(sc, gains, cols)
     # per channel, the (agent, step) tables that no probe state changes
     channels = [(order, alpha[:, cols], q[:, cols],
@@ -528,9 +295,8 @@ def bellman_identity_check(sc: Scenario, table: CoefficientTable, gains: GainSch
                 for (order, a, _, q, r), alpha, gain, clf, rows in zip(
                     sc.channels, (table.alpha_bar, table.alpha),
                     (gains.mean_gain, gains.dev_gain), factor, push)]
-    x_bar, moment = np.array(probes, dtype=float).T
     worst = 0.0
-    for mean, dev in [(x_bar, moment)] if one else zip(x_bar, moment):
+    for mean, dev in np.array(probes, dtype=float):
         value = stage = nxt = 0.0
         for (order, alpha, q, r_u_pow, alpha_next, clf, rows), m in zip(
                 channels, (even_power(mean, 2 * sc.p), dev)):
@@ -541,7 +307,8 @@ def bellman_identity_check(sc: Scenario, table: CoefficientTable, gains: GainSch
             value += table.gamma_bar[:, cols]
             nxt += table.gamma_bar[:, 1:][:, cols]
         worst = np.maximum(worst, np.abs(value - (stage + nxt)) / np.maximum(np.abs(value), 1.0))
-    return float(np.max(worst)) if one else np.max(worst, axis=0)
+    worst = np.max(worst, axis=0)
+    return worst if steps.ndim else float(worst[0])
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +336,7 @@ def _min_curvature(order: int, b, r, weight, gain) -> float:
     curvature vanishes at the centre, so the centre is masked out too.
     """
     w_eq = -gain
-    rest = 1.0 + np.add.reduce(np.multiply(b.T, w_eq.T, order="C"), axis=1) - b * w_eq
+    rest = 1.0 + agent_sum(b, w_eq) - b * w_eq
     width = 2.0 * np.maximum(1.0, np.abs(w_eq))
     pivot = np.divide(-rest, b, out=np.zeros_like(rest), where=b != 0.0)
     start, stop = w_eq - width, w_eq + width

@@ -13,11 +13,9 @@ import pytest
 from mftg import (
     DeviationGrid,
     bellman_identity_check,
-    brute_force_one_step,
     evaluate_cost,
     inject_gain_scaling,
     load_scenario_file,
-    lq_reduction_check,
     propagate_mean,
     run_ensemble,
     solve,
@@ -26,6 +24,7 @@ from mftg import (
 from mftg.verify import _min_curvature
 from mftg.cli import main
 from conftest import SCENARIOS, lone_solve, make_scenario, random_deterministic
+from oracles import brute_force_one_step, lq_reduction_check
 
 DET = SCENARIOS / "deterministic_two_agent.yaml"
 ADD = SCENARIOS / "additive_two_agent.yaml"

@@ -195,6 +195,21 @@ class TestSimulate:
             assert (out / "trajectories.csv").exists() is written
         assert stored == [True, False]
 
+    def test_store_past_the_budget_warns(self, tmp_path, capsys, monkeypatch):
+        """A run at or below the store cap whose store does not fit beside
+        one-block slabs streams its paths, and says that it writes no
+        trajectories.csv."""
+        sc = load_scenario_file(ADD)
+        _, held, per_block, _ = mftg.simulate._memory_plan(sc, 1000, store_cap=0)
+        monkeypatch.setattr(mftg.simulate, "MAX_PATH_FLOATS", held + per_block)
+        out = tmp_path / "out"
+        assert main(["simulate", ADD, "--out", str(out), "--paths", "1000"]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "costs.csv", "ensemble_stats.csv", "manifest.txt", "meanpath.csv"]
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: the path store does not fit the in-memory budget; "
+            "trajectories.csv not written"]
+
     def test_seed_repeatability_bytes(self, tmp_path):
         outs = [tmp_path / name for name in ("a", "b")]
         for out in outs:

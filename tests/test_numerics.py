@@ -214,17 +214,11 @@ class TestConvexityScan:
                                   gain[None, at]) > 0.0
 
 
-# The one reduction that may use BLAS: it only steers the brute-force
-# oracle's iteration, and writes no number of its own.
-BLAS_ALLOWED = ("verify.py", "_iterate_best_responses")
 BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
 
 
-def _blas_products(node, module=""):
-    """Line numbers of each ``@`` and each np.<BLAS_CALLS> name under node,
-    skipping the body of the allowed function."""
-    if isinstance(node, ast.FunctionDef) and (module, node.name) == BLAS_ALLOWED:
-        return []
+def _blas_products(node):
+    """Line numbers of each ``@`` and each np.<BLAS_CALLS> name under node."""
     found = []
     if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
         found.append(node.lineno)
@@ -232,7 +226,7 @@ def _blas_products(node, module=""):
             and node.value.id in ("np", "numpy") and node.attr in BLAS_CALLS):
         found.append(node.lineno)
     for child in ast.iter_child_nodes(node):
-        found += _blas_products(child, module)
+        found += _blas_products(child)
     return found
 
 
@@ -248,7 +242,6 @@ class TestOneRoundingRule:
 
     def test_no_blas_products_in_the_package(self):
         sources = sorted((REPO / "src" / "mftg").glob("*.py"))
-        assert any(path.name == BLAS_ALLOWED[0] for path in sources)
-        found = {path.name: _blas_products(ast.parse(path.read_text()), path.name)
-                 for path in sources}
+        assert sources
+        found = {path.name: _blas_products(ast.parse(path.read_text())) for path in sources}
         assert {name: lines for name, lines in found.items() if lines} == {}

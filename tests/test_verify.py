@@ -10,12 +10,9 @@ from hypothesis import given, settings
 from mftg import (
     DeviationGrid,
     bellman_identity_check,
-    brute_force_one_step,
     evaluate_cost,
     inject_gain_scaling,
     load_scenario,
-    lq_reduction_check,
-    open_loop_jitter_test,
     propagate_mean,
     run_ensemble,
     run_verification,
@@ -29,6 +26,7 @@ from mftg.scenario import Family
 from mftg.simulate import initial_central_moment
 from mftg.verify import BELLMAN_TOL, _channel_costs, _closed_loop, _min_curvature, _push
 from conftest import SCENARIOS, lone_solve, make_scenario, random_deterministic
+from oracles import brute_force_one_step, lq_reduction_check
 from test_properties import scenario_docs
 from test_variants import EXPLICIT_GENERAL
 
@@ -105,14 +103,6 @@ class TestUnilateralDeviation:
         for b in evaluate_cost(sc, ensemble, table):
             report = unilateral_deviation_test(sc, scaled, b.agent, SMALL_GRID)
             assert abs(report.equilibrium_cost - b.total) <= 3.0 * b.std_error, (b, report)
-
-    def test_open_loop_jitter_smoke(self, det_two_agent):
-        _, gains = solve(det_two_agent)
-        for agent in range(2):
-            margin = open_loop_jitter_test(det_two_agent, gains, agent)
-            assert margin <= 1e-9 * abs(
-                unilateral_deviation_test(det_two_agent, gains, agent).equilibrium_cost
-            ) + 1e-12
 
 
 class TestBruteForceOneStep:
