@@ -8,7 +8,8 @@ float or text) holding a value per row, or None for a column left empty.
 Blocks with fewer than ``VECTOR_MIN_ROWS`` rows are formatted one value at
 a time.  Larger blocks are built in NumPy: each field is a run of 8-byte
 words (``<u8``), NUL bytes pad the fields, and ``bytes.translate`` drops the
-NULs from the whole block at the end.  A float field is the words
+NULs from the whole block at the end.  Float columns are formatted together,
+``FLOAT_GROUP`` values per pass.  A float field is the words
 
     [separator, sign, "0.000" prefix, first digit]
     4 x [dot-or-NUL, digit, dot-or-NUL, digit, ...]   (digits 2 to 17)
@@ -32,6 +33,7 @@ import numpy as np
 # the fixed cost of the NumPy path (about 60 array operations per float
 # column) exceeds what it saves.  Measured break-even: 130 to 190 rows.
 VECTOR_MIN_ROWS = 160
+FLOAT_GROUP = 4096  # float values formatted in one pass over short columns
 
 _U8 = np.uint64
 _SPLIT = 134217729.0          # 2**27 + 1: Veltkamp's splitter for doubles
@@ -156,8 +158,8 @@ def _float_digits(t, x):
     return d, e, scalar
 
 
-def _float_words(t, x, sep):
-    """Word columns of `x` formatted as %.17g, and the scalar-path indices."""
+def _float_words(t, x):
+    """Word columns of `x` as %.17g, no separator, and the scalar-path mask."""
     d, e, scalar = _float_digits(t, x)
     xi = e + _X_OFF
     first, rest = np.divmod(d, _E16)
@@ -169,7 +171,6 @@ def _float_words(t, x, sep):
     dot_at = t["dot_at"][xi]
     head = t["prefix"][xi]
     head |= (first.astype(_U8) + _U8(48)) << _U8(56)
-    head |= _U8(sep)
     head |= np.signbit(x) * _U8(ord("-") << 8)
     words = [head]
     for w, g in enumerate(groups):
@@ -177,10 +178,22 @@ def _float_words(t, x, sep):
         word |= t["dot"][w][dot_at]
         word &= t["keep"][w][cut]
         words.append(word)
-    suffix = t["suffix"][xi]
-    if suffix.any():
-        words.append(suffix)
-    return words, np.flatnonzero(scalar)
+    return words + [t["suffix"][xi]], scalar
+
+
+def _float_fields(t, columns, rows: int):
+    """(word columns, scalar-path indices) of each float column in turn,
+    formatted FLOAT_GROUP values at a time as the fields are taken; a
+    column keeps its exponent word if one of its values uses it."""
+    floats = [c.astype(np.float64, copy=False)   # %.17g formats a double
+              for c in columns if c is not None and c.dtype.kind == "f"]
+    per = max(1, FLOAT_GROUP // rows)
+    for start in range(0, len(floats), per):
+        group = floats[start:start + per]
+        words, scalar = _float_words(t, group[0] if len(group) == 1 else np.concatenate(group))
+        for j in range(0, len(group) * rows, rows):
+            field = [word[j:j + rows] for word in words]
+            yield field if field[-1].any() else field[:-1], np.flatnonzero(scalar[j:j + rows])
 
 
 def _int_words(t, v, sep):
@@ -249,6 +262,7 @@ def _scalar_rows(columns, rows: int, short, first: int) -> bytes:
 
 def _vector_rows(columns, rows: int, short, first: int) -> bytes:
     t = _tables()
+    fields = _float_fields(t, columns, rows)
     words, starts, fallback = [], [], []
     for i, c in enumerate(columns):
         starts.append(len(words))
@@ -258,8 +272,8 @@ def _vector_rows(columns, rows: int, short, first: int) -> bytes:
         if c is None:
             words.append(np.full(rows, _U8(sep)))
         elif c.dtype.kind == "f":
-            c = c.astype(np.float64, copy=False)   # %.17g formats a double
-            field, idx = _float_words(t, c, sep)
+            field, idx = next(fields)
+            field[0] |= _U8(sep)
             if idx.size:
                 fallback.append((i, sep, idx, c[idx]))
             words += field

@@ -23,25 +23,28 @@ from .errors import CoefficientOverflowError, MissingMomentError
 _TINY = np.nextafter(0.0, 1.0)
 
 
-def _odd_root(y: np.ndarray, m: int) -> np.ndarray:
+def _odd_root(y: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
     """Real m-th root of y for odd m >= 1, preserving sign, elementwise.
 
     Inverts t -> t**m over the reals, so negative arguments get negative
     roots.  Two Newton polish steps keep integer cases such as (8, 3) -> 2
-    exact.  m = 1 returns y itself.  Arguments are not checked: non-finite
-    ones give NaN or infinite roots, with NumPy's invalid-value warning
-    unless the caller's errstate silences it.
+    exact.  m = 1 returns y itself.  With ``out`` (an array other than y)
+    the root is written there with the same bits.  Arguments are not
+    checked: non-finite ones give NaN or infinite roots, with NumPy's
+    invalid-value warning unless the caller's errstate silences it.
     """
     if m == 1:
-        return y
+        if out is not None:
+            np.copyto(out, y)
+        return y if out is None else out
     ay = np.abs(y)
-    t = ay ** (1.0 / m)
+    t = ay ** (1.0 / m) if out is None else np.power(ay, 1.0 / m, out=out)
     for _ in range(2):
         tm1 = even_power(t, m - 1)
         # tm1 is 0 only where y is 0, and there the error is 0 as well: the
         # floor turns that 0 / 0 into a zero step and changes no other step.
         t -= (tm1 * t - ay) / np.maximum(m * tm1, _TINY)
-    return np.copysign(t, y)
+    return np.copysign(t, y, out=out)
 
 
 def _odd_double_factorial(n: int) -> float:

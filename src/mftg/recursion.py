@@ -2,7 +2,8 @@
 
 Every family runs the same backward channel for the mean and, when
 stochastic, for the deviation; both channels run in one backward loop, as
-stacked rows of per-step (rows, I) arrays.  Per step, each agent's best
+stacked rows of per-step (rows, I) arrays, staged step-major in blocks of
+STAGE steps, bit-identical to lone channels.  Per step, each agent's best
 response reduces, via a signed odd root, to a linear relation between the
 agents' controls; the coupling matrix that ties those relations together is
 a diagonal plus a rank-one term, so the simultaneous gains have the closed
@@ -30,6 +31,7 @@ from .numerics import _odd_root, agent_sum, even_power
 from .scenario import PUSH_SLOTS, Scenario, _freeze
 
 OVERFLOW_LIMIT = 1e300
+STAGE = 64  # steps per staged block of the backward loop
 
 
 @dataclass(frozen=True)
@@ -69,44 +71,31 @@ class GainSchedule:
     closed_loop_dev: np.ndarray | None = None
 
 
-def _check_overflow(names, k: int, alpha_k: np.ndarray, arg=None) -> None:
-    """Raise CoefficientOverflowError when a step-k coefficient is non-finite
+def _check_overflow(names, channels, scale, k: int, alpha: np.ndarray) -> None:
+    """Raise CoefficientOverflowError for step k, where a coefficient is NaN
     or above OVERFLOW_LIMIT, naming the channel, the agent and the step.
 
-    A non-finite best-response argument ``arg`` always leaves a NaN in its
-    row of alpha_k, so one reduction per step catches it too; the argument
-    is read only to name the cause.  The terminal step has no argument.
+    A non-finite best-response argument alpha_{k+1} b / r (times ``scale``)
+    leaves a NaN in its row of alpha_k; it is recomputed with the loop's
+    operations only to name the cause.  The terminal step has no argument.
     """
-    # alpha is a sum of non-negative terms; the comparison is False on NaN
-    if alpha_k.max() <= OVERFLOW_LIMIT:
-        return
-    for row, name in enumerate(names):
-        if arg is not None and not np.all(np.isfinite(arg[row])):
-            agent = np.flatnonzero(~np.isfinite(arg[row]))[0] + 1
-            raise CoefficientOverflowError(
-                f"{name} best-response argument alpha_{{k+1}} b / r (times the noise "
-                f"moment, if any) is not finite for agent {agent} at step {k}"
-            )
-        if not np.all(alpha_k[row] <= OVERFLOW_LIMIT):
-            agent = np.flatnonzero(~(alpha_k[row] <= OVERFLOW_LIMIT))[0] + 1
-            cause = ("terminal weight too large" if arg is None else
+    for row, (name, (_, _, b, _, r)) in enumerate(zip(names, channels)):
+        if k < r.shape[1]:
+            arg = alpha[row, :, k + 1] * b[:, k] * scale[row, k] / r[:, k]
+            if not np.all(np.isfinite(arg)):
+                agent = np.flatnonzero(~np.isfinite(arg))[0] + 1
+                raise CoefficientOverflowError(
+                    f"{name} best-response argument alpha_{{k+1}} b / r (times the noise "
+                    f"moment, if any) is not finite for agent {agent} at step {k}"
+                )
+        if not np.all(alpha[row, :, k] <= OVERFLOW_LIMIT):
+            agent = np.flatnonzero(~(alpha[row, :, k] <= OVERFLOW_LIMIT))[0] + 1
+            cause = ("terminal weight too large" if k == r.shape[1] else
                      "closed loop too unstable for this cost order and horizon")
             raise CoefficientOverflowError(
                 f"{name} coefficient exceeded {OVERFLOW_LIMIT:g} for agent {agent} "
                 f"at step {k}; {cause}"
             )
-
-
-def _per_row(kernel, x: np.ndarray, orders) -> np.ndarray:
-    """kernel(row, order) for each row of x with its own order: one call over
-    all rows when they share the order, one call per row otherwise.  Either
-    way each row gets exactly what a lone row would."""
-    if len(set(orders)) == 1:
-        return kernel(x, orders[0])
-    out = np.empty_like(x)
-    for row, order in enumerate(orders):
-        out[row] = kernel(x[row], order)
-    return out
 
 
 def _channel(names, channels, slot=None, moments=None):
@@ -132,59 +121,86 @@ def _channel(names, channels, slot=None, moments=None):
 
     Each row follows the operation order of a lone channel, element for
     element, and the sums b^T eta and b^T g run along the agent axis of each
-    row, so a row's results do not depend on the rows stacked with it.  Step
-    k of every input and output table is a (rows, I) view, so the loop copies
-    no table.  The alpha table starts as q: column k holds q_k until step k
-    reads it and writes alpha_k over it.  Returns one (alpha, gamma or None,
-    gains, c, closed-loop factors) tuple per row.  The additive and
-    multiplicative channels share every term, so they agree bit for bit when
-    the moment vanishes.
+    row, so the tables are bit-identical to lone channels.  The loop stages
+    b, r, q (alpha in place), and a and the moment repeated along the agent
+    axis, STAGE steps at a time as contiguous step-major (rows, I) rows; a
+    step works in them and in preallocated scratch rows with ``out=`` ufuncs.
+    c, which no later step reads, is taken once per block; gamma's running
+    sum and one overflow scan, which raises the first failure from the end,
+    run after the loop, which runs on through inf and NaN silently.  Returns
+    one (alpha, gamma or None, gains, c, closed-loop factors) tuple per row.
+    The additive and multiplicative channels share every term, so they agree
+    bit for bit when the moment vanishes.
     """
-    orders, a, b, q, r = zip(*channels)
-    a, b, r = (np.asarray(v, dtype=float) for v in (a, b, r))
-    alpha = np.array(q, dtype=float)
-    rows, agents, n = b.shape
-    gamma = np.zeros_like(alpha) if slot == "shift" else None
-    gain = np.empty((rows, agents, n))
-    c = np.empty((rows, agents, n))
-    clf = np.empty((rows, n))
-    # (N, rows, I) views: step k of each table is one (rows, I) block
-    steps_b, steps_r, steps_alpha, steps_gain, steps_c = (
-        v.transpose(2, 0, 1) for v in (b, r, alpha, gain, c))
-    steps_a = a.T[:, :, None]
-    if slot is not None:
-        steps_m = np.asarray(moments, dtype=float).T[:, :, None]
-    roots = [order - 1 for order in orders]
-
-    nxt = steps_alpha[n]
-    _check_overflow(names, n, nxt)
+    orders = [channel[0] for channel in channels]
+    rows, (agents, n) = len(channels), np.shape(channels[0][4])
+    alpha, clf = np.empty((rows, agents, n + 1)), np.empty((rows, n))
+    gain, c = np.empty((rows, agents, n)), np.empty((rows, agents, n))
+    moments = np.asarray(moments if slot else np.ones((rows, n)), dtype=float)
+    size = min(STAGE, n)
+    # staged rows: alpha_[i + 1] is alpha_{k+1} of staged step i, k = lo + i
+    b_, r_, a_, m_, eta_, g_ = np.empty((6, size, rows, agents))
+    alpha_, clf_ = np.empty((size + 1, rows, agents)), np.empty((size, rows, 1))
+    arg, tmp, term, pw = np.empty((4, rows, agents))
+    s, pc = np.empty((2, rows, 1))
+    groups = ([(slice(None), orders[0])] if len(set(orders)) == 1 else
+              [(slice(j, j + 1), order) for j, order in enumerate(orders)])
+    alpha[:, :, n] = alpha_[0] = [channel[3][:, n] for channel in channels]
+    scale, lift = slot == "scale", slot == "lift"
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n - 1, -1, -1):
-            b_k = steps_b[k]
-            arg = nxt * b_k
-            if slot == "scale":
-                arg *= steps_m[k]
-            arg /= steps_r[k]
-            eta = _per_row(_odd_root, arg, roots)
-            np.divide(eta, 1.0 + eta * b_k, out=steps_c[k])
-            g = eta / (1.0 + np.add.reduce(b_k * eta, axis=1, keepdims=True))
-            steps_gain[k] = g
-            clf_k = steps_a[k] * (1.0 - np.add.reduce(b_k * g, axis=1, keepdims=True))
-            clf[:, k] = clf_k[:, 0]
-            term = nxt * _per_row(even_power, clf_k, orders)
-            if slot == "scale":
-                term *= steps_m[k]
-            # column k of alpha still holds q_k here
-            alpha_k = steps_alpha[k] + steps_r[k] * _per_row(even_power, g * steps_a[k], orders)
-            alpha_k += term
-            if slot == "lift":
-                alpha_k += nxt * steps_m[k]
-            if gamma is not None:
-                gamma[:, :, k] = gamma[:, :, k + 1] + nxt * steps_m[k]
-            _check_overflow(names, k, alpha_k, arg)
-            steps_alpha[k] = alpha_k
-            nxt = alpha_k
-
+        for hi in range(n, 0, -size):
+            lo, w = max(hi - size, 0), min(size, hi)
+            alpha_[w] = alpha_[0]
+            for j, (_, a, b, q, r) in enumerate(channels):
+                b_[:w, j], r_[:w, j], alpha_[:w, j] = b[:, lo:hi].T, r[:, lo:hi].T, q[:, lo:hi].T
+                a_[:w, j], m_[:w, j] = a[lo:hi, None], moments[j, lo:hi, None]
+            for i in range(w - 1, -1, -1):
+                nxt, alpha_k, b_k, a_k, m_k = alpha_[i + 1], alpha_[i], b_[i], a_[i], m_[i]
+                eta, g, clf_k = eta_[i], g_[i], clf_[i]
+                np.multiply(nxt, b_k, out=arg)
+                if scale:
+                    np.multiply(arg, m_k, out=arg)
+                np.divide(arg, r_[i], out=arg)
+                for sl, order in groups:
+                    _odd_root(arg[sl], order - 1, out=eta[sl])
+                np.multiply(b_k, eta, out=tmp)
+                np.add(1.0, np.add.reduce(tmp, axis=1, keepdims=True, out=s), out=s)
+                np.divide(eta, s, out=g)
+                np.multiply(b_k, g, out=tmp)
+                np.subtract(1.0, np.add.reduce(tmp, axis=1, keepdims=True, out=s), out=s)
+                np.multiply(a_k[:, :1], s, out=clf_k)
+                np.multiply(g, a_k, out=tmp)
+                for sl, order in groups:
+                    even_power(clf_k[sl], order, out=pc[sl])
+                    even_power(tmp[sl], order, out=pw[sl])
+                np.multiply(nxt, pc, out=term)
+                if scale:
+                    np.multiply(term, m_k, out=term)
+                # alpha_k still holds q_k here
+                np.add(alpha_k, np.multiply(r_[i], pw, out=pw), out=alpha_k)
+                np.add(alpha_k, term, out=alpha_k)
+                if lift:
+                    np.add(alpha_k, np.multiply(nxt, m_k, out=tmp), out=alpha_k)
+            # c = eta / (1 + eta b) for the block, in b_'s rows (restaged next block)
+            np.multiply(eta_[:w], b_[:w], out=b_[:w])
+            np.divide(eta_[:w], np.add(1.0, b_[:w], out=b_[:w]), out=eta_[:w])
+            alpha[:, :, lo:hi], gain[:, :, lo:hi] = (v[:w].transpose(1, 2, 0) for v in (alpha_, g_))
+            c[:, :, lo:hi], clf[:, lo:hi] = eta_[:w].transpose(1, 2, 0), clf_[:w, :, 0].T
+        gamma = None
+        if slot == "shift":
+            # gamma_k = gamma_{k+1} + alpha_{k+1} * moment_k from gamma_N = 0,
+            # added in place (a sum has the same bits in either order): the
+            # same adds by np.add.accumulate, or by np.add with out= its
+            # second operand, raised a process's peak RSS by 0.4-0.5 MB.
+            gamma = np.zeros_like(alpha)
+            np.multiply(alpha[:, :, 1:], moments[:, None, :], out=gamma[:, :, :n])
+            for k in range(n - 1, -1, -1):
+                gamma[:, :, k] += gamma[:, :, k + 1]
+        # max keeps a NaN, and NaN <= OVERFLOW_LIMIT is False
+        bad = np.flatnonzero(~(alpha.max(axis=(0, 1)) <= OVERFLOW_LIMIT))
+        if bad.size:
+            _check_overflow(names, channels, moments if scale else np.ones_like(moments),
+                            bad[-1], alpha)
     return [(alpha[j], None if gamma is None else gamma[j], gain[j], c[j], clf[j])
             for j in range(rows)]
 

@@ -219,11 +219,18 @@ class Scenario(_FieldEquality):
     @functools.cached_property
     def noise_moments(self) -> np.ndarray | None:
         """The read-only (N,) row of E[eps_{k+1}^mo], k = 0..N-1, built once
-        per scenario; None for the deterministic family."""
+        per scenario with one call per distinct sigma (or explicit-table
+        entry, by its bits); None for the deterministic family."""
         if not self.family.stochastic:
             return None
-        return _freeze(np.array([noise_even_moment(self.noise, k + 1, self.moment_order)
-                                 for k in range(self.horizon)]))
+        noise, order = self.noise, self.moment_order
+        explicit = noise.moments if noise.kind == "explicit_moments" else None
+        keys = np.asarray((explicit or {}).get(order, noise.sigma), dtype=float).view(np.int64)
+        once = {}
+        for k, key in enumerate(keys.tolist()):
+            if key not in once:
+                once[key] = noise_even_moment(noise, k + 1, order)
+        return _freeze(np.array([once[key] for key in keys.tolist()]))
 
     @functools.cached_property
     def push_rows(self) -> np.ndarray:

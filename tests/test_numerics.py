@@ -110,6 +110,37 @@ class TestEvenPower:
             even_power(np.ones(3), 0)
 
 
+# Signed zeros, the smallest and largest subnormals, values near the float
+# range's ends, infinities and NaN, with a few ordinary values between.
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310, 1e300,
+                  -1e300, np.inf, -np.inf, np.nan, -np.nan, 8.0, -0.3])
+
+
+class TestCallerOwnedOut:
+    """The backward loop calls both kernels with its own scratch rows as
+    ``out``; that must give the bits of the allocating call."""
+
+    @staticmethod
+    def _check(kernel, m):
+        for x in (EDGES, EDGES.reshape(2, -1)):
+            with np.errstate(all="ignore"):
+                want = np.array(kernel(x, m))
+                # a row block of a larger scratch array, as the loop passes it
+                scratch = np.full((3, *x.shape), 7.0)
+                row = scratch[1]
+                assert kernel(x, m, out=row) is row
+            np.testing.assert_array_equal(row.view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal(scratch[[0, 2]], 7.0)
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 7, 9])
+    def test_odd_root(self, m):
+        self._check(_odd_root, m)
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 7, 9])
+    def test_even_power(self, m):
+        self._check(even_power, m)
+
+
 def _spec(kind, sigma, moments=None, n=1):
     return NoiseSpec(kind=kind, sigma=(sigma,) * n, moments=moments)
 

@@ -1,9 +1,16 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from mftg import CoefficientOverflowError, solve, stationarity_residual
+from mftg.numerics import noise_even_moment
+from mftg.recursion import STAGE
+from mftg.scenario import build_scenario
 from mftg.verify import inject_gain_scaling
-from conftest import NOISE_ON, lone_channel, lone_solve, make_scenario, random_deterministic
+from conftest import (NOISE_ON, lone_channel, lone_solve, make_scenario, random_deterministic,
+                      scenario_doc)
 
 
 class TestDeterministic:
@@ -322,6 +329,117 @@ class TestStackedLoop:
                 np.testing.assert_array_equal(getattr(table, name), getattr(want_table, name))
             for name in ("dev_gain", "c", "closed_loop_dev"):
                 np.testing.assert_array_equal(getattr(gains, name), getattr(want_gains, name))
+
+    @pytest.mark.parametrize("horizon", [STAGE - 1, STAGE, STAGE + 1, 1000])
+    @pytest.mark.parametrize("family", ["deterministic_2p", *NOISE_ON])
+    def test_twenty_agents_at_length(self, family, horizon):
+        # The staged blocks, the per-block c and the gamma running sum over
+        # one block less a step, one block, one block and a step, and
+        # wide's I=20, N=1000; the channels take different root orders.
+        sc = _twenty_agents(family, horizon, seed=horizon)
+        _assert_lone_bits(sc, family, *solve(sc))
+
+    @pytest.mark.parametrize("case", ["mean coefficient", "deviation coefficient",
+                                      "mean argument"])
+    def test_interior_overflow_names_the_lone_channel_step(self, case):
+        # One step halfway through a 1000-step, 20-agent run overflows.  The
+        # loop runs on through inf and NaN without a RuntimeWarning, and the
+        # error names the channel, agent, step and cause that a lone-channel
+        # run shows at the first failing step from the end.
+        sc = _twenty_agents("general_moment_2o2p", 1000, seed=3)
+        doc, k, agent = _doc(sc), 500, 6
+        if case == "mean argument":
+            doc["dynamics"]["b_bar"][agent][k] = 1e10
+            doc["weights"]["r_bar"][agent][k] = 1e-10
+            doc["weights"]["q_bar"][agent][k + 1] = 1e290
+        else:
+            # a^order = 1e302 at step k overflows agent 7 alone, after its
+            # weight at step k + 1 grows by 1e10; at step 200 every agent's
+            # coefficient becomes inf, and the NaN runs on to step 0
+            row, a, q = (0, "a_bar", "q_bar") if case == "mean coefficient" else (1, "a_dev", "q_dev")
+            doc["dynamics"][a][k] = 10.0 ** (302 / sc.channels[row][0])
+            doc["weights"][q][agent][k + 1] *= 1e10
+            doc["dynamics"][a][200] = 1e200
+        sc = build_scenario(doc)
+        message = _lone_overflow(sc)
+        assert f"for agent {agent + 1} at step {k}" in message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoefficientOverflowError, match=f"^{re.escape(message)}$"):
+                solve(sc)
+
+
+def _twenty_agents(family, horizon, seed):
+    """A random 20-agent scenario of ``family`` whose mean and deviation
+    channels take different root orders (p != o, and p > 1 where the
+    deviation order is 2)."""
+    rng = np.random.default_rng(seed)
+    agents = 20
+    coef = lambda size: (rng.uniform(0.3, 1.4, size) * rng.choice([-1.0, 1.0], size)).tolist()
+    weight = lambda: rng.uniform(0.5, 5.0, (agents, horizon + 1)).tolist()
+    p = int(rng.integers(2, 5))
+    kwargs = dict(family=family, agents=agents, horizon=horizon, p=p, a_bar=coef(horizon),
+                  b_bar=[coef(horizon) for _ in range(agents)],
+                  q_bar=weight(), r_bar=[w[:-1] for w in weight()],
+                  q_dev=weight(), r_dev=[w[:-1] for w in weight()],
+                  noise={"kind": "gaussian", "sigma": rng.uniform(0.0, 0.7, horizon).tolist()})
+    if family == "general_moment_2o2p":
+        kwargs.update(o=int(rng.choice([o for o in range(1, 5) if o != p])),
+                      a_dev=coef(horizon), b_dev=[coef(horizon) for _ in range(agents)])
+    return build_scenario(scenario_doc(**kwargs))
+
+
+def _doc(sc):
+    """The scenario_doc of a _twenty_agents scenario, with its tables as lists."""
+    doc = scenario_doc(family=sc.family.value, agents=sc.agents, horizon=sc.horizon, p=sc.p,
+                       o=sc.o, noise={"kind": sc.noise.kind, "sigma": sc.noise.sigma.tolist()})
+    for section, names in (("dynamics", ("a_bar", "b_bar", "a_dev", "b_dev")),
+                           ("weights", ("q_bar", "r_bar", "q_dev", "r_dev"))):
+        doc[section].update({name: getattr(sc, name).tolist() for name in names})
+    return doc
+
+
+def _assert_lone_bits(sc, family, table, gains):
+    """Every solve table equals its lone-channel reference bit for bit."""
+    mean = lone_channel(2 * sc.p, sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar)
+    got = (table.alpha_bar, None, gains.mean_gain, gains.c_bar, gains.closed_loop_mean)
+    for want, have in zip(mean, got):
+        np.testing.assert_array_equal(have, want)
+    if family == "deterministic_2p":
+        return
+    want_table, want_gains = lone_solve(sc, NOISE_ON[family])
+    for name in ("alpha", "gamma_bar"):
+        np.testing.assert_array_equal(getattr(table, name), getattr(want_table, name))
+    for name in ("dev_gain", "c", "closed_loop_dev"):
+        np.testing.assert_array_equal(getattr(gains, name), getattr(want_gains, name))
+
+
+def _lone_overflow(sc):
+    """The overflow message of a lone-channel run of the stochastic ``sc``:
+    at the last step k, counting back from N, where a coefficient is above
+    1e300 or NaN, the first channel (mean, then deviation) with a
+    non-finite best-response argument at k or a failing coefficient, and
+    its first such agent."""
+    noise_on = NOISE_ON[sc.family.value]
+    moment = [noise_even_moment(sc.noise, k + 1, sc.moment_order) for k in range(sc.horizon)]
+    a, b = sc.deviation_dynamics
+    with np.errstate(all="ignore"):
+        rows = [("alpha_bar", sc.b_bar, sc.r_bar, [1.0] * sc.horizon,
+                 lone_channel(2 * sc.p, sc.a_bar, sc.b_bar, sc.q_bar, sc.r_bar)[0]),
+                ("alpha", b, sc.r_dev, moment if "gain" in noise_on else [1.0] * sc.horizon,
+                 lone_channel(sc.moment_order, a, b, sc.q_dev, sc.r_dev, moment, noise_on)[0])]
+        fails = [~(alpha <= 1e300) for *_, alpha in rows]
+        k = int(np.flatnonzero(np.any(fails[0] | fails[1], axis=0))[-1])
+        for (name, b, r, scale, alpha), fail in zip(rows, fails):
+            arg = alpha[:, k + 1] * b[:, k] * scale[k] / r[:, k] if k < sc.horizon else 0.0
+            if not np.all(np.isfinite(arg)):
+                agent = np.flatnonzero(~np.isfinite(arg))[0] + 1
+                return (f"{name} best-response argument alpha_{{k+1}} b / r (times the noise "
+                        f"moment, if any) is not finite for agent {agent} at step {k}")
+            if fail[:, k].any():
+                agent = np.flatnonzero(fail[:, k])[0] + 1
+                return (f"{name} coefficient exceeded 1e+300 for agent {agent} at step {k}; "
+                        "closed loop too unstable for this cost order and horizon")
 
 
 def _pair_residual(sc, table, gains, i, k):
