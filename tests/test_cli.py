@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import mftg.cli
 import mftg.simulate
-from mftg import load_scenario_file, propagate_mean, serialize_scenario, solve
+from mftg import csvformat, load_scenario_file, propagate_mean, serialize_scenario, solve
 from mftg.cli import main
 from conftest import SCENARIOS, make_scenario, scenario_doc
 
@@ -714,6 +714,23 @@ class TestOutputMemory:
     def test_manifest_keeps_no_copy_of_the_scenario_text(self, peaks):
         # The canonical text is 3 MB at N = 1000, and its bytes as much again.
         assert peaks[1000]["manifest"] < 1_000_000, peaks
+
+
+def test_trajectory_csv_peak_is_bounded(tmp_path):
+    # Writing a 10,000-path trajectories.csv holds one block at a time: its
+    # float temporaries, its words and its bytes.  Its traced peak was about
+    # 2.19 MB on every shipped stochastic scenario and path count surveyed;
+    # the lookup tables are built once per process, before it.
+    sc = load_scenario_file(SCENARIOS / "multiplicative_two_agent.yaml")
+    _, gains = solve(sc)
+    ensemble = mftg.simulate.run_ensemble(sc, gains, paths=10_000, seed=sc.mc.seed,
+                                          store_cap=10_000)
+    header = ["path", "k", "x"] + [f"u_{i + 1}" for i in range(sc.agents)]
+    csvformat._tables()
+    peak = traced_peak(lambda: mftg.cli._write_csv(
+        tmp_path / "trajectories.csv", header, mftg.cli._trajectory_blocks(sc, ensemble),
+        (sc.horizon + 1, 3)))
+    assert peak < 3_000_000, peak
 
 
 @pytest.mark.parametrize("name", [*_SHIPPED, "wide"])

@@ -161,7 +161,7 @@ class TestColumns:
 
     def test_split_mid_period(self, path, monkeypatch):
         # Blocks of 250 rows cut the 11-row periods anywhere, and the file
-        # keeps the bytes of one block.  Last, a 131-row block between longer
+        # keeps the bytes of one block.  Last, a 71-row block between longer
         # ones: at the default break-even, scalar and vector blocks alternate.
         rng = np.random.default_rng(23)
         rows = 1200
@@ -175,7 +175,7 @@ class TestColumns:
         assert b"".join(split) == whole
         assert_same([columns], (11, 2))
         three = [columns[0], columns[2], columns[3]]
-        assert_same([three, [c[:131] for c in three], three], (11, 1))
+        assert_same([three, [c[:71] for c in three], three], (11, 1))
 
     def test_offset_moves_the_short_rows(self, path):
         rng = np.random.default_rng(29)
@@ -184,6 +184,27 @@ class TestColumns:
         for cut in (1, 6, 7, 160, 200, 399):
             assert (csv_rows([c[:cut] for c in columns], (7, 1))
                     + csv_rows([c[cut:] for c in columns], (7, 1), cut)) == whole
+
+    def test_blanked_values_are_never_formatted(self, path, monkeypatch):
+        # Whatever a short row blanks is written as nothing and never reaches
+        # '%.17g': the bytes equal those of a block with zeros there.
+        rng = np.random.default_rng(31)
+        rows = 440
+        values = rng.standard_normal((3, rows)) * 10.0 ** rng.integers(-6, 3, (3, rows))
+        blanked = np.arange(10, rows, 11)
+        zeros, odd = values.copy(), values.copy()
+        zeros[1:, blanked] = 0.0
+        odd[1:, blanked] = np.resize([np.nan, np.inf, -np.inf, 5e-324, -2.5e-320, 1e300, -1e300],
+                                     (2, blanked.size))
+        seen = []
+        percent_g = csvformat._percent_g
+        monkeypatch.setattr(csvformat, "_percent_g",
+                            lambda v: seen.extend(v.tolist()) or percent_g(v))
+        for lo, hi in [(0, rows), (0, 200), (200, rows), (5, 171)]:
+            want, got = (csv_rows([np.arange(lo, hi), *v[:, lo:hi]], (11, 2), lo)
+                         for v in (zeros, odd))
+            assert got == want
+        assert not [v for v in seen if not 1e-300 < abs(v) < 1e300]
 
     def test_empty_block(self, path):
         assert_same([[np.arange(0), np.zeros(0)], [np.arange(3), np.ones(3)]])
@@ -221,10 +242,19 @@ def test_hypothesis_rows(rows):
             csvformat.VECTOR_MIN_ROWS = saved
 
 
-def test_rejects_unwritable_columns():
-    with pytest.raises(TypeError):
-        csv_rows([np.zeros(3, dtype=bool)])
-    with pytest.raises(ValueError):
-        csv_rows([np.array(["a\0b"] * 200)])
-    with pytest.raises(ValueError):
-        csv_rows([np.arange(3), np.arange(3)], (2, 0))
+def test_rejects_unwritable_columns(monkeypatch):
+    for minimum in (1, 10 ** 9):        # the vector path, then the scalar path
+        monkeypatch.setattr(csvformat, "VECTOR_MIN_ROWS", minimum)
+        with pytest.raises(TypeError):
+            csv_rows([np.zeros(3, dtype=bool)])
+        with pytest.raises(ValueError):
+            csv_rows([np.array(["a\0b"] * 200)])
+        with pytest.raises(ValueError):
+            csv_rows([np.arange(3), np.arange(3)], (2, 0))
+        # Columns of unequal length, and a block with no column to count
+        # its rows.
+        for lengths in [(3, 5), (5, 3), (300, 500), (500, 300), (300, 300, 299)]:
+            with pytest.raises(ValueError, match="differ in length"):
+                csv_rows([np.arange(float(n)) for n in lengths])
+        with pytest.raises(ValueError, match="needs a column"):
+            csv_rows([None, None])
