@@ -9,18 +9,18 @@ index), which makes ensembles reproducible bit for bit.
 
 Paths are propagated in slabs of up to SLAB_BLOCKS whole blocks (a partial
 last block is a slab of its own), one step at a time, each path as its
-deviation d = x - x_bar alone and its controls as v = u - u_bar: the split
-the coefficient recursions price.  Each step is reduced as soon as it is
-made into the four statistics a run reports: each block's path sums of the
-state x = x_bar + d, of d**2 and d**mo, and of v**mo are kept for the
-step, and each path's stage cost is added to that path's cost, in a fixed
+deviation d = x - x_bar alone: the split the coefficient recursions price.
+Every equilibrium control is linear in d, v = u - u_bar = -g a d, so its
+moment is (g a)**mo E[d**mo] and its stage cost the recursion's
+(q + r (g a)**mo) d**mo.  Each step is reduced as soon as it is made: each
+block's path sums of x = x_bar + d, of d**2 and d**mo are kept for the step,
+and each agent's weighted d**mo is added to each path's cost, in a fixed
 order of elementwise operations.  After the last step the block sums are
-added to the run's running sums in block order, so the statistics have
-the same bits for any slab width.  The step rows are reused for the next
-step, so a slab holds its noise (N x slab floats) and two (I, slab) rows,
-whatever the horizon.  A run that keeps its paths (up to the store cap)
-also writes each step's x and u = u_bar + v into the store, so its
-statistics have the same bits as a streamed run's.
+added to the run's running sums in block order, so the statistics have the
+same bits for any slab width.  A slab reuses its noise (N x slab floats),
+four slab rows and one (I, slab) row at every step.  A run that keeps its
+paths (up to the store cap) also writes each step's x and u = u_bar + v
+into the store, so its statistics have the same bits as a streamed run's.
 """
 
 from __future__ import annotations
@@ -65,7 +65,9 @@ class Ensemble:
     price, which matters when the initial law puts its atom away from the
     declared mean), and ``u_dev_m2o`` (I, N) the mean mo-th power of the
     controls' deviation v from the exact mean controls, mo the scenario's
-    moment order.  With mo = 2, ``dev_m2o`` has the bits of ``dev_m2``.  ``path_cost``
+    moment order.  With mo = 2, ``dev_m2o`` has the bits of ``dev_m2``.  The
+    controls are linear in d, v = -g a d, so ``u_dev_m2o`` is priced as
+    (g a)**mo dev_m2o[:N], exactly 0 where a gain is.  ``path_cost``
     holds each agent's realized cost per path, mean terms included.  The
     raw path and control matrices are kept only below the storage cap.
     """
@@ -175,36 +177,33 @@ def _run_block(sc: Scenario, feedback: tuple, mean: MeanPath, eps: np.ndarray,
     """Propagate a slab of `blocks` equal blocks of paths from the initial
     states in rows[0] and the step-major noise eps (N, P), one step at a
     time, and reduce each step as soon as it is made.  feedback = (-gain
-    (I, N), push (N)): the controls' deviation v = -gain d and the push
-    they give the state.  Each path is carried as its deviation d from
-    x_bar; x = x_bar + d is formed only for its sum and the store, and
-    u = u_bar + v only for the store.
+    (I, N), push (N), weight (I, N)): the controls' deviation v = -gain d,
+    the push they give the state, and the stage-cost weight q + r gain**mo
+    on d**mo.  Each path is carried as its deviation d from x_bar; x is
+    formed only for its sum and the store, and v and u only for the store.
 
-    Each step's sums over each block's paths of x, d**2, d**mo and v**mo
-    go to that step's row of parts, (N+1, blocks) and (N, I, blocks)
-    buffers (with mo == 2 the d**2 and d**mo buffers are one); after the
-    last step they are added into sums block by block, in block order.
-    Each moment power is taken as (dev**2)**(mo/2).  Each path's deviation
-    cost is added into cost (I, P) in a fixed order: the stage costs
-    r_k * v_k**mo + q_k * d_k**mo for k = 0..N-1 in step order, then the
+    Each step's sums over each block's paths of x, d**2 and d**mo go to that
+    step's row of parts, (N+1, blocks) buffers (with mo == 2 the d**2 and
+    d**mo buffers are one); after the last step they are added into sums
+    block by block, in block order.  d**mo is taken as (d**2)**(mo/2).  Each
+    path's deviation cost is added into cost (I, P) in a fixed order: the
+    stage costs weight_k * d_k**mo for k = 0..N-1 in step order, then the
     terminal q_N * d_N**mo.  That arithmetic is elementwise, so each path's
     cost, like each block sum, has the same bits for any slab width.  rows
-    are the step rows: x, d, d**mo and a scratch row (P), and v and v**mo,
-    which becomes the stage cost (I, P).  A kept store gets each step's x
-    and u written into its views store = (x (P, N+1), u (I, P, N)).
+    are the step rows: x, d, d**mo and a scratch row (P), and the stage
+    cost (I, P), which first holds v for a kept store = (x (P, N+1),
+    u (I, P, N)), whose views get each step's x and u.
     """
     n, slot, mo = sc.horizon, sc.family.noise_slot, sc.moment_order
-    x, d, d_pow, tmp, v, stage = rows
-    x_part, d2_part, dmo_part, vmo_part = (p[..., :blocks] for p in parts)
-    neg_gain, push = feedback
-    q_dev, r_dev = sc.q_dev, sc.r_dev
+    x, d, d_pow, tmp, stage = rows
+    x_part, d2_part, dmo_part = (p[:, :blocks] for p in parts)
+    neg_gain, push, weight = feedback
     x_bar, u_bar = mean.x_bar, mean.u_bar
     a = sc.deviation_dynamics[0]
-    # With mo > 2 the squares go to tmp and to v, so even_power never copies.
-    d_sq, v_sq = (d_pow, stage) if mo == 2 else (tmp, v)
-    # (..., blocks, B) views of the rows summed per block
+    # With mo > 2 the square goes to tmp, so even_power never copies.
+    d_sq = d_pow if mo == 2 else tmp
+    # (blocks, B) views of the rows summed per block
     x_blocks, sq_blocks, d_blocks = (row.reshape(blocks, -1) for row in (x, d_sq, d_pow))
-    v_blocks = stage.reshape(sc.agents, blocks, -1)
     np.subtract(x, x_bar[0], out=d)
     for k in range(n + 1):
         np.add.reduce(x_blocks, axis=-1, out=x_part[k])
@@ -217,16 +216,10 @@ def _run_block(sc: Scenario, feedback: tuple, mean: MeanPath, eps: np.ndarray,
             np.add.reduce(d_blocks, axis=-1, out=dmo_part[k])
         if k == n:
             break
-        np.multiply(neg_gain[:, k, None], d, out=v)
         if store:
-            np.add(u_bar[:, k, None], v, out=store[1][:, :, k])
-        np.multiply(v, v, out=v_sq)
-        if mo > 2:
-            even_power(v_sq, mo // 2, out=stage)
-        np.add.reduce(v_blocks, axis=-1, out=vmo_part[k])
-        stage *= r_dev[:, k, None]
-        np.multiply(q_dev[:, k, None], d_pow, out=v)
-        stage += v
+            np.multiply(neg_gain[:, k, None], d, out=stage)
+            np.add(u_bar[:, k, None], stage, out=store[1][:, :, k])
+        np.multiply(weight[:, k, None], d_pow, out=stage)
         cost += stage
         # The dynamics split exactly into the mean recursion plus this
         # deviation channel, so zero-noise paths stay at d = 0, on the mean
@@ -244,38 +237,33 @@ def _run_block(sc: Scenario, feedback: tuple, mean: MeanPath, eps: np.ndarray,
         else:
             d *= eps[k]
         np.add(d, x_bar[k + 1], out=x)
-    np.multiply(q_dev[:, n, None], d_pow, out=stage)
+    np.multiply(sc.q_dev[:, n, None], d_pow, out=stage)
     cost += stage
     for j in range(blocks):
         for total, part in zip(sums, parts):
-            total += part[..., j]
+            total += part[:, j]
 
 
-def _run_slabs(sc: Scenario, gains: GainSchedule, mean: MeanPath, seed: int,
+def _run_slabs(sc: Scenario, feedback: tuple, mean: MeanPath, seed: int,
                n_paths: int, blocks: int, sums: list, cost: np.ndarray,
                store: tuple | None) -> None:
     """Draw, propagate and reduce n_paths paths in slabs of up to `blocks`
     whole blocks, in block order, into sums, cost (I, n_paths) and store =
     (x, u) when one is kept.  The slab buffers are freed on return."""
     n, agents = sc.horizon, sc.agents
-    a, b = sc.deviation_dynamics
-    gain = gains.dev_gain * a
-    push = agent_sum(b, gain)
-    feedback = (np.negative(gain, out=gain), push)
     # Each slab's per-block step sums of the statistics in sums.
-    parts = [np.empty((n + 1, blocks)) for _ in range(3)] + [np.empty((n, agents, blocks))]
+    parts = [np.empty((n + 1, blocks)) for _ in range(3)]
     if sc.moment_order == 2:
         parts[2] = parts[1]
     width = min(blocks * CHUNK_SIZE, n_paths)
-    rows = [np.empty(width) for _ in range(4)] + [np.empty(agents * width) for _ in range(2)]
+    rows = [np.empty(width) for _ in range(4)] + [np.empty(agents * width)]
     noise = np.empty(n * width)
     # Only a Gaussian draw has an out= form.
     draw = np.empty((min(CHUNK_SIZE, n_paths), n)) if sc.noise.kind == "gaussian" else None
     for lo, hi, count in _slabs(n_paths, blocks):
         size = hi - lo
         eps = noise[:n * size].reshape(n, size)
-        slab = [row[:size] for row in rows[:4]] + [row[:agents * size].reshape(agents, size)
-                                                   for row in rows[4:]]
+        slab = [row[:size] for row in rows[:4]] + [rows[4][:agents * size].reshape(agents, size)]
         for start in range(lo, hi, CHUNK_SIZE):
             cols = slice(start - lo, min(start + CHUNK_SIZE, hi) - lo)
             slab[0][cols] = _draw_paths(sc, seed, start, (eps[:, cols], draw))
@@ -291,13 +279,14 @@ def _memory_plan(sc: Scenario, n_paths: int, store_cap: int,
 
     A run holds the per-path costs; the path-major draw buffer (N floats
     per path of a block); the step-major noise and step rows of its widest
-    slab (N + 4 floats and two of I per path); the running path sums of
-    its four statistics, x, d**2 and d**mo (N+1 floats each) and v**mo
-    (N x I), and a slab's per-block step sums of the same; two tables of at
-    most (N+1) x (I+1) floats, the feedback gains and the mean path;
-    NumPy's ufunc buffers, up to np.getbufsize() floats for each of a
-    call's three operands, which narrow or transposed rows can take (a
-    step's (I, 1) columns against (I, P) rows, the transposed noise draw);
+    slab (N + 4 floats and one of I per path, the stage cost, which a kept
+    store's controls pass through); the running path sums of x, d**2 and
+    d**mo (N+1 floats each) and a slab's per-block step sums of the same;
+    four tables of at most (N+1) x (I+1) floats, the feedback gains, the
+    stage-cost weights, (g a)**mo and the mean path; NumPy's ufunc buffers,
+    up to np.getbufsize() floats for each of a call's three operands, which
+    narrow or transposed rows can take (a step's (I, 1) columns against
+    (I, P) rows, the transposed noise draw);
     and the path store when it keeps one.  A block's draw adds its initial
     states and the initial-law draw of a full block.  A run keeps its store
     only when the store fits beside one-block slabs; it then propagates the
@@ -309,8 +298,8 @@ def _memory_plan(sc: Scenario, n_paths: int, store_cap: int,
 
     def held(blocks):
         width = min(blocks * CHUNK_SIZE, n_paths)
-        tables = (1 + blocks) * (3 * (n + 1) + n * agents) + 2 * (n + 1) * (agents + 1)
-        return (agents * n_paths + draw * n + width * (n + 4 + 2 * agents) + tables
+        tables = (1 + blocks) * 3 * (n + 1) + 4 * (n + 1) * (agents + 1)
+        return (agents * n_paths + draw * n + width * (n + 4 + agents) + tables
                 + 3 * np.getbufsize())
 
     per_block = draw + CHUNK_SIZE
@@ -368,18 +357,24 @@ def run_ensemble(
         )
 
     mean = propagate_mean(sc, gains)
+    a, b = sc.deviation_dynamics
+    gain = gains.dev_gain * a
+    # The solver's pw = (g a)**mo: q + r pw has the bits of its alpha term.
+    pw = even_power(gain, sc.moment_order)
+    push = agent_sum(b, gain)
+    feedback = (np.negative(gain, out=gain), push, sc.q_dev[:, :n] + sc.r_dev * pw)
     path_cost = np.zeros((agents, n_paths))
     x_store = np.empty((n_paths, n + 1)) if store else None
     u_store = np.empty((agents, n_paths, n)) if store else None
-    # Running path sums: x, d**2, d**mo per step (N+1), then v**mo
-    # step-major (N, I).  Each block's step sums are added in block order.
-    sums = [np.zeros(n + 1) for _ in range(3)] + [np.zeros((n, agents))]
-    _run_slabs(sc, gains, mean, seed, n_paths, blocks, sums, path_cost,
+    # Running path sums of x, d**2 and d**mo per step (N+1); each block's
+    # step sums are added in block order.
+    sums = [np.zeros(n + 1) for _ in range(3)]
+    _run_slabs(sc, feedback, mean, seed, n_paths, blocks, sums, path_cost,
                (x_store, u_store) if store else None)
 
-    emp_mean, dev_m2, dev_m2o = (s / n_paths for s in sums[:3])
-    # The control sums are step-major (N, I); the statistic is (I, N).
-    u_dev_m2o = np.ascontiguousarray(sums[3].T) / n_paths
+    emp_mean, dev_m2, dev_m2o = (s / n_paths for s in sums)
+    # E[v**mo] = (g a)**mo E[d**mo], 0 at a zero gain even where d**mo is inf
+    u_dev_m2o = np.multiply(pw, dev_m2o[:n], out=np.zeros_like(pw), where=pw != 0.0)
 
     # Mean cost terms are path-independent constants; add them so that the
     # per-path costs average to the full realized cost.

@@ -241,22 +241,30 @@ def unilateral_deviation_test(
 
 
 def inject_gain_scaling(
-    gains: GainSchedule, agent: int, step: int | None, factor: float
+    gains: GainSchedule, agent: int, step: int | None, factor: float,
+    channel: str = "mean",
 ) -> GainSchedule:
-    """Test hook: return a copy with one agent's mean gain scaled.
+    """Test hook: return a copy with one agent's gain scaled in one channel.
 
-    ``step=None`` corrupts the whole schedule.  Only ``mean_gain`` changes:
-    ``closed_loop_mean`` and the other audit fields are left as solved, so
-    they no longer match the corrupted gains.  Nothing reads them after an
-    injection; ``verify`` recomputes the closed loop from the gains.
+    ``channel`` is "mean" (``mean_gain``) or "dev" (``dev_gain``, which only
+    the stochastic families have).  ``step=None`` corrupts the whole
+    schedule.  Only that gain table changes: the closed-loop factors and the
+    other audit fields are left as solved, so they no longer match the
+    corrupted gains.  Nothing reads them after an injection; ``verify``
+    recomputes the closed loop from the gains.
     """
-    mean_gain = np.array(gains.mean_gain)
+    name = {"mean": "mean_gain", "dev": "dev_gain"}.get(channel)
+    if name is None:
+        raise ValueError(f"channel must be 'mean' or 'dev', got {channel!r}")
+    if getattr(gains, name) is None:
+        raise ValueError("a deterministic schedule has no deviation gains")
+    gain = np.array(getattr(gains, name))
     if step is None:
-        mean_gain[agent] *= factor
+        gain[agent] *= factor
     else:
-        mean_gain[agent, step] *= factor
-    mean_gain.setflags(write=False)
-    return replace(gains, mean_gain=mean_gain)
+        gain[agent, step] *= factor
+    gain.setflags(write=False)
+    return replace(gains, **{name: gain})
 
 
 # ---------------------------------------------------------------------------

@@ -75,54 +75,75 @@ def _reference_chunk(sc, gains, mean, seed, lo, hi):
     return x, mean.u_bar[:, None, :] + v, d, v
 
 
-def _reference_path_cost(sc, mean, d, v):
-    """Per-path costs (I, B) from path-major deviations d (B, N+1) and v
-    (I, B, N), in the kernel's order: the stage costs r_k v_k**mo + q_k
-    d_k**mo added for k = 0..N-1, then the terminal q_N d_N**mo, then the
-    mean terms.  Each moment power is taken as (dev**2)**(mo/2)."""
-    n, mo, p2 = sc.horizon, sc.moment_order, 2 * sc.p
+def _control_moments(sc, gains):
+    """(g a)**mo (I, N), the factor that prices each control's moment from
+    the state's: every control is v = -g a d."""
+    return even_power(gains.dev_gain * sc.deviation_dynamics[0], sc.moment_order)
+
+
+def _mean_constant(sc, mean):
+    """Each agent's cost on the exact mean path, (I,)."""
+    n, p2 = sc.horizon, 2 * sc.p
+    x_pow = even_power(mean.x_bar, p2)
+    return (np.add.reduce(sc.q_bar[:, :n] * x_pow[:n], axis=1)
+            + np.add.reduce(sc.r_bar * even_power(mean.u_bar, p2), axis=1)
+            + sc.q_bar[:, n] * x_pow[n])
+
+
+def _reference_path_cost(sc, gains, mean, d):
+    """Per-path costs (I, B) from path-major deviations d (B, N+1), in the
+    kernel's order: the stage costs w_k d_k**mo, w_k = q_k + r_k (g_k a_k)**mo,
+    added for k = 0..N-1, then the terminal q_N d_N**mo, then the mean
+    terms.  Each moment power is taken as (d**2)**(mo/2)."""
+    n = sc.horizon
+    weight = sc.q_dev[:, :n] + sc.r_dev * _control_moments(sc, gains)
+    d_pow = even_power(d * d, sc.moment_order // 2)
+    out = np.zeros((sc.agents, d.shape[0]))
+    for k in range(n):
+        out += weight[:, k, None] * d_pow[:, k]
+    out += sc.q_dev[:, n, None] * d_pow[:, n]
+    return out + _mean_constant(sc, mean)[:, None]
+
+
+def _per_path_cost(sc, mean, d, v):
+    """Per-path costs (I, B) from the formed controls: r_k v_k**mo +
+    q_k d_k**mo per step, then q_N d_N**mo and the mean terms.  The kernel
+    prices v**mo through d**mo instead, so this agrees with it to roundoff."""
+    n, mo = sc.horizon, sc.moment_order
     d_pow, v_pow = even_power(d * d, mo // 2), even_power(v * v, mo // 2)
     out = np.zeros((sc.agents, d.shape[0]))
     for k in range(n):
         out += sc.r_dev[:, k, None] * v_pow[:, :, k] + sc.q_dev[:, k, None] * d_pow[:, k]
     out += sc.q_dev[:, n, None] * d_pow[:, n]
-    x_pow = even_power(mean.x_bar, p2)
-    mean_const = (
-        np.add.reduce(sc.q_bar[:, :n] * x_pow[:n], axis=1)
-        + np.add.reduce(sc.r_bar * even_power(mean.u_bar, p2), axis=1)
-        + sc.q_bar[:, n] * x_pow[n]
-    )
-    return out + mean_const[:, None]
+    return out + _mean_constant(sc, mean)[:, None]
 
 
-def _block_sums(sc, x, d, v):
-    """One block's step sums over its paths (B, N+1), their deviations d
-    (B, N+1) and the controls' deviations v (I, B, N): x, d**2 and d**mo
-    per step, and v**mo step-major (N, I), each moment power taken as
-    (dev**2)**(mo/2)."""
-    half = sc.moment_order // 2
+def _block_sums(sc, x, d):
+    """One block's step sums over its paths (B, N+1) and their deviations d
+    (B, N+1): x, d**2 and d**mo per step, d**mo taken as (d**2)**(mo/2)."""
     dev_x = np.ascontiguousarray(d.T)
-    dev_u = np.ascontiguousarray(v.transpose(2, 0, 1))
-    sq_x, sq_u = dev_x * dev_x, dev_u * dev_u
+    sq_x = dev_x * dev_x
     return [np.ascontiguousarray(x.T).sum(axis=-1), sq_x.sum(axis=-1),
-            even_power(sq_x, half).sum(axis=-1), even_power(sq_u, half).sum(axis=-1)]
+            even_power(sq_x, sc.moment_order // 2).sum(axis=-1)]
 
 
 def _reference_run(sc, gains, seed, paths):
     """A run made one block at a time from the path-major references: each
     block's paths, controls and per-path costs, and its step sums of x,
-    d**2, d**mo and v**mo added to the running sums in block order.
-    Returns the Ensemble fields it checks, by name."""
+    d**2 and d**mo added to the running sums in block order; the controls'
+    moment is (g a)**mo times d's, 0 where a gain is.  Returns the Ensemble
+    fields it checks, by name."""
     mean = propagate_mean(sc, gains)
-    sums, xs, us, costs = [0.0] * 4, [], [], []
+    sums, xs, us, costs = [0.0] * 3, [], [], []
     for lo in range(0, paths, CHUNK_SIZE):
-        x, u, d, v = _reference_chunk(sc, gains, mean, seed, lo, min(lo + CHUNK_SIZE, paths))
+        x, u, d, _ = _reference_chunk(sc, gains, mean, seed, lo, min(lo + CHUNK_SIZE, paths))
         xs.append(x)
         us.append(u)
-        costs.append(_reference_path_cost(sc, mean, d, v))
-        part = _block_sums(sc, x, d, v)
-        sums = [acc + val for acc, val in zip(sums, part)]
-    stats = [s / paths for s in sums[:3]] + [sums[3].T / paths]
+        costs.append(_reference_path_cost(sc, gains, mean, d))
+        sums = [acc + val for acc, val in zip(sums, _block_sums(sc, x, d))]
+    stats = [s / paths for s in sums]
+    pw = _control_moments(sc, gains)
+    stats.append(np.where(pw != 0.0, pw * stats[2][:sc.horizon], 0.0))
     return dict(zip(STATISTICS, stats), path_cost=np.concatenate(costs, axis=1),
                 x=np.concatenate(xs), u=np.concatenate(us, axis=1))
 
@@ -441,18 +462,29 @@ class TestEnsemble:
         assert abs(z) <= 3.0
 
 
-@pytest.mark.parametrize("initial", [
-    {"mean": 2.0, "kind": "deterministic", "atom": 2.5},
-    {"mean": 2.0, "kind": "gaussian_around_mean", "variance": 0.5},
-    {"mean": 2.0, "kind": "empirical_samples", "samples": [1.0, 2.5, 3.0, 0.5]},
-], ids=["deterministic", "gaussian_around_mean", "empirical_samples"])
-@pytest.mark.parametrize("noise", ["gaussian", "rademacher", "uniform"])
-@pytest.mark.parametrize("family,o", [
-    ("additive_variance_2p", None),
-    ("multiplicative_variance_2p", None),
-    ("general_moment_2o2p", 2),
-    ("general_moment_2o2p", 3),  # moment order 6 is not a power of two
-])
+def kernel_cases(test):
+    """Parametrize `test` over the 36 block-kernel cases: each family (and
+    two general moment orders) under each noise law and initial law."""
+    marks = [
+        pytest.mark.parametrize("family,o", [
+            ("additive_variance_2p", None),
+            ("multiplicative_variance_2p", None),
+            ("general_moment_2o2p", 2),
+            ("general_moment_2o2p", 3),  # moment order 6 is not a power of two
+        ]),
+        pytest.mark.parametrize("noise", ["gaussian", "rademacher", "uniform"]),
+        pytest.mark.parametrize("initial", [
+            {"mean": 2.0, "kind": "deterministic", "atom": 2.5},
+            {"mean": 2.0, "kind": "gaussian_around_mean", "variance": 0.5},
+            {"mean": 2.0, "kind": "empirical_samples", "samples": [1.0, 2.5, 3.0, 0.5]},
+        ], ids=["deterministic", "gaussian_around_mean", "empirical_samples"]),
+    ]
+    for mark in marks:
+        test = mark(test)
+    return test
+
+
+@kernel_cases
 def test_block_kernel_matches_reference(family, o, noise, initial):
     """Full blocks of 4096, the 1808-path last block of a 10,000-path run
     and a one-path block, against the path-major reference kernel."""
@@ -462,11 +494,88 @@ def test_block_kernel_matches_reference(family, o, noise, initial):
                           (1, ((0, 1),))):
         ens = run_ensemble(sc, gains, paths=paths, seed=6)
         for lo, hi in blocks:
-            x, u, d, v = _reference_chunk(sc, gains, ens.mean, 6, lo, hi)
+            x, u, d, _ = _reference_chunk(sc, gains, ens.mean, 6, lo, hi)
             np.testing.assert_array_equal(ens.x[lo:hi], x)
             np.testing.assert_array_equal(ens.u[:, lo:hi], u)
             np.testing.assert_array_equal(ens.path_cost[:, lo:hi],
-                                          _reference_path_cost(sc, ens.mean, d, v))
+                                          _reference_path_cost(sc, gains, ens.mean, d))
+
+
+# The kernel prices each control through d**mo; forming v = -g a d path by
+# path and pricing it directly agrees to roundoff.  In a survey of the 36
+# kernel cases (10,000 and one path, seed 6; 4,096 paths, seeds 0-9) and
+# the three shipped stochastic scenarios (102,400 paths, seeds 1-3 and
+# their own), the worst gap was 3.4e-16 for a path cost and 1.2e-15 for a
+# control moment, each relative to the formed-control value.
+FORMED_CONTROL_RTOL = 1e-14
+
+
+def _formed_control_gap(sc, gains, ens, seed):
+    """Worst relative gaps of ens.path_cost and ens.u_dev_m2o from the
+    formed controls: each path's r_k v_k**mo + q_k d_k**mo, and the path
+    mean of v**mo per agent and step, one block at a time in block order.
+    Where the formed value is 0 the kernel's must be 0 too."""
+    worst, v_sum = 0.0, 0.0
+    for lo in range(0, ens.n_paths, CHUNK_SIZE):
+        hi = min(lo + CHUNK_SIZE, ens.n_paths)
+        _, _, d, v = _reference_chunk(sc, gains, ens.mean, seed, lo, hi)
+        want = _per_path_cost(sc, ens.mean, d, v)
+        worst = max(worst, np.max(np.abs(ens.path_cost[:, lo:hi] - want) / np.abs(want)))
+        # step-major (N, I, B), so each sum runs along contiguous paths
+        v_sq = np.ascontiguousarray(v.transpose(2, 0, 1)) ** 2
+        v_sum = v_sum + even_power(v_sq, sc.moment_order // 2).sum(axis=-1)
+    want = v_sum.T / ens.n_paths
+    zero = want == 0.0
+    np.testing.assert_array_equal(ens.u_dev_m2o[zero], 0.0)
+    gap = np.abs(ens.u_dev_m2o[~zero] - want[~zero]) / want[~zero]
+    return worst, np.max(gap, initial=0.0)
+
+
+@kernel_cases
+def test_controls_priced_through_the_deviation(family, o, noise, initial):
+    """The kernel's path costs and control moments, priced through d**mo,
+    agree with controls formed path by path, at 10,000 paths and one."""
+    sc = _kernel_case(family, o, noise, initial)
+    _, gains = solve(sc)
+    for paths in (10_000, 1):
+        ens = run_ensemble(sc, gains, paths=paths, seed=6, store_cap=0)
+        assert max(_formed_control_gap(sc, gains, ens, 6)) <= FORMED_CONTROL_RTOL
+
+
+@pytest.mark.parametrize("fixture", ["additive_two_agent", "multiplicative_two_agent",
+                                     "general_two_agent"])
+def test_shipped_controls_priced_through_the_deviation(fixture, request):
+    sc = request.getfixturevalue(fixture)
+    _, gains = solve(sc)
+    ens = run_ensemble(sc, gains, paths=102_400, store_cap=0)
+    assert max(_formed_control_gap(sc, gains, ens, sc.mc.seed)) <= FORMED_CONTROL_RTOL
+
+
+@pytest.mark.parametrize("family,o", [("additive_variance_2p", None), ("general_moment_2o2p", 3)])
+def test_zero_gains_price_no_control(family, o):
+    """With no control channel (b = 0) every deviation gain is 0: the
+    controls' moment and realized cost are exactly 0, also where d**mo
+    overflows (an atom 1e60 from the mean, moment order 6), with no 0 * inf
+    NaN."""
+    general = family == "general_moment_2o2p"
+    b = {"b_bar": [0.5, -0.7, 1.0], "b_dev": [0.0] * 3} if general else {"b_bar": [0.0] * 3}
+    for atom in (2.5, 1e60) if general else (2.5,):
+        sc = make_scenario(
+            family=family, agents=3, horizon=5, p=2, o=o, a_bar=0.9, **b,
+            q_dev=[2.0, 3.0, 1.5], r_dev=[2.0, 1.0, 0.5], a_dev=0.9 if general else None,
+            noise={"kind": "gaussian", "sigma": 0.5},
+            initial={"mean": 2.0, "kind": "deterministic", "atom": atom})
+        table, gains = solve(sc)
+        assert np.all(gains.dev_gain == 0.0)
+        with np.errstate(over="ignore"):
+            ens = run_ensemble(sc, gains, paths=5000, seed=3)
+        assert np.all(ens.u_dev_m2o == 0.0) and not np.signbit(ens.u_dev_m2o).any()
+        np.testing.assert_array_equal(ens.u, np.broadcast_to(ens.mean.u_bar[:, None, :],
+                                                             ens.u.shape))
+        if atom < 1e60:
+            assert [b.run_control_dev for b in evaluate_cost(sc, ens, table)] == [0.0] * 3
+        else:
+            assert np.all(np.isinf(ens.dev_m2o))
 
 
 S = SLAB_BLOCKS * CHUNK_SIZE

@@ -610,6 +610,44 @@ class TestSingleStepCorruption:
             assert report.worst_mode == "deviation step 1", (agent, report)
 
 
+# The sections of `verify` that fail with agent 1's deviation gain scaled
+# by 1.2 over the whole schedule, at step 0 or at the last step.
+# Stationarity and the one-step identity catch every case.  The deviation
+# scan misses step 0 of the additive scenario, whose deviation starts at
+# d_0 = 0, so that gain is never used; and the last step of the
+# general-moment scenario, where E[d**mo] is about 1e-16 and the cost is
+# flat in that gain to roundoff.
+DEV_INJECTION_MISSES_SCAN = {("additive_two_agent", "first"),
+                             ("general_moment_two_agent", "last")}
+
+
+@pytest.mark.parametrize("name", SHIPPED[1:])
+@pytest.mark.parametrize("where", ["whole", "first", "last"])
+def test_deviation_gain_injection_fails_verify(name, where):
+    sc = load_scenario((SCENARIOS / f"{name}.yaml").read_text())
+    table, gains = solve(sc)
+    step = {"whole": None, "first": 0, "last": sc.horizon - 1}[where]
+    corrupted = inject_gain_scaling(gains, 0, step, 1.2, channel="dev")
+    assert corrupted.mean_gain is gains.mean_gain
+    scaled = np.zeros(gains.dev_gain.shape, dtype=bool)
+    scaled[0, slice(None) if step is None else step] = True
+    np.testing.assert_array_equal(corrupted.dev_gain != gains.dev_gain, scaled)
+    report = run_verification(sc, table, corrupted)
+    failing = list(dict.fromkeys(check[0] for check in report.checks if not check.passed))
+    want = ["deviation", "stationarity", "bellman"]
+    if (name, where) in DEV_INJECTION_MISSES_SCAN:
+        want.remove("deviation")
+    assert failing == want
+
+
+def test_injection_channel_is_checked(det_two_agent):
+    _, gains = solve(det_two_agent)
+    with pytest.raises(ValueError, match="channel"):
+        inject_gain_scaling(gains, 0, None, 1.2, channel="deviation")
+    with pytest.raises(ValueError, match="no deviation gains"):
+        inject_gain_scaling(gains, 0, None, 1.2, channel="dev")
+
+
 class TestWholeTableScan:
     """``slice(None)`` scans every agent in one pass, and holds (agent,
     factor) tables only."""
