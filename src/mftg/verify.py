@@ -26,15 +26,14 @@ family or branches on the channel.
 The closed-loop factor clf_k = a_k (1 - sum_j b_jk g_jk) comes from one
 layer, ``_closed_loop``, built from the gains and the raw scenario data
 only: never from ``alpha`` and never from the solver's ``closed_loop_*``
-audit fields, which a gain injection leaves stale.  The deviation scan is
-one pass over every agent, on (agent, factor) tables.  The first-order
-conditions are one whole-table ``stationarity_residual`` call, per unit of
-the dynamics coefficient; its verdict row names the worst agent and step.
-The convexity scan is taken per unit of that coefficient too, one
-(agent, step) table per sample.  The one-step value identity is one
-whole-table ``bellman_identity_check`` call on the 12 fixed probe states,
-one (agent, step) table per state: it is affine in each channel's moment,
-so a nonzero defect cannot vanish on them.
+audit fields, which a gain injection leaves stale.  The one-step value
+identity is affine in each channel's moment, so a nonzero defect cannot
+vanish on its 12 fixed probe states.
+
+The oracles' evidence becomes the rows of ``VerificationReport.checks``,
+the one place a value meets its tolerance, and ``summary`` words each of
+its sections in one line: report.csv, summary.txt and the stderr failure
+lines all read those rows.
 
 Scope: the deviation tests perturb within the linear-feedback class the
 equilibrium lives in; they certify no profitable deviation inside that
@@ -46,6 +45,7 @@ stationarity row sees a corrupted gain.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain, groupby
 from typing import NamedTuple
 
@@ -120,6 +120,13 @@ class DeviationReport:
     @property
     def passed(self) -> bool:
         return bool(self.margin <= self.tolerance)  # a NaN margin fails
+
+    @property
+    def check(self) -> Check:
+        """This agent's report.csv row, named for its ``worst_mode``."""
+        channel, _, *step = self.worst_mode.split()
+        return Check("deviation", f"margin_{channel}", str(self.agent + 1), "".join(step),
+                     f"{self.margin:.17g}", f"{self.tolerance:.17g}", self.passed)
 
 
 def _push(rows, clf, order: int, m):
@@ -259,10 +266,7 @@ def inject_gain_scaling(
     if getattr(gains, name) is None:
         raise ValueError("a deterministic schedule has no deviation gains")
     gain = np.array(getattr(gains, name))
-    if step is None:
-        gain[agent] *= factor
-    else:
-        gain[agent, step] *= factor
+    gain[agent, slice(None) if step is None else step] *= factor
     gain.setflags(write=False)
     return replace(gains, **{name: gain})
 
@@ -382,6 +386,10 @@ class Check(NamedTuple):
     tolerance: str
     passed: bool
 
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -393,14 +401,14 @@ class VerificationReport:
     convexity_min: float
     bellman_max_per_step: np.ndarray
 
-    @property
+    @cached_property
     def checks(self) -> list[Check]:
-        """The verdict table, one row per decision in report.csv order.
+        """The verdict table in report.csv order: a deviation row per agent,
+        then stationarity, positivity, convexity and a bellman row per step.
         Each value is compared with its tolerance here and nowhere else."""
         worst = np.unravel_index(np.argmax(self.stationarity), self.stationarity.shape)
         return [
-            *(Check("deviation", "margin", str(d.agent + 1), "", f"{d.margin:.17g}",
-                    f"{d.tolerance:.17g}", d.passed) for d in self.deviation),
+            *(d.check for d in self.deviation),
             Check("stationarity", "max_residual", str(worst[0] + 1), str(worst[1]),
                   f"{self.stationarity[worst]:.17g}", f"{STATIONARITY_TOL:g}",
                   bool(self.stationarity[worst] <= STATIONARITY_TOL)),
@@ -417,20 +425,29 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    def failures(self) -> list[str]:
-        """One line per failing section: its first failing row, and how
-        many of its rows fail."""
-        out = []
-        for _, rows in groupby(self.checks, key=lambda check: check.section):
+    def summary(self) -> list[str]:
+        """summary.txt: ``verification PASSED`` or ``FAILED``, then a line per
+        section of ``checks`` with its metric, value, tolerance, agent and
+        step at its first failing row, or else at its largest value (only
+        deviation and bellman have more rows; ties go to the first), ending
+        in ``ok`` or ``N of M rows fail``."""
+        lines = [f"verification {'PASSED' if self.passed else 'FAILED'}"]
+        for section, rows in groupby(self.checks, key=lambda check: check.section):
             rows = list(rows)
             failed = [check for check in rows if not check.passed]
-            if failed:
-                c = failed[0]
-                where = f" for agent {c.agent}" if c.agent else ""
-                where += f" at step {c.step}" if c.step else ""
-                out.append(f"{c.section} {c.metric} {c.value} (tolerance {c.tolerance}){where}: "
-                           f"{len(failed)} of {len(rows)} rows fail")
-        return out
+            if failed or len(rows) == 1:  # a lone row's value may be text
+                c = (failed or rows)[0]
+            else:
+                c = max(rows, key=lambda check: float(check.value))
+            tail = f" for agent {c.agent}" if c.agent else ""
+            tail += f" at step {c.step}" if c.step else ""
+            tail += f": {len(failed)} of {len(rows)} rows fail" if failed else ": ok"
+            lines.append(f"{section} {c.metric} {c.value} (tolerance {c.tolerance}){tail}")
+        return lines
+
+    def failures(self) -> list[str]:
+        """The summary lines of the failing sections, in order."""
+        return [line for line in self.summary()[1:] if not line.endswith(": ok")]
 
 
 def run_verification(

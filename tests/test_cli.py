@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import mftg.cli
 import mftg.simulate
-from mftg import csvformat, load_scenario_file, propagate_mean, serialize_scenario, solve
+from mftg import (csvformat, inject_gain_scaling, load_scenario_file, propagate_mean,
+                  run_verification, serialize_scenario, solve)
 from mftg.cli import main
 from conftest import SCENARIOS, make_scenario, scenario_doc
 
@@ -318,6 +319,43 @@ class TestVerify:
         assert code == 6
         assert "deviation margin" in capsys.readouterr().err
         assert (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("inject", [None, "1:*:1.2"])
+    def test_summary_renders_each_section(self, tmp_path, capsys, inject):
+        # summary.txt holds one line per report.checks section, in order,
+        # each showing the section's first failing row, or else its largest
+        # value; stderr repeats the failing ones.
+        out = tmp_path / "out"
+        code = main(["verify", DET, "--out", str(out),
+                     *(["--inject-gain", inject] if inject else [])])
+        sc = load_scenario_file(DET)
+        table, gains = solve(sc)
+        if inject:
+            gains = inject_gain_scaling(gains, 0, None, 1.2)
+        checks = run_verification(sc, table, gains).checks
+        lines = (out / "summary.txt").read_text().splitlines()
+        head = (["verification FAILED", f"gain corruption injected: {inject}"] if inject
+                else ["verification PASSED"])
+        assert code == (6 if inject else 0)
+        assert lines[:len(head)] == head
+        body = lines[len(head):]
+        sections = list(dict.fromkeys(check.section for check in checks))
+        assert [line.split()[0] for line in body] == sections
+        for section, line in zip(sections, body):
+            rows = [check for check in checks if check.section == section]
+            failed = [check for check in rows if not check.passed]
+            shown = failed[0] if failed else max(
+                rows, key=lambda check: float(check.value) if len(rows) > 1 else 0.0)
+            where = (f" for agent {shown.agent}" if shown.agent else "") + (
+                f" at step {shown.step}" if shown.step else "")
+            verdict = f"{len(failed)} of {len(rows)} rows fail" if failed else "ok"
+            assert line == (f"{section} {shown.metric} {shown.value} (tolerance "
+                            f"{shown.tolerance}){where}: {verdict}")
+        failing = {check.section for check in checks if not check.passed}
+        assert failing == ({"deviation", "stationarity", "bellman"} if inject else set())
+        assert capsys.readouterr().err.splitlines() == [
+            f"verification failed: {line}" for section, line in zip(sections, body)
+            if section in failing]
 
     def test_multiplicative_example_passes(self, tmp_path):
         out = tmp_path / "out"

@@ -60,17 +60,17 @@ def test_output_bytes(tmp_path, monkeypatch, scenario, command):
 # which fails every shipped scenario, and the sections that fail it.
 FAILING_VERIFY = {
     "additive_two_agent": (
-        "e7913784698eb2d5e81dabe60c448c3f447b0796705242dfdfcafbcff39fec5d",
-        "4b05a11a379ee0fb1aa1f687746fbba08730a02f6783a096a359bad01952385a"),
+        "3544aec7fde5be5474ef0886368a2790c4656c559f84f687da20b4804b88d324",
+        "988a7fda505b9d0fa2e825c588a75716d402b3b494a107c0739834346269ed37"),
     "deterministic_two_agent": (
-        "e949e6e38a1ed3ec4bbf8b3e81ea731776c963f95f2b4a26ffd19967f2b39f40",
-        "4bc4e91b69229c314bb1fe12841366ac665ae49c87f5478ca70bbff4a8ef0621"),
+        "516290a87e730048033b68cdf349afffd673b8f419e4843f4bb3cd05aaadb287",
+        "0977ed10e3b52f9f283fc52efcc4b81114b36ffaee770de987ecefa2667f93d2"),
     "general_moment_two_agent": (
-        "2bbfb6453fa7fd9ecd3fd472080348994652fd6bae3ff3829c63c89e8ef5009e",
-        "fb98db2e842850c78d236e82dd455f12046489ac9c1f0b6f9a83a9ffb568839c"),
+        "f7eb4cf9f855bc3dbe7b5e867528792803bdcc0c6508ee99b6f210596140acb9",
+        "49ddbbdab5726aa1c7c1c32a10901449b158d93579a6aa58c0ffbc2c1961294a"),
     "multiplicative_two_agent": (
-        "188e34d54ee9d88a8d1b9e66ee703a5a9c24f080a7c2b2223fc031f768b86a74",
-        "76d954091ad4a3e56889e90d0d251d8f074f92b0351b20e36347f5f843374353"),
+        "1932d7c1fdd6b5ffadd5f9947bd07f33b5a071e9109e4d5df8deaf17a6b89aef",
+        "633937442830b2ac38e2465aeeb9bac4fd13707cb199418c42823741748dfec6"),
 }
 FAILING_SECTIONS = ["deviation", "stationarity", "bellman"]
 

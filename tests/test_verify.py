@@ -351,6 +351,11 @@ class TestAggregateReport:
         assert not broken.passed
         failures = broken.failures()
         assert len(failures) == 1 and failures[0].startswith(f"{section} ")
+        rows = {"deviation": det_two_agent.agents, "bellman": det_two_agent.horizon}
+        shown = {"deviation": " for agent 1", "stationarity": " for agent 2 at step 2",
+                 "bellman": " at step 2"}.get(section, "")
+        assert failures[0].endswith(f"){shown}: 1 of {rows.get(section, 1)} rows fail")
+        assert [line for line in broken.summary() if line.startswith(f"{section} ")] == failures
         assert [(check.section, check.agent, check.step)
                 for check in broken.checks if not check.passed] == [(section, *where)]
 
@@ -597,6 +602,7 @@ class TestSingleStepCorruption:
             report = unilateral_deviation_test(sc, corrupted, agent)
             assert not report.passed, (agent, report)
             assert report.worst_mode == f"mean step {step}", (agent, report)
+            assert report.check[1:4] == ("margin_mean", str(agent + 1), str(step)), report
 
     @pytest.mark.parametrize("name", SHIPPED[1:])
     def test_deviation_gain(self, name):
@@ -608,6 +614,7 @@ class TestSingleStepCorruption:
             report = unilateral_deviation_test(sc, replace(gains, dev_gain=dev_gain), agent)
             assert not report.passed, (agent, report)
             assert report.worst_mode == "deviation step 1", (agent, report)
+            assert report.check[1:4] == ("margin_deviation", str(agent + 1), "1"), report
 
 
 # The sections of `verify` that fail with agent 1's deviation gain scaled
