@@ -253,13 +253,13 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    sc = load_scenario_file(args.scenario)
-    table, gains = solve(sc)
-    out = Path(args.out)
+def _write_simulate_outputs(out: Path, sc: Scenario, table, gains, paths: int, seed: int | None,
+                            store_cap: int):
+    """The body of `simulate`, which each `sweep` value runs too: the mean
+    path, a Monte Carlo ensemble of `paths` paths when the scenario is
+    stochastic, and the realized costs.  Returns (files, manifest extras,
+    mean path, ensemble or None, cost columns)."""
     extras = {"paths": 0}
-
-    paths = args.paths if args.paths is not None else sc.mc.paths
     ensemble = None
     # An overflowing prediction ends the run before any path is drawn.
     predicted_cost(sc, table, sc.family.stochastic and paths >= 1)
@@ -270,17 +270,14 @@ def cmd_simulate(args) -> int:
     elif paths < 1:
         print("warning: monte_carlo.paths is 0; mean path only", file=sys.stderr)
     else:
-        # Keep the paths only when trajectories.csv will be written from them.
-        store_cap = min(DEFAULT_STORE_CAP, TRAJECTORY_ROW_LIMIT // (sc.horizon + 1))
-        ensemble = run_ensemble(sc, gains, paths=paths, seed=args.seed, store_cap=store_cap)
+        ensemble = run_ensemble(sc, gains, paths=paths, seed=seed, store_cap=store_cap)
         if ensemble.x is None and paths <= store_cap:
             print("warning: the path store does not fit the in-memory budget; "
                   "trajectories.csv not written", file=sys.stderr)
     mean = propagate_mean(sc, gains) if ensemble is None else ensemble.mean
-    terminal = (sc.horizon + 1, 2)
     files = {"meanpath.csv": _write_csv(out / "meanpath.csv", _meanpath_header(sc.agents),
-                                        _meanpath_blocks(sc, mean), terminal)}
-    breakdown = evaluate_cost(sc, mean if ensemble is None else ensemble, table)
+                                        _meanpath_blocks(sc, mean), (sc.horizon + 1, 2))}
+    costs = _cost_columns(evaluate_cost(sc, mean if ensemble is None else ensemble, table))
     if ensemble is not None:
         extras["paths"] = ensemble.n_paths
         extras["ensemble_seed"] = ensemble.seed
@@ -295,9 +292,19 @@ def cmd_simulate(args) -> int:
                 ["path", "k", "x"] + [f"u_{i + 1}" for i in range(sc.agents)],
                 _trajectory_blocks(sc, ensemble), (sc.horizon + 1, 3),
             )
+    files["costs.csv"] = _write_csv(out / "costs.csv", COST_HEADER, [costs])
+    return files, extras, mean, ensemble, costs
 
-    files["costs.csv"] = _write_csv(out / "costs.csv", COST_HEADER, [_cost_columns(breakdown)])
 
+def cmd_simulate(args) -> int:
+    sc = load_scenario_file(args.scenario)
+    table, gains = solve(sc)
+    out = Path(args.out)
+    # Keep the paths only when trajectories.csv will be written from them.
+    store_cap = min(DEFAULT_STORE_CAP, TRAJECTORY_ROW_LIMIT // (sc.horizon + 1))
+    files, extras, mean, ensemble, _ = _write_simulate_outputs(
+        out, sc, table, gains, sc.mc.paths if args.paths is None else args.paths, args.seed,
+        store_cap)
     if args.plot:
         files.update(_write_plots(out, sc, table, mean, ensemble))
     _write_manifest(out, "simulate", sc, Path(args.scenario), files, extras)
@@ -410,27 +417,17 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     runs = []
     failures = []
-    terminal = (sc.horizon + 1, 2)
     for value in values:
         run_dir = out / f"{name}={value}"
         try:
             variant = with_params(sc, **{name: value})
             table, gains = solve(variant)
             files = _write_solve_outputs(run_dir, variant, table, gains)
-            mean = propagate_mean(variant, gains)
-            files["meanpath.csv"] = _write_csv(run_dir / "meanpath.csv",
-                                               _meanpath_header(variant.agents),
-                                               _meanpath_blocks(variant, mean), terminal)
-            if variant.family.stochastic and variant.mc.paths > 0:
-                predicted_cost(variant, table, True)  # before any path is drawn
-                ensemble = run_ensemble(variant, gains, store_cap=0)
-                breakdown = evaluate_cost(variant, ensemble, table)
-            else:
-                breakdown = evaluate_cost(variant, mean, table)
-            costs = _cost_columns(breakdown)
-            files["costs.csv"] = _write_csv(run_dir / "costs.csv", COST_HEADER, [costs])
-            _write_manifest(run_dir, "sweep", variant, Path(args.scenario), files,
-                            {"sweep": f"{name}={value}"})
+            # sweep writes no trajectories.csv, so its ensembles keep no store.
+            simulated, extras, mean, _, costs = _write_simulate_outputs(
+                run_dir, variant, table, gains, variant.mc.paths, variant.mc.seed, 0)
+            _write_manifest(run_dir, "sweep", variant, Path(args.scenario),
+                            files | simulated, {"sweep": f"{name}={value}", **extras})
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             failures.append((value, exc))
             print(f"sweep {name}={value} failed: {exc}", file=sys.stderr)

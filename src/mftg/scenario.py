@@ -167,7 +167,6 @@ class InitialLaw(_FieldEquality):
 class MonteCarloConfig:
     paths: int = 0
     seed: int = 0
-    stream_scheme: str = STREAM_SCHEME
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,7 +422,6 @@ def _build_mc(doc) -> MonteCarloConfig:
     return MonteCarloConfig(
         paths=_as_int(doc.get("paths", 0), "monte_carlo.paths"),
         seed=_as_int(doc.get("seed", 0), "monte_carlo.seed"),
-        stream_scheme=scheme,
     )
 
 
@@ -706,7 +704,7 @@ def _document(sc: Scenario) -> dict:
         "monte_carlo": {
             "paths": sc.mc.paths,
             "seed": sc.mc.seed,
-            "stream_scheme": sc.mc.stream_scheme,
+            "stream_scheme": STREAM_SCHEME,
         },
     }
     if sc.o is not None:

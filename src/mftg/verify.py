@@ -60,6 +60,8 @@ from .simulate import initial_central_moment, predicted_cost
 STATIONARITY_TOL = 1e-9
 BELLMAN_TOL = 1e-10
 DEVIATION_TOL = 1e-9
+# The names of the channels of ``Scenario.channels``, in its order.
+CHANNELS = ("mean", "deviation")
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +105,17 @@ class DeviationReport:
 
     ``margin`` is equilibrium cost minus the best perturbed cost (positive
     means some deviation improved on the equilibrium), taken over the worst
-    channel and mode, which ``worst_mode`` names (``mean step 3``,
-    ``deviation uniform``).  ``tolerance`` is the relative slack
-    DEVIATION_TOL times the agent's equilibrium cost; the costs are exact,
-    so it only absorbs roundoff.  ``uniform_argmin_factor`` is the best
-    uniform factor of the channel holding the worst margin.
+    ``channel`` (``mean`` or ``deviation``) and mode: ``step`` k for the
+    mode perturbing step k alone, None for the uniform mode.  ``tolerance``
+    is the relative slack DEVIATION_TOL times the agent's equilibrium cost;
+    the costs are exact, so it only absorbs roundoff.
     """
 
     agent: int
     margin: float
     tolerance: float
-    uniform_argmin_factor: float
-    worst_mode: str
+    channel: str
+    step: int | None
     equilibrium_cost: float
 
     @property
@@ -123,9 +124,9 @@ class DeviationReport:
 
     @property
     def check(self) -> Check:
-        """This agent's report.csv row, named for its ``worst_mode``."""
-        channel, _, *step = self.worst_mode.split()
-        return Check("deviation", f"margin_{channel}", str(self.agent + 1), "".join(step),
+        """This agent's report.csv row, named for its worst channel and step."""
+        return Check("deviation", f"margin_{self.channel}", str(self.agent + 1),
+                     "" if self.step is None else str(self.step),
                      f"{self.margin:.17g}", f"{self.tolerance:.17g}", self.passed)
 
 
@@ -182,7 +183,7 @@ def _channel_costs(sc: Scenario, gains: GainSchedule, agents: np.ndarray,
     coupling, factor, push = _closed_loop(sc, gains, slice(None))
     for (order, a, b, q, r), gain, m0, rows, c, clf_eq, name in zip(
             sc.channels, (gains.mean_gain, gains.dev_gain), _initial_moments(sc), push,
-            coupling, factor, ("mean", "deviation")):
+            coupling, factor, CHANNELS):
         g, q, r, b_g = gain[agents], q[agents], r[agents], b[agents] * gain[agents]
 
         def stage(steps, f):
@@ -222,28 +223,29 @@ def unilateral_deviation_test(
     one report for an agent index, a list in agent order for a slice.
 
     Each channel's gain is scanned on its own, so the mean channel's
-    curvature cannot hide an error in the deviation gain.  A channel's
-    (agent, mode) margins are reduced by argmax: the uniform mode wins a
-    tie, the first NaN wins, and a later channel wins only with a larger
-    margin.
+    curvature cannot hide an error in the deviation gain.  The margins form
+    one (agent, channel, mode) table, channels in ``CHANNELS`` order and the
+    uniform mode first, and each agent's worst is its one argmax: the
+    first of equal margins wins, so an earlier channel and the uniform mode
+    win a tie, and the first NaN wins over any number.
     """
     agents = np.arange(sc.agents)[agent]
     grid = grid or DeviationGrid()
     factors, eq = grid.factors(), grid.points // 2
-    margins = np.empty((agents.size, 1 + sc.horizon if grid.per_step else 1))
-    eq_cost, worst = 0.0, [None] * agents.size
+    margins = np.empty((agents.size, len(sc.channels), 1 + sc.horizon if grid.per_step else 1))
+    eq_cost = 0.0
     for name, k, cost in _channel_costs(sc, gains, agents.reshape(-1), factors, grid.per_step):
-        margins[:, 0 if k is None else 1 + k] = cost[:, eq] - cost.min(axis=1)
-        if k is not None:
-            continue
-        eq_cost = eq_cost + cost[:, eq]
-        argmin = factors[np.argmin(cost, axis=1)]
-        for j, row in enumerate(np.argmax(margins, axis=1)):
-            if worst[j] is None or margins[j, row] > worst[j][0]:
-                mode = "uniform" if row == 0 else f"step {row - 1}"
-                worst[j] = (float(margins[j, row]), f"{name} {mode}", float(argmin[j]))
-    reports = [DeviationReport(int(i), margin, DEVIATION_TOL * max(abs(c), 1e-12), argmin, mode, c)
-               for i, c, (margin, mode, argmin) in zip(agents.flat, eq_cost.tolist(), worst)]
+        margins[:, CHANNELS.index(name), 0 if k is None else 1 + k] = (
+            cost[:, eq] - cost.min(axis=1))
+        if k is None:
+            eq_cost = eq_cost + cost[:, eq]
+    channel, mode = np.unravel_index(np.argmax(margins.reshape(agents.size, -1), axis=1),
+                                     margins.shape[1:])
+    worst = margins[np.arange(agents.size), channel, mode]
+    reports = [DeviationReport(int(i), m, DEVIATION_TOL * max(abs(c), 1e-12), CHANNELS[ch],
+                               k - 1 if k else None, c)
+               for i, m, c, ch, k in zip(agents.flat, worst.tolist(), eq_cost.tolist(),
+                                         channel.tolist(), mode.tolist())]
     return reports if agents.ndim else reports[0]
 
 

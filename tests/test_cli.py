@@ -166,9 +166,14 @@ class TestSimulate:
             gap = abs(float(row["total"]) - float(row["predicted"]))
             assert gap <= 3.0 * float(row["std_error"])
 
-    def test_mean_path_propagated_once(self, tmp_path, monkeypatch):
-        """An ensemble run writes meanpath.csv from the ensemble's own mean
-        path, first in the manifest's file list."""
+    @pytest.mark.parametrize("argv, runs", [
+        (["simulate", "--paths", "50"], [""]),
+        (["sweep", "--sweep", "p=2,3"], ["p=2/", "p=3/"]),
+    ], ids=["simulate", "sweep"])
+    def test_mean_path_propagated_once(self, tmp_path, monkeypatch, argv, runs):
+        """An ensemble run, of `simulate` or of each `sweep` value, writes
+        meanpath.csv from the ensemble's own mean path, first in the
+        manifest's file list after solve's files."""
         calls, propagate = [], mftg.simulate.propagate_mean
 
         def counted(sc, gains):
@@ -178,11 +183,13 @@ class TestSimulate:
         monkeypatch.setattr(mftg.simulate, "propagate_mean", counted)
         monkeypatch.setattr(mftg.cli, "propagate_mean", counted)
         out = tmp_path / "out"
-        assert main(["simulate", ADD, "--out", str(out), "--paths", "50"]) == 0
-        assert len(calls) == 1
-        files = [line for line in (out / "manifest.txt").read_text().splitlines()
-                 if line.startswith("file ")]
-        assert files[0].startswith("file meanpath.csv = ")
+        assert main([argv[0], ADD, "--out", str(out), *argv[1:]]) == 0
+        assert len(calls) == len(runs)
+        for run in runs:
+            files = [line for line in (out / run / "manifest.txt").read_text().splitlines()
+                     if line.startswith("file ")
+                     and line.split()[1] not in ("coefficients.csv", "gains.csv")]
+            assert files[0].startswith("file meanpath.csv = "), run
 
     def test_path_store_kept_only_when_trajectories_are_written(self, tmp_path, monkeypatch):
         """A run whose trajectories.csv would pass the row limit streams its

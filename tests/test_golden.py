@@ -56,6 +56,18 @@ def test_output_bytes(tmp_path, monkeypatch, scenario, command):
     assert run_command(command, scenario, tmp_path / "out") == GOLDEN[scenario][command]
 
 
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_sweep_value_writes_simulate_files(scenario):
+    """One body writes `simulate`'s and each `sweep` value's mean path,
+    ensemble statistics and costs: every shipped scenario has p = 2, so its
+    p=2 files are its simulate files."""
+    shared = [f for f in ("meanpath.csv", "costs.csv", "ensemble_stats.csv")
+              if f in GOLDEN[scenario]["simulate"]]
+    assert len(shared) == (2 if scenario == "deterministic_two_agent" else 3)
+    for f in shared:
+        assert GOLDEN[scenario]["sweep"]["p=2/" + f] == GOLDEN[scenario]["simulate"][f], f
+
+
 # SHA-256 of report.csv and summary.txt of `verify --inject-gain 1:*:1.2`,
 # which fails every shipped scenario, and the sections that fail it.
 FAILING_VERIFY = {

@@ -103,7 +103,7 @@ def test_deviation_gain_corruption_detected(name, request):
         corrupted = replace(gains, dev_gain=dev_gain)
         report = unilateral_deviation_test(sc, corrupted, agent, VARIANT_GRID)
         assert not report.passed, (name, agent, report)
-        assert report.worst_mode.startswith("deviation"), report
+        assert report.channel == "deviation", report
 
 
 def test_per_step_schedules_all_families():

@@ -39,7 +39,6 @@ class TestUnilateralDeviation:
         _, gains = solve(one_step_unit)
         report = unilateral_deviation_test(one_step_unit, gains, 0)
         assert report.margin <= 1e-12
-        assert report.uniform_argmin_factor == pytest.approx(1.0)
         assert report.passed
 
     def test_corrupted_gain_is_detected(self, one_step_unit):
@@ -601,7 +600,7 @@ class TestSingleStepCorruption:
             corrupted = inject_gain_scaling(gains, agent, step, 1.2)
             report = unilateral_deviation_test(sc, corrupted, agent)
             assert not report.passed, (agent, report)
-            assert report.worst_mode == f"mean step {step}", (agent, report)
+            assert (report.channel, report.step) == ("mean", step), (agent, report)
             assert report.check[1:4] == ("margin_mean", str(agent + 1), str(step)), report
 
     @pytest.mark.parametrize("name", SHIPPED[1:])
@@ -613,7 +612,7 @@ class TestSingleStepCorruption:
             dev_gain[agent, 1] *= 1.2
             report = unilateral_deviation_test(sc, replace(gains, dev_gain=dev_gain), agent)
             assert not report.passed, (agent, report)
-            assert report.worst_mode == "deviation step 1", (agent, report)
+            assert (report.channel, report.step) == ("deviation", 1), (agent, report)
             assert report.check[1:4] == ("margin_deviation", str(agent + 1), "1"), report
 
 
@@ -645,6 +644,20 @@ def test_deviation_gain_injection_fails_verify(name, where):
     if (name, where) in DEV_INJECTION_MISSES_SCAN:
         want.remove("deviation")
     assert failing == want
+
+
+@pytest.mark.parametrize("name", SHIPPED[1:])
+def test_nan_deviation_gain_names_the_deviation_channel(name):
+    # The mean channel's margins are numbers and the deviation channel's
+    # are NaN: the worst row is the deviation channel's first NaN, its
+    # uniform mode, never a mean-channel number.
+    sc = load_scenario((SCENARIOS / f"{name}.yaml").read_text())
+    _, gains = solve(sc)
+    corrupted = inject_gain_scaling(gains, 0, 2, float("nan"), channel="dev")
+    report = unilateral_deviation_test(sc, corrupted, 0)
+    assert (report.channel, report.step) == ("deviation", None), report
+    assert report.check[1:5] == ("margin_deviation", "1", "", "nan"), report
+    assert not report.passed
 
 
 def test_injection_channel_is_checked(det_two_agent):
