@@ -254,26 +254,26 @@ def cmd_solve(args) -> int:
 
 
 def _write_simulate_outputs(out: Path, sc: Scenario, table, gains, paths: int, seed: int | None,
-                            store_cap: int):
+                            store_cap: int, source: str | None):
     """The body of `simulate`, which each `sweep` value runs too: the mean
     path, a Monte Carlo ensemble of `paths` paths when the scenario is
-    stochastic, and the realized costs.  Returns (files, manifest extras,
-    mean path, ensemble or None, cost columns)."""
+    stochastic, and the realized costs.  A warning that no path is drawn
+    names `source`, the option or scenario field that set `paths`; with
+    None there is none.  Returns (files, manifest extras, mean path,
+    ensemble or None, cost columns)."""
     extras = {"paths": 0}
     ensemble = None
     # An overflowing prediction ends the run before any path is drawn.
     predicted_cost(sc, table, sc.family.stochastic and paths >= 1)
-    if not sc.family.stochastic:
-        if paths:
-            print("warning: deterministic scenario; --paths ignored, "
-                  "mean path only", file=sys.stderr)
-    elif paths < 1:
-        print("warning: monte_carlo.paths is 0; mean path only", file=sys.stderr)
-    else:
+    if sc.family.stochastic and paths >= 1:
         ensemble = run_ensemble(sc, gains, paths=paths, seed=seed, store_cap=store_cap)
         if ensemble.x is None and paths <= store_cap:
             print("warning: the path store does not fit the in-memory budget; "
                   "trajectories.csv not written", file=sys.stderr)
+    elif source and (sc.family.stochastic or paths):
+        print(f"warning: {source} is 0; mean path only" if sc.family.stochastic else
+              f"warning: deterministic scenario; {source} ignored, mean path only",
+              file=sys.stderr)
     mean = propagate_mean(sc, gains) if ensemble is None else ensemble.mean
     files = {"meanpath.csv": _write_csv(out / "meanpath.csv", _meanpath_header(sc.agents),
                                         _meanpath_blocks(sc, mean), (sc.horizon + 1, 2))}
@@ -304,7 +304,7 @@ def cmd_simulate(args) -> int:
     store_cap = min(DEFAULT_STORE_CAP, TRAJECTORY_ROW_LIMIT // (sc.horizon + 1))
     files, extras, mean, ensemble, _ = _write_simulate_outputs(
         out, sc, table, gains, sc.mc.paths if args.paths is None else args.paths, args.seed,
-        store_cap)
+        store_cap, "monte_carlo.paths" if args.paths is None else "--paths")
     if args.plot:
         files.update(_write_plots(out, sc, table, mean, ensemble))
     _write_manifest(out, "simulate", sc, Path(args.scenario), files, extras)
@@ -424,8 +424,10 @@ def cmd_sweep(args) -> int:
             table, gains = solve(variant)
             files = _write_solve_outputs(run_dir, variant, table, gains)
             # sweep writes no trajectories.csv, so its ensembles keep no store.
+            # Every value has the scenario's paths: the first to run warns.
             simulated, extras, mean, _, costs = _write_simulate_outputs(
-                run_dir, variant, table, gains, variant.mc.paths, variant.mc.seed, 0)
+                run_dir, variant, table, gains, variant.mc.paths, variant.mc.seed, 0,
+                None if runs else "monte_carlo.paths")
             _write_manifest(run_dir, "sweep", variant, Path(args.scenario),
                             files | simulated, {"sweep": f"{name}={value}", **extras})
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues

@@ -25,11 +25,12 @@ table; other integers are built four digits per word.
 The 17 significant digits are exact: ``|x| * 10**(16 - e)`` is computed as a
 double-double from a table of powers of ten held as exact (hi, lo) pairs,
 the exponent ``e`` is chosen from the unrounded product, and the digits are
-rounded half to even at 17 places as ``%.17g`` rounds them.  Values the
-vector path cannot vouch for (non-finite, subnormal or out of the table's
-range, or within 1e-9 of a rounding tie) go through ``'%.17g' % v``.  The
-float values that short rows blank are never formatted: a plain number
-stands in for them.
+rounded half to even at 17 places as ``%.17g`` rounds them.  A value below
+1e-279, subnormals included, is first multiplied by 2**600, which is exact,
+and read with rows of ``10**(16 - e) * 2**-600``.  Values the vector path
+cannot vouch for (non-finite, above 1e290, or within 1e-9 of a rounding
+tie) go through ``'%.17g' % v``.  The float values that short rows blank
+are never formatted: a plain number stands in for them.
 """
 
 from __future__ import annotations
@@ -48,8 +49,13 @@ FLOAT_GROUP = 3 * 4096  # float values formatted in one pass, in whole columns
 _U8 = np.uint64
 _SPLIT = 134217729.0          # 2**27 + 1: Veltkamp's splitter for doubles
 _K_MIN, _K_MAX = -280, 300    # exponents of the power-of-ten table
-_LOW, _HIGH = 1e-279, 1e290   # |x| range the vector path formats
-_X_MAX = 300                  # decimal exponents of the per-exponent tables
+_LOW, _HIGH = 1e-279, 1e290   # |x| range the vector path formats unscaled
+# |x| below _LOW is prescaled by 2**600, exactly, and read with rows of
+# 10**k * 2**-600 after the table's: e = 16 - k from -324 to -279 (a value
+# just below _LOW may start at -279), _TINY_SHIFT rows past those of e.
+_PRESCALE, _TINY_K = 2.0 ** 600, range(295, 341)
+_TINY_SHIFT = _K_MAX + 1 - _TINY_K.start
+_X_MIN, _X_MAX = -324, 300    # decimal exponents of the per-exponent tables
 _TIE = 1e-9                   # fractions this close to .5 go to the scalar path
 _E16, _E17 = 10 ** 16, 10 ** 17
 _BLANKED = 0.1                # stands in for the values short rows blank
@@ -89,7 +95,7 @@ def _tables():
     # exponent word, the fewest digits after the first that are written (the
     # rest of the integer part), the digit after the first that a dot goes
     # before (16: no dot), and the mask that drops a dot from the head.
-    xs = [*range(_X_MAX + 1), *range(-_X_MAX, 0)]
+    xs = [*range(_X_MAX + 1), *range(_X_MIN, 0)]
     exponent = [not -4 <= x <= 16 for x in xs]
     # A head is the prefix, the first digit f at byte `first`, and a dot
     # after it for X = 0 or an exponent (none for a zero, whose f is 0).
@@ -112,17 +118,14 @@ def _tables():
                          [_word(b".", n - 8) if 8 <= n < 16 else 0 for n in range(17)]], _U8)
 
     # 10**k = hi + lo to about 2**-106, with hi split in two 26-bit halves
-    # for Dekker's product.  Python's int-to-float conversion and int
-    # division both round correctly.
+    # for Dekker's product, then the rows of 10**k * 2**-600.  Python's int
+    # division rounds correctly.
     hi, lo = [], []
-    for k in range(_K_MIN, _K_MAX + 1):
-        if k >= 0:
-            hi.append(float(10 ** k))
-            lo.append(float(10 ** k - int(hi[-1])))
-        else:
-            hi.append(1 / 10 ** -k)
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * 10 ** -k) / (den * 10 ** -k))
+    ratios = [(10 ** k, 1) if k >= 0 else (1, 10 ** -k) for k in range(_K_MIN, _K_MAX + 1)]
+    for num, den in ratios + [(10 ** k, int(_PRESCALE)) for k in _TINY_K]:
+        hi.append(num / den)
+        hi_num, hi_den = hi[-1].as_integer_ratio()
+        lo.append((num * hi_den - hi_num * den) / (den * hi_den))
     hi = np.array(hi)
     c = hi * _SPLIT
     hh = c - (c - hi)
@@ -164,10 +167,16 @@ def _float_digits(t, x):
     """
     a = np.abs(x)
     zero = a == 0
-    scalar = ~((a >= _LOW) & (a <= _HIGH))   # NaN compares false
+    scalar = ~((a > 0) & (a <= _HIGH))       # NaN compares false
     a[scalar] = 1.0
     scalar ^= zero                           # a zero is written as 1, then D = 0
     e = np.floor(np.log10(a)).astype(np.int64)
+    # Until e is final, a value below _LOW holds a * 2**600 and e - _TINY_SHIFT,
+    # which _scaled reads as the row of 10**(16 - e) * 2**-600.
+    tiny = np.flatnonzero(a < _LOW) if a.min() < _LOW else None
+    if tiny is not None:
+        a[tiny] *= _PRESCALE
+        e[tiny] -= _TINY_SHIFT
     whole, frac = _scaled(t, a, e)
     # log10 may be one off near powers of ten: step e until the unrounded
     # product lies in [1e16, 1e17).  A value that keeps flipping sits within
@@ -180,6 +189,8 @@ def _float_digits(t, x):
         whole[todo], frac[todo] = _scaled(t, a[todo], e[todo])
         todo = todo[(whole[todo] < _E16) | (whole[todo] >= _E17)]
     scalar[todo] = True
+    if tiny is not None:
+        e[tiny] += _TINY_SHIFT
     scalar |= np.abs(frac - 0.5) < _TIE
     d = whole
     d += frac > 0.5

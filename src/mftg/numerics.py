@@ -14,6 +14,7 @@ so each row of a stacked table sums to the bits of that row alone;
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,13 +24,15 @@ from .errors import CoefficientOverflowError, MissingMomentError
 _TINY = np.nextafter(0.0, 1.0)
 
 
-def _odd_root(y: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+def _odd_root(y, m: int, out: np.ndarray | None = None, work=None) -> np.ndarray:
     """Real m-th root of y for odd m >= 1, preserving sign, elementwise.
 
     Inverts t -> t**m over the reals, so negative arguments get negative
     roots.  Two Newton polish steps keep integer cases such as (8, 3) -> 2
     exact.  m = 1 returns y itself.  With ``out`` (an array other than y)
-    the root is written there with the same bits.  Arguments are not
+    the root is written there with the same bits.  ``work`` is the scratch
+    of ``_root_work(shape, m)``: a loop that takes many roots of one shape
+    passes its own and allocates nothing per call.  Arguments are not
     checked: non-finite ones give NaN or infinite roots, with NumPy's
     invalid-value warning unless the caller's errstate silences it.
     """
@@ -37,14 +40,27 @@ def _odd_root(y: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarra
         if out is not None:
             np.copyto(out, y)
         return y if out is None else out
-    ay = np.abs(y)
-    t = ay ** (1.0 / m) if out is None else np.power(ay, 1.0 / m, out=out)
+    (ay, tm1, num, den, inv, mm), plan = work or _root_work(np.shape(y), m)
+    t = np.empty_like(ay) if out is None else out
+    np.power(np.absolute(y, ay), inv, t)
     for _ in range(2):
-        tm1 = even_power(t, m - 1)
+        # t -= (t**(m-1) * t - |y|) / max(m * t**(m-1), _TINY)
+        _power(t, plan, tm1)
+        np.subtract(np.multiply(tm1, t, num), ay, num)
         # tm1 is 0 only where y is 0, and there the error is 0 as well: the
         # floor turns that 0 / 0 into a zero step and changes no other step.
-        t -= (tm1 * t - ay) / np.maximum(m * tm1, _TINY)
-    return np.copysign(t, y, out=out)
+        np.maximum(np.multiply(mm, tm1, den), _TINY, out=den)
+        np.subtract(t, np.divide(num, den, num), t)
+    np.copysign(t, y, t)
+    return t[()] if out is None else t
+
+
+def _root_work(shape, m: int):
+    """Scratch for ``_odd_root`` at odd order m > 1 on arrays of ``shape``:
+    four work rows, rows of 1/m and m, and the power plan of m - 1."""
+    rows = np.empty((6, *shape))
+    rows[4], rows[5] = 1.0 / m, m
+    return [rows[j, ...] for j in range(6)], _power_plan(m - 1)
 
 
 def _odd_double_factorial(n: int) -> float:
@@ -54,6 +70,23 @@ def _odd_double_factorial(n: int) -> float:
         out *= k
         if out == math.inf:
             break
+    return out
+
+
+@functools.cache
+def _power_plan(m: int) -> str:
+    """The steps of x**m after the first square x * x, for an integer m >= 2,
+    from the binary digits of m below its leading one: "s" squares and "x"
+    multiplies by x."""
+    return "".join("s" * (j > 0) + "x" * (d == "1") for j, d in enumerate(bin(m)[3:]))
+
+
+def _power(x: np.ndarray, plan: str, out: np.ndarray | None = None):
+    """x**m by ``_power_plan(m)``, unchecked, into ``out`` (not x) if given:
+    the kernel of ``even_power``, for loops that fix m once."""
+    out = np.multiply(x, x, out)
+    for step in plan:
+        out *= x if step == "x" else out
     return out
 
 
@@ -75,15 +108,7 @@ def even_power(x, m: int, out: np.ndarray | None = None):
         return np.multiply(x, 1.0, out=out)
     if out is not None and m & (m - 1) and np.may_share_memory(x, out):
         x = x.copy()
-    shift = m.bit_length() - 2  # the exponent bits below the leading one
-    out = np.multiply(x, x, out=out)
-    while True:
-        if m >> shift & 1:
-            out *= x
-        if shift == 0:
-            return out
-        out *= out
-        shift -= 1
+    return _power(x, _power_plan(m), out)
 
 
 def agent_sum(x, y):

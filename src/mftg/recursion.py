@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoefficientOverflowError
-from .numerics import _odd_root, agent_sum, even_power
+from .numerics import _odd_root, _power, _power_plan, _root_work, agent_sum, even_power
 from .scenario import PUSH_SLOTS, Scenario, _freeze
 
 OVERFLOW_LIMIT = 1e300
@@ -124,7 +124,12 @@ def _channel(names, channels, slot=None, moments=None):
     row, so the tables are bit-identical to lone channels.  The loop stages
     b, r, q (alpha in place), and a and the moment repeated along the agent
     axis, STAGE steps at a time as contiguous step-major (rows, I) rows; a
-    step works in them and in preallocated scratch rows with ``out=`` ufuncs.
+    step works in them and in preallocated scratch rows, through row views
+    made once per call, with a positional ``out`` (keyword for np.maximum)
+    and rows of 1 and m in place of Python scalars.  The odd root runs in
+    its own scratch, and the closed-loop factor and g a are raised to the
+    order together, as one (rows, I + 1) row, by a squaring plan fixed per
+    order.
     c, which no later step reads, is taken once per block; gamma's running
     sum and one overflow scan, which raises the first failure from the end,
     run after the loop, which runs on through inf and NaN silently.  Returns
@@ -138,13 +143,23 @@ def _channel(names, channels, slot=None, moments=None):
     gain, c = np.empty((rows, agents, n)), np.empty((rows, agents, n))
     moments = np.asarray(moments if slot else np.ones((rows, n)), dtype=float)
     size = min(STAGE, n)
-    # staged rows: alpha_[i + 1] is alpha_{k+1} of staged step i, k = lo + i
+    # staged rows: alpha_[i + 1] is alpha_{k+1} of staged step i, k = lo + i;
+    # pc_[i] holds the closed-loop factor and then g * a: one row to raise
     b_, r_, a_, m_, eta_, g_ = np.empty((6, size, rows, agents))
-    alpha_, clf_ = np.empty((size + 1, rows, agents)), np.empty((size, rows, 1))
-    arg, tmp, term, pw = np.empty((4, rows, agents))
-    s, pc = np.empty((2, rows, 1))
-    groups = ([(slice(None), orders[0])] if len(set(orders)) == 1 else
-              [(slice(j, j + 1), order) for j, order in enumerate(orders)])
+    alpha_, pc_ = np.empty((size + 1, rows, agents)), np.empty((size, rows, agents + 1))
+    arg, tmp, term = np.empty((3, rows, agents))
+    pw, (s, one) = np.empty((rows, agents + 1)), np.ones((2, rows, 1))
+    # per group of rows of one order: its rows, root order, root scratch and power plan
+    roots = [(sl, order - 1, _root_work(arg[sl].shape, order - 1), _power_plan(order))
+             for sl, order in ([(slice(None), orders[0])] if len(set(orders)) == 1 else
+                               [(slice(j, j + 1), order) for j, order in enumerate(orders)])]
+    # per staged step, its row views, made once
+    views = [(alpha_[i + 1], alpha_[i], b_[i], r_[i], a_[i], a_[i, :, :1], m_[i], eta_[i], g_[i],
+              pc_[i, :, :1], pc_[i, :, 1:],
+              [(arg[sl], root, work, eta_[i, sl], pc_[i, sl], pw[sl], plan)
+               for sl, root, work, plan in roots])
+             for i in range(size)]
+    pc, pga = pw[:, :1], pw[:, 1:]
     alpha[:, :, n] = alpha_[0] = [channel[3][:, n] for channel in channels]
     scale, lift = slot == "scale", slot == "lift"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -154,38 +169,36 @@ def _channel(names, channels, slot=None, moments=None):
             for j, (_, a, b, q, r) in enumerate(channels):
                 b_[:w, j], r_[:w, j], alpha_[:w, j] = b[:, lo:hi].T, r[:, lo:hi].T, q[:, lo:hi].T
                 a_[:w, j], m_[:w, j] = a[lo:hi, None], moments[j, lo:hi, None]
-            for i in range(w - 1, -1, -1):
-                nxt, alpha_k, b_k, a_k, m_k = alpha_[i + 1], alpha_[i], b_[i], a_[i], m_[i]
-                eta, g, clf_k = eta_[i], g_[i], clf_[i]
-                np.multiply(nxt, b_k, out=arg)
+            for step in views[w - 1::-1]:
+                nxt, alpha_k, b_k, r_k, a_k, a_col, m_k, eta, g, clf_k, ga, parts = step
+                np.multiply(nxt, b_k, arg)
                 if scale:
-                    np.multiply(arg, m_k, out=arg)
-                np.divide(arg, r_[i], out=arg)
-                for sl, order in groups:
-                    _odd_root(arg[sl], order - 1, out=eta[sl])
-                np.multiply(b_k, eta, out=tmp)
-                np.add(1.0, np.add.reduce(tmp, axis=1, keepdims=True, out=s), out=s)
-                np.divide(eta, s, out=g)
-                np.multiply(b_k, g, out=tmp)
-                np.subtract(1.0, np.add.reduce(tmp, axis=1, keepdims=True, out=s), out=s)
-                np.multiply(a_k[:, :1], s, out=clf_k)
-                np.multiply(g, a_k, out=tmp)
-                for sl, order in groups:
-                    even_power(clf_k[sl], order, out=pc[sl])
-                    even_power(tmp[sl], order, out=pw[sl])
-                np.multiply(nxt, pc, out=term)
+                    np.multiply(arg, m_k, arg)
+                np.divide(arg, r_k, arg)
+                for arg_g, root, work, eta_g, _, _, _ in parts:
+                    _odd_root(arg_g, root, eta_g, work)
+                np.multiply(b_k, eta, tmp)
+                np.add(one, np.add.reduce(tmp, 1, None, s, True), s)
+                np.divide(eta, s, g)
+                np.multiply(b_k, g, tmp)
+                np.subtract(one, np.add.reduce(tmp, 1, None, s, True), s)
+                np.multiply(a_col, s, clf_k)
+                np.multiply(g, a_k, ga)
+                for _, _, _, _, pc_g, pw_g, plan in parts:
+                    _power(pc_g, plan, pw_g)
+                np.multiply(nxt, pc, term)
                 if scale:
-                    np.multiply(term, m_k, out=term)
+                    np.multiply(term, m_k, term)
                 # alpha_k still holds q_k here
-                np.add(alpha_k, np.multiply(r_[i], pw, out=pw), out=alpha_k)
-                np.add(alpha_k, term, out=alpha_k)
+                np.add(alpha_k, np.multiply(r_k, pga, pga), alpha_k)
+                np.add(alpha_k, term, alpha_k)
                 if lift:
-                    np.add(alpha_k, np.multiply(nxt, m_k, out=tmp), out=alpha_k)
+                    np.add(alpha_k, np.multiply(nxt, m_k, tmp), alpha_k)
             # c = eta / (1 + eta b) for the block, in b_'s rows (restaged next block)
             np.multiply(eta_[:w], b_[:w], out=b_[:w])
             np.divide(eta_[:w], np.add(1.0, b_[:w], out=b_[:w]), out=eta_[:w])
             alpha[:, :, lo:hi], gain[:, :, lo:hi] = (v[:w].transpose(1, 2, 0) for v in (alpha_, g_))
-            c[:, :, lo:hi], clf[:, lo:hi] = eta_[:w].transpose(1, 2, 0), clf_[:w, :, 0].T
+            c[:, :, lo:hi], clf[:, lo:hi] = eta_[:w].transpose(1, 2, 0), pc_[:w, :, 0].T
         gamma = None
         if slot == "shift":
             # gamma_k = gamma_{k+1} + alpha_{k+1} * moment_k from gamma_N = 0,

@@ -9,8 +9,9 @@ share across threads.  Python lists exist only at the YAML boundary.
 
 Configuration documents are YAML (see the schema reference in README.md),
 parsed by libyaml through PyYAML's ``CSafeLoader`` when PyYAML was built with
-it and by the pure-Python ``SafeLoader`` otherwise; both build the same
-documents, and only the wording of a syntax error differs.
+it and by the pure-Python ``SafeLoader`` otherwise, either with plain float
+rows built directly (``_FloatRows``); both build the same documents, and
+only the wording of a syntax error differs.
 Key shapes:
 
 * ``a_bar`` is a scalar or a list with one entry per step (``horizon`` many).
@@ -98,9 +99,30 @@ STREAM_SCHEME = "block substream"
 # table is built: 400 MB of floats.  simulate.MAX_PATH_FLOATS is the ceiling
 # on Monte Carlo memory.
 MAX_TABLE_FLOATS = 50_000_000
+
+
+class _FloatRows:
+    """Loader mixin: a sequence of items tagged float, none with ``_``, ``:``,
+    ``n`` or ``N`` (separators, base 60, inf, NaN), is ``float`` of each
+    item's text, as PyYAML's constructor builds it but without its call per
+    item.  Other sequences, and texts ``float`` rejects, go to PyYAML's."""
+
+    def construct_sequence(self, node, deep=False):
+        if isinstance(node, yaml.SequenceNode):
+            texts = [item.value for item in node.value
+                     if item.tag == "tag:yaml.org,2002:float"]
+            try:
+                joined = "".join(texts)
+                if len(texts) == len(node.value) and not any(c in joined for c in "_:nN"):
+                    return list(map(float, texts))
+            except (TypeError, ValueError):
+                pass
+        return super().construct_sequence(node, deep)
+
+
 # Safe YAML loader: libyaml when available, several times faster on large
-# scenarios than the pure-Python fallback.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# scenarios than the pure-Python fallback; float rows take the shortcut.
+_LOADER = type("_LOADER", (_FloatRows, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
 
 
 def _same(x, y) -> bool:
@@ -286,6 +308,8 @@ def _steps(value, n: int, where: str) -> np.ndarray:
     if isinstance(value, (list, tuple)):
         if len(value) != n:
             raise SchemaError(f"{where} must have exactly {n} entries, got {len(value)}")
+        if all(type(v) is float for v in value):  # a float row needs no per-entry check
+            return _freeze(np.array(value))
         return _freeze(np.array([_as_number(v, f"{where}[{i}]") for i, v in enumerate(value)]))
     return _freeze(np.full(n, _as_number(value, where)))
 
@@ -767,8 +791,9 @@ def _yaml_scalar(value) -> str:
 
 
 # Table entries formatted at a time: the text held while a table is
-# serialized stays this size, however large the table.
-_TABLE_CHUNK = 1024
+# serialized stays this size, however large the table.  Of 1024 to 32768,
+# 8192 gave the fastest `wide` digest, about 0.85 MB at the peak.
+_TABLE_CHUNK = 8192
 
 
 def _table_text(part: np.ndarray, lo: int, width: int, sep: str, new_row: str) -> str:

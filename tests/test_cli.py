@@ -154,6 +154,24 @@ class TestSimulate:
         assert (out / "meanpath.csv").exists()
         assert not (out / "ensemble_stats.csv").exists()
 
+    @pytest.mark.parametrize("scenario, paths, argv, warning", [
+        (DET, 0, [], None),
+        (DET, 5, [], "warning: deterministic scenario; monte_carlo.paths ignored, mean path only"),
+        (DET, 0, ["--paths", "100"],
+         "warning: deterministic scenario; --paths ignored, mean path only"),
+        (DET, 5, ["--paths", "0"], None),
+        (ADD, 0, [], "warning: monte_carlo.paths is 0; mean path only"),
+        (ADD, 10, ["--paths", "0"], "warning: --paths is 0; mean path only"),
+        (ADD, 0, ["--paths", "10"], None),
+    ])
+    def test_paths_warning_names_its_source(self, tmp_path, capsys, scenario, paths, argv,
+                                            warning):
+        doc = yaml.safe_load(Path(scenario).read_text())
+        doc["monte_carlo"]["paths"] = paths
+        assert main(["simulate", write_doc(tmp_path, doc), "--out", str(tmp_path / "out"),
+                     *argv]) == 0
+        assert capsys.readouterr().err.splitlines() == ([warning] if warning else [])
+
     def test_stochastic_outputs_and_cost_band(self, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", ADD, "--out", str(out), "--paths", "4000",
@@ -547,6 +565,17 @@ class TestSweep:
         assert capsys.readouterr().err.splitlines() == [
             "sweep p=2 failed: predicted cost of agent 1 overflows at the initial state "
             "(mean 1, cost orders [4, 80])"]
+
+    @pytest.mark.parametrize("scenario, paths, warning", [
+        (DET, 5, "warning: deterministic scenario; monte_carlo.paths ignored, mean path only"),
+        (ADD, 0, "warning: monte_carlo.paths is 0; mean path only"),
+    ])
+    def test_paths_warning_once_per_sweep(self, tmp_path, capsys, scenario, paths, warning):
+        doc = yaml.safe_load(Path(scenario).read_text())
+        doc["monte_carlo"]["paths"] = paths
+        assert main(["sweep", write_doc(tmp_path, doc), "--out", str(tmp_path / "out"),
+                     "--sweep", "p=2,3,4"]) == 0
+        assert capsys.readouterr().err.splitlines() == [warning]
 
     def test_sweep_keeps_no_path_store(self, tmp_path, monkeypatch):
         """sweep writes no trajectories.csv, so its ensembles keep no store."""

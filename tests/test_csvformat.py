@@ -102,6 +102,33 @@ class TestFloats:
                             123456789012345678.0, 99999999999999999.0, 1e22, 1e23])
         assert_same([[np.tile(special, 7)]])
 
+    def test_values_below_1e_279(self, path):
+        # Subnormals and the smallest normals are prescaled by 2**600 and
+        # formatted on the vector path: none is handed to the scalar path.
+        rng = np.random.default_rng(23)
+        low = 1e-279
+        edges = np.array([5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                          low, *np.nextafter(low, [0.0, 1.0]),
+                          np.nextafter(np.nextafter(low, 0.0), 0.0)])
+        p = np.array([float(f"1e{k}") for k in range(-323, -279)])
+        powers = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, 1.0)])
+        subnormal = rng.integers(1, 2 ** 52, 20_000, dtype=np.uint64).view(np.float64)
+        small = np.exp(rng.uniform(np.log(2.2250738585072014e-308), np.log(low), 20_000))
+        for values in (edges, powers, subnormal, small):
+            assert_same([[values, -values]])
+        below = np.concatenate([edges, powers, subnormal, small])
+        below = below[below < low]
+        assert not csvformat._float_digits(csvformat._tables(), below)[2].any()
+
+    def test_meanpath_like_block(self, path):
+        # A mean path and controls that decay through the subnormals to zero,
+        # with the short terminal row of meanpath.csv.
+        steps = np.arange(1001)
+        x = 5.0 * 0.45 ** steps
+        u = [x * c for c in (0.7, -1.3, 2.0 ** -30)]
+        assert np.count_nonzero((x > 0) & (x < 2.2250738585072014e-308)) > 10
+        assert_same([[steps, x, *u]], short=(1001, 2))
+
     def test_float32_column(self, path):
         values = np.random.default_rng(19).standard_normal(500).astype(np.float32)
         assert_same([[values, values * np.float32(1e-30)]])

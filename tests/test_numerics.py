@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mftg import MissingMomentError, noise_even_moment, sample_convexity, solve
-from mftg.numerics import _odd_root, even_power
+from mftg.numerics import _odd_root, _root_work, even_power
 from mftg.scenario import NoiseSpec
 from mftg.verify import _min_curvature
 from conftest import REPO, make_scenario
@@ -139,6 +139,18 @@ class TestCallerOwnedOut:
     @pytest.mark.parametrize("m", [1, 3, 5, 7, 9])
     def test_even_power(self, m):
         self._check(even_power, m)
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 9])
+    def test_odd_root_in_reused_scratch(self, m):
+        # The loop's form: one scratch for every call, as many roots as
+        # steps; each call gives the bits of the allocating call.
+        rng = np.random.default_rng(m)
+        work, out = _root_work(EDGES.shape, m), np.empty_like(EDGES)
+        for x in (EDGES, -EDGES, rng.standard_normal(EDGES.size) * 1e3, EDGES[::-1].copy()):
+            with np.errstate(all="ignore"):
+                want = np.array(_odd_root(x, m))
+                assert _odd_root(x, m, out, work) is out
+            np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 def _spec(kind, sigma, moments=None, n=1):

@@ -37,7 +37,7 @@ needs_libyaml = pytest.mark.skipif(len(LOADERS) < 2, reason="PyYAML built withou
 @needs_libyaml
 class TestLoaders:
     def test_default_is_libyaml(self):
-        assert mftg_scenario._LOADER is yaml.CSafeLoader
+        assert issubclass(mftg_scenario._LOADER, yaml.CSafeLoader)
 
     @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.yaml")))
     def test_shipped_scenarios_load_alike(self, name):
@@ -48,6 +48,54 @@ class TestLoaders:
     def test_wide_scenarios_load_alike(self, seed):
         text = _wide_yaml(seed)
         assert load_with(yaml.CSafeLoader, text) == load_with(yaml.SafeLoader, text)
+
+    # The float-row shortcut, on libyaml and on the pure-Python parser,
+    # against PyYAML's own loaders: floats of every plain form, forms the
+    # shortcut leaves to PyYAML, mixed and nested rows, anchors and aliases.
+    FAST = [mftg_scenario._LOADER,
+            type("PyFloatRows", (mftg_scenario._FloatRows, yaml.SafeLoader), {})]
+
+    @pytest.mark.parametrize("text", [
+        "[-0.0, +1.5, 1., .5, 1.5E+3, 0.0, -1.5e-3, 2.5e+300, 4.9406564584124654e-324]",
+        "[1_000.5, 2.5]", "[1:30.5, 2.5]", "[.inf, 2.5]", "[-.Inf, 2.5]", "[.NaN, 2.5]",
+        "[1e5, 2.5]", "[1, 2.5]", "[2.5, 1, true, null, x]",
+        "[[1.0, 2.0], [3.5, -0.0], 4.5, [1, 2.0]]", "[]", "[[]]",
+        "a: &row [1.5, 2.5]\nb: *row\nc: [&x 3.5, *x, 1.0]",
+        '[!!float "2", !!float 3, "1.5", \'2.5\']',
+    ])
+    def test_float_rows_load_as_pyyaml(self, text):
+        want = [repr(yaml.load(text, Loader=plain)) for plain in LOADERS]
+        assert want[0] == want[1]
+        for fast in self.FAST:
+            assert repr(yaml.load(text, Loader=fast)) == want[0]
+
+    def test_plain_float_rows_skip_the_constructor(self):
+        for fast in self.FAST:
+            calls = []
+            spy = type("Spy", (fast,), {})
+            spy.add_constructor("tag:yaml.org,2002:float",
+                                lambda loader, node: calls.append(node.value))
+            assert yaml.load("[1.5, -0.0, 2.5e-300]", Loader=spy) == [1.5, -0.0, 2.5e-300]
+            assert calls == []
+            yaml.load("[1.5, .inf]", Loader=spy)
+            assert calls == ["1.5", ".inf"]
+
+    @pytest.mark.parametrize("text", ["[!!float 0X1, 2.5]", "[!!float [1.5], 2.5]",
+                                      "[!!float , 2.5]"])
+    def test_float_row_errors_are_pyyaml_errors(self, text):
+        want = []
+        for loader in [*LOADERS, *self.FAST]:
+            with pytest.raises(Exception) as err:
+                yaml.load(text, Loader=loader)
+            want.append((type(err.value), str(err.value).split(" in ")[0]))
+        assert len(set(want)) == 1
+
+    def test_exponent_without_dot_stays_a_schema_error(self):
+        text = yaml.safe_dump(scenario_doc(a_bar=[1.0])).replace("- 1.0", "- 1e5")
+        assert "1e5" in text
+        for loader in [*LOADERS, *self.FAST]:
+            with pytest.raises(SchemaError, match="a_bar"):
+                load_with(loader, text)
 
     def test_syntax_error_position_agrees(self):
         where = []
@@ -295,10 +343,19 @@ class TestRoundTrip:
         mixed = make_scenario(agents=3, horizon=5, a_bar=[0.0, -0.0, -0.0, 1.5, 0.0],
                               b_bar=[[0.0, -0.0, 2.0, 2.0, 2.0], 1.0,
                                      [float(v) for v in rng.standard_normal(5)]])
-        for sc in (general_two_agent, mixed):
+        # Tables larger than the default piece, in runs of 20 equal entries
+        # that cross its edges.
+        runs = lambda size: np.repeat(rng.standard_normal(-(-size // 20)), 20)[:size].tolist()
+        large = make_scenario(agents=3, horizon=4000, b_bar=[runs(4000) for _ in range(3)],
+                              q_bar=[np.abs(runs(4001)).tolist() for _ in range(3)])
+        piece, flat = mftg_scenario._TABLE_CHUNK, large.b_bar.reshape(-1)
+        assert flat.size > piece and flat[piece - 1] == flat[piece]
+        for sc, chunks in ((general_two_agent, (1, 2, 3, 4, 5, 6, 7, 11)),
+                           (mixed, (1, 2, 3, 4, 5, 6, 7, 11)),
+                           (large, (19, 20, 4001, piece - 1, piece + 1, 2 * piece))):
             want = serialize_scenario(sc)
             assert load_scenario(want) == sc
-            for chunk in (1, 2, 3, 4, 5, 6, 7, 11):
+            for chunk in chunks:
                 monkeypatch.setattr(mftg_scenario, "_TABLE_CHUNK", chunk)
                 assert serialize_scenario(sc) == want
                 pieces = []
