@@ -253,14 +253,22 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _warn_no_paths(sc: Scenario, paths: int, source: str) -> None:
+    """Warn when `paths`, set by `source` (an option or scenario field),
+    draws no path: 0 for a stochastic scenario, any for a deterministic one."""
+    if sc.family.stochastic and paths < 1:
+        print(f"warning: {source} is 0; mean path only", file=sys.stderr)
+    elif not sc.family.stochastic and paths:
+        print(f"warning: deterministic scenario; {source} ignored, mean path only",
+              file=sys.stderr)
+
+
 def _write_simulate_outputs(out: Path, sc: Scenario, table, gains, paths: int, seed: int | None,
-                            store_cap: int, source: str | None):
+                            store_cap: int):
     """The body of `simulate`, which each `sweep` value runs too: the mean
     path, a Monte Carlo ensemble of `paths` paths when the scenario is
-    stochastic, and the realized costs.  A warning that no path is drawn
-    names `source`, the option or scenario field that set `paths`; with
-    None there is none.  Returns (files, manifest extras, mean path,
-    ensemble or None, cost columns)."""
+    stochastic, and the realized costs.  Returns (files, manifest extras,
+    mean path, ensemble or None, cost columns)."""
     extras = {"paths": 0}
     ensemble = None
     # An overflowing prediction ends the run before any path is drawn.
@@ -270,10 +278,6 @@ def _write_simulate_outputs(out: Path, sc: Scenario, table, gains, paths: int, s
         if ensemble.x is None and paths <= store_cap:
             print("warning: the path store does not fit the in-memory budget; "
                   "trajectories.csv not written", file=sys.stderr)
-    elif source and (sc.family.stochastic or paths):
-        print(f"warning: {source} is 0; mean path only" if sc.family.stochastic else
-              f"warning: deterministic scenario; {source} ignored, mean path only",
-              file=sys.stderr)
     mean = propagate_mean(sc, gains) if ensemble is None else ensemble.mean
     files = {"meanpath.csv": _write_csv(out / "meanpath.csv", _meanpath_header(sc.agents),
                                         _meanpath_blocks(sc, mean), (sc.horizon + 1, 2))}
@@ -302,9 +306,10 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     # Keep the paths only when trajectories.csv will be written from them.
     store_cap = min(DEFAULT_STORE_CAP, TRAJECTORY_ROW_LIMIT // (sc.horizon + 1))
+    paths = sc.mc.paths if args.paths is None else args.paths
+    _warn_no_paths(sc, paths, "monte_carlo.paths" if args.paths is None else "--paths")
     files, extras, mean, ensemble, _ = _write_simulate_outputs(
-        out, sc, table, gains, sc.mc.paths if args.paths is None else args.paths, args.seed,
-        store_cap, "monte_carlo.paths" if args.paths is None else "--paths")
+        out, sc, table, gains, paths, args.seed, store_cap)
     if args.plot:
         files.update(_write_plots(out, sc, table, mean, ensemble))
     _write_manifest(out, "simulate", sc, Path(args.scenario), files, extras)
@@ -417,6 +422,8 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     runs = []
     failures = []
+    # Every value runs with the scenario's paths: one warning for them all.
+    _warn_no_paths(sc, sc.mc.paths, "monte_carlo.paths")
     for value in values:
         run_dir = out / f"{name}={value}"
         try:
@@ -424,10 +431,8 @@ def cmd_sweep(args) -> int:
             table, gains = solve(variant)
             files = _write_solve_outputs(run_dir, variant, table, gains)
             # sweep writes no trajectories.csv, so its ensembles keep no store.
-            # Every value has the scenario's paths: the first to run warns.
             simulated, extras, mean, _, costs = _write_simulate_outputs(
-                run_dir, variant, table, gains, variant.mc.paths, variant.mc.seed, 0,
-                None if runs else "monte_carlo.paths")
+                run_dir, variant, table, gains, variant.mc.paths, variant.mc.seed, 0)
             _write_manifest(run_dir, "sweep", variant, Path(args.scenario),
                             files | simulated, {"sweep": f"{name}={value}", **extras})
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues

@@ -14,7 +14,6 @@ so each row of a stacked table sums to the bits of that row alone;
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -40,12 +39,12 @@ def _odd_root(y, m: int, out: np.ndarray | None = None, work=None) -> np.ndarray
         if out is not None:
             np.copyto(out, y)
         return y if out is None else out
-    (ay, tm1, num, den, inv, mm), plan = work or _root_work(np.shape(y), m)
+    (ay, tm1, num, den, inv, mm), bits = work or _root_work(np.shape(y), m)
     t = np.empty_like(ay) if out is None else out
     np.power(np.absolute(y, ay), inv, t)
     for _ in range(2):
         # t -= (t**(m-1) * t - |y|) / max(m * t**(m-1), _TINY)
-        _power(t, plan, tm1)
+        _power(t, bits, tm1)
         np.subtract(np.multiply(tm1, t, num), ay, num)
         # tm1 is 0 only where y is 0, and there the error is 0 as well: the
         # floor turns that 0 / 0 into a zero step and changes no other step.
@@ -57,10 +56,10 @@ def _odd_root(y, m: int, out: np.ndarray | None = None, work=None) -> np.ndarray
 
 def _root_work(shape, m: int):
     """Scratch for ``_odd_root`` at odd order m > 1 on arrays of ``shape``:
-    four work rows, rows of 1/m and m, and the power plan of m - 1."""
+    four work rows, rows of 1/m and m, and the bits of m - 1 for ``_power``."""
     rows = np.empty((6, *shape))
     rows[4], rows[5] = 1.0 / m, m
-    return [rows[j, ...] for j in range(6)], _power_plan(m - 1)
+    return [rows[j, ...] for j in range(6)], bin(m - 1)[3:]
 
 
 def _odd_double_factorial(n: int) -> float:
@@ -73,20 +72,16 @@ def _odd_double_factorial(n: int) -> float:
     return out
 
 
-@functools.cache
-def _power_plan(m: int) -> str:
-    """The steps of x**m after the first square x * x, for an integer m >= 2,
-    from the binary digits of m below its leading one: "s" squares and "x"
-    multiplies by x."""
-    return "".join("s" * (j > 0) + "x" * (d == "1") for j, d in enumerate(bin(m)[3:]))
-
-
-def _power(x: np.ndarray, plan: str, out: np.ndarray | None = None):
-    """x**m by ``_power_plan(m)``, unchecked, into ``out`` (not x) if given:
-    the kernel of ``even_power``, for loops that fix m once."""
+def _power(x: np.ndarray, bits: str, out: np.ndarray | None = None):
+    """x**m for an integer m >= 2, unchecked, into ``out`` (not x) if given,
+    from ``bits = bin(m)[3:]``, the binary digits of m below its leading
+    one: the kernel of ``even_power``, for loops that fix m once."""
     out = np.multiply(x, x, out)
-    for step in plan:
-        out *= x if step == "x" else out
+    for j, bit in enumerate(bits):
+        if j:
+            out *= out
+        if bit == "1":
+            out *= x
     return out
 
 
@@ -108,7 +103,7 @@ def even_power(x, m: int, out: np.ndarray | None = None):
         return np.multiply(x, 1.0, out=out)
     if out is not None and m & (m - 1) and np.may_share_memory(x, out):
         x = x.copy()
-    return _power(x, _power_plan(m), out)
+    return _power(x, bin(m)[3:], out)
 
 
 def agent_sum(x, y):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoefficientOverflowError
-from .numerics import _odd_root, _power, _power_plan, _root_work, agent_sum, even_power
+from .numerics import _odd_root, _power, _root_work, agent_sum, even_power
 from .scenario import PUSH_SLOTS, Scenario, _freeze
 
 OVERFLOW_LIMIT = 1e300
@@ -125,11 +125,9 @@ def _channel(names, channels, slot=None, moments=None):
     b, r, q (alpha in place), and a and the moment repeated along the agent
     axis, STAGE steps at a time as contiguous step-major (rows, I) rows; a
     step works in them and in preallocated scratch rows, through row views
-    made once per call, with a positional ``out`` (keyword for np.maximum)
-    and rows of 1 and m in place of Python scalars.  The odd root runs in
-    its own scratch, and the closed-loop factor and g a are raised to the
-    order together, as one (rows, I + 1) row, by a squaring plan fixed per
-    order.
+    made once per call, with positional ``out`` and a row of ones for 1.0.
+    The odd root has its own scratch, and the closed-loop factor and g a
+    are raised to the order together, as one (rows, I + 1) row.
     c, which no later step reads, is taken once per block; gamma's running
     sum and one overflow scan, which raises the first failure from the end,
     run after the loop, which runs on through inf and NaN silently.  Returns
@@ -149,15 +147,16 @@ def _channel(names, channels, slot=None, moments=None):
     alpha_, pc_ = np.empty((size + 1, rows, agents)), np.empty((size, rows, agents + 1))
     arg, tmp, term = np.empty((3, rows, agents))
     pw, (s, one) = np.empty((rows, agents + 1)), np.ones((2, rows, 1))
-    # per group of rows of one order: its rows, root order, root scratch and power plan
-    roots = [(sl, order - 1, _root_work(arg[sl].shape, order - 1), _power_plan(order))
-             for sl, order in ([(slice(None), orders[0])] if len(set(orders)) == 1 else
-                               [(slice(j, j + 1), order) for j, order in enumerate(orders)])]
-    # per staged step, its row views, made once
+    # per group of rows of one order: its rows, root order, root scratch and power bits
+    groups = [(sl, order - 1, _root_work(arg[sl].shape, order - 1), bin(order)[3:])
+              for sl, order in ([(slice(None), orders[0])] if len(set(orders)) == 1 else
+                                [(slice(j, j + 1), order) for j, order in enumerate(orders)])]
+    # per staged step, its row views, made once, and per group the views of
+    # its root (argument, order, scratch, eta) and of its power (base, out, bits)
     views = [(alpha_[i + 1], alpha_[i], b_[i], r_[i], a_[i], a_[i, :, :1], m_[i], eta_[i], g_[i],
               pc_[i, :, :1], pc_[i, :, 1:],
-              [(arg[sl], root, work, eta_[i, sl], pc_[i, sl], pw[sl], plan)
-               for sl, root, work, plan in roots])
+              [(arg[sl], root, work, eta_[i, sl]) for sl, root, work, _ in groups],
+              [(pc_[i, sl], pw[sl], bits) for sl, _, _, bits in groups])
              for i in range(size)]
     pc, pga = pw[:, :1], pw[:, 1:]
     alpha[:, :, n] = alpha_[0] = [channel[3][:, n] for channel in channels]
@@ -170,12 +169,12 @@ def _channel(names, channels, slot=None, moments=None):
                 b_[:w, j], r_[:w, j], alpha_[:w, j] = b[:, lo:hi].T, r[:, lo:hi].T, q[:, lo:hi].T
                 a_[:w, j], m_[:w, j] = a[lo:hi, None], moments[j, lo:hi, None]
             for step in views[w - 1::-1]:
-                nxt, alpha_k, b_k, r_k, a_k, a_col, m_k, eta, g, clf_k, ga, parts = step
+                nxt, alpha_k, b_k, r_k, a_k, a_col, m_k, eta, g, clf_k, ga, roots, powers = step
                 np.multiply(nxt, b_k, arg)
                 if scale:
                     np.multiply(arg, m_k, arg)
                 np.divide(arg, r_k, arg)
-                for arg_g, root, work, eta_g, _, _, _ in parts:
+                for arg_g, root, work, eta_g in roots:
                     _odd_root(arg_g, root, eta_g, work)
                 np.multiply(b_k, eta, tmp)
                 np.add(one, np.add.reduce(tmp, 1, None, s, True), s)
@@ -184,8 +183,8 @@ def _channel(names, channels, slot=None, moments=None):
                 np.subtract(one, np.add.reduce(tmp, 1, None, s, True), s)
                 np.multiply(a_col, s, clf_k)
                 np.multiply(g, a_k, ga)
-                for _, _, _, _, pc_g, pw_g, plan in parts:
-                    _power(pc_g, plan, pw_g)
+                for pc_g, pw_g, bits in powers:
+                    _power(pc_g, bits, pw_g)
                 np.multiply(nxt, pc, term)
                 if scale:
                     np.multiply(term, m_k, term)

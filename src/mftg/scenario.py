@@ -308,9 +308,10 @@ def _steps(value, n: int, where: str) -> np.ndarray:
     if isinstance(value, (list, tuple)):
         if len(value) != n:
             raise SchemaError(f"{where} must have exactly {n} entries, got {len(value)}")
-        if all(type(v) is float for v in value):  # a float row needs no per-entry check
-            return _freeze(np.array(value))
-        return _freeze(np.array([_as_number(v, f"{where}[{i}]") for i, v in enumerate(value)]))
+        for i, v in enumerate(value):  # only a bad entry's place is formatted
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                _as_number(v, f"{where}[{i}]")  # raises
+        return _freeze(np.array([float(v) for v in value]))
     return _freeze(np.full(n, _as_number(value, where)))
 
 

@@ -106,12 +106,11 @@ def propagate_mean(sc: Scenario, gains: GainSchedule) -> MeanPath:
     # step-major (N, I) tables: step k's controls and their push are rows
     gain, b_bar = (np.ascontiguousarray(v.T) for v in (-gains.mean_gain * a_bar, sc.b_bar))
     x_bar = np.empty(n + 1)
-    u_bar, push = np.empty((n, sc.agents)), np.empty(sc.agents)
+    u_bar = np.empty((n, sc.agents))
     x_bar[0] = sc.x0.mean
-    x = x_bar[0]
-    for k, (g, b, u, a) in enumerate(zip(gain, b_bar, u_bar, a_bar.tolist()), 1):
-        np.multiply(g, x, u)
-        x = x_bar[k] = a * x + np.add.reduce(np.multiply(b, u, push))
+    for k in range(n):
+        np.multiply(gain[k], x_bar[k], out=u_bar[k])
+        x_bar[k + 1] = a_bar[k] * x_bar[k] + np.add.reduce(b_bar[k] * u_bar[k])
     u_bar = np.ascontiguousarray(u_bar.T)
     x_bar.setflags(write=False)
     u_bar.setflags(write=False)

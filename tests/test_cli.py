@@ -21,6 +21,7 @@ import mftg.simulate
 from mftg import (csvformat, inject_gain_scaling, load_scenario_file, propagate_mean,
                   run_verification, serialize_scenario, solve)
 from mftg.cli import main
+from mftg.errors import CoefficientOverflowError
 from conftest import SCENARIOS, make_scenario, scenario_doc
 
 DET = str(SCENARIOS / "deterministic_two_agent.yaml")
@@ -566,16 +567,31 @@ class TestSweep:
             "sweep p=2 failed: predicted cost of agent 1 overflows at the initial state "
             "(mean 1, cost orders [4, 80])"]
 
+    @pytest.mark.parametrize("fail_first", [False, True], ids=["all_run", "first_fails"])
     @pytest.mark.parametrize("scenario, paths, warning", [
         (DET, 5, "warning: deterministic scenario; monte_carlo.paths ignored, mean path only"),
         (ADD, 0, "warning: monte_carlo.paths is 0; mean path only"),
     ])
-    def test_paths_warning_once_per_sweep(self, tmp_path, capsys, scenario, paths, warning):
+    def test_paths_warning_once_per_sweep(self, tmp_path, capsys, monkeypatch, scenario, paths,
+                                          warning, fail_first):
+        """The warning is printed once, also when the first value fails
+        after the point where its simulate body used to print it."""
+        if fail_first:
+            evaluate, calls = mftg.cli.evaluate_cost, []
+
+            def fails_once(*args):
+                calls.append(args)
+                if len(calls) == 1:
+                    raise CoefficientOverflowError("cost overflows")
+                return evaluate(*args)
+
+            monkeypatch.setattr(mftg.cli, "evaluate_cost", fails_once)
         doc = yaml.safe_load(Path(scenario).read_text())
         doc["monte_carlo"]["paths"] = paths
         assert main(["sweep", write_doc(tmp_path, doc), "--out", str(tmp_path / "out"),
-                     "--sweep", "p=2,3,4"]) == 0
-        assert capsys.readouterr().err.splitlines() == [warning]
+                     "--sweep", "p=2,3,4"]) == (4 if fail_first else 0)
+        err = capsys.readouterr().err.splitlines()
+        assert err == [warning] + (["sweep p=2 failed: cost overflows"] if fail_first else [])
 
     def test_sweep_keeps_no_path_store(self, tmp_path, monkeypatch):
         """sweep writes no trajectories.csv, so its ensembles keep no store."""
